@@ -1,69 +1,50 @@
 // mobiwlan-bench — unified driver for the benches ported onto src/runtime/.
 //
-//   mobiwlan-bench --list                 enumerate registered benches
-//   mobiwlan-bench                        run everything (default seed/jobs)
+//   mobiwlan-bench --list                 enumerate benches, perf cases and
+//                                         gated suites
+//   mobiwlan-bench                        run every bench (default seed/jobs)
 //   mobiwlan-bench --filter fig9          run benches whose name contains it
 //   mobiwlan-bench --jobs 8 --seed 42     worker count / master seed
 //   mobiwlan-bench --json out.json        write the structured run report
 //   mobiwlan-bench --no-job-timing        omit per-job arrays from the JSON
-//   mobiwlan-bench --perf                 run the hot-path perf cases and
-//                                         write BENCH_channel.json
-//   mobiwlan-bench --perf --perf-check    also gate against the committed
-//                                         baseline (ci/perf_baseline.json)
-//   mobiwlan-bench --fidelity             run the paper-fidelity experiments
-//                                         and write BENCH_fidelity.json
-//   mobiwlan-bench --fidelity-check       also gate against the committed
-//                                         baseline (ci/fidelity_baseline.json)
-//   mobiwlan-bench --fidelity-check-only F  re-check an existing
-//                                         BENCH_fidelity.json, no re-run
-//   mobiwlan-bench --scale                run the AP-scale throughput bench
-//                                         (64 APs x 512 clients) and write
-//                                         BENCH_scale.json
-//   mobiwlan-bench --scale --scale-check  also gate against the baseline's
-//                                         gate_scale_* keys
-//   mobiwlan-bench --fault                run the fault-injection degradation
-//                                         sweep and write BENCH_fault.json
-//   mobiwlan-bench --fault-check          also gate against the committed
-//                                         baseline (ci/fault_baseline.json)
-//   mobiwlan-bench --fault-check-only F   re-check an existing
-//                                         BENCH_fault.json, no re-run
-//   mobiwlan-bench --trace                run the record/replay determinism
-//                                         suite and write BENCH_trace.json
-//   mobiwlan-bench --trace-check          also gate against the committed
-//                                         baseline (ci/trace_baseline.json)
-//   mobiwlan-bench --trace-check-only F   re-check an existing
-//                                         BENCH_trace.json, no re-run
-//   mobiwlan-bench --campus               run the campus shard-invariance
-//                                         matrix and write BENCH_campus.json
-//   mobiwlan-bench --campus-check         also gate against the committed
-//                                         baseline (ci/campus_baseline.json)
-//   mobiwlan-bench --campus-check-only F  re-check an existing
-//                                         BENCH_campus.json, no re-run
-//   mobiwlan-bench --campus-sessions N    large-campus mode: one 4-shard run
+//
+//   mobiwlan-bench --suite NAME           run a gated suite (fidelity, fault,
+//                                         trace, campus, loc) and write
+//                                         BENCH_<NAME>.json
+//   mobiwlan-bench --suite NAME --check   also gate against the committed
+//                                         baseline ci/<NAME>_baseline.json
+//   mobiwlan-bench --suite NAME --check-only REPORT
+//                                         re-check an existing report, no
+//                                         re-run
+//   mobiwlan-bench --suite campus --campus-sessions N
+//                 [--campus-rss-budget-mb MB]
+//                                         large-campus mode: one 4-shard run
 //                                         at N sessions (conservation + RSS
-//                                         evidence; optionally bounded by
-//                                         --campus-rss-budget-mb MB)
-//   mobiwlan-bench --loc                  run the CSI-fingerprint
-//                                         localization bench and write
-//                                         BENCH_loc.json
-//   mobiwlan-bench --loc-check            also gate against the committed
-//                                         baseline (ci/loc_baseline.json)
-//   mobiwlan-bench --loc-check-only F     re-check an existing
-//                                         BENCH_loc.json, no re-run
+//                                         evidence), no baseline gate
+//
+//   mobiwlan-bench --perf [--check]       hot-path perf cases ->
+//                                         BENCH_channel.json, gated against
+//                                         ci/perf_baseline.json
+//   mobiwlan-bench --scale [--check]      AP-scale throughput bench (64 APs x
+//                                         512 clients) -> BENCH_scale.json,
+//                                         gated on its gate_scale_* keys
+//
+// --out PATH and --baseline PATH override the report and baseline paths of
+// --suite, --perf and --scale.
 //
 // Determinism contract: for a fixed --seed, the printed tables and every
-// non-"timing" byte of the JSON are identical for --jobs 1 and --jobs N.
-// The fidelity JSON follows the same contract. Perf cases are timing-based
-// and therefore live entirely behind --perf; they never contribute to the
+// non-"timing" byte of the bench JSON and of every gated-suite report are
+// identical for --jobs 1 and --jobs N. Perf cases are timing-based and
+// therefore live entirely behind --perf; they never contribute to the
 // deterministic JSON above.
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,94 +60,151 @@
 
 namespace {
 
+using mobiwlan::load_flat_json;
 using mobiwlan::benchsuite::BenchDef;
+using mobiwlan::benchsuite::GatedSuiteDef;
 using mobiwlan::benchsuite::PerfCaseDef;
 using mobiwlan::benchsuite::PerfResult;
+using mobiwlan::benchsuite::gated_registry;
 using mobiwlan::benchsuite::perf_registry;
 using mobiwlan::benchsuite::registry;
+namespace fidelity = mobiwlan::fidelity;
 namespace runtime = mobiwlan::runtime;
 
 void print_usage() {
   std::printf(
-      "usage: mobiwlan-bench [--list] [--filter SUBSTR] [--jobs N]\n"
-      "                      [--seed S] [--json PATH] [--no-job-timing]\n"
-      "                      [--perf] [--perf-out PATH] [--perf-baseline "
-      "PATH]\n"
-      "                      [--perf-check] [--perf-min-time SECONDS]\n"
-      "                      [--fidelity] [--fidelity-check]\n"
-      "                      [--fidelity-check-only PATH] [--fidelity-out "
-      "PATH]\n"
-      "                      [--fidelity-baseline PATH]\n"
-      "                      [--scale] [--scale-check] [--scale-out PATH]\n"
-      "                      [--fault] [--fault-check]\n"
-      "                      [--fault-check-only PATH] [--fault-out PATH]\n"
-      "                      [--fault-baseline PATH]\n"
-      "                      [--trace] [--trace-check]\n"
-      "                      [--trace-check-only PATH] [--trace-out PATH]\n"
-      "                      [--trace-baseline PATH]\n"
-      "                      [--campus] [--campus-check]\n"
-      "                      [--campus-check-only PATH] [--campus-out PATH]\n"
-      "                      [--campus-baseline PATH]\n"
-      "                      [--campus-sessions N]\n"
-      "                      [--campus-rss-budget-mb MB]\n"
-      "                      [--loc] [--loc-check]\n"
-      "                      [--loc-check-only PATH] [--loc-out PATH]\n"
-      "                      [--loc-baseline PATH]\n");
+      "usage: mobiwlan-bench [--list] [--filter SUBSTR] [--jobs N] [--seed S]\n"
+      "                      [--json PATH] [--no-job-timing]\n"
+      "       mobiwlan-bench --suite NAME [--check | --check-only REPORT]\n"
+      "                      [--out PATH] [--baseline PATH] [--jobs N] "
+      "[--seed S]\n"
+      "                      [--campus-sessions N [--campus-rss-budget-mb "
+      "MB]]\n"
+      "       mobiwlan-bench --perf | --scale [--check] [--out PATH]\n"
+      "                      [--baseline PATH] [--perf-min-time SECONDS] "
+      "[--jobs N]\n"
+      "suites:");
+  for (const GatedSuiteDef& def : gated_registry())
+    std::printf(" %s", def.name.c_str());
+  std::printf("\n");
 }
 
 struct Options {
   bool list = false;
   bool job_timing = true;
   bool perf = false;
-  bool perf_check = false;
-  bool fidelity = false;
-  bool fidelity_check = false;
   bool scale = false;
-  bool scale_check = false;
-  bool fault = false;
-  bool fault_check = false;
-  bool trace = false;
-  bool trace_check = false;
-  bool campus = false;
-  bool campus_check = false;
-  bool loc = false;
-  bool loc_check = false;
+  bool check = false;
+  std::string suite;       // --suite NAME
+  std::string check_only;  // re-check this existing suite report
+  std::string out;         // empty = the mode's default report path
+  std::string baseline;    // empty = the mode's default baseline path
   std::string filter;
   std::string json_path;
-  std::string perf_out = "BENCH_channel.json";
-  std::string perf_baseline = "ci/perf_baseline.json";
-  std::string fidelity_check_only;  // path to an existing BENCH_fidelity.json
-  std::string fidelity_out = "BENCH_fidelity.json";
-  std::string fidelity_baseline = "ci/fidelity_baseline.json";
-  std::string scale_out = "BENCH_scale.json";
-  std::string fault_check_only;  // path to an existing BENCH_fault.json
-  std::string fault_out = "BENCH_fault.json";
-  std::string fault_baseline = "ci/fault_baseline.json";
-  std::string trace_check_only;  // path to an existing BENCH_trace.json
-  std::string trace_out = "BENCH_trace.json";
-  std::string trace_baseline = "ci/trace_baseline.json";
-  std::string campus_check_only;  // path to an existing BENCH_campus.json
-  std::string campus_out = "BENCH_campus.json";
-  std::string campus_baseline = "ci/campus_baseline.json";
-  std::uint64_t campus_sessions = 0;   // nonzero: large-campus single run
-  double campus_rss_budget_mb = 0.0;   // large mode: peak-RSS bound (0 = off)
-  std::string loc_check_only;  // path to an existing BENCH_loc.json
-  std::string loc_out = "BENCH_loc.json";
-  std::string loc_baseline = "ci/loc_baseline.json";
+  std::uint64_t campus_sessions = 0;  // nonzero: large-campus single run
+  double campus_rss_budget_mb = 0.0;  // large mode: peak-RSS bound (0 = off)
   double perf_min_time = 1.0;
   std::size_t jobs = 0;  // 0 = one worker per hardware thread
   std::uint64_t seed = runtime::kMasterSeed;
 };
 
+/// A base-10 integer flag value in [lo, hi]: digits only (no sign, no
+/// whitespace, no trailing bytes) and no overflow.
+bool parse_uint(const char* flag, const char* v, std::uint64_t lo,
+                std::uint64_t hi, std::uint64_t& out) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+      errno == ERANGE || x < lo || x > hi) {
+    std::fprintf(stderr,
+                 "mobiwlan-bench: %s expects an integer in [%llu, %llu], got "
+                 "'%s'\n",
+                 flag, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), v);
+    return false;
+  }
+  out = x;
+  return true;
+}
+
+/// A finite decimal flag value in (0, hi], with no trailing bytes.
+bool parse_positive(const char* flag, const char* v, double hi, double& out) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  const bool starts_ok =
+      std::isdigit(static_cast<unsigned char>(v[0])) || v[0] == '.';
+  if (!starts_ok || *end != '\0' || !std::isfinite(x) || x <= 0.0 || x > hi) {
+    std::fprintf(stderr,
+                 "mobiwlan-bench: %s expects a number in (0, %g], got '%s'\n",
+                 flag, hi, v);
+    return false;
+  }
+  out = x;
+  return true;
+}
+
+const GatedSuiteDef* find_suite(const std::string& name) {
+  for (const GatedSuiteDef& def : gated_registry())
+    if (def.name == name) return &def;
+  return nullptr;
+}
+
+/// Cross-flag rules, checked once every flag is read.
+bool validate(const Options& opt) {
+  const auto fail = [](const char* msg) {
+    std::fprintf(stderr, "mobiwlan-bench: %s\n", msg);
+    return false;
+  };
+  const int modes = (opt.perf ? 1 : 0) + (opt.scale ? 1 : 0) +
+                    (opt.suite.empty() ? 0 : 1);
+  if (modes > 1) return fail("--perf, --scale and --suite are exclusive");
+  if (modes == 0 && (opt.check || !opt.check_only.empty() ||
+                     !opt.out.empty() || !opt.baseline.empty()))
+    return fail("--check/--check-only/--out/--baseline need --suite, --perf "
+                "or --scale");
+  if (!opt.check_only.empty() && opt.suite.empty())
+    return fail("--check-only needs --suite");
+  if (!opt.suite.empty() && !find_suite(opt.suite)) {
+    std::fprintf(stderr, "mobiwlan-bench: unknown suite '%s'\n",
+                 opt.suite.c_str());
+    print_usage();
+    return false;
+  }
+  if ((opt.campus_sessions || opt.campus_rss_budget_mb > 0.0) &&
+      opt.suite != "campus")
+    return fail("--campus-sessions/--campus-rss-budget-mb need --suite campus");
+  if (opt.campus_rss_budget_mb > 0.0 && !opt.campus_sessions)
+    return fail("--campus-rss-budget-mb needs --campus-sessions");
+  if (opt.campus_sessions && (opt.check || !opt.check_only.empty()))
+    return fail("large-campus mode (--campus-sessions) has no baseline gate");
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
+    const char* flag = argv[i];
+    auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "mobiwlan-bench: %s needs a value\n", flag);
         return nullptr;
       }
       return argv[++i];
+    };
+    auto string_flag = [&](std::string& dst) {
+      const char* v = value();
+      if (v) dst = v;
+      return v != nullptr;
+    };
+    auto uint_flag = [&](std::uint64_t lo, std::uint64_t hi,
+                         std::uint64_t& dst) {
+      const char* v = value();
+      return v && parse_uint(flag, v, lo, hi, dst);
+    };
+    auto positive_flag = [&](double hi, double& dst) {
+      const char* v = value();
+      return v && parse_positive(flag, v, hi, dst);
     };
     if (arg == "--list") {
       opt.list = true;
@@ -174,139 +212,34 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.job_timing = false;
     } else if (arg == "--perf") {
       opt.perf = true;
-    } else if (arg == "--perf-check") {
-      opt.perf_check = true;
-    } else if (arg == "--perf-out") {
-      const char* v = value("--perf-out");
-      if (!v) return false;
-      opt.perf_out = v;
-    } else if (arg == "--perf-baseline") {
-      const char* v = value("--perf-baseline");
-      if (!v) return false;
-      opt.perf_baseline = v;
-    } else if (arg == "--fidelity") {
-      opt.fidelity = true;
-    } else if (arg == "--fidelity-check") {
-      opt.fidelity = true;
-      opt.fidelity_check = true;
-    } else if (arg == "--fidelity-check-only") {
-      const char* v = value("--fidelity-check-only");
-      if (!v) return false;
-      opt.fidelity_check_only = v;
-    } else if (arg == "--fidelity-out") {
-      const char* v = value("--fidelity-out");
-      if (!v) return false;
-      opt.fidelity_out = v;
-    } else if (arg == "--fidelity-baseline") {
-      const char* v = value("--fidelity-baseline");
-      if (!v) return false;
-      opt.fidelity_baseline = v;
     } else if (arg == "--scale") {
       opt.scale = true;
-    } else if (arg == "--scale-check") {
-      opt.scale = true;
-      opt.scale_check = true;
-    } else if (arg == "--scale-out") {
-      const char* v = value("--scale-out");
-      if (!v) return false;
-      opt.scale_out = v;
-    } else if (arg == "--fault") {
-      opt.fault = true;
-    } else if (arg == "--fault-check") {
-      opt.fault = true;
-      opt.fault_check = true;
-    } else if (arg == "--fault-check-only") {
-      const char* v = value("--fault-check-only");
-      if (!v) return false;
-      opt.fault_check_only = v;
-    } else if (arg == "--fault-out") {
-      const char* v = value("--fault-out");
-      if (!v) return false;
-      opt.fault_out = v;
-    } else if (arg == "--trace") {
-      opt.trace = true;
-    } else if (arg == "--trace-check") {
-      opt.trace = true;
-      opt.trace_check = true;
-    } else if (arg == "--trace-check-only") {
-      const char* v = value("--trace-check-only");
-      if (!v) return false;
-      opt.trace_check_only = v;
-    } else if (arg == "--trace-out") {
-      const char* v = value("--trace-out");
-      if (!v) return false;
-      opt.trace_out = v;
-    } else if (arg == "--trace-baseline") {
-      const char* v = value("--trace-baseline");
-      if (!v) return false;
-      opt.trace_baseline = v;
-    } else if (arg == "--campus") {
-      opt.campus = true;
-    } else if (arg == "--campus-check") {
-      opt.campus = true;
-      opt.campus_check = true;
-    } else if (arg == "--campus-check-only") {
-      const char* v = value("--campus-check-only");
-      if (!v) return false;
-      opt.campus_check_only = v;
-    } else if (arg == "--campus-out") {
-      const char* v = value("--campus-out");
-      if (!v) return false;
-      opt.campus_out = v;
-    } else if (arg == "--campus-baseline") {
-      const char* v = value("--campus-baseline");
-      if (!v) return false;
-      opt.campus_baseline = v;
-    } else if (arg == "--campus-sessions") {
-      const char* v = value("--campus-sessions");
-      if (!v) return false;
-      opt.campus = true;
-      opt.campus_sessions = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--campus-rss-budget-mb") {
-      const char* v = value("--campus-rss-budget-mb");
-      if (!v) return false;
-      opt.campus_rss_budget_mb = std::strtod(v, nullptr);
-    } else if (arg == "--loc") {
-      opt.loc = true;
-    } else if (arg == "--loc-check") {
-      opt.loc = true;
-      opt.loc_check = true;
-    } else if (arg == "--loc-check-only") {
-      const char* v = value("--loc-check-only");
-      if (!v) return false;
-      opt.loc_check_only = v;
-    } else if (arg == "--loc-out") {
-      const char* v = value("--loc-out");
-      if (!v) return false;
-      opt.loc_out = v;
-    } else if (arg == "--loc-baseline") {
-      const char* v = value("--loc-baseline");
-      if (!v) return false;
-      opt.loc_baseline = v;
-    } else if (arg == "--fault-baseline") {
-      const char* v = value("--fault-baseline");
-      if (!v) return false;
-      opt.fault_baseline = v;
-    } else if (arg == "--perf-min-time") {
-      const char* v = value("--perf-min-time");
-      if (!v) return false;
-      opt.perf_min_time = std::strtod(v, nullptr);
+    } else if (arg == "--check") {
+      opt.check = true;
+    } else if (arg == "--suite") {
+      if (!string_flag(opt.suite)) return false;
+    } else if (arg == "--check-only") {
+      if (!string_flag(opt.check_only)) return false;
+    } else if (arg == "--out") {
+      if (!string_flag(opt.out)) return false;
+    } else if (arg == "--baseline") {
+      if (!string_flag(opt.baseline)) return false;
     } else if (arg == "--filter") {
-      const char* v = value("--filter");
-      if (!v) return false;
-      opt.filter = v;
+      if (!string_flag(opt.filter)) return false;
     } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (!v) return false;
-      opt.json_path = v;
+      if (!string_flag(opt.json_path)) return false;
+    } else if (arg == "--campus-sessions") {
+      if (!uint_flag(1, 100'000'000, opt.campus_sessions)) return false;
+    } else if (arg == "--campus-rss-budget-mb") {
+      if (!positive_flag(1e7, opt.campus_rss_budget_mb)) return false;
+    } else if (arg == "--perf-min-time") {
+      if (!positive_flag(3600.0, opt.perf_min_time)) return false;
     } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (!v) return false;
-      opt.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      std::uint64_t jobs = 0;
+      if (!uint_flag(0, 1024, jobs)) return false;
+      opt.jobs = static_cast<std::size_t>(jobs);
     } else if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (!v) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!uint_flag(0, UINT64_MAX, opt.seed)) return false;
     } else if (arg == "--help" || arg == "-h") {
       print_usage();
       std::exit(0);
@@ -316,22 +249,33 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return true;
+  return validate(opt);
 }
 
-using mobiwlan::load_flat_json;  // util/flatjson.hpp
+std::size_t resolve_jobs(std::size_t jobs) {
+  if (jobs) return jobs;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? hw : 1;
+}
+
+std::string or_default(const std::string& v, std::string def) {
+  return v.empty() ? def : v;
+}
 
 /// Runs the perf cases, writes the flat BENCH report (with pre-PR baseline
 /// numbers and speedups folded in when the baseline file provides them), and
 /// optionally gates against the baseline's gate_* values.
 int run_perf(const Options& opt) {
-  const auto baseline = load_flat_json(opt.perf_baseline);
+  const std::string out_path = or_default(opt.out, "BENCH_channel.json");
+  const std::string baseline_path =
+      or_default(opt.baseline, "ci/perf_baseline.json");
+  const auto baseline = load_flat_json(baseline_path);
   if (!baseline.empty())
-    std::printf("perf: baseline %s (%zu keys)\n", opt.perf_baseline.c_str(),
+    std::printf("perf: baseline %s (%zu keys)\n", baseline_path.c_str(),
                 baseline.size());
   else
     std::printf("perf: no baseline at %s (measuring only)\n",
-                opt.perf_baseline.c_str());
+                baseline_path.c_str());
   if (!mobiwlan::alloc_hook_active())
     std::printf("perf: warning: alloc hook not linked, allocs/op will read 0\n");
 
@@ -343,10 +287,9 @@ int run_perf(const Options& opt) {
     results.push_back(std::move(r));
   }
 
-  std::ofstream out(opt.perf_out, std::ios::binary);
+  std::ofstream out(out_path, std::ios::binary);
   if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n",
-                 opt.perf_out.c_str());
+    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", out_path.c_str());
     return 1;
   }
   out << "{\n";
@@ -403,9 +346,9 @@ int run_perf(const Options& opt) {
   out << buf;
   out << "  \"end\": 0\n}\n";
   out.close();
-  std::printf("wrote %s (%zu cases)\n", opt.perf_out.c_str(), results.size());
+  std::printf("wrote %s (%zu cases)\n", out_path.c_str(), results.size());
 
-  if (!opt.perf_check) return 0;
+  if (!opt.check) return 0;
 
   // Gate: each case must stay within (1 + tolerance) of its committed
   // gate_*_ns and must not allocate more than gate_*_allocs (+0.5 slack for
@@ -440,176 +383,100 @@ int run_perf(const Options& opt) {
     std::fprintf(stderr,
                  "mobiwlan-bench: perf regression past %.0f%% tolerance "
                  "(baseline %s)\n",
-                 100.0 * tol, opt.perf_baseline.c_str());
+                 100.0 * tol, baseline_path.c_str());
     return 1;
   }
   std::printf("perf-check: all cases within %.0f%% of baseline\n", 100.0 * tol);
   return 0;
 }
 
-namespace fidelity = mobiwlan::fidelity;
-
-/// Checks a fidelity report against the committed baseline and prints the
-/// verdict table. Returns the process exit code.
-int check_fidelity_report(const fidelity::FidelityReport& report,
-                          std::uint64_t run_seed, const Options& opt,
-                          fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(opt.fidelity_baseline);
+/// Checks a suite report against a baseline and prints the verdict table.
+/// Returns the process exit code.
+int check_suite(const std::string& name, const fidelity::FidelityReport& rep,
+                std::uint64_t run_seed, const std::string& baseline_path,
+                fidelity::CheckResult& check) {
+  const auto baseline = load_flat_json(baseline_path);
   if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no fidelity baseline at %s\n",
-                 opt.fidelity_baseline.c_str());
+    std::fprintf(stderr, "mobiwlan-bench: no %s baseline at %s\n", name.c_str(),
+                 baseline_path.c_str());
     return 1;
   }
-  check = report.check(baseline, run_seed);
-  std::printf("\nfidelity-check against %s (seed %llu):\n",
-              opt.fidelity_baseline.c_str(),
+  check = rep.check(baseline, run_seed);
+  std::printf("\n%s-check against %s (seed %llu):\n", name.c_str(),
+              baseline_path.c_str(),
               static_cast<unsigned long long>(run_seed));
   std::fputs(fidelity::render_check(check).c_str(), stdout);
   if (!check.pass()) {
-    std::fprintf(stderr,
-                 "mobiwlan-bench: paper-fidelity gate FAILED (baseline %s)\n",
-                 opt.fidelity_baseline.c_str());
+    std::fprintf(stderr, "mobiwlan-bench: %s gate FAILED (baseline %s)\n",
+                 name.c_str(), baseline_path.c_str());
     return 1;
   }
-  std::printf("fidelity-check: all bounds hold\n");
+  std::printf("%s-check: all bounds hold\n", name.c_str());
   return 0;
 }
 
-/// `--fidelity` / `--fidelity-check`: run the experiments, write
-/// BENCH_fidelity.json, optionally gate. `--fidelity-check-only` skips the
-/// run and re-checks an existing report file instead.
-int run_fidelity_mode(const Options& opt) {
-  if (!opt.fidelity_check_only.empty()) {
-    const auto doc = load_flat_json(opt.fidelity_check_only);
+/// `--suite NAME`: run the suite, write BENCH_<NAME>.json, optionally gate.
+/// `--check-only REPORT` skips the run and re-checks an existing report.
+int run_suite(const GatedSuiteDef& def, const Options& opt) {
+  const std::string baseline =
+      or_default(opt.baseline, "ci/" + def.name + "_baseline.json");
+  if (!opt.check_only.empty()) {
+    const auto doc = load_flat_json(opt.check_only);
     if (doc.empty()) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot read fidelity report %s\n",
-                   opt.fidelity_check_only.c_str());
+      std::fprintf(stderr, "mobiwlan-bench: cannot read %s report %s\n",
+                   def.name.c_str(), opt.check_only.c_str());
       return 1;
     }
     std::uint64_t seed = 0;
-    const fidelity::FidelityReport report =
+    const fidelity::FidelityReport rep =
         fidelity::report_from_flat_json(doc, seed);
     fidelity::CheckResult check;
-    return check_fidelity_report(report, seed, opt, check);
+    return check_suite(def.name, rep, seed, baseline, check);
   }
 
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-  runtime::ThreadPool pool(jobs);
+  runtime::ThreadPool pool(resolve_jobs(opt.jobs));
   runtime::BenchReport bench_report;
-  bench_report.name = "fidelity";
+  bench_report.name = def.name;
   runtime::Experiment exp(pool, opt.seed, &bench_report);
-
-  std::printf("fidelity: re-running Table 1 / Fig 2 / Fig 4 / Fig 9 "
-              "(seed %llu, %zu workers)\n",
+  std::printf("%s: %s (seed %llu, %zu workers)\n", def.name.c_str(),
+              def.description.c_str(),
               static_cast<unsigned long long>(opt.seed), pool.size());
   const auto start = std::chrono::steady_clock::now();
-  const fidelity::FidelityReport report =
-      mobiwlan::benchsuite::run_fidelity(exp);
+  bool ok = true;
+  const fidelity::FidelityReport rep =
+      opt.campus_sessions
+          ? mobiwlan::benchsuite::run_campus_large_report(
+                exp, opt.campus_sessions, opt.campus_rss_budget_mb, ok)
+          : def.run(exp);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  for (const auto& [key, v] : report.metrics())
+  for (const auto& [key, v] : rep.metrics())
     std::printf("  %-44s %.6g\n", key.c_str(), v);
-  std::printf("[fidelity: %zu jobs on %zu workers, %.2fs wall]\n",
+  std::printf("[%s: %zu jobs on %zu workers, %.2fs wall]\n", def.name.c_str(),
               bench_report.jobs.size(), pool.size(), wall_s);
 
   fidelity::CheckResult check;
-  int rc = 0;
-  const fidelity::CheckResult* check_ptr = nullptr;
-  if (opt.fidelity_check) {
-    rc = check_fidelity_report(report, opt.seed, opt, check);
-    check_ptr = &check;
-  }
+  int rc = ok ? 0 : 1;
+  if (opt.check) rc = check_suite(def.name, rep, opt.seed, baseline, check);
 
-  std::ofstream out(opt.fidelity_out, std::ios::binary);
+  const std::string out_path =
+      or_default(opt.out, "BENCH_" + def.name + ".json");
+  std::ofstream out(out_path, std::ios::binary);
   if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n",
-                 opt.fidelity_out.c_str());
+    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << report.to_json(opt.seed, wall_s, check_ptr);
+  out << rep.to_json(opt.seed, wall_s, opt.check ? &check : nullptr);
   out.close();
-  std::printf("wrote %s (%zu metrics)\n", opt.fidelity_out.c_str(),
-              report.metrics().size());
+  std::printf("wrote %s (%zu metrics)\n", out_path.c_str(),
+              rep.metrics().size());
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
-
-  if (opt.list) {
-    for (const BenchDef& def : registry())
-      std::printf("%-10s %s\n", def.name.c_str(), def.description.c_str());
-    for (const PerfCaseDef& def : perf_registry())
-      std::printf("%-10s [perf] %s\n", def.name.c_str(),
-                  def.description.c_str());
-    return 0;
-  }
-
-  if (opt.perf) return run_perf(opt);
-  if (opt.scale) {
-    mobiwlan::benchsuite::ScaleOptions so;
-    so.jobs = opt.jobs ? opt.jobs : 1;
-    so.seed = opt.seed;
-    so.min_time_s = opt.perf_min_time;
-    so.check = opt.scale_check;
-    so.out = opt.scale_out;
-    so.baseline = opt.perf_baseline;
-    return mobiwlan::benchsuite::run_scale_bench(so);
-  }
-  if (opt.fidelity || !opt.fidelity_check_only.empty())
-    return run_fidelity_mode(opt);
-  if (opt.fault || !opt.fault_check_only.empty()) {
-    mobiwlan::benchsuite::FaultOptions fo;
-    fo.jobs = opt.jobs;
-    fo.seed = opt.seed;
-    fo.check = opt.fault_check;
-    fo.check_only = opt.fault_check_only;
-    fo.out = opt.fault_out;
-    fo.baseline = opt.fault_baseline;
-    return mobiwlan::benchsuite::run_fault_bench(fo);
-  }
-  if (opt.trace || !opt.trace_check_only.empty()) {
-    mobiwlan::benchsuite::TraceOptions to;
-    to.jobs = opt.jobs;
-    to.seed = opt.seed;
-    to.check = opt.trace_check;
-    to.check_only = opt.trace_check_only;
-    to.out = opt.trace_out;
-    to.baseline = opt.trace_baseline;
-    return mobiwlan::benchsuite::run_trace_bench(to);
-  }
-  if (opt.loc || !opt.loc_check_only.empty()) {
-    mobiwlan::benchsuite::LocOptions lo;
-    lo.jobs = opt.jobs;
-    lo.seed = opt.seed;
-    lo.check = opt.loc_check;
-    lo.check_only = opt.loc_check_only;
-    lo.out = opt.loc_out;
-    lo.baseline = opt.loc_baseline;
-    return mobiwlan::benchsuite::run_loc_bench(lo);
-  }
-  if (opt.campus || !opt.campus_check_only.empty()) {
-    mobiwlan::benchsuite::CampusOptions co;
-    co.jobs = opt.jobs;
-    co.seed = opt.seed;
-    co.check = opt.campus_check;
-    co.check_only = opt.campus_check_only;
-    co.out = opt.campus_out;
-    co.baseline = opt.campus_baseline;
-    co.sessions = opt.campus_sessions;
-    co.rss_budget_mb = opt.campus_rss_budget_mb;
-    return mobiwlan::benchsuite::run_campus_bench(co);
-  }
-
+/// The default mode: run every registered bench matching --filter.
+int run_benches(const Options& opt) {
   std::vector<const BenchDef*> selected;
   for (const BenchDef& def : registry())
     if (def.name.find(opt.filter) != std::string::npos)
@@ -620,13 +487,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-
-  runtime::ThreadPool pool(jobs);
+  runtime::ThreadPool pool(resolve_jobs(opt.jobs));
   runtime::RunReport run;
   run.master_seed = opt.seed;
   run.workers = pool.size();
@@ -666,4 +527,43 @@ int main(int argc, char** argv) {
                 run.benches.size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (!parse_args(argc, argv, opt)) return 2;
+
+  if (opt.list) {
+    for (const BenchDef& def : registry())
+      std::printf("%-10s %s\n", def.name.c_str(), def.description.c_str());
+    for (const PerfCaseDef& def : perf_registry())
+      std::printf("%-10s [perf] %s\n", def.name.c_str(),
+                  def.description.c_str());
+    for (const GatedSuiteDef& def : gated_registry())
+      std::printf("%-10s [suite] %s\n", def.name.c_str(),
+                  def.description.c_str());
+    return 0;
+  }
+
+  try {
+    if (opt.perf) return run_perf(opt);
+    if (opt.scale) {
+      mobiwlan::benchsuite::ScaleOptions so;
+      so.jobs = opt.jobs ? opt.jobs : 1;
+      so.seed = opt.seed;
+      so.min_time_s = opt.perf_min_time;
+      so.check = opt.check;
+      so.out = or_default(opt.out, so.out);
+      so.baseline = or_default(opt.baseline, so.baseline);
+      return mobiwlan::benchsuite::run_scale_bench(so);
+    }
+    if (!opt.suite.empty()) return run_suite(*find_suite(opt.suite), opt);
+    return run_benches(opt);
+  } catch (const mobiwlan::FlatJsonError& e) {
+    // A malformed baseline or report must fail the gate, never weaken it.
+    std::fprintf(stderr, "mobiwlan-bench: %s\n", e.what());
+    return 1;
+  }
 }

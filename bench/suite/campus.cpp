@@ -1,4 +1,4 @@
-// Campus shard-invariance suite (`mobiwlan-bench --campus`): the
+// Campus shard-invariance suite (`mobiwlan-bench --suite campus`): the
 // partitioning-determinism gate for the campus-scale simulation
 // (src/campus/). One scenario — a 32x32 AP grid (1024 APs) absorbing 100k
 // client sessions over an 80-epoch arrival window, everyone departed by the
@@ -21,7 +21,7 @@
 // are deterministic for a fixed seed at any worker count — handovers are
 // staged into per-(src,dst) SPSC lanes and drained at an epoch barrier — so
 // they are exact-gated too, and the whole report survives the jobs-1-vs-8
-// byte diff in ci/campus_gate.sh. Keys matching `"timing` carry wall-clock
+// byte diff in `ci/gate.sh campus`. Keys matching `"timing` carry wall-clock
 // rates and are quarantined by the usual convention.
 //
 // Precision is pinned to fp64 for the whole matrix; the SIMD *tier* is not:
@@ -37,12 +37,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "campus/campus.hpp"
 #include "fidelity/fidelity.hpp"
 #include "suite/suite.hpp"
-#include "util/flatjson.hpp"
 #include "util/simd.hpp"
 
 namespace mobiwlan::benchsuite {
@@ -162,133 +160,77 @@ void add_u64_split(FidelityReport& rep, const std::string& key,
   rep.add(key + "_lo", static_cast<double>(v & 0xffffffffULL));
 }
 
-int check_report(const FidelityReport& rep, std::uint64_t run_seed,
-                 const std::string& baseline_path,
-                 fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no campus baseline at %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  check = rep.check(baseline, run_seed);
-  std::printf("\ncampus-check against %s (seed %llu):\n", baseline_path.c_str(),
-              static_cast<unsigned long long>(run_seed));
-  std::fputs(fidelity::render_check(check).c_str(), stdout);
-  if (!check.pass()) {
-    std::fprintf(stderr,
-                 "mobiwlan-bench: shard-invariance gate FAILED (baseline %s)\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::printf("campus-check: all bounds hold\n");
-  return 0;
-}
-
 }  // namespace
 
-int run_campus_bench(const CampusOptions& opt) {
-  if (!opt.check_only.empty()) {
-    const auto doc = load_flat_json(opt.check_only);
-    if (doc.empty()) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot read campus report %s\n",
-                   opt.check_only.c_str());
-      return 1;
-    }
-    std::uint64_t seed = 0;
-    const FidelityReport rep = fidelity::report_from_flat_json(doc, seed);
-    fidelity::CheckResult check;
-    return check_report(rep, seed, opt.baseline, check);
-  }
-
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-
-  if (opt.sessions) {
-    // Large-campus mode: one {4 shards, jobs} run at the requested session
-    // count. The streamed arrival schedule and the slab pool keep memory
-    // proportional to PEAK RESIDENT sessions, not total sessions, so a
-    // million-session day fits a fixed budget; this mode produces the
-    // evidence (and the opt-in 250k ctest smoke gets its assertions).
-    const campus::CampusConfig defaults = campus::campus_default_config();
-    std::printf("campus-large: %zux%zu APs, %llu sessions over %llu epochs "
-                "(4 shards, seed %llu, %zu workers)\n",
-                defaults.cols, defaults.rows,
-                static_cast<unsigned long long>(opt.sessions),
-                static_cast<unsigned long long>(defaults.horizon_epochs),
-                static_cast<unsigned long long>(opt.seed), jobs);
-    const CampusRun r = run_one(4, jobs, opt.seed, opt.sessions);
-    const double rss_mb = peak_rss_mb();
-    const double bytes_per =
-        r.pool_sessions ? rss_mb * 1024.0 * 1024.0 /
-                              static_cast<double>(r.pool_sessions)
-                        : 0.0;
-    std::printf("  arrived %llu, departed %llu, active %llu — peak resident "
-                "%llu (%.1f%% of total)\n",
-                static_cast<unsigned long long>(r.arrived),
-                static_cast<unsigned long long>(r.departed),
-                static_cast<unsigned long long>(r.active_end),
-                static_cast<unsigned long long>(r.pool_sessions),
-                100.0 * static_cast<double>(r.pool_sessions) /
-                    static_cast<double>(opt.sessions));
-    std::printf("  wall %.2fs (%.0f session-steps/s), peak RSS %.1f MiB "
-                "(%.0f bytes/resident session), hot-phase allocs %llu\n",
-                r.wall_s,
-                r.wall_s > 0.0 ? static_cast<double>(r.agg.steps) / r.wall_s
-                               : 0.0,
-                rss_mb, bytes_per,
-                static_cast<unsigned long long>(r.hot_allocs));
-    int rc = 0;
-    if (r.arrived != opt.sessions ||
-        r.arrived != r.departed + r.active_end ||
-        r.agg.sessions != r.departed) {
-      std::fprintf(stderr, "mobiwlan-bench: campus-large conservation "
-                           "FAILED (arrived/departed/active inconsistent)\n");
-      rc = 1;
-    }
-    if (opt.rss_budget_mb > 0.0 && rss_mb > opt.rss_budget_mb) {
-      std::fprintf(stderr,
-                   "mobiwlan-bench: campus-large peak RSS %.1f MiB exceeds "
-                   "budget %.1f MiB\n",
-                   rss_mb, opt.rss_budget_mb);
-      rc = 1;
-    }
-    FidelityReport rep;
-    rep.add("campus_large.sessions", static_cast<double>(opt.sessions));
-    rep.add("campus_large.peak_resident",
-            static_cast<double>(r.pool_sessions));
-    rep.add("campus_large.steps", static_cast<double>(r.agg.steps));
-    rep.add("campus_large.handovers", static_cast<double>(r.handovers));
-    rep.add("timing.wall_s", r.wall_s);
-    if (r.wall_s > 0.0)
-      rep.add("timing.session_steps_per_s",
-              static_cast<double>(r.agg.steps) / r.wall_s);
-    rep.add("timing.peak_rss_mb", rss_mb);
-    rep.add("timing.bytes_per_session", bytes_per);
-    std::ofstream out(opt.out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n",
-                   opt.out.c_str());
-      return 1;
-    }
-    out << rep.to_json(opt.seed, r.wall_s, nullptr);
-    out.close();
-    std::printf("wrote %s (%zu metrics)\n", opt.out.c_str(),
-                rep.metrics().size());
-    return rc;
-  }
-
+FidelityReport run_campus_large_report(runtime::Experiment& exp,
+                                       std::uint64_t sessions,
+                                       double rss_budget_mb, bool& ok) {
+  // Large-campus mode: one {4 shards, jobs} run at the requested session
+  // count. The streamed arrival schedule and the slab pool keep memory
+  // proportional to PEAK RESIDENT sessions, not total sessions, so a
+  // million-session day fits a fixed budget; this mode produces the
+  // evidence (and the opt-in 250k ctest smoke gets its assertions).
+  const std::size_t jobs = exp.pool().size();
+  const std::uint64_t seed = exp.master_seed();
   const campus::CampusConfig defaults = campus::campus_default_config();
-  std::printf("campus: %zux%zu APs, %llu sessions over %llu epochs — shard "
-              "matrix 1/4/16 (seed %llu, %zu workers)\n",
+  std::printf("campus-large: %zux%zu APs, %llu sessions over %llu epochs "
+              "(4 shards, seed %llu, %zu workers)\n",
               defaults.cols, defaults.rows,
-              static_cast<unsigned long long>(defaults.n_sessions),
+              static_cast<unsigned long long>(sessions),
               static_cast<unsigned long long>(defaults.horizon_epochs),
-              static_cast<unsigned long long>(opt.seed), jobs);
+              static_cast<unsigned long long>(seed), jobs);
+  const CampusRun r = run_one(4, jobs, seed, sessions);
+  const double rss_mb = peak_rss_mb();
+  const double bytes_per =
+      r.pool_sessions ? rss_mb * 1024.0 * 1024.0 /
+                            static_cast<double>(r.pool_sessions)
+                      : 0.0;
+  std::printf("  arrived %llu, departed %llu, active %llu — peak resident "
+              "%llu (%.1f%% of total)\n",
+              static_cast<unsigned long long>(r.arrived),
+              static_cast<unsigned long long>(r.departed),
+              static_cast<unsigned long long>(r.active_end),
+              static_cast<unsigned long long>(r.pool_sessions),
+              100.0 * static_cast<double>(r.pool_sessions) /
+                  static_cast<double>(sessions));
+  std::printf("  wall %.2fs (%.0f session-steps/s), peak RSS %.1f MiB "
+              "(%.0f bytes/resident session), hot-phase allocs %llu\n",
+              r.wall_s,
+              r.wall_s > 0.0 ? static_cast<double>(r.agg.steps) / r.wall_s
+                             : 0.0,
+              rss_mb, bytes_per,
+              static_cast<unsigned long long>(r.hot_allocs));
+  ok = true;
+  if (r.arrived != sessions || r.arrived != r.departed + r.active_end ||
+      r.agg.sessions != r.departed) {
+    std::fprintf(stderr, "mobiwlan-bench: campus-large conservation "
+                         "FAILED (arrived/departed/active inconsistent)\n");
+    ok = false;
+  }
+  if (rss_budget_mb > 0.0 && rss_mb > rss_budget_mb) {
+    std::fprintf(stderr,
+                 "mobiwlan-bench: campus-large peak RSS %.1f MiB exceeds "
+                 "budget %.1f MiB\n",
+                 rss_mb, rss_budget_mb);
+    ok = false;
+  }
+  FidelityReport rep;
+  rep.add("campus_large.sessions", static_cast<double>(sessions));
+  rep.add("campus_large.peak_resident", static_cast<double>(r.pool_sessions));
+  rep.add("campus_large.steps", static_cast<double>(r.agg.steps));
+  rep.add("campus_large.handovers", static_cast<double>(r.handovers));
+  rep.add("timing.wall_s", r.wall_s);
+  if (r.wall_s > 0.0)
+    rep.add("timing.session_steps_per_s",
+            static_cast<double>(r.agg.steps) / r.wall_s);
+  rep.add("timing.peak_rss_mb", rss_mb);
+  rep.add("timing.bytes_per_session", bytes_per);
+  return rep;
+}
 
+FidelityReport run_campus_report(runtime::Experiment& exp) {
+  const std::size_t jobs = exp.pool().size();
+  const std::uint64_t seed = exp.master_seed();
   // Pin the precision tier (fp32 CSI would change bits); the SIMD tier
   // runs at the host's native width — the digests are tier-invariant.
   simd::set_forced_precision(0);
@@ -300,7 +242,7 @@ int run_campus_bench(const CampusOptions& opt) {
   CampusRun runs[4];
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 4; ++i) {
-    runs[i] = run_one(parts[i].shards, parts[i].jobs, opt.seed);
+    runs[i] = run_one(parts[i].shards, parts[i].jobs, seed);
     std::printf("  %2zu shards x %zu workers: %llu arrived, %llu departed, "
                 "%llu handovers (%llu deferred, depth %llu), %.2fs\n",
                 runs[i].shards, runs[i].jobs,
@@ -397,29 +339,7 @@ int run_campus_bench(const CampusOptions& opt) {
             rss_mb * 1024.0 * 1024.0 /
                 static_cast<double>(runs[0].pool_sessions));
   }
-
-  for (const auto& [key, v] : rep.metrics())
-    std::printf("  %-44s %.6g\n", key.c_str(), v);
-  std::printf("[campus: 4 runs, %.2fs wall]\n", wall_s);
-
-  fidelity::CheckResult check;
-  int rc = 0;
-  const fidelity::CheckResult* check_ptr = nullptr;
-  if (opt.check) {
-    rc = check_report(rep, opt.seed, opt.baseline, check);
-    check_ptr = &check;
-  }
-
-  std::ofstream out(opt.out, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  out << rep.to_json(opt.seed, wall_s, check_ptr);
-  out.close();
-  std::printf("wrote %s (%zu metrics)\n", opt.out.c_str(),
-              rep.metrics().size());
-  return rc;
+  return rep;
 }
 
 }  // namespace mobiwlan::benchsuite

@@ -1,4 +1,4 @@
-// Fault-tolerance suite (`mobiwlan-bench --fault`): quantifies graceful
+// Fault-tolerance suite (`mobiwlan-bench --suite fault`): quantifies graceful
 // degradation when the PHY-observable exports (CSI, ToF, RSSI, feedback)
 // are dropped, delayed, or reduced to RSSI-only — the failure modes a real
 // controller deployment sees when firmware export queues overflow or the
@@ -20,11 +20,8 @@
 // determinism contract as the paper-fidelity gate: for a fixed --seed the
 // report is byte-identical at any --jobs outside its "timing" line.
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chan/scenario.hpp"
@@ -32,10 +29,8 @@
 #include "fidelity/fidelity.hpp"
 #include "net/deployment.hpp"
 #include "net/roaming.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/overall_sim.hpp"
 #include "suite/suite.hpp"
-#include "util/flatjson.hpp"
 #include "util/stats.hpp"
 
 namespace mobiwlan::benchsuite {
@@ -264,6 +259,8 @@ void fault_zero_identity(runtime::Experiment& exp, FidelityReport& rep) {
   rep.add("fault.zero_identity_mismatches", total);
 }
 
+}  // namespace
+
 FidelityReport run_fault_report(runtime::Experiment& exp) {
   FidelityReport rep;
   fault_table1(exp, rep);
@@ -272,90 +269,6 @@ FidelityReport run_fault_report(runtime::Experiment& exp) {
   fault_roaming(exp, rep);
   fault_zero_identity(exp, rep);
   return rep;
-}
-
-/// Checks the report against the committed baseline; prints the verdict
-/// table. Same bound semantics as the fidelity gate.
-int check_report(const FidelityReport& rep, std::uint64_t run_seed,
-                 const std::string& baseline_path,
-                 fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no fault baseline at %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  check = rep.check(baseline, run_seed);
-  std::printf("\nfault-check against %s (seed %llu):\n", baseline_path.c_str(),
-              static_cast<unsigned long long>(run_seed));
-  std::fputs(fidelity::render_check(check).c_str(), stdout);
-  if (!check.pass()) {
-    std::fprintf(stderr,
-                 "mobiwlan-bench: fault-tolerance gate FAILED (baseline %s)\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::printf("fault-check: all bounds hold\n");
-  return 0;
-}
-
-}  // namespace
-
-int run_fault_bench(const FaultOptions& opt) {
-  if (!opt.check_only.empty()) {
-    const auto doc = load_flat_json(opt.check_only);
-    if (doc.empty()) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot read fault report %s\n",
-                   opt.check_only.c_str());
-      return 1;
-    }
-    std::uint64_t seed = 0;
-    const FidelityReport rep = fidelity::report_from_flat_json(doc, seed);
-    fidelity::CheckResult check;
-    return check_report(rep, seed, opt.baseline, check);
-  }
-
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-  runtime::ThreadPool pool(jobs);
-  runtime::BenchReport bench_report;
-  bench_report.name = "fault";
-  runtime::Experiment exp(pool, opt.seed, &bench_report);
-
-  std::printf("fault: degradation sweep — Table 1 / Fig 9 / Fig 13 / roaming "
-              "(seed %llu, %zu workers)\n",
-              static_cast<unsigned long long>(opt.seed), pool.size());
-  const auto start = std::chrono::steady_clock::now();
-  const FidelityReport rep = run_fault_report(exp);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (const auto& [key, v] : rep.metrics())
-    std::printf("  %-44s %.6g\n", key.c_str(), v);
-  std::printf("[fault: %zu jobs on %zu workers, %.2fs wall]\n",
-              bench_report.jobs.size(), pool.size(), wall_s);
-
-  fidelity::CheckResult check;
-  int rc = 0;
-  const fidelity::CheckResult* check_ptr = nullptr;
-  if (opt.check) {
-    rc = check_report(rep, opt.seed, opt.baseline, check);
-    check_ptr = &check;
-  }
-
-  std::ofstream out(opt.out, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  out << rep.to_json(opt.seed, wall_s, check_ptr);
-  out.close();
-  std::printf("wrote %s (%zu metrics)\n", opt.out.c_str(), rep.metrics().size());
-  return rc;
 }
 
 }  // namespace mobiwlan::benchsuite

@@ -272,7 +272,7 @@ void fidelity_fig9(runtime::Experiment& exp, FidelityReport& rep) {
 
 }  // namespace
 
-fidelity::FidelityReport run_fidelity(runtime::Experiment& exp) {
+fidelity::FidelityReport run_fidelity_report(runtime::Experiment& exp) {
   FidelityReport rep;
   fidelity_table1(exp, rep);
   fidelity_fig2(exp, rep);

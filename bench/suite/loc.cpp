@@ -1,4 +1,4 @@
-// Localization suite (`mobiwlan-bench --loc`): the CSI-fingerprint
+// Localization suite (`mobiwlan-bench --suite loc`): the CSI-fingerprint
 // indoor-positioning workload built on src/loc/.
 //
 //   * loc.db.*   — a 100x100-cell / 64-AP fingerprint database surveyed in
@@ -18,20 +18,18 @@
 // Metrics land in a fidelity::FidelityReport gated against
 // ci/loc_baseline.json with the usual flat-JSON schema and seed policy.
 // Everything outside keys starting with "timing" is byte-identical for a
-// fixed --seed at any --jobs; ci/loc_gate.sh diffs jobs 1 vs 8 and holds
-// the lookup-rate floor (gate_loc_lookups_per_s, 0.85 grace like the
-// campus gate).
+// fixed --seed at any --jobs; `ci/gate.sh loc` diffs jobs 1 vs 8, and
+// ci/perf_gate.sh holds the lookup-rate floor (gate_loc_lookups_per_s,
+// 0.85 grace like the campus throughput floor).
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chan/trajectory.hpp"
@@ -42,10 +40,8 @@
 #include "loc/mobility_gate.hpp"
 #include "net/deployment.hpp"
 #include "phy/aoa.hpp"
-#include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
 #include "util/alloc_count.hpp"
-#include "util/flatjson.hpp"
 #include "util/simd.hpp"
 
 namespace mobiwlan::benchsuite {
@@ -540,10 +536,11 @@ void loc_throughput_section(FidelityReport& rep, const loc::FingerprintDb& db) {
           simd::active_precision() == simd::Precision::kFloat32 ? 1.0 : 0.0);
 }
 
-// ---- driver ----------------------------------------------------------------
+}  // namespace
 
-FidelityReport run_loc_report(runtime::Experiment& exp, std::uint64_t seed) {
+FidelityReport run_loc_report(runtime::Experiment& exp) {
   FidelityReport rep;
+  const std::uint64_t seed = exp.master_seed();
   const ChannelConfig chan_cfg;  // defaults: 3x2 antennas, 52 subcarriers
   const auto db = build_db(exp, main_db_config(seed),
                            WlanDeployment::grid_layout(8, 8, 52.0), chan_cfg);
@@ -552,87 +549,6 @@ FidelityReport run_loc_report(runtime::Experiment& exp, std::uint64_t seed) {
   loc_gate_section(exp, rep, seed, chan_cfg);
   loc_throughput_section(rep, *db);
   return rep;
-}
-
-int check_report(const FidelityReport& rep, std::uint64_t run_seed,
-                 const std::string& baseline_path,
-                 fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no loc baseline at %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  check = rep.check(baseline, run_seed);
-  std::printf("\nloc-check against %s (seed %llu):\n", baseline_path.c_str(),
-              static_cast<unsigned long long>(run_seed));
-  std::fputs(fidelity::render_check(check).c_str(), stdout);
-  if (!check.pass()) {
-    std::fprintf(stderr, "mobiwlan-bench: localization gate FAILED (baseline %s)\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::printf("loc-check: all bounds hold\n");
-  return 0;
-}
-
-}  // namespace
-
-int run_loc_bench(const LocOptions& opt) {
-  if (!opt.check_only.empty()) {
-    const auto doc = load_flat_json(opt.check_only);
-    if (doc.empty()) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot read loc report %s\n",
-                   opt.check_only.c_str());
-      return 1;
-    }
-    std::uint64_t seed = 0;
-    const FidelityReport rep = fidelity::report_from_flat_json(doc, seed);
-    fidelity::CheckResult check;
-    return check_report(rep, seed, opt.baseline, check);
-  }
-
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-  runtime::ThreadPool pool(jobs);
-  runtime::BenchReport bench_report;
-  bench_report.name = "loc";
-  runtime::Experiment exp(pool, opt.seed, &bench_report);
-
-  std::printf("loc: fingerprint DB + kNN/fused accuracy + mobility-gated "
-              "refresh + lookup rate (seed %llu, %zu workers)\n",
-              static_cast<unsigned long long>(opt.seed), pool.size());
-  const auto start = std::chrono::steady_clock::now();
-  const FidelityReport rep = run_loc_report(exp, opt.seed);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (const auto& [key, v] : rep.metrics())
-    std::printf("  %-44s %.6g\n", key.c_str(), v);
-  std::printf("[loc: %zu jobs on %zu workers, %.2fs wall]\n",
-              bench_report.jobs.size(), pool.size(), wall_s);
-
-  fidelity::CheckResult check;
-  int rc = 0;
-  const fidelity::CheckResult* check_ptr = nullptr;
-  if (opt.check) {
-    rc = check_report(rep, opt.seed, opt.baseline, check);
-    check_ptr = &check;
-  }
-
-  std::ofstream out(opt.out, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  out << rep.to_json(opt.seed, wall_s, check_ptr);
-  out.close();
-  std::printf("wrote %s (%zu metrics)\n", opt.out.c_str(), rep.metrics().size());
-  return rc;
 }
 
 }  // namespace mobiwlan::benchsuite

@@ -18,6 +18,22 @@ const std::vector<BenchDef>& registry() {
   return benches;
 }
 
+const std::vector<GatedSuiteDef>& gated_registry() {
+  static const std::vector<GatedSuiteDef> suites = {
+      {"fidelity", "paper-fidelity statistics: Table 1 / Fig 2 / Fig 4 / Fig 9",
+       run_fidelity_report},
+      {"fault", "graceful degradation under PHY-observable export loss",
+       run_fault_report},
+      {"trace", "record/replay determinism of every protocol loop + pitfalls",
+       run_trace_report},
+      {"campus", "1024-AP / 100k-session campus under 1/4/16 shards",
+       run_campus_report},
+      {"loc", "CSI-fingerprint localization + mobility-gated refresh",
+       run_loc_report},
+  };
+  return suites;
+}
+
 int run_standalone(const std::string& name) {
   for (const BenchDef& def : registry()) {
     if (def.name != name) continue;

@@ -426,7 +426,7 @@ int run_scale_bench(const ScaleOptions& opt) {
   }
   if (!opt.check) return 0;
 
-  // ---- gate (--scale-check) ---------------------------------------------
+  // ---- gate (--scale --check) -------------------------------------------
   const auto baseline = load_flat_json(opt.baseline);
   const auto tol_it = baseline.find("tolerance");
   const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;

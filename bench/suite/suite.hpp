@@ -76,10 +76,54 @@ BenchDef fig13_bench();
 double fig9_run_scheme(const std::string& scheme, std::uint64_t seed,
                        MobilityClass cls, const FaultPlan& fault = {});
 
-/// Re-runs the core experiments (Table 1, Fig 2, Fig 4, Fig 9) through the
-/// sharder and records the statistics the paper-fidelity gate asserts on.
-/// Deterministic for a fixed Experiment seed at any worker count.
-fidelity::FidelityReport run_fidelity(runtime::Experiment& exp);
+/// One gated suite run by `mobiwlan-bench --suite NAME`: a deterministic
+/// FidelityReport checked against the committed flat-JSON baseline
+/// `ci/<name>_baseline.json` (negative control
+/// `ci/<name>_baseline_negative.json`) and written to `BENCH_<name>.json`.
+/// For a fixed Experiment seed every report byte outside lines matching
+/// `"timing` is identical at any worker count.
+struct GatedSuiteDef {
+  std::string name;         ///< CLI name; also names the baseline and report
+  std::string description;  ///< one-line summary shown by --list
+  std::function<fidelity::FidelityReport(runtime::Experiment&)> run;
+};
+
+/// The gated suites, in registration order.
+const std::vector<GatedSuiteDef>& gated_registry();
+
+/// Re-runs the core experiments (Table 1, Fig 2, Fig 4, Fig 9) and records
+/// the statistics the paper-fidelity gate asserts on (fidelity.cpp).
+fidelity::FidelityReport run_fidelity_report(runtime::Experiment& exp);
+
+/// Fault tolerance (fault.cpp): Table-1 accuracy vs CSI+ToF drop rate,
+/// Fig-9 / Fig-13 aware-over-stock ratios under export loss, motion-aware
+/// roaming under 30% ToF loss, and the exact zero-fault identity probe.
+fidelity::FidelityReport run_fault_report(runtime::Experiment& exp);
+
+/// Record/replay determinism (trace.cpp): every protocol loop recorded live
+/// and replayed strictly, fault composition onto replay, the arXiv
+/// 2002.03905 pitfall probes and a CSV import round-trip.
+fidelity::FidelityReport run_trace_report(runtime::Experiment& exp);
+
+/// Campus shard invariance (campus.cpp): one 1024-AP / 100k-session churn
+/// scenario under 1/4/16 shards plus a 16-shard single-worker cross-check,
+/// every shard-invariant observable compared exactly. Each campus run uses
+/// `exp.pool().size()` workers.
+fidelity::FidelityReport run_campus_report(runtime::Experiment& exp);
+
+/// Large-campus mode (`--suite campus --campus-sessions N`): ONE {4 shards,
+/// pool-size workers} run at N sessions reporting conservation, peak RSS and
+/// throughput; no invariance matrix, no baseline gate. Sets `ok` to false if
+/// session conservation breaks or peak RSS exceeds `rss_budget_mb` (0 = off).
+fidelity::FidelityReport run_campus_large_report(runtime::Experiment& exp,
+                                                 std::uint64_t sessions,
+                                                 double rss_budget_mb,
+                                                 bool& ok);
+
+/// CSI-fingerprint localization (loc.cpp): parallel survey of a 10^4-cell
+/// database, held-out kNN/fused accuracy, the mobility-gated refresh
+/// ablation and the single-thread lookup-rate section.
+fidelity::FidelityReport run_loc_report(runtime::Experiment& exp);
 
 /// `mobiwlan-bench --scale` configuration (bench/suite/scale.cpp).
 struct ScaleOptions {
@@ -96,87 +140,5 @@ struct ScaleOptions {
 /// count. Everything in the JSON except `timing_*` keys is byte-identical
 /// across `jobs`. Returns a process exit code.
 int run_scale_bench(const ScaleOptions& opt);
-
-/// `mobiwlan-bench --fault` configuration (bench/suite/fault.cpp).
-struct FaultOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_fault.json, no re-run
-  std::string out = "BENCH_fault.json";
-  std::string baseline = "ci/fault_baseline.json";
-};
-
-/// The fault-tolerance / graceful-degradation bench: Table-1 classification
-/// accuracy vs CSI+ToF drop rate (0-50%), Fig-9 / Fig-13 mobility-aware vs
-/// stock throughput ratios under export loss, motion-aware roaming under
-/// 30% ToF loss, and an exact zero-fault identity probe. Deterministic for
-/// a fixed seed at any worker count (same flat-JSON contract as the
-/// fidelity report). Returns a process exit code.
-int run_fault_bench(const FaultOptions& opt);
-
-/// `mobiwlan-bench --trace` configuration (bench/suite/trace.cpp).
-struct TraceOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_trace.json, no re-run
-  std::string out = "BENCH_trace.json";
-  std::string baseline = "ci/trace_baseline.json";
-};
-
-/// The trace record/replay determinism bench: every protocol loop recorded
-/// live and replayed from the trace alone with bitwise result comparison,
-/// fault-layer composition onto replay, the arXiv 2002.03905 pitfall probes
-/// (timestamp skew, gap decay, missing streams), a CSV import round-trip,
-/// and a timing-quarantined replay-throughput measurement. Deterministic
-/// for a fixed seed at any worker count outside `"timing` lines. Returns a
-/// process exit code.
-int run_trace_bench(const TraceOptions& opt);
-
-/// `mobiwlan-bench --campus` configuration (bench/suite/campus.cpp).
-struct CampusOptions {
-  std::size_t jobs = 0;       ///< workers per campus run (0 = one per hw thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_campus.json, no re-run
-  std::string out = "BENCH_campus.json";
-  std::string baseline = "ci/campus_baseline.json";
-  /// Nonzero switches to large-campus mode: ONE {4 shards, jobs} run at
-  /// this session count (no invariance matrix, no baseline gate) reporting
-  /// conservation, peak RSS and throughput — the 250k ctest smoke and the
-  /// 10^6-session memory-budget evidence in EXPERIMENTS.md.
-  std::uint64_t sessions = 0;
-  /// In large-campus mode, fail if peak RSS exceeds this many MiB (0 = off).
-  double rss_budget_mb = 0.0;
-};
-
-/// The campus shard-invariance bench: one 1024-AP / 100k-session churn
-/// scenario run under 1/4/16-shard partitionings (plus a 16-shard
-/// single-worker cross-check), with every shard-invariant observable —
-/// aggregate counters, bitwise float sums, per-session digest combiners,
-/// histogram quantiles — compared exactly across the matrix and gated.
-/// Deterministic for a fixed seed at any shard/worker count outside
-/// `"timing` lines. Returns a process exit code.
-int run_campus_bench(const CampusOptions& opt);
-
-/// `mobiwlan-bench --loc` configuration (bench/suite/loc.cpp).
-struct LocOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_loc.json, no re-run
-  std::string out = "BENCH_loc.json";
-  std::string baseline = "ci/loc_baseline.json";
-};
-
-/// The CSI-fingerprint localization bench: parallel survey of a 10^4-cell
-/// fingerprint database (bitwise digest + serial rebuild probe), held-out
-/// walk accuracy for kNN-only and AoA/ToF-fused estimates, the
-/// mobility-gated vs always-update refresh ablation on a recorded
-/// observation stream, and the single-thread lookup-rate section. For a
-/// fixed --seed, everything outside keys starting with "timing" is
-/// byte-identical at any --jobs. Returns a process exit code.
-int run_loc_bench(const LocOptions& opt);
 
 }  // namespace mobiwlan::benchsuite

@@ -1,4 +1,4 @@
-// Trace record/replay suite (`mobiwlan-bench --trace`): the
+// Trace record/replay suite (`mobiwlan-bench --suite trace`): the
 // replay-determinism gate. Every protocol loop is run live through a
 // RecordingSource tee, then re-run from the recorded trace alone, and the
 // two runs must agree bit for bit — classifier decisions, protocol-loop
@@ -29,8 +29,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "chan/scenario.hpp"
 #include "core/mobility_classifier.hpp"
@@ -42,14 +43,12 @@
 #include "net/deployment_source.hpp"
 #include "net/roaming.hpp"
 #include "runtime/classifier_driver.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/overall_sim.hpp"
 #include "suite/suite.hpp"
 #include "trace/import.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_source.hpp"
 #include "util/alloc_count.hpp"
-#include "util/flatjson.hpp"
 
 namespace mobiwlan::benchsuite {
 namespace {
@@ -73,11 +72,13 @@ FaultPlan trace_drop_plan(double drop, std::uint64_t scenario_seed) {
   return plan;
 }
 
-/// Scratch trace path unique per probe/trial (trials run concurrently in one
-/// process); removed after each probe.
-std::string tmp_path(const char* probe, std::size_t index) {
-  return "BENCH_trace_tmp_" + std::string(probe) + "_" + std::to_string(index) +
-         ".mwtr";
+/// Scratch file path unique per process, probe and trial (trials run
+/// concurrently in one process, and several suite runs may share a working
+/// directory); removed after each probe.
+std::string tmp_path(const char* probe, std::size_t index,
+                     const char* ext = ".mwtr") {
+  return "BENCH_trace_tmp_" + std::to_string(::getpid()) + "_" + probe + "_" +
+         std::to_string(index) + ext;
 }
 
 struct TmpTrace {
@@ -508,7 +509,7 @@ void trace_pitfalls(runtime::Experiment& exp, FidelityReport& rep) {
 
 void trace_import_probe(runtime::Experiment& exp, FidelityReport& rep) {
   (void)exp;
-  const std::string csv = "BENCH_trace_tmp_import.csv";
+  const std::string csv = tmp_path("import", 0, ".csv");
   const std::string out = tmp_path("import", 0);
   TmpTrace tmp_csv(csv), tmp_out(out);
   {
@@ -592,6 +593,8 @@ void trace_throughput_probe(runtime::Experiment& exp, FidelityReport& rep) {
               alloc_hook_active() ? "" : ", hook not linked");
 }
 
+}  // namespace
+
 FidelityReport run_trace_report(runtime::Experiment& exp) {
   FidelityReport rep;
   trace_classifier_replay(exp, rep);
@@ -602,88 +605,6 @@ FidelityReport run_trace_report(runtime::Experiment& exp) {
   trace_import_probe(exp, rep);
   trace_throughput_probe(exp, rep);
   return rep;
-}
-
-int check_report(const FidelityReport& rep, std::uint64_t run_seed,
-                 const std::string& baseline_path,
-                 fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no trace baseline at %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  check = rep.check(baseline, run_seed);
-  std::printf("\ntrace-check against %s (seed %llu):\n", baseline_path.c_str(),
-              static_cast<unsigned long long>(run_seed));
-  std::fputs(fidelity::render_check(check).c_str(), stdout);
-  if (!check.pass()) {
-    std::fprintf(stderr,
-                 "mobiwlan-bench: replay-determinism gate FAILED (baseline %s)\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::printf("trace-check: all bounds hold\n");
-  return 0;
-}
-
-}  // namespace
-
-int run_trace_bench(const TraceOptions& opt) {
-  if (!opt.check_only.empty()) {
-    const auto doc = load_flat_json(opt.check_only);
-    if (doc.empty()) {
-      std::fprintf(stderr, "mobiwlan-bench: cannot read trace report %s\n",
-                   opt.check_only.c_str());
-      return 1;
-    }
-    std::uint64_t seed = 0;
-    const FidelityReport rep = fidelity::report_from_flat_json(doc, seed);
-    fidelity::CheckResult check;
-    return check_report(rep, seed, opt.baseline, check);
-  }
-
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw ? hw : 1;
-  }
-  runtime::ThreadPool pool(jobs);
-  runtime::BenchReport bench_report;
-  bench_report.name = "trace";
-  runtime::Experiment exp(pool, opt.seed, &bench_report);
-
-  std::printf("trace: record/replay determinism — classifier / link / latency "
-              "/ roaming / overall + pitfalls (seed %llu, %zu workers)\n",
-              static_cast<unsigned long long>(opt.seed), pool.size());
-  const auto start = std::chrono::steady_clock::now();
-  const FidelityReport rep = run_trace_report(exp);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (const auto& [key, v] : rep.metrics())
-    std::printf("  %-44s %.6g\n", key.c_str(), v);
-  std::printf("[trace: %zu jobs on %zu workers, %.2fs wall]\n",
-              bench_report.jobs.size(), pool.size(), wall_s);
-
-  fidelity::CheckResult check;
-  int rc = 0;
-  const fidelity::CheckResult* check_ptr = nullptr;
-  if (opt.check) {
-    rc = check_report(rep, opt.seed, opt.baseline, check);
-    check_ptr = &check;
-  }
-
-  std::ofstream out(opt.out, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  out << rep.to_json(opt.seed, wall_s, check_ptr);
-  out.close();
-  std::printf("wrote %s (%zu metrics)\n", opt.out.c_str(), rep.metrics().size());
-  return rc;
 }
 
 }  // namespace mobiwlan::benchsuite

@@ -4,29 +4,21 @@
 #   2. runtime determinism check: mobiwlan-bench at --jobs 1 vs --jobs 8
 #      must produce byte-identical JSON outside the "timing" lines;
 #   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
-#      budget and the baseline's 25% tolerance band (microbench cases plus
-#      the AP-scale throughput bench and its speedup/alloc gates);
-#   4. statistical paper-fidelity gate: ci/fidelity_gate.sh checks the core
-#      experiment statistics against ci/fidelity_baseline.json and diffs the
-#      --jobs 1 vs --jobs 8 reports;
-#   5. fault-injection gate: ci/fault_gate.sh checks graceful degradation
-#      under PHY-observable export loss against ci/fault_baseline.json,
-#      diffs the --jobs 1 vs --jobs 8 reports, and proves the negative
-#      baseline still fails;
-#   5b. trace replay gate: ci/trace_gate.sh records every protocol loop,
-#      replays it from the trace alone, and requires bit-identical results
-#      (plus fault-composition and pitfall probes) at --jobs 1 and 8;
-#   5c. campus shard-invariance gate: ci/campus_gate.sh runs the 1024-AP /
-#      100k-session churn scenario under 1/4/16-shard partitionings and
-#      requires bitwise-identical per-session aggregates across the matrix
-#      and across --jobs 1 vs 8, plus a failing negative baseline;
-#   5d. localization gate: ci/loc_gate.sh surveys the fingerprint database,
-#      checks the kNN/fused accuracy and mobility-gated-refresh ablation
-#      against ci/loc_baseline.json (exact min == max pairs), diffs the
-#      --jobs 1 vs --jobs 8 reports, proves the negative baseline fails,
-#      and holds the single-thread lookup-rate floor;
-#   6. scale determinism: the AP-scale bench JSON at --jobs 1 vs --jobs 8
+#      budget and the baseline's 25% tolerance band (microbench cases, the
+#      AP-scale throughput bench and its speedup/alloc gates, the campus
+#      throughput floor and the loc lookup-rate floor);
+#   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
+#      statistics), fault (graceful degradation under export loss), trace
+#      (bitwise record/replay), campus (shard invariance across 1/4/16
+#      partitionings) and loc (fingerprint localization + mobility-gated
+#      refresh). Each checks its report against ci/NAME_baseline.json, diffs
+#      the --jobs 1 vs --jobs 8 reports, and proves its negative baseline
+#      still fails;
+#   5. scale determinism: the AP-scale bench JSON at --jobs 1 vs --jobs 8
 #      must be byte-identical outside the timing_* lines;
+#   6. AddressSanitizer + UndefinedBehaviorSanitizer build
+#      (-DMOBIWLAN_SANITIZE=address,undefined) running every non-soak ctest
+#      test with halt_on_error=1;
 #   7. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
 #      runtime thread-pool, experiment, and parallel_for tests plus the
 #      campus mailbox stress test (concurrent SPSC producers against a
@@ -56,32 +48,30 @@ echo "ok: results byte-identical modulo timing"
 echo "== perf gate: channel hot loops =="
 PERF_MIN_TIME="${PERF_MIN_TIME:-0.2}" ./ci/perf_gate.sh
 
-echo "== fidelity gate: paper-shape statistics =="
-./ci/fidelity_gate.sh
-
-echo "== fault gate: graceful degradation under export loss =="
-./ci/fault_gate.sh
-
-echo "== trace gate: record/replay determinism =="
-./ci/trace_gate.sh
-
-echo "== campus gate: shard-invariance across 1/4/16 partitionings =="
-./ci/campus_gate.sh
-
-echo "== loc gate: fingerprint localization + mobility-gated refresh =="
-./ci/loc_gate.sh
+for suite in fidelity fault trace campus loc; do
+  echo "== ${suite} gate =="
+  ./ci/gate.sh "${suite}"
+done
 
 echo "== scale determinism: --jobs 1 vs --jobs 8 =="
 ./build/bench/mobiwlan-bench --scale --jobs 8 --perf-min-time 0.05 \
-  --scale-out /tmp/mobiwlan_scale_a.json >/dev/null
+  --out /tmp/mobiwlan_scale_a.json >/dev/null
 ./build/bench/mobiwlan-bench --scale --jobs 1 --perf-min-time 0.05 \
-  --scale-out /tmp/mobiwlan_scale_b.json >/dev/null
+  --out /tmp/mobiwlan_scale_b.json >/dev/null
 if ! diff <(grep -v '"timing' /tmp/mobiwlan_scale_a.json) \
           <(grep -v '"timing' /tmp/mobiwlan_scale_b.json); then
   echo "FAIL: scale results differ between --jobs 8 and --jobs 1" >&2
   exit 1
 fi
 echo "ok: scale results byte-identical modulo timing"
+
+echo "== AddressSanitizer + UBSan: non-soak ctest suite =="
+cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build build-asan -j"${JOBS}"
+ASAN_OPTIONS="halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ctest --test-dir build-asan --output-on-failure -j"${JOBS}" -LE soak
 
 echo "== ThreadSanitizer: runtime tests =="
 cmake -B build-tsan -S . -DMOBIWLAN_SANITIZE=thread \

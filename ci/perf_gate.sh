@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # ci/perf_gate.sh — perf-regression gate for the channel hot loops.
 #
-# Two bench runs against the gate_* values in ci/perf_baseline.json:
+# Bench runs against the wall-clock gate_* values:
 #   1. mobiwlan-bench --perf: the per-op microbench cases, failing on any
 #      case past the baseline's tolerance band (default 25%) or any hot
 #      loop that starts allocating;
 #   2. mobiwlan-bench --scale: the AP-scale throughput bench (64 APs x 512
 #      clients), gating the batched sample time, the batch-vs-per-link
-#      speedup floor, and the zero-allocation steady state. The bench also
-#      enforces batched-vs-per-link agreement on every run.
+#      speedup floor, the zero-allocation steady state and the fp32
+#      synthesis speedup. The bench also enforces batched-vs-per-link
+#      agreement on every run;
+#   3. one campus suite run: the session-steps/s floor;
+#   4. one loc suite run: the single-thread lookup-rate floor.
+# The deterministic halves of the campus and loc suites are gated exactly
+# by `ci/gate.sh NAME`; only their timing-quarantined rates are held here.
 # The gate values are wall-clock numbers from one reference host; the
 # tolerance absorbs normal host-to-host and run-to-run variance, so a
 # failure means a real regression, not noise. Refresh after an intentional
@@ -32,15 +37,15 @@ if [[ ! -x "${BENCH}" ]]; then
   exit 1
 fi
 
-"${BENCH}" --perf --perf-check \
+"${BENCH}" --perf --check \
   --perf-min-time "${MIN_TIME}" \
-  --perf-out "${OUT}" \
-  --perf-baseline ci/perf_baseline.json
+  --out "${OUT}" \
+  --baseline ci/perf_baseline.json
 
-"${BENCH}" --scale --scale-check \
+"${BENCH}" --scale --check \
   --perf-min-time "${MIN_TIME}" \
-  --scale-out "${SCALE_OUT}" \
-  --perf-baseline ci/perf_baseline.json
+  --out "${SCALE_OUT}" \
+  --baseline ci/perf_baseline.json
 
 # ---- fp32 precision-tier section ------------------------------------------
 # The scale bench publishes the paired (interleaved, drift-immune) fp32-vs-
@@ -78,7 +83,7 @@ else
 fi
 
 # ---- campus throughput section --------------------------------------------
-# One full --campus matrix (four runs of the identical 100k-session
+# One full campus suite matrix (four runs of the identical 100k-session
 # workload). The throughput gate divides the fixed per-run step count
 # (campus_steps_per_run) by timing.median_wall_s — the median of the four
 # run walls — so a single descheduled run cannot flip the verdict. The
@@ -87,9 +92,9 @@ fi
 # (observed ~505-580k) from the nearest real regression plateau (~312k
 # with the fused pass alone, ~265k without the slab pool). The hot loop's
 # allocs-per-op contract is gated separately by the --perf campus_step
-# case above and exactly (campus.hot_allocs) by ci/campus_gate.sh.
+# case above and exactly (campus.hot_allocs) by `ci/gate.sh campus`.
 CAMPUS_PERF_OUT="${CAMPUS_PERF_OUT:-/tmp/mobiwlan_campus_perf.json}"
-"${BENCH}" --campus --campus-out "${CAMPUS_PERF_OUT}" >/dev/null
+"${BENCH}" --suite campus --out "${CAMPUS_PERF_OUT}" >/dev/null
 
 MEDIAN_WALL="$(flat_key "${CAMPUS_PERF_OUT}" timing.median_wall_s)"
 STEPS_PER_RUN="$(flat_key ci/perf_baseline.json campus_steps_per_run)"
@@ -108,3 +113,21 @@ else
        "${STEPS_FLOOR} (ci/perf_baseline.json gate_campus_session_steps_per_s)" >&2
   exit 1
 fi
+
+# ---- loc lookup-rate section ----------------------------------------------
+# One loc suite run. Its single-thread lookup rate (timing_loc_lookups_per_s,
+# median of five 20k-lookup blocks) must clear 85% of the committed
+# gate_loc_lookups_per_s in ci/loc_baseline.json, and never the 10^5/s
+# requirement itself.
+LOC_PERF_OUT="${LOC_PERF_OUT:-/tmp/mobiwlan_loc_perf.json}"
+"${BENCH}" --suite loc --out "${LOC_PERF_OUT}" >/dev/null
+
+RATE="$(flat_key "${LOC_PERF_OUT}" timing_loc_lookups_per_s)"
+RATE_FLOOR="$(flat_key ci/loc_baseline.json gate_loc_lookups_per_s)"
+if ! awk -v r="${RATE}" -v f="${RATE_FLOOR}" \
+     'BEGIN { exit !(r != "" && f != "" && r >= 100000 && r >= 0.85 * f) }'; then
+  echo "FAIL: loc lookup rate ${RATE}/s below max(1e5, 0.85 * ${RATE_FLOOR})/s" \
+       "(ci/loc_baseline.json gate_loc_lookups_per_s)" >&2
+  exit 1
+fi
+echo "loc-check: ${RATE} lookups/s >= max(1e5, 0.85 * ${RATE_FLOOR})"

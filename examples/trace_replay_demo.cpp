@@ -12,7 +12,7 @@
 //      observable export path is lossy.
 //
 // The three decision columns print side by side. This is the recorded-
-// synthetic loop in miniature; `mobiwlan-bench --trace` gates the same
+// synthetic loop in miniature; `mobiwlan-bench --suite trace` gates the same
 // property across every protocol loop.
 //
 // Usage: trace_replay_demo [--seed X] [--duration S] [--drop P] [--keep PATH]

@@ -9,7 +9,8 @@
 // committed baseline ci/fidelity_baseline.json:
 //
 //   * every baseline key `<metric>.min` / `<metric>.max` is one assertion
-//     (bound direction in the suffix); a bound on a missing metric fails;
+//     (bound direction in the suffix); a bound on a missing metric fails,
+//     and so does a baseline with no bounds at all;
 //   * the baseline's `seed` key is the seed policy: bounds are calibrated
 //     at the master seed, and a run at any other seed fails the check
 //     rather than comparing apples to oranges;
@@ -19,9 +20,10 @@
 //     deterministic JSON keeps.
 //
 // Refreshing the baseline after an intentional behaviour change mirrors the
-// perf-gate procedure in DESIGN.md §5: re-run `mobiwlan-bench --fidelity`,
-// inspect BENCH_fidelity.json, and copy the re-derived bounds in; the
-// negative baseline (ci/fidelity_baseline_negative.json) must keep failing.
+// perf-gate procedure in DESIGN.md §5: re-run `mobiwlan-bench --suite
+// fidelity`, inspect BENCH_fidelity.json, and copy the re-derived bounds in;
+// the negative baseline (ci/fidelity_baseline_negative.json) must keep
+// failing.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +57,8 @@ struct CheckResult {
   std::uint64_t baseline_seed = 0;
   std::size_t failed = 0;             ///< assertions with pass == false
 
-  bool pass() const { return seed_ok && failed == 0; }
+  /// A baseline without a single bound asserts nothing, so it fails too.
+  bool pass() const { return seed_ok && failed == 0 && !assertions.empty(); }
 };
 
 /// Named metrics produced by one fidelity run, in insertion order.
@@ -86,7 +89,7 @@ class FidelityReport {
 };
 
 /// Rebuilds a FidelityReport (and its seed) from a parsed BENCH_fidelity.json
-/// flat-number map — the `--fidelity-check-only` path, which re-checks an
+/// flat-number map — the `--suite NAME --check-only` path, which re-checks an
 /// existing run against a (possibly updated) baseline without re-running the
 /// experiments. Assertion and bookkeeping keys are skipped.
 FidelityReport report_from_flat_json(const std::map<std::string, double>& doc,

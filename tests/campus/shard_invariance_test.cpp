@@ -3,7 +3,7 @@
 // produces bitwise-identical aggregates — including sessions handed across
 // shard boundaries mid-classifier-window, whose hold-then-decay state must
 // travel with them. The 1024-AP / 100k-session version of this contract is
-// gated by `mobiwlan-bench --campus-check` (ci/campus_gate.sh); this file
+// gated by `mobiwlan-bench --suite campus` (`ci/gate.sh campus`); this file
 // keeps the property cheap to run and easy to bisect.
 #include <cstdint>
 

@@ -1,7 +1,7 @@
 // End-to-end record/replay determinism at the protocol-loop level: a loop
 // run over a RecordingSource tee and re-run from the recorded trace alone
 // must produce bit-identical results. The full matrix (all loops, fault
-// levels, seeds) runs in `mobiwlan-bench --trace`; these are the fast
+// levels, seeds) runs in `mobiwlan-bench --suite trace`; these are the fast
 // regression versions.
 #include <gtest/gtest.h>
 
