@@ -118,15 +118,11 @@ std::vector<double> similarity_trial(MobilityClass cls,
   Scenario s = act ? make_environmental_scenario(*act, trial.rng)
                    : make_scenario(cls, trial.rng);
   std::vector<double> out;
-  // Sampled through the batched engine (single-link batch): same per-link
-  // draw order as csi_at, vectorized synthesis path.
-  ChannelBatch batch;
-  batch.add_link(s.channel.get());
   ChannelBatch::Scratch scratch;
   CsiMatrix prev, cur;
-  batch.csi_into(0, 0.0, prev, scratch);
+  ChannelBatch::csi_link(*s.channel, 0.0, prev, scratch);
   for (double t = 0.5; t < 15.0; t += 0.5) {
-    batch.csi_into(0, t, cur, scratch);
+    ChannelBatch::csi_link(*s.channel, t, cur, scratch);
     out.push_back(csi_similarity(prev, cur));
     std::swap(prev, cur);
   }

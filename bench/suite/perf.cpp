@@ -1,8 +1,9 @@
 // perf.cpp — hot-path microbenchmarks for `mobiwlan-bench --perf`.
 //
-// Four cases cover the per-packet pipeline the runtime loops execute
-// millions of times per study: full channel sampling, bare CSI synthesis,
-// CSI similarity, and one classifier CSI step. Each case exercises the
+// The cases cover the per-packet pipeline the runtime loops execute
+// millions of times per study — full channel sampling, bare CSI synthesis
+// (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step —
+// plus pool dispatch and one campus epoch. Each case exercises the
 // scratch-buffer (zero-allocation) API that the steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
 // contract whenever the counting hook is linked (it is, in mobiwlan-bench).
@@ -81,25 +82,13 @@ PerfResult measure(const char* name, double min_time_s, Body body) {
 
 PerfResult run_channel_sample(double min_time_s) {
   auto ch = perf_channel();
-  WirelessChannel::PathScratch scratch;
+  ChannelBatch::Scratch scratch;
   ChannelSample s;
   double t = 0.0;
   return measure("channel_sample", min_time_s, [&] {
-    ch->sample_into(t, s, scratch);
+    ChannelBatch::sample_link(*ch, t, s, scratch);
     t += 0.001;
     asm volatile("" : : "r"(&s) : "memory");
-  });
-}
-
-PerfResult run_channel_synthesis(double min_time_s) {
-  auto ch = perf_channel();
-  WirelessChannel::PathScratch scratch;
-  CsiMatrix m;
-  double t = 0.0;
-  return measure("channel_synthesis", min_time_s, [&] {
-    ch->csi_true_into(t, m, scratch);
-    t += 0.001;
-    asm volatile("" : : "r"(&m) : "memory");
   });
 }
 
@@ -112,21 +101,18 @@ struct PrecisionGuard {
   ~PrecisionGuard() { simd::set_forced_precision(-1); }
 };
 
-/// Batched noiseless synthesis through ChannelBatch — the engine the scale
-/// runs and the classifier driver sit on, at the paper's 3x2x52 layout.
-/// `precision` pins the plane tier: 0 = fp64 (the default contract),
-/// 1 = fp32 (error-bounded tier; see DESIGN.md §5).
+/// Noiseless synthesis (ChannelBatch::csi_true_link) at the paper's
+/// 3x2x52 layout. `precision` pins the plane tier: 0 = fp64 (the default
+/// contract), 1 = fp32 (error-bounded tier; see DESIGN.md §5).
 PerfResult run_batch_synthesis_tier(const char* name, double min_time_s,
                                     int precision) {
   PrecisionGuard guard(precision);
   auto ch = perf_channel();
-  ChannelBatch batch;
-  batch.add_link(ch.get());
   ChannelBatch::Scratch scratch;
   CsiMatrix m;
   double t = 0.0;
   return measure(name, min_time_s, [&] {
-    batch.csi_true_into(0, t, m, scratch);
+    ChannelBatch::csi_true_link(*ch, t, m, scratch);
     t += 0.001;
     asm volatile("" : : "r"(&m) : "memory");
   });
@@ -238,15 +224,13 @@ PerfResult run_campus_step(double min_time_s) {
 const std::vector<PerfCaseDef>& perf_registry() {
   static const std::vector<PerfCaseDef> cases = {
       {"channel_sample",
-       "full ChannelSample (geometry+CSI+noise) via sample_into",
+       "full ChannelSample (geometry+CSI+noise) via sample_link",
        run_channel_sample},
-      {"channel_synthesis", "noiseless 3x2x52 CSI synthesis via csi_true_into",
-       run_channel_synthesis},
       {"batch_synthesis",
-       "batched noiseless synthesis via ChannelBatch (fp64 tier)",
+       "noiseless 3x2x52 CSI synthesis via csi_true_link (fp64 tier)",
        run_batch_synthesis},
       {"batch_synthesis_f32",
-       "batched noiseless synthesis via ChannelBatch (fp32 tier)",
+       "noiseless 3x2x52 CSI synthesis via csi_true_link (fp32 tier)",
        run_batch_synthesis_f32},
       {"aoa_sweep", "181-point beamscan AoA estimate on a fixed CSI snapshot",
        run_aoa_sweep},

@@ -2,18 +2,18 @@
 //
 // The workload: a 64-AP floor (8x8 grid, 30 m pitch) serving 512 clients,
 // every link an independent scatterer field over a shared master seed. The
-// bench answers three questions the per-link perf cases cannot:
+// bench answers three questions the single-link perf cases cannot:
 //
-//   1. *Equivalence at scale* — one ChannelBatch pass over all 512 links
-//      must agree with 512 independent WirelessChannel::sample_into calls
-//      (same seeds) to <= 1e-12 scale-relative per CSI element and exactly
-//      on every quantized output (RSSI, ToF). Checked every run, on a pool
-//      of --jobs workers, so it doubles as a shard-determinism check.
-//   2. *Batch throughput* — aggregate CSI samples/s of the batched engine
-//      vs the per-link loop, single-threaded, plus a thread-scaling ladder
-//      (1/2/4/8 executors via ThreadPool::parallel_for, grain 64, one
-//      Scratch per slot; widths above the host's hardware concurrency are
-//      skipped — they would measure oversubscription, not scaling).
+//   1. *Equivalence at scale* — one sharded sample_range pass over all 512
+//      links must equal 512 ChannelBatch::sample_link calls on an identical
+//      second link set (same seeds) bitwise: every CSI element and every
+//      RSSI / SNR / ToF reading. Checked every run, on a pool of --jobs
+//      workers, so it doubles as a shard-determinism check.
+//   2. *Batch throughput* — aggregate CSI samples/s of sample_range,
+//      single-threaded, plus a thread-scaling ladder (1/2/4/8 executors
+//      via ThreadPool::parallel_for, grain 64, one Scratch per slot; widths
+//      above the host's hardware concurrency are skipped — they would
+//      measure oversubscription, not scaling).
 //   3. *Allocation discipline* — a steady-state batch pass must perform
 //      zero heap allocations (counted via the mobiwlan_alloc_hook that
 //      mobiwlan-bench links).
@@ -62,8 +62,8 @@ struct LinkSet {
 /// Builds the 512-link floor. Construction is sharded through the
 /// Experiment (chunk-keyed substreams), so the set is bit-identical on any
 /// pool size — and calling this twice on experiments with the same seed
-/// yields two identical, independent copies (the per-link / batched pair
-/// the agreement phase compares).
+/// yields two identical, independent copies (the range / link-call pair the
+/// agreement phase compares).
 LinkSet build_links(runtime::Experiment& exp) {
   LinkSet set;
   set.channels.resize(kNumClients);
@@ -104,16 +104,14 @@ void batch_pass(runtime::ThreadPool& pool,
 }
 
 struct Agreement {
-  double max_rel_diff = 0.0;  // scale-relative, per link
-  long exact_mismatches = 0;  // RSSI / ToF quantized outputs
+  double max_rel_diff = 0.0;  // CSI, scale-relative, per link
+  long exact_mismatches = 0;  // RSSI / SNR / ToF readings
   double checksum = 0.0;      // order-independent probe over both sets
 };
 
-/// Compares a batched pass against the per-link loop, link by link. CSI
-/// diffs are measured relative to the link's own CSI scale (max |element|):
-/// deep-faded subcarriers sit at ~1e-15 absolute like everything else, so a
-/// per-element relative measure would only amplify noise on values that
-/// carry none of the similarity signal.
+/// Compares a sample_range pass against the sample_link loop, link by
+/// link. CSI diffs are measured relative to the link's own CSI scale
+/// (max |element|), so a nonzero report reads as a size, not just a flag.
 void compare_pass(const ChannelSample* a, const ChannelSample* b,
                   Agreement& agg) {
   for (std::size_t i = 0; i < kNumClients; ++i) {
@@ -129,6 +127,7 @@ void compare_pass(const ChannelSample* a, const ChannelSample* b,
       agg.max_rel_diff = std::max(agg.max_rel_diff, (dr + di) / scale);
     }
     if (a[i].rssi_dbm != b[i].rssi_dbm) ++agg.exact_mismatches;
+    if (a[i].snr_db != b[i].snr_db) ++agg.exact_mismatches;
     if (a[i].tof_cycles != b[i].tof_cycles) ++agg.exact_mismatches;
     agg.checksum += a[i].rssi_dbm + a[i].tof_cycles + b[i].rssi_dbm +
                     b[i].tof_cycles;
@@ -177,15 +176,13 @@ F32Speedup measure_f32_synthesis(double min_time_s, int tier) {
       std::make_shared<LinearTrajectory>(Vec2{9.0, 0.0}, Vec2{1.0, 0.4}, 1.2);
   auto ch = std::make_unique<WirelessChannel>(cfg, Vec2{0.0, 0.0},
                                               std::move(traj), rng.split());
-  ChannelBatch batch;
-  batch.add_link(ch.get());
   ChannelBatch::Scratch scratch;
   CsiMatrix m;
   simd::set_forced_tier(tier);
   double t = 0.1;
   for (int i = 0; i < 64; ++i) {  // size both precision tiers' planes
     simd::set_forced_precision(i & 1);
-    batch.csi_true_into(0, t, m, scratch);
+    ChannelBatch::csi_true_link(*ch, t, m, scratch);
     t += 1e-4;
   }
   F32Speedup r;
@@ -195,12 +192,12 @@ F32Speedup measure_f32_synthesis(double min_time_s, int tier) {
     for (int precision = 0; precision < 2; ++precision) {
       simd::set_forced_precision(precision);
       for (int i = 0; i < 32; ++i) {  // untimed: repopulate caches post-switch
-        batch.csi_true_into(0, t, m, scratch);
+        ChannelBatch::csi_true_link(*ch, t, m, scratch);
         t += 1e-4;
       }
       const auto t0 = clock_type::now();
       for (int i = 0; i < 256; ++i) {
-        batch.csi_true_into(0, t, m, scratch);
+        ChannelBatch::csi_true_link(*ch, t, m, scratch);
         t += 1e-4;
       }
       const double dt =
@@ -229,12 +226,12 @@ int run_scale_bench(const ScaleOptions& opt) {
   runtime::ThreadPool pool(jobs);
   runtime::Experiment exp_a(pool, opt.seed);
   runtime::Experiment exp_b(pool, opt.seed);
-  LinkSet set_a = build_links(exp_a);  // sampled through ChannelBatch
-  LinkSet set_b = build_links(exp_b);  // sampled per link
+  LinkSet set_a = build_links(exp_a);  // sampled through sample_range
+  LinkSet set_b = build_links(exp_b);  // sampled through sample_link
 
   std::vector<ChannelBatch::Scratch> scratches(pool.size() + 1);
   std::vector<ChannelSample> out_a(kNumClients), out_b(kNumClients);
-  WirelessChannel::PathScratch per_link_scratch;
+  ChannelBatch::Scratch link_scratch;
 
   // ---- phase 1: equivalence (deterministic keys) ------------------------
   Agreement agg;
@@ -242,10 +239,10 @@ int run_scale_bench(const ScaleOptions& opt) {
     const double t = 0.25 * (pass + 1);
     batch_pass(pool, scratches, set_a, t, out_a.data());
     for (std::size_t i = 0; i < kNumClients; ++i)
-      set_b.channels[i]->sample_into(t, out_b[i], per_link_scratch);
+      ChannelBatch::sample_link(*set_b.channels[i], t, out_b[i], link_scratch);
     compare_pass(out_a.data(), out_b.data(), agg);
   }
-  const bool agree = agg.max_rel_diff <= 1e-12 && agg.exact_mismatches == 0;
+  const bool agree = agg.max_rel_diff == 0.0 && agg.exact_mismatches == 0;
   std::printf(
       "  agreement: max_rel_diff %.3e, %ld exact mismatches, checksum "
       "%.17g -> %s\n",
@@ -273,18 +270,11 @@ int run_scale_bench(const ScaleOptions& opt) {
 
   // ---- phase 3: throughput (timing keys) --------------------------------
   double t_time = 10.0;
-  const double per_link_ns =
-      time_passes(opt.min_time_s, t_time, [&](double t) {
-        for (std::size_t i = 0; i < kNumClients; ++i)
-          set_b.channels[i]->sample_into(t, out_b[i], per_link_scratch);
-      });
   const double batch_ns = time_passes(opt.min_time_s, t_time, [&](double t) {
     set_a.batch.sample_range(t, 0, kNumClients, out_a.data(), scratches[0]);
   });
-  const double speedup = per_link_ns / batch_ns;
-  std::printf("  single-thread: per-link %.0f ns, batch %.0f ns  (%.2fx, "
-              "%.2fM samples/s)\n",
-              per_link_ns, batch_ns, speedup, 1e3 / batch_ns);
+  std::printf("  single-thread: %.0f ns/sample (%.2fM samples/s)\n",
+              batch_ns, 1e3 / batch_ns);
 
   // Thread-scaling ladder: N executors = a pool of N-1 helpers plus the
   // calling thread (jobs 1 reuses the single-thread number above). A width
@@ -360,14 +350,8 @@ int run_scale_bench(const ScaleOptions& opt) {
   std::snprintf(buf, sizeof buf, "  \"scale_allocs_per_op\": %.4f,\n",
                 allocs_per_op);
   out << buf;
-  std::snprintf(buf, sizeof buf, "  \"timing_per_link_sample_ns\": %.1f,\n",
-                per_link_ns);
-  out << buf;
   std::snprintf(buf, sizeof buf, "  \"timing_batch_sample_ns\": %.1f,\n",
                 batch_ns);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  \"timing_batch_speedup\": %.2f,\n",
-                speedup);
   out << buf;
   std::snprintf(buf, sizeof buf,
                 "  \"timing_batch_samples_per_sec\": %.0f,\n", 1e9 / batch_ns);
@@ -442,13 +426,6 @@ int run_scale_bench(const ScaleOptions& opt) {
   } else {
     std::printf("scale-check: no gate_scale_batch_sample_ns in %s, skipped\n",
                 opt.baseline.c_str());
-  }
-  const auto gate_speedup = baseline.find("gate_scale_min_speedup");
-  if (gate_speedup != baseline.end()) {
-    const bool sp_ok = speedup >= gate_speedup->second;
-    std::printf("scale-check: batch_speedup %s  (%.2fx vs floor %.2fx)\n",
-                sp_ok ? "ok" : "REGRESSION", speedup, gate_speedup->second);
-    ok = ok && sp_ok;
   }
   if (alloc_hook_active()) {
     // Strict: a single steady-state allocation per op is a contract break,

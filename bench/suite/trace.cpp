@@ -270,7 +270,7 @@ int roam_replay_mismatches(std::uint64_t seed, RoamingScheme scheme,
     WlanDeployment wlan(WlanDeployment::corridor_layout(), traj,
                         ChannelConfig{}, rng);
     cls = wlan.client().mobility_class();
-    LiveDeploymentSource live(wlan, LiveDeploymentSource::CsiPath::kPerLink);
+    LiveDeploymentSource live(wlan);
     trace::FaultedSource faulted(live, plan);
     trace::TraceWriter writer(
         path, trace::RecordingSource::header_for(faulted, ChannelConfig{}));
@@ -306,7 +306,7 @@ int overall_replay_mismatches(std::uint64_t seed, bool aware, double drop,
     auto traj = WlanDeployment::corridor_walk(rng);
     WlanDeployment wlan(WlanDeployment::corridor_layout(), traj,
                         ChannelConfig{}, rng);
-    LiveDeploymentSource live(wlan, LiveDeploymentSource::CsiPath::kBatched);
+    LiveDeploymentSource live(wlan);
     trace::TraceWriter writer(
         path, trace::RecordingSource::header_for(live, ChannelConfig{}));
     trace::RecordingSource rec(live, writer);

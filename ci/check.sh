@@ -5,8 +5,8 @@
 #      must produce byte-identical JSON outside the "timing" lines;
 #   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
 #      budget and the baseline's 25% tolerance band (microbench cases, the
-#      AP-scale throughput bench and its speedup/alloc gates, the campus
-#      throughput floor and the loc lookup-rate floor);
+#      AP-scale throughput bench and its bitwise-agreement/alloc gates, the
+#      campus throughput floor and the loc lookup-rate floor);
 #   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
 #      statistics), fault (graceful degradation under export loss), trace
 #      (bitwise record/replay), campus (shard invariance across 1/4/16
@@ -23,6 +23,9 @@
 #      runtime thread-pool, experiment, and parallel_for tests plus the
 #      campus mailbox stress test (concurrent SPSC producers against a
 #      live consumer).
+#   8. the benchmark's own correctness checks (`perfbench/run.py --test`):
+#      every BENCHMARK.json workload at a tiny size must report correct,
+#      including the pinned default-seed link-trace record/frame counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,5 +86,8 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
+
+echo "== benchmark self-test: perfbench/run.py --test =="
+python3 perfbench/run.py --test
 
 echo "== all checks passed =="

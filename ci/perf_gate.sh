@@ -6,10 +6,10 @@
 #      case past the baseline's tolerance band (default 25%) or any hot
 #      loop that starts allocating;
 #   2. mobiwlan-bench --scale: the AP-scale throughput bench (64 APs x 512
-#      clients), gating the batched sample time, the batch-vs-per-link
-#      speedup floor, the zero-allocation steady state and the fp32
-#      synthesis speedup. The bench also enforces batched-vs-per-link
-#      agreement on every run;
+#      clients), gating the batched sample time, the zero-allocation steady
+#      state and the fp32 synthesis speedup. The bench also enforces
+#      bitwise agreement between sample_range and per-link sample_link
+#      calls on every run;
 #   3. one campus suite run: the session-steps/s floor;
 #   4. one loc suite run: the single-thread lookup-rate floor.
 # The deterministic halves of the campus and loc suites are gated exactly

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "util/alloc_count.hpp"
@@ -24,8 +25,33 @@ CampusConfig campus_default_config() {
   return cfg;
 }
 
+namespace {
+
+// Rejects a config the constructor's members or run() cannot serve; runs
+// before any member is built.
+const CampusConfig& validated(const CampusConfig& cfg) {
+  if (cfg.cols == 0 || cfg.rows == 0)
+    throw CampusConfigError(
+        CampusConfigError::Code::kEmptyGrid,
+        "campus: AP grid is " + std::to_string(cfg.cols) + "x" +
+            std::to_string(cfg.rows) + "; cols and rows must be >= 1");
+  // horizon < window + max dwell, without the sum's overflow.
+  if (cfg.max_dwell_epochs > cfg.horizon_epochs ||
+      cfg.horizon_epochs - cfg.max_dwell_epochs < cfg.arrival_window_epochs)
+    throw CampusConfigError(
+        CampusConfigError::Code::kHorizonTooShort,
+        "campus: horizon_epochs " + std::to_string(cfg.horizon_epochs) +
+            " < arrival_window_epochs " +
+            std::to_string(cfg.arrival_window_epochs) + " + max_dwell_epochs " +
+            std::to_string(cfg.max_dwell_epochs) +
+            "; sessions would remain resident without a report");
+  return cfg;
+}
+
+}  // namespace
+
 CampusSim::CampusSim(const CampusConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       map_(config.cols, config.rows, config.pitch_m),
       session_pool_(4096),
       shards_(config.shards == 0 ? 1 : config.shards),

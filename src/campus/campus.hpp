@@ -46,6 +46,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "campus/mailbox.hpp"
@@ -57,7 +59,7 @@
 
 namespace mobiwlan::campus {
 
-/// Campus-wide knobs. The defaults are the `--campus` bench scenario:
+/// Campus-wide knobs. The defaults are the `--suite campus` scenario:
 /// a 32x32 AP grid (1024 APs) absorbing 100k sessions over an 80-epoch
 /// arrival window, everyone departed by the 130-epoch horizon.
 struct CampusConfig {
@@ -86,14 +88,33 @@ struct CampusConfig {
 /// mechanism (per-path phase rotation, ToF trend, shadowing) is intact.
 ChannelConfig campus_channel_config();
 
-/// CampusConfig with campus_channel_config() applied — the `--campus`
+/// CampusConfig with campus_channel_config() applied — the `--suite campus`
 /// scenario defaults.
 CampusConfig campus_default_config();
+
+/// A CampusConfig CampusSim refuses to run, with the reason as a code.
+class CampusConfigError : public std::invalid_argument {
+ public:
+  enum class Code {
+    kEmptyGrid,        ///< cols == 0 or rows == 0: no AP to shard
+    kHorizonTooShort,  ///< horizon < arrival window + max dwell: a late
+                       ///< arrival would still be resident when run() ends
+  };
+
+  CampusConfigError(Code code, const std::string& what)
+      : std::invalid_argument(what), code_(code) {}
+
+  Code code() const { return code_; }
+
+ private:
+  Code code_;
+};
 
 /// The sharded campus simulation. Construct, then run() (or step_epoch()
 /// in a loop); read the aggregate and conservation counters afterwards.
 class CampusSim {
  public:
+  /// Throws CampusConfigError for a config it cannot run to completion.
   explicit CampusSim(const CampusConfig& config);
 
   /// Advances one epoch: one barriered parallel phase over shards — a

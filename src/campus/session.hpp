@@ -179,9 +179,8 @@ class Session {
   /// The two-sample association burst at arrival: samples at
   /// t_arrive - tick and t_arrive establish the classifier's similarity
   /// anchor (and take its one-time allocations) before the session enters
-  /// any shard's batched hot loop. Uses the caller's scratch. Samples go
-  /// through ChannelBatch::sample_link — the *batched* kernels — so the
-  /// digest never mixes per-link and batched kernel bits, on any SIMD tier.
+  /// any shard's batched hot loop. Uses the caller's scratch and
+  /// ChannelBatch::sample_link — the same kernels as the shard's batch.
   void prime(ChannelBatch::Scratch& scratch, ChannelSample& sample);
 
   /// One batched-epoch step from an already-taken channel sample: feeds the

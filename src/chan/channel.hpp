@@ -1,9 +1,9 @@
 // channel.hpp — the testbed substitute: a geometric indoor multipath channel.
 //
 // This module replaces the paper's physical testbed (HP MSM 460 APs + Galaxy
-// S5 clients in two office buildings). It synthesizes exactly the PHY
-// observables the AP firmware exported — per-subcarrier CSI, RSSI, and
-// clock-quantized ToF — from explicit geometry:
+// S5 clients in two office buildings). The channel model produces exactly
+// the PHY observables the AP firmware exported — per-subcarrier CSI, RSSI,
+// and clock-quantized ToF — from explicit geometry:
 //
 //   * a line-of-sight path AP -> client, plus `n_paths` single-bounce paths
 //     via explicit scatterer points (walls, furniture, people);
@@ -11,6 +11,14 @@
 //     path loss over that length plus a reflection loss;
 //   * CSI per subcarrier i and antenna pair: H_i = sum_p g_p e^{-j2π f_i τ_p}
 //     with uniform-linear-array phase terms at both ends.
+//
+// The model is split in two. A WirelessChannel is one link's *state*: its
+// config, AP position, trajectory, scatterer and shadow-field realization,
+// and the RNG its noisy reads draw from. ChannelBatch (channel_batch.hpp) is
+// the one *engine*: every read that needs path geometry or CSI synthesis —
+// for one link or for a batch of thousands — runs through its kernels, so
+// every consumer sees the same bits. ToF and the ground-truth distance need
+// no path geometry and stay here.
 //
 // Because phases derive from geometry, every effect the paper's classifier
 // exploits emerges mechanically rather than by construction:
@@ -124,31 +132,13 @@ struct ChannelSample {
   double true_distance_m = 0.0;  ///< ground truth, never shown to algorithms
 };
 
-/// The radio link between one AP and one client following a trajectory.
+/// The radio link between one AP and one client following a trajectory: its
+/// realization (scatterers, shadow field) and the generator its noisy reads
+/// draw from. Every CSI / RSSI / SNR read is synthesized by the ChannelBatch
+/// kernels; the by-value reads below forward to ChannelBatch's link entry
+/// points through a per-thread scratch.
 class WirelessChannel {
  public:
-  /// Geometry of one propagation path at a time instant. Steering angles are
-  /// carried as cosines (the only form the ULA phase terms need), computed as
-  /// coordinate ratios instead of cos(atan2(...)).
-  struct PathGeometry {
-    double length_m;      // total propagation length
-    double amplitude;     // sqrt(mW) received amplitude
-    double phase0;        // reflection phase offset
-    double cos_aod;       // cos(departure angle at the AP array)
-    double cos_aoa;       // cos(arrival angle at the client array)
-  };
-
-  /// Reusable workspace for the single-pass hot path. One `sample_into` /
-  /// `csi_*_into` call fills `paths` and the SoA synthesis planes; a caller
-  /// that keeps a PathScratch (and a ChannelSample / CsiMatrix) alive across
-  /// a sampling loop performs zero heap allocations in steady state — the
-  /// vectors grow once and are reused thereafter.
-  struct PathScratch {
-    std::vector<PathGeometry> paths;
-    std::vector<double> base_re, base_im;  ///< per-subcarrier phasor, one path
-    std::vector<double> acc_re, acc_im;    ///< CSI accumulation planes (SoA)
-  };
-
   WirelessChannel(const ChannelConfig& config, Vec2 ap_pos,
                   std::shared_ptr<const Trajectory> trajectory, Rng rng);
 
@@ -166,33 +156,22 @@ class WirelessChannel {
   /// misses overlap the current link's synthesis.
   void prefetch() const;
 
-  /// Full observation (CSI + RSSI + SNR + ToF) at time t.
+  /// Full observation (CSI + RSSI + SNR + ToF) at time t
+  /// (ChannelBatch::sample_link).
   ChannelSample sample(double t);
 
-  /// Single-pass full observation: path geometry is computed once and CSI,
-  /// SNR, RSSI and ToF are all derived from that one pass (the convenience
-  /// overloads above recompute nothing either — they share this core).
-  /// Allocation-free in steady state when `out` and `scratch` are reused.
-  void sample_into(double t, ChannelSample& out, PathScratch& scratch);
-
-  /// Measured (noisy) CSI only.
+  /// Measured (noisy) CSI only (ChannelBatch::csi_link).
   CsiMatrix csi_at(double t);
-
-  /// Measured CSI into a reusable matrix; allocation-free in steady state.
-  void csi_at_into(double t, CsiMatrix& out, PathScratch& scratch);
 
   /// Noiseless CSI — the channel's ground truth, used by the trace-based
   /// emulators to apply a precoder computed from stale *measured* CSI to the
-  /// *actual* channel at transmit time.
+  /// *actual* channel at transmit time (ChannelBatch::csi_true_link).
   CsiMatrix csi_true(double t) const;
 
-  /// Noiseless CSI into a reusable matrix; allocation-free in steady state.
-  void csi_true_into(double t, CsiMatrix& out, PathScratch& scratch) const;
-
-  /// True wideband SNR in dB at time t (no measurement noise).
+  /// True wideband SNR in dB at time t, no draws (ChannelBatch::snr_link).
   double snr_db(double t) const;
 
-  /// Quantized RSSI reading in dBm.
+  /// Quantized RSSI reading in dBm (ChannelBatch::rssi_link).
   double rssi_dbm(double t);
 
   /// One noisy, clock-quantized ToF reading (round-trip clock cycles).
@@ -213,11 +192,9 @@ class WirelessChannel {
   const Trajectory& trajectory() const { return *trajectory_; }
 
  private:
-  // The batched multi-link engine (chan/channel_batch.hpp) re-implements the
-  // geometry + synthesis hot path over many links at once; it reads the
-  // private realization state (scatterers, shadow field) and drives rng_
-  // through the exact per-link draw sequence, so batched and per-link
-  // sampling stay numerically equivalent (<= 1e-12) with identical RNG state.
+  // The channel engine (chan/channel_batch.hpp) reads the realization
+  // (scatterers, shadow field) and drives rng_ through the per-link draw
+  // sequence.
   friend class ChannelBatch;
 
   // Draws scatterers_ and shadow_waves_ from rng_ (shared by the
@@ -235,28 +212,7 @@ class WirelessChannel {
     double motion_phase = 0.0;
     // Peak LOS attenuation when this person crosses the direct path.
     double blockage_depth_db = 0.0;
-
-    Vec2 position(double t) const;
-    /// Attenuation (dB) this person currently puts on the direct path:
-    /// a narrow pulse once per pacing cycle.
-    double blockage_db(double t) const;
   };
-
-  /// Geometry of all paths (LOS first) at time t, into scratch.paths.
-  void path_geometries_into(double t, PathScratch& scratch) const;
-
-  /// Synthesize noiseless CSI from scratch.paths into `out` (SoA kernel).
-  void synthesize_into(PathScratch& scratch, CsiMatrix& out) const;
-
-  /// Measurement-noise + RSSI + ToF tail shared by the sampling entry points;
-  /// `link_snr_db` and `true_distance_m` come from the single geometry pass.
-  void add_csi_noise(CsiMatrix& csi, double link_snr_db);
-
-  /// Total received power (mW) across paths.
-  static double total_power_mw(const std::vector<PathGeometry>& paths);
-
-  double path_amplitude(double length_m, double extra_loss_db) const;
-  double noise_floor_dbm() const;
 
   struct ShadowWave {
     Vec2 k;        // spatial wavevector
@@ -268,11 +224,7 @@ class WirelessChannel {
   std::shared_ptr<const Trajectory> trajectory_;
   std::vector<Scatterer> scatterers_;
   std::vector<ShadowWave> shadow_waves_;
-  mutable Rng rng_;
-  // Workspace for the by-value convenience overloads (sample, csi_at, ...).
-  // Shares the same thread-safety contract as rng_: non-const entry points
-  // are single-caller.
-  PathScratch scratch_;
+  Rng rng_;
 };
 
 }  // namespace mobiwlan

@@ -1,35 +1,43 @@
-// channel_batch.hpp — batched multi-link channel engine.
+// channel_batch.hpp — the channel engine.
 //
-// A ChannelBatch advances N independent AP-client links in one
-// structure-of-arrays pass. The per-link sampler (WirelessChannel::
-// sample_into) is already allocation-free, but it pays per-sample costs that
-// a batch can amortize or avoid:
+// Every CSI, RSSI and SNR read in the repository is synthesized here, for
+// one link or for N links in one structure-of-arrays pass. A
+// WirelessChannel holds only a link's realization and RNG; ChannelBatch
+// reads that state, computes the path geometry, synthesizes CSI and draws
+// the link's measurement noise. Two ways in:
 //
-//   * the AVX2/FMA dispatch (`simd::use_avx2fma()`) is resolved once per
-//     range call, not once per sample;
+//   * link entry points (sample_link, csi_link, csi_true_link, rssi_link,
+//     snr_link) take any WirelessChannel, registered or not — the live
+//     trace sources, the fault layer, CsiTrace::record and the by-value
+//     WirelessChannel reads all use them;
+//   * slot-indexed calls (sample_range, sample_slot, csi_into,
+//     csi_true_into, rssi_all, tof_all, strongest_link) run over the links
+//     registered with a batch — the campus shards, the deployment scan and
+//     the scale bench. Each forwards per slot to the same kernels, so a
+//     link's output does not depend on which way it was read.
+//
+// Kernel structure:
+//   * the SIMD dispatch (`simd::active_tier()`) is resolved once per call,
+//     not once per path;
 //   * one scratch arena per *worker* holds the path geometries, the
 //     path-major base-phasor planes and the ULA steering table for every
 //     path of the link being synthesized, so the working set stays in L1
-//     across the whole batch;
+//     across a whole range;
 //   * the steer x base multiply-accumulate runs as a register-blocked fused
 //     kernel: all antenna-pair accumulators for a 4-subcarrier block live in
 //     registers while the path loop runs, and the result is stored directly
-//     into the CsiMatrix (interleaved), eliminating the per-pair
-//     accumulation planes, their zero-fill, and the final conversion pass;
+//     into the CsiMatrix (interleaved);
 //   * the wideband power needed for the CSI noise variance is accumulated
 //     during that store instead of by a second pass over the matrix;
 //   * geometry phases use the extended-range fastmath kernels
-//     (fastmath::sincos_wide, log10_pos, db_to_amplitude) where the
-//     per-link path uses libm.
+//     (fastmath::sincos_wide, log10_pos, db_to_amplitude).
 //
-// Numerical contract: batched output is equivalent to N independent
-// `WirelessChannel::sample_into` calls to <= 1e-12 relative (the register
-// blocking preserves the per-element accumulation order over paths, so the
-// MAC itself is bitwise-identical to the per-link kernel; the fastmath
-// substitutions account for the tolerance). The RNG draw *sequence* per link
-// is identical, so per-link generator state stays in lockstep with the
-// unbatched engine — a link can move between batched and per-link sampling
-// mid-run without forking its randomness.
+// Numerical contract: the scalar, AVX2 and AVX-512 tiers agree with the
+// golden fixtures (tests/chan/channel_golden_fixtures.inc, captured from
+// the original libm implementation) to <= 1e-12. Every read of a link
+// draws from that link's RNG in a fixed order — CSI noise, then RSSI
+// jitter, then ToF jitter for a full sample — so a slot-indexed read and
+// a link read of the same link state give the same bits.
 //
 // Precision tiers: the default (simd::Precision::kFloat64) holds the
 // contract above. Under MOBIWLAN_PRECISION=fp32 the phasor planes, the
@@ -53,14 +61,26 @@
 
 namespace mobiwlan {
 
-/// Batched view over N independent links (non-owning).
+/// The channel engine: static link entry points, plus a non-owning view over
+/// N registered links for the slot-indexed calls.
 class ChannelBatch {
  public:
-  /// Per-worker workspace. All buffers grow to the batch's maximum path /
-  /// antenna counts on first use and are reused thereafter: sampling through
-  /// a retained Scratch performs zero heap allocations in steady state.
+  /// Geometry of one propagation path at a time instant. Steering angles
+  /// are carried as cosines (the only form the ULA phase terms need),
+  /// computed as coordinate ratios instead of cos(atan2(...)).
+  struct PathGeometry {
+    double length_m;   // total propagation length
+    double amplitude;  // sqrt(mW) received amplitude
+    double phase0;     // reflection phase offset
+    double cos_aod;    // cos(departure angle at the AP array)
+    double cos_aoa;    // cos(arrival angle at the client array)
+  };
+
+  /// Per-worker workspace. All buffers grow to the largest path / antenna
+  /// counts seen on first use and are reused thereafter: reading through a
+  /// retained Scratch performs zero heap allocations in steady state.
   struct Scratch {
-    WirelessChannel::PathScratch geom;  ///< path geometries (paths vector)
+    std::vector<PathGeometry> paths;  ///< LOS first, then one per scatterer
     std::vector<double> base;   ///< path-major phasor planes: [path][re|im][sc]
     std::vector<double> steer;  ///< ULA steering phasors: [path][pair][re,im]
     std::vector<double> rssi;   ///< per-link RSSI plane for scans
@@ -119,17 +139,39 @@ class ChannelBatch {
   WirelessChannel& link(std::size_t i) { return *links_[i]; }
   const WirelessChannel& link(std::size_t i) const { return *links_[i]; }
 
-  /// Full observations (CSI + RSSI + SNR + ToF) for links [begin, end) at
-  /// time t, into out[begin..end). Holes are skipped (their out element is
-  /// left untouched). Draw order per link matches
-  /// WirelessChannel::sample_into. Allocation-free in steady state.
+  // -- link entry points: any WirelessChannel, registered or not ----------
+
+  /// One full observation (CSI + RSSI + SNR + ToF). Draws CSI noise, then
+  /// RSSI jitter, then ToF jitter from the link's RNG.
+  static void sample_link(WirelessChannel& ch, double t, ChannelSample& out,
+                          Scratch& scratch);
+
+  /// Measured (noisy) CSI — the classifier cadence read. Draws CSI noise.
+  static void csi_link(WirelessChannel& ch, double t, CsiMatrix& out,
+                       Scratch& scratch);
+
+  /// Noiseless CSI (no RNG draws).
+  static void csi_true_link(const WirelessChannel& ch, double t,
+                            CsiMatrix& out, Scratch& scratch);
+
+  /// Quantized RSSI reading in dBm. Draws RSSI jitter.
+  static double rssi_link(WirelessChannel& ch, double t, Scratch& scratch);
+
+  /// True wideband SNR in dB (no RNG draws).
+  static double snr_link(const WirelessChannel& ch, double t,
+                         Scratch& scratch);
+
+  // -- slot-indexed calls over the registered links -------------------------
+
+  /// Full observations for links [begin, end) at time t, into
+  /// out[begin..end). Holes are skipped (their out element is left
+  /// untouched). Allocation-free in steady state.
   void sample_range(double t, std::size_t begin, std::size_t end,
                     ChannelSample* out, Scratch& scratch);
 
-  /// One slot's full observation — the same kernels and bits sample_range
-  /// applies to that slot. Lets a memory-bound caller interleave sampling
-  /// with per-link consumption in one pass, so each link's working set is
-  /// touched exactly once per epoch. `slot` must not be a hole.
+  /// One slot's full observation. Lets a memory-bound caller interleave
+  /// sampling with per-link consumption in one pass, so each link's working
+  /// set is touched exactly once per epoch. `slot` must not be a hole.
   void sample_slot(double t, std::size_t slot, ChannelSample& out,
                    Scratch& scratch);
 
@@ -140,24 +182,19 @@ class ChannelBatch {
     if (const WirelessChannel* ch = links_[slot]) ch->prefetch();
   }
 
-  /// One full observation of a link that is not (or not yet) registered
-  /// with any batch, through the *batched* kernels — same bits as a
-  /// sample_range call would produce for it. The campus uses this for the
-  /// association burst that precedes a session's first batched epoch, so
-  /// its digests never mix per-link and batched kernel bits.
-  static void sample_link(WirelessChannel& ch, double t, ChannelSample& out,
-                          Scratch& scratch);
+  /// csi_link for the link in slot i.
+  void csi_into(std::size_t i, double t, CsiMatrix& out, Scratch& scratch) {
+    csi_link(*links_[i], t, out, scratch);
+  }
 
-  /// Measured (noisy) CSI for one link — the classifier cadence entry point.
-  void csi_into(std::size_t i, double t, CsiMatrix& out, Scratch& scratch);
-
-  /// Noiseless CSI for one link (no RNG draws).
+  /// csi_true_link for the link in slot i.
   void csi_true_into(std::size_t i, double t, CsiMatrix& out,
-                     Scratch& scratch) const;
+                     Scratch& scratch) const {
+    csi_true_link(*links_[i], t, out, scratch);
+  }
 
-  /// Quantized RSSI for every link at time t into scratch.rssi — the roaming
-  /// scan as one pass (one geometry evaluation per link, same per-link draw
-  /// order as WirelessChannel::rssi_dbm).
+  /// rssi_link for every link at time t into scratch.rssi, in slot order —
+  /// the roaming scan as one pass. Holes read -1e9.
   void rssi_all(double t, Scratch& scratch);
 
   /// One noisy ToF reading per link at time t into out[0..size()) — the
@@ -165,14 +202,14 @@ class ChannelBatch {
   void tof_all(double t, double* out);
 
   /// Link index with the strongest RSSI at time t (draws one RSSI reading
-  /// per link, in link order — same contract as WlanDeployment's scan).
+  /// per link, in link order, first wins on ties).
   std::size_t strongest_link(double t, Scratch& scratch);
 
  private:
   struct SynthSpec;  // resolved kernel + layout for one range call
 
   // The kernels are static: they touch only the passed link and scratch,
-  // which is what lets sample_link serve unregistered links.
+  // which is what lets the link entry points serve unregistered links.
   static void geometries(const WirelessChannel& ch, double t,
                          const SynthSpec& spec, Scratch& scratch);
   static void geometries_wide(const WirelessChannel& ch, double t,
@@ -186,6 +223,8 @@ class ChannelBatch {
                              double& power_mw);
   static void sample_one(WirelessChannel& ch, const SynthSpec& spec, double t,
                          ChannelSample& out, Scratch& scratch);
+  static void draw_csi_noise(WirelessChannel& ch, double link_snr_db,
+                             double csi_power_sum, CsiMatrix& csi);
 
   std::vector<WirelessChannel*> links_;
   std::vector<std::size_t> free_slots_;  // LIFO recycled holes

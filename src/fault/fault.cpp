@@ -74,7 +74,9 @@ DegradedObservables::DegradedObservables(WirelessChannel& channel,
 std::optional<CsiMatrix> DegradedObservables::csi(double t) {
   if (plan_.rssi_only) return std::nullopt;
   if (!csi_.deliver(t)) return std::nullopt;
-  return channel_.csi_at(csi_.measured_t(t));
+  CsiMatrix csi;
+  ChannelBatch::csi_link(channel_, csi_.measured_t(t), csi, scratch_);
+  return csi;
 }
 
 std::optional<double> DegradedObservables::tof_cycles(double t) {
@@ -85,7 +87,7 @@ std::optional<double> DegradedObservables::tof_cycles(double t) {
 
 std::optional<double> DegradedObservables::rssi_dbm(double t) {
   if (!rssi_.deliver(t)) return std::nullopt;
-  return channel_.rssi_dbm(rssi_.measured_t(t));
+  return ChannelBatch::rssi_link(channel_, rssi_.measured_t(t), scratch_);
 }
 
 bool DegradedObservables::feedback_delivered(double t) {

@@ -28,6 +28,7 @@
 #include <optional>
 
 #include "chan/channel.hpp"
+#include "chan/channel_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mobiwlan {
@@ -130,6 +131,7 @@ class DegradedObservables {
  private:
   WirelessChannel& channel_;
   FaultPlan plan_;
+  ChannelBatch::Scratch scratch_;
   FaultStream csi_;
   FaultStream tof_;
   FaultStream rssi_;

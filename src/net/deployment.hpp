@@ -29,8 +29,8 @@ class WlanDeployment {
   const Trajectory& client() const { return *client_; }
 
   /// AP with the strongest instantaneous RSSI at time t. Runs the scan as
-  /// one batched pass over every AP channel (same per-link draw order as
-  /// calling rssi_dbm per AP).
+  /// one batched pass over every AP channel (same draws and bits as calling
+  /// rssi_dbm per AP).
   std::size_t strongest_ap(double t);
 
   /// One noisy ToF reading per AP at time t — the controller's neighbor

@@ -1,13 +1,11 @@
 // deployment_source.hpp — the live multi-AP ObservableSource.
 //
 // Wraps a WlanDeployment as a trace::ObservableSource (unit = AP index) so
-// the roaming and end-to-end loops run source-driven. The CsiPath flag
-// exists because the batched CSI engine is only ≤1e-12-equivalent to the
-// per-link path (SIMD accumulation order), not bitwise: each loop must keep
-// the exact CSI call path it had before the source interface, or recorded
-// baselines would shift. Scalar observables (RSSI, ToF, SNR) are bitwise
-// identical either way, and the batched scan/sweep overrides keep the fast
-// paths the deployment already provides.
+// the roaming and end-to-end loops run source-driven. Every CSI, RSSI and
+// SNR read goes through the ChannelBatch link entry points on the AP's
+// channel with one retained scratch (allocation-free in steady state), and
+// the scan/sweep overrides keep the one-pass batched paths the deployment
+// already provides.
 #pragma once
 
 #include "net/deployment.hpp"
@@ -17,33 +15,34 @@ namespace mobiwlan {
 
 class LiveDeploymentSource : public trace::ObservableSource {
  public:
-  enum class CsiPath {
-    kPerLink,  ///< channel(ap).csi_at_into — roaming's historical path
-    kBatched,  ///< batch().csi_into — the end-to-end loop's historical path
-  };
-
-  LiveDeploymentSource(WlanDeployment& wlan, CsiPath path)
-      : wlan_(wlan), path_(path), sweep_(wlan.n_aps()) {}
+  explicit LiveDeploymentSource(WlanDeployment& wlan)
+      : wlan_(wlan), sweep_(wlan.n_aps()) {}
 
   std::size_t n_units() const override { return wlan_.n_aps(); }
   bool has(trace::StreamKind) const override { return true; }
 
-  bool csi(std::uint32_t unit, double t, CsiMatrix& out) override;
+  bool csi(std::uint32_t unit, double t, CsiMatrix& out) override {
+    ChannelBatch::csi_link(wlan_.channel(unit), t, out, scratch_);
+    return true;
+  }
   bool csi_feedback(std::uint32_t unit, double t, CsiMatrix& out) override {
     return csi(unit, t, out);
   }
-  bool csi_true(std::uint32_t unit, double t, CsiMatrix& out) override;
+  bool csi_true(std::uint32_t unit, double t, CsiMatrix& out) override {
+    ChannelBatch::csi_true_link(wlan_.channel(unit), t, out, scratch_);
+    return true;
+  }
   std::optional<double> rssi_dbm(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).rssi_dbm(t);
+    return ChannelBatch::rssi_link(wlan_.channel(unit), t, scratch_);
   }
   std::optional<double> scan_rssi_dbm(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).rssi_dbm(t);
+    return rssi_dbm(unit, t);
   }
   std::optional<double> tof_cycles(std::uint32_t unit, double t) override {
     return wlan_.channel(unit).tof_cycles(t);
   }
   std::optional<double> snr_db(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).snr_db(t);
+    return ChannelBatch::snr_link(wlan_.channel(unit), t, scratch_);
   }
   std::optional<double> true_distance(std::uint32_t unit, double t) override {
     return wlan_.channel(unit).true_distance(t);
@@ -51,7 +50,10 @@ class LiveDeploymentSource : public trace::ObservableSource {
 
   /// Controller neighbor sweep: one batched pass (same per-link draw order
   /// as per-unit tof_cycles calls).
-  void tof_sweep(double t, std::optional<double>* out) override;
+  void tof_sweep(double t, std::optional<double>* out) override {
+    wlan_.tof_sweep(t, sweep_.data());
+    for (std::size_t ap = 0; ap < sweep_.size(); ++ap) out[ap] = sweep_[ap];
+  }
 
   /// Batched scan, first-wins argmax — same draws as per-unit scan reads.
   std::optional<std::size_t> strongest_unit(double t) override {
@@ -62,10 +64,8 @@ class LiveDeploymentSource : public trace::ObservableSource {
 
  private:
   WlanDeployment& wlan_;
-  CsiPath path_;
   std::vector<double> sweep_;
-  WirelessChannel::PathScratch scratch_;
-  ChannelBatch::Scratch batch_scratch_;
+  ChannelBatch::Scratch scratch_;
 };
 
 }  // namespace mobiwlan

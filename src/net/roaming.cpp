@@ -43,9 +43,7 @@ double ground(std::optional<double> v, const char* what) {
 
 RoamingResult simulate_roaming(WlanDeployment& wlan, RoamingScheme scheme,
                                const RoamingConfig& config, Rng& rng) {
-  // Per-link CSI path: the historical loop read wlan.channel(ap).csi_at(),
-  // which is only ≤1e-12-equal (not bitwise) to the batched engine.
-  LiveDeploymentSource live(wlan, LiveDeploymentSource::CsiPath::kPerLink);
+  LiveDeploymentSource live(wlan);
   trace::FaultedSource src(live, config.fault);
   return simulate_roaming(src, scheme, config, rng,
                           wlan.client().mobility_class());
@@ -234,13 +232,16 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
 std::pair<double, double> oracle_vs_stick(WlanDeployment& wlan,
                                           const RoamingConfig& config) {
   const std::size_t initial = wlan.strongest_ap(0.0);
+  ChannelBatch::Scratch scratch;
   double best_sum = 0.0;
   double stick_sum = 0.0;
   int steps = 0;
   for (double t = 0.0; t < config.duration_s; t += config.step_s) {
     const std::size_t best = wlan.strongest_ap(t);
-    best_sum += link_rate_mbps(wlan.channel(best).snr_db(t), config);
-    stick_sum += link_rate_mbps(wlan.channel(initial).snr_db(t), config);
+    best_sum += link_rate_mbps(
+        ChannelBatch::snr_link(wlan.channel(best), t, scratch), config);
+    stick_sum += link_rate_mbps(
+        ChannelBatch::snr_link(wlan.channel(initial), t, scratch), config);
     ++steps;
   }
   if (steps == 0) return {0.0, 0.0};

@@ -51,10 +51,9 @@ struct OverallSimResult {
   std::vector<std::pair<double, std::size_t>> associations;
 };
 
-/// Wraps the deployment in a batched-path LiveDeploymentSource and delegates
-/// to the source-driven overload — bitwise-identical to the historical
-/// inline loop (including its per-AP fault-stream gating, which stays inside
-/// the loop because the batched ToF sweep must always run).
+/// Wraps the deployment in a LiveDeploymentSource and delegates to the
+/// source-driven overload (the per-AP fault-stream gating stays inside the
+/// loop because the batched ToF sweep must always run).
 OverallSimResult simulate_overall(WlanDeployment& wlan,
                                   const OverallSimConfig& config, Rng& rng);
 

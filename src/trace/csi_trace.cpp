@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "chan/channel_batch.hpp"
 #include "trace/trace_io.hpp"
 
 namespace mobiwlan {
@@ -69,8 +70,10 @@ const TraceEntry& CsiTrace::at_time(double t) const { return entries_[index_at(t
 CsiTrace CsiTrace::record(WirelessChannel& channel, double duration_s,
                           double period_s) {
   CsiTrace trace;
+  ChannelBatch::Scratch scratch;
+  ChannelSample s;
   for (double t = 0.0; t <= duration_s; t += period_s) {
-    const ChannelSample s = channel.sample(t);
+    ChannelBatch::sample_link(channel, t, s, scratch);
     trace.add(TraceEntry{s.t, s.csi, s.snr_db, s.rssi_dbm, s.tof_cycles,
                          s.true_distance_m});
   }

@@ -5,11 +5,11 @@
 // ObservableSource puts one interface in front of those reads so the same
 // protocol code runs in three modes:
 //
-//   synthetic          — LiveChannelSource / LiveDeploymentSource forward to
-//                        the WirelessChannel / WlanDeployment exactly as the
-//                        loops used to call them (same RNG draw order, so the
-//                        live wrappers are bitwise-identical to the
-//                        pre-source code);
+//   synthetic          — LiveChannelSource / LiveDeploymentSource read the
+//                        WirelessChannel / WlanDeployment through the
+//                        ChannelBatch link entry points, in the loop's own
+//                        call order (so the link's RNG draws are the ones a
+//                        direct read would make);
 //   recorded-synthetic — RecordingSource tees every successful read into a
 //                        TraceWriter ("stream of reads": because the loops
 //                        are deterministic given their config and seed,
@@ -36,6 +36,7 @@
 #include <optional>
 
 #include "chan/channel.hpp"
+#include "chan/channel_batch.hpp"
 #include "fault/fault.hpp"
 #include "trace/format.hpp"
 #include "trace/trace_io.hpp"
@@ -103,18 +104,18 @@ class LiveChannelSource : public ObservableSource {
   bool has(StreamKind) const override { return true; }
 
   bool csi(std::uint32_t, double t, CsiMatrix& out) override {
-    channel_.csi_at_into(t, out, scratch_);
+    ChannelBatch::csi_link(channel_, t, out, scratch_);
     return true;
   }
   bool csi_feedback(std::uint32_t u, double t, CsiMatrix& out) override {
     return csi(u, t, out);
   }
   bool csi_true(std::uint32_t, double t, CsiMatrix& out) override {
-    channel_.csi_true_into(t, out, scratch_);
+    ChannelBatch::csi_true_link(channel_, t, out, scratch_);
     return true;
   }
   std::optional<double> rssi_dbm(std::uint32_t, double t) override {
-    return channel_.rssi_dbm(t);
+    return ChannelBatch::rssi_link(channel_, t, scratch_);
   }
   std::optional<double> scan_rssi_dbm(std::uint32_t u, double t) override {
     return rssi_dbm(u, t);
@@ -123,7 +124,7 @@ class LiveChannelSource : public ObservableSource {
     return channel_.tof_cycles(t);
   }
   std::optional<double> snr_db(std::uint32_t, double t) override {
-    return channel_.snr_db(t);
+    return ChannelBatch::snr_link(channel_, t, scratch_);
   }
   std::optional<double> true_distance(std::uint32_t, double t) override {
     return channel_.true_distance(t);
@@ -133,7 +134,7 @@ class LiveChannelSource : public ObservableSource {
 
  private:
   WirelessChannel& channel_;
-  WirelessChannel::PathScratch scratch_;
+  ChannelBatch::Scratch scratch_;
 };
 
 /// Tee: forwards every read to `inner` and logs each one to the writer at

@@ -110,8 +110,8 @@ void Rng::add_complex_gaussian(std::complex<double>* dst, std::size_t n,
   // 8-aligned prefix is what the AVX2 kernel covers on vector hosts, so a
   // non-vector host must reproduce it bitwise through the lane-exact
   // mirrors; the sub-8 remainder runs the same scalar code on every tier
-  // and keeps the original fastmath kernels (those bits are frozen by the
-  // per-link golden fixtures).
+  // and keeps the original fastmath kernels (those bits are pinned by the
+  // golden fixtures).
   const std::size_t vec_end = k + 8 * ((total - k) / 8);
 #if defined(__x86_64__)
   // Four transforms per iteration on AVX2+FMA hosts (checked per call so

@@ -1,7 +1,7 @@
 // CampusSim mechanics on small floor plans: session conservation through
-// churn, the map/partition geometry, spread of sessions across shards, and
-// the back-pressure contract (a full mailbox lane defers a handover without
-// changing any observable).
+// churn, the map/partition geometry, spread of sessions across shards, the
+// back-pressure contract (a full mailbox lane defers a handover without
+// changing any observable), and the config checks at construction.
 #include "campus/campus.hpp"
 
 #include <cstdint>
@@ -125,6 +125,45 @@ TEST(CampusSim, MailboxBackpressureIsObservablyInvisible) {
   expect_summaries_equal(summarize(a), summarize(b), "backpressure");
   // Every crossing still happens — just possibly an epoch later.
   EXPECT_EQ(a.aggregate().ap_handovers, b.aggregate().ap_handovers);
+}
+
+/// Constructs a CampusSim from `cfg`, expecting a CampusConfigError with
+/// `code`.
+void expect_rejected(const campus::CampusConfig& cfg,
+                     campus::CampusConfigError::Code code) {
+  try {
+    campus::CampusSim sim(cfg);
+    ADD_FAILURE() << "config was accepted";
+  } catch (const campus::CampusConfigError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+}
+
+TEST(CampusConfigValidation, RejectsEmptyGrid) {
+  // shard_of_ap divides by cols * rows: an empty grid must never reach it.
+  campus::CampusConfig cfg = small_config();
+  cfg.cols = 0;
+  expect_rejected(cfg, campus::CampusConfigError::Code::kEmptyGrid);
+  cfg = small_config();
+  cfg.rows = 0;
+  expect_rejected(cfg, campus::CampusConfigError::Code::kEmptyGrid);
+}
+
+TEST(CampusConfigValidation, RejectsHorizonShorterThanWindowPlusMaxDwell) {
+  campus::CampusConfig cfg = small_config();  // window 30, max dwell 24
+  cfg.horizon_epochs = 53;
+  expect_rejected(cfg, campus::CampusConfigError::Code::kHorizonTooShort);
+  cfg.max_dwell_epochs = ~std::uint64_t{0};  // the sum would overflow
+  expect_rejected(cfg, campus::CampusConfigError::Code::kHorizonTooShort);
+
+  // The bound itself is accepted, and every session reports by then.
+  cfg = small_config();
+  cfg.horizon_epochs = 54;
+  campus::CampusSim sim(cfg);
+  sim.run();
+  EXPECT_EQ(sim.arrived(), cfg.n_sessions);
+  EXPECT_EQ(sim.departed(), sim.arrived());
+  EXPECT_EQ(sim.active(), 0u);
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
-// channel_batch_equivalence_test — ChannelBatch vs per-link sampling.
+// channel_batch_equivalence_test — slot-indexed calls vs link entry points.
 //
-// The batched engine must be a drop-in for N independent
-// WirelessChannel::sample_into loops: identical RNG draw order per link
-// (quantized outputs match exactly) and CSI equal to within 1e-12 of the
-// link's own CSI scale. The tolerance is scale-relative, not per-element
-// relative: deep-faded subcarriers carry ~1e-15 absolute error like every
-// other element, but their magnitudes are arbitrarily small, so a
-// per-element relative measure would amplify noise on values that carry no
-// signal. CMake re-runs this binary under MOBIWLAN_FORCE_SCALAR=1, which
-// pins both sides to their scalar kernels.
+// Every read of a link runs through the same ChannelBatch kernels, whether
+// it comes from a range call over registered slots or from a link entry
+// point on an unregistered channel. Both sides below are identical
+// realizations drawing from their own RNG state, so lockstep call sequences
+// must agree bitwise: every CSI element, every RSSI / SNR / ToF reading.
+// CMake re-runs this binary under MOBIWLAN_FORCE_SCALAR=1 and each forced
+// SIMD tier; both sides resolve the same tier, so the contract holds on
+// every one.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -27,8 +24,7 @@ using goldencase::kNumCases;
 using goldencase::make_golden_channel;
 
 /// Two independent, identical realizations of the 8 golden channels: one
-/// registered with a batch, one sampled per link. Both sides draw from
-/// their own RNG state, so lockstep call sequences keep them comparable.
+/// registered with a batch, one read through the link entry points.
 struct GoldenPair {
   std::vector<std::unique_ptr<WirelessChannel>> batch_links;
   std::vector<std::unique_ptr<WirelessChannel>> ref_links;
@@ -43,49 +39,38 @@ struct GoldenPair {
   }
 };
 
-double csi_scale(const CsiMatrix& m) {
-  double scale = 0.0;
-  for (const cplx& z : m.raw())
-    scale = std::max({scale, std::abs(z.real()), std::abs(z.imag())});
-  return std::max(scale, 1e-300);
-}
-
-void expect_csi_close(const CsiMatrix& got, const CsiMatrix& want,
+void expect_csi_equal(const CsiMatrix& got, const CsiMatrix& want,
                       const char* what, std::size_t link) {
   ASSERT_EQ(got.raw().size(), want.raw().size());
-  const double tol = 1e-12 * csi_scale(want);
-  for (std::size_t k = 0; k < want.raw().size(); ++k) {
-    EXPECT_NEAR(got.raw()[k].real(), want.raw()[k].real(), tol)
+  for (std::size_t k = 0; k < want.raw().size(); ++k)
+    EXPECT_EQ(got.raw()[k], want.raw()[k])
         << what << " link " << link << " element " << k;
-    EXPECT_NEAR(got.raw()[k].imag(), want.raw()[k].imag(), tol)
-        << what << " link " << link << " element " << k;
-  }
+}
+
+void expect_sample_equal(const ChannelSample& got, const ChannelSample& want,
+                         std::size_t link) {
+  EXPECT_EQ(got.t, want.t);
+  EXPECT_EQ(got.rssi_dbm, want.rssi_dbm);
+  EXPECT_EQ(got.snr_db, want.snr_db);
+  EXPECT_EQ(got.tof_cycles, want.tof_cycles);
+  EXPECT_EQ(got.true_distance_m, want.true_distance_m);
+  expect_csi_equal(got.csi, want.csi, "sample", link);
 }
 
 TEST(ChannelBatchEquivalence, SampleRangeMatchesPerLinkLoop) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
+  ChannelBatch::Scratch ref_scratch;
   std::vector<ChannelSample> out(kNumCases);
-  WirelessChannel::PathScratch ref_scratch;
   ChannelSample ref;
 
   for (const double t : {0.0, 0.25, 0.5, 1.0, 2.0, 3.5}) {
     g.batch.sample_range(t, 0, kNumCases, out.data(), scratch);
     for (std::size_t i = 0; i < kNumCases; ++i) {
-      g.ref_links[i]->sample_into(t, ref, ref_scratch);
+      ChannelBatch::sample_link(*g.ref_links[i], t, ref, ref_scratch);
       SCOPED_TRACE(::testing::Message()
                    << goldencase::case_name(i) << " at t=" << t);
-      // Quantized outputs share the exact draw sequence, so they match
-      // bitwise; SNR is continuous and the batch derives it through the
-      // fastmath log, so it agrees to rounding instead.
-      EXPECT_EQ(out[i].rssi_dbm, ref.rssi_dbm);
-      EXPECT_EQ(out[i].tof_cycles, ref.tof_cycles);
-      EXPECT_NEAR(out[i].snr_db, ref.snr_db,
-                  1e-12 * std::max(1.0, std::abs(ref.snr_db)));
-      EXPECT_EQ(out[i].t, ref.t);
-      EXPECT_NEAR(out[i].true_distance_m, ref.true_distance_m,
-                  1e-12 * std::max(1.0, ref.true_distance_m));
-      expect_csi_close(out[i].csi, ref.csi, "sample_range", i);
+      expect_sample_equal(out[i], ref, i);
     }
   }
 }
@@ -93,8 +78,8 @@ TEST(ChannelBatchEquivalence, SampleRangeMatchesPerLinkLoop) {
 TEST(ChannelBatchEquivalence, SubrangeSamplingMatches) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
+  ChannelBatch::Scratch ref_scratch;
   std::vector<ChannelSample> out(kNumCases);
-  WirelessChannel::PathScratch ref_scratch;
   ChannelSample ref;
 
   // Two disjoint ranges cover the batch; the per-link results must not
@@ -102,30 +87,33 @@ TEST(ChannelBatchEquivalence, SubrangeSamplingMatches) {
   g.batch.sample_range(1.0, 0, 3, out.data(), scratch);
   g.batch.sample_range(1.0, 3, kNumCases, out.data(), scratch);
   for (std::size_t i = 0; i < kNumCases; ++i) {
-    g.ref_links[i]->sample_into(1.0, ref, ref_scratch);
+    ChannelBatch::sample_link(*g.ref_links[i], 1.0, ref, ref_scratch);
     SCOPED_TRACE(goldencase::case_name(i));
-    EXPECT_EQ(out[i].rssi_dbm, ref.rssi_dbm);
-    EXPECT_EQ(out[i].tof_cycles, ref.tof_cycles);
-    expect_csi_close(out[i].csi, ref.csi, "subrange", i);
+    expect_sample_equal(out[i], ref, i);
   }
 }
 
 TEST(ChannelBatchEquivalence, MeasuredAndTrueCsiMatch) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
+  ChannelBatch::Scratch ref_scratch;
   CsiMatrix got;
   CsiMatrix want;
-  WirelessChannel::PathScratch ref_scratch;
 
   for (std::size_t i = 0; i < kNumCases; ++i) {
     SCOPED_TRACE(goldencase::case_name(i));
     g.batch.csi_into(i, 0.75, got, scratch);
-    g.ref_links[i]->csi_at_into(0.75, want, ref_scratch);
-    expect_csi_close(got, want, "csi_into", i);
+    ChannelBatch::csi_link(*g.ref_links[i], 0.75, want, ref_scratch);
+    expect_csi_equal(got, want, "csi_into", i);
 
     g.batch.csi_true_into(i, 2.0, got, scratch);
-    g.ref_links[i]->csi_true_into(2.0, want, ref_scratch);
-    expect_csi_close(got, want, "csi_true_into", i);
+    ChannelBatch::csi_true_link(*g.ref_links[i], 2.0, want, ref_scratch);
+    expect_csi_equal(got, want, "csi_true_into", i);
+
+    // The by-value reads forward to the same entry points.
+    expect_csi_equal(g.batch_links[i]->csi_true(2.0), want, "csi_true", i);
+    EXPECT_EQ(g.batch_links[i]->snr_db(2.0),
+              ChannelBatch::snr_link(*g.ref_links[i], 2.0, ref_scratch));
   }
 }
 
@@ -141,15 +129,32 @@ TEST(ChannelBatchEquivalence, TofSweepMatchesPerLinkReadings) {
   }
 }
 
+TEST(ChannelBatchEquivalence, RssiAllMatchesLinkReads) {
+  GoldenPair g;
+  ChannelBatch::Scratch scratch;
+  ChannelBatch::Scratch ref_scratch;
+  for (const double t : {0.0, 1.0, 4.0}) {
+    g.batch.rssi_all(t, scratch);
+    ASSERT_EQ(scratch.rssi.size(), kNumCases);
+    for (std::size_t i = 0; i < kNumCases; ++i) {
+      SCOPED_TRACE(goldencase::case_name(i));
+      EXPECT_EQ(scratch.rssi[i],
+                ChannelBatch::rssi_link(*g.ref_links[i], t, ref_scratch));
+    }
+  }
+}
+
 TEST(ChannelBatchEquivalence, StrongestLinkMatchesArgmaxScan) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
+  ChannelBatch::Scratch ref_scratch;
   for (const double t : {0.0, 1.0, 4.0}) {
     const std::size_t got = g.batch.strongest_link(t, scratch);
     std::size_t want = 0;
     double best = -1e9;
     for (std::size_t i = 0; i < kNumCases; ++i) {
-      const double rssi = g.ref_links[i]->rssi_dbm(t);
+      const double rssi =
+          ChannelBatch::rssi_link(*g.ref_links[i], t, ref_scratch);
       if (rssi > best) {
         best = rssi;
         want = i;

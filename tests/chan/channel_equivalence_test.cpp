@@ -1,7 +1,7 @@
-// Golden equivalence: the single-pass, scratch-buffer channel implementation
-// must reproduce the pre-refactor implementation's values to 1e-12 across one
-// channel per (mobility class x environmental activity) cell. The fixtures
-// were captured from the original multi-pass code (commit afc9ea0) over the
+// Golden equivalence: the channel engine (ChannelBatch, reached here through
+// the by-value WirelessChannel reads) must reproduce the original libm
+// implementation's values to 1e-12 across one channel per (mobility class x
+// environmental activity) cell. The fixtures were captured from the original multi-pass code (commit afc9ea0) over the
 // exact realizations built by make_golden_channel(); the noisy sample()
 // snapshots additionally pin the RNG draw order (CSI noise, then RSSI jitter,
 // then ToF jitter).
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chan/channel_batch.hpp"
 #include "channel_golden_cases.hpp"
 #include "phy/csi.hpp"
 
@@ -85,17 +86,18 @@ INSTANTIATE_TEST_SUITE_P(AllCases, ChannelEquivalence,
                            return n;
                          });
 
-// The scratch-buffer API must agree with the allocating wrappers on the same
-// channel realization (same seed), not just with the historical fixtures.
+// The scratch-buffer link entry point must agree with the by-value wrapper
+// on the same channel realization (same seed), not just with the historical
+// fixtures.
 TEST(ChannelEquivalence, ScratchApiMatchesWrappers) {
   auto a = goldencase::make_golden_channel(7);
   auto b = goldencase::make_golden_channel(7);
-  WirelessChannel::PathScratch scratch;
+  ChannelBatch::Scratch scratch;
   ChannelSample s_into;
   for (int k = 0; k < 5; ++k) {
     const double t = 0.3 * k;
     const ChannelSample s = a->sample(t);
-    b->sample_into(t, s_into, scratch);
+    ChannelBatch::sample_link(*b, t, s_into, scratch);
     EXPECT_EQ(s.rssi_dbm, s_into.rssi_dbm);
     EXPECT_EQ(s.tof_cycles, s_into.tof_cycles);
     EXPECT_EQ(s.snr_db, s_into.snr_db);
