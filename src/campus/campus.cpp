@@ -1,7 +1,8 @@
 #include "campus/campus.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -35,6 +36,33 @@ const CampusConfig& validated(const CampusConfig& cfg) {
         CampusConfigError::Code::kEmptyGrid,
         "campus: AP grid is " + std::to_string(cfg.cols) + "x" +
             std::to_string(cfg.rows) + "; cols and rows must be >= 1");
+  if (!(std::isfinite(cfg.pitch_m) && cfg.pitch_m > 0.0))
+    throw CampusConfigError(CampusConfigError::Code::kBadPitch,
+                            "campus: pitch_m " + std::to_string(cfg.pitch_m) +
+                                " must be finite and > 0");
+  if (!(std::isfinite(cfg.session.tick_s) && cfg.session.tick_s > 0.0))
+    throw CampusConfigError(
+        CampusConfigError::Code::kBadTick,
+        "campus: session.tick_s " + std::to_string(cfg.session.tick_s) +
+            " must be finite and > 0");
+  if (cfg.arrival_window_epochs >
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    throw CampusConfigError(
+        CampusConfigError::Code::kArrivalWindowTooLong,
+        "campus: arrival_window_epochs " +
+            std::to_string(cfg.arrival_window_epochs) + " exceeds INT_MAX");
+  if (!(std::isfinite(cfg.mean_extra_dwell_epochs) &&
+        cfg.mean_extra_dwell_epochs >= 0.0))
+    throw CampusConfigError(
+        CampusConfigError::Code::kBadExtraDwell,
+        "campus: mean_extra_dwell_epochs " +
+            std::to_string(cfg.mean_extra_dwell_epochs) +
+            " must be finite and >= 0");
+  if (cfg.min_dwell_epochs > cfg.max_dwell_epochs)
+    throw CampusConfigError(
+        CampusConfigError::Code::kDwellRangeInverted,
+        "campus: min_dwell_epochs " + std::to_string(cfg.min_dwell_epochs) +
+            " > max_dwell_epochs " + std::to_string(cfg.max_dwell_epochs));
   // horizon < window + max dwell, without the sum's overflow.
   if (cfg.max_dwell_epochs > cfg.horizon_epochs ||
       cfg.horizon_epochs - cfg.max_dwell_epochs < cfg.arrival_window_epochs)
@@ -75,12 +103,23 @@ CampusSim::CampusSim(const CampusConfig& config)
         static_cast<std::size_t>(a.uniform_int(1, arrival_window_));
     arrival_buckets_[arrival].push_back(id);
   }
+  std::size_t max_bucket = 0;
+  for (const auto& bucket : arrival_buckets_)
+    max_bucket = std::max(max_bucket, bucket.size());
+  pending_.reserve(max_bucket);
 
   // Pre-size the shared per-shard sample (serial, once) so the hot phase
   // never allocates.
   const ChannelConfig& ch = config_.session.channel;
   for (Shard& sh : shards_)
     sh.sample.csi.resize(ch.n_tx, ch.n_rx, ch.n_subcarriers);
+
+  // Warm every build slot here, on the constructing thread, with a
+  // throwaway session's association burst: an arrival build on a worker
+  // then never touches the heap.
+  build_slots_.resize(pool_ ? pool_->size() + 1 : 1);
+  Session warm(0, config_.master_seed, map_, config_.session, 1, 2);
+  for (BuildSlot& b : build_slots_) warm.prime(b.scratch, b.sample);
 }
 
 std::uint64_t CampusSim::active() const {
@@ -99,19 +138,6 @@ std::uint64_t CampusSim::hot_phase_allocs() const {
   std::uint64_t n = 0;
   for (const Shard& sh : shards_) n += sh.hot_allocs;
   return n;
-}
-
-template <typename Fn>
-void CampusSim::for_each_shard(Fn&& body) {
-  if (pool_) {
-    // One chunk per shard; parallel_for's return is the epoch barrier.
-    pool_->parallel_for(shards_.size(), 1,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-                          for (std::size_t s = begin; s < end; ++s) body(s);
-                        });
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
-  }
 }
 
 void CampusSim::place(std::size_t dst, SessionPtr sp) {
@@ -224,29 +250,56 @@ void CampusSim::drain_mailbox() {
   }
 }
 
-void CampusSim::admit_arrivals() {
+void CampusSim::take_arrivals() {
   if (epoch_ >= arrival_buckets_.size()) return;
   std::vector<std::uint64_t>& bucket = arrival_buckets_[epoch_];
   for (const std::uint64_t id : bucket) {
     // Replay this id's fresh substream past its arrival draw; the dwell
     // draw then continues the stream exactly where one-shot schedule
-    // construction would have.
+    // construction would have. The clamp is decided in double, so a huge
+    // exponential draw never reaches the integer cast.
     Rng a = arrivals_root_.stream(id);
     (void)a.uniform_int(1, arrival_window_);
-    const auto extra = static_cast<std::uint64_t>(
-        a.exponential(config_.mean_extra_dwell_epochs));
-    std::uint64_t dwell = config_.min_dwell_epochs + extra;
-    if (dwell > config_.max_dwell_epochs) dwell = config_.max_dwell_epochs;
+    const double extra = a.exponential(config_.mean_extra_dwell_epochs);
+    const std::uint64_t span =
+        config_.max_dwell_epochs - config_.min_dwell_epochs;
+    std::uint64_t dwell = extra >= static_cast<double>(span)
+                              ? config_.max_dwell_epochs
+                              : config_.min_dwell_epochs +
+                                    static_cast<std::uint64_t>(extra);
     if (dwell < 2) dwell = 2;  // at least one batched step before departure
 
-    SessionPtr sp = session_pool_.acquire(id, config_.master_seed, map_,
-                                          config_.session, epoch_, dwell);
-    sp->prime(prime_scratch_, prime_sample_);
-    const std::size_t dst = map_.shard_of_ap(sp->serving_ap(), shards_.size());
-    place(dst, std::move(sp));
-    ++arrived_;
+    SessionPool::Taken taken = session_pool_.take(
+        id, config_.master_seed, map_, config_.session, epoch_, dwell);
+    // A fresh slab session was just built on this thread; prime it here
+    // too. Building fresh sessions on workers would spread their first-touch
+    // allocations over per-thread malloc arenas and raise peak RSS.
+    if (!taken.stale)
+      taken.session->prime(build_slots_[0].scratch, build_slots_[0].sample);
+    pending_.push_back({std::move(taken), id, dwell});
   }
   bucket = {};  // release this epoch's bucket storage
+}
+
+void CampusSim::build_arrivals(std::size_t chunk, BuildSlot& slot) {
+  const std::size_t begin = chunk * kArrivalChunk;
+  const std::size_t end = std::min(pending_.size(), begin + kArrivalChunk);
+  for (std::size_t k = begin; k < end; ++k) {
+    Arrival& a = pending_[k];
+    if (!a.taken.stale) continue;
+    a.taken.session->reinit(a.id, epoch_, a.dwell);
+    a.taken.session->prime(slot.scratch, slot.sample);
+  }
+}
+
+void CampusSim::place_arrivals() {
+  for (Arrival& a : pending_) {
+    const std::size_t dst =
+        map_.shard_of_ap(a.taken.session->serving_ap(), shards_.size());
+    place(dst, std::move(a.taken.session));
+  }
+  arrived_ += pending_.size();
+  pending_.clear();
 }
 
 void CampusSim::fold_departures() {
@@ -266,17 +319,37 @@ void CampusSim::fold_departures() {
 
 void CampusSim::step_epoch() {
   ++epoch_;
+  take_arrivals();
 
-  // One fused parallel phase: within an epoch no shard reads another
-  // shard's state (handover only enqueues into this shard's own SPSC
-  // lanes), so departures, the hot section, and roam/send need no
-  // intermediate barriers.
-  for_each_shard([this](std::size_t s) { phase_shard(s); });
+  // One parallel phase, one barrier. Items [0, S) are the fused shard
+  // passes: within an epoch no shard reads another shard's state (handover
+  // only enqueues into this shard's own SPSC lanes), so departures, the hot
+  // section and roam/send need no intermediate barriers. Items [S, S + A)
+  // build this epoch's recycled arrivals, which no shard references.
+  const std::size_t n_shards = shards_.size();
+  const std::size_t n_items =
+      n_shards + (pending_.size() + kArrivalChunk - 1) / kArrivalChunk;
+  const auto item = [this, n_shards](std::size_t slot, std::size_t i) {
+    if (i < n_shards)
+      phase_shard(i);
+    else
+      build_arrivals(i - n_shards, build_slots_[slot]);
+  };
+  if (pool_) {
+    pool_->parallel_for(n_items, 1,
+                        [&item](std::size_t slot, std::size_t begin,
+                                std::size_t end) {
+                          for (std::size_t i = begin; i < end; ++i)
+                            item(slot, i);
+                        });
+  } else {
+    for (std::size_t i = 0; i < n_items; ++i) item(0, i);
+  }
 
   // Serial tail: everything order-sensitive runs here, after the barrier,
   // in fixed (shard id, session id) order.
   drain_mailbox();
-  admit_arrivals();
+  place_arrivals();
   fold_departures();
 }
 

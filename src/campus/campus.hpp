@@ -28,14 +28,22 @@
 //      the session id, never by the hosting shard or worker (session.hpp).
 //      Batch slot order is therefore irrelevant to the bits a session
 //      computes — slots only decide which out[] element receives them.
-//   2. Epochs are barriered: the fused parallel phase (stage departures,
-//      batched sample + step, roam + handover send) runs one shard per
-//      worker with no cross-shard communication except SPSC mailbox lanes
-//      written by their owning source shard, and ends at a
-//      ThreadPool::parallel_for barrier. Everything order-sensitive
-//      (mailbox drain, arrivals, departure folding) runs serially after the
-//      barrier in fixed (shard id, session id) order. Worker count can
-//      change who executes a shard, never what the shard computes.
+//   2. Epochs are barriered: one parallel phase per epoch runs every
+//      shard's fused pass (stage departures, batched sample + step, roam +
+//      handover send) with no cross-shard communication except SPSC
+//      mailbox lanes written by their owning source shard. The same phase
+//      builds the epoch's recycled arrivals (reinit + prime, in fixed-size
+//      chunks), which is order-free: a session's construction and prime
+//      are a pure function of (seed, id, epoch, dwell), a session taken
+//      from the free list is referenced by no shard, and the map and
+//      session params are read-only. The phase ends at one
+//      ThreadPool::parallel_for barrier. Everything order-sensitive runs
+//      serially in fixed order: before the phase, the arrival take (dwell
+//      draw and pool slot per id, ascending id; a fresh slab session is
+//      also built and primed there, on the calling thread); after the
+//      barrier, mailbox drain in (dst, src) order, arrival placement in
+//      bucket order, and the departure fold in session-id order. Worker
+//      count can change who executes a work item, never what it computes.
 //   3. Handover moves the Session object wholesale — classifier
 //      hold-then-decay state, rate-adaptation state, channel RNG and all —
 //      so hosting is invisible. A handover deferred by mailbox back-pressure
@@ -99,6 +107,12 @@ class CampusConfigError : public std::invalid_argument {
     kEmptyGrid,        ///< cols == 0 or rows == 0: no AP to shard
     kHorizonTooShort,  ///< horizon < arrival window + max dwell: a late
                        ///< arrival would still be resident when run() ends
+    kArrivalWindowTooLong,  ///< arrival_window_epochs > INT_MAX: the
+                            ///< arrival draw is an int
+    kBadExtraDwell,      ///< mean_extra_dwell_epochs negative or non-finite
+    kDwellRangeInverted,  ///< min_dwell_epochs > max_dwell_epochs
+    kBadPitch,           ///< pitch_m not finite and > 0
+    kBadTick,            ///< session.tick_s not finite and > 0
   };
 
   CampusConfigError(Code code, const std::string& what)
@@ -117,10 +131,11 @@ class CampusSim {
   /// Throws CampusConfigError for a config it cannot run to completion.
   explicit CampusSim(const CampusConfig& config);
 
-  /// Advances one epoch: one barriered parallel phase over shards — a
-  /// single fused pass per shard (per slot: batched sample, classifier
-  /// observe, MAC, roam/handover send, end-of-dwell staging) — then the
-  /// serial tail (mailbox drain, streamed arrivals, departure fold).
+  /// Advances one epoch: the serial take of the epoch's arrivals, then one
+  /// barriered parallel phase — a single fused pass per shard (per slot:
+  /// batched sample, classifier observe, MAC, roam/handover send,
+  /// end-of-dwell staging) beside the recycled arrivals' builds — then the
+  /// serial tail (mailbox drain, arrival placement, departure fold).
   void step_epoch();
 
   /// Runs step_epoch() up to config.horizon_epochs.
@@ -141,11 +156,12 @@ class CampusSim {
   std::uint64_t deferred_handovers() const;
   std::size_t mailbox_max_depth() const { return mailbox_.max_depth(); }
 
-  /// Heap allocations observed inside the fused parallel phase since
-  /// construction. Only meters when
-  /// jobs == 1 (the serial soak configuration); counts only advance when
-  /// the mobiwlan_alloc_hook override is linked. Slot-stable batches plus
-  /// pooled sessions make this zero in steady state.
+  /// Heap allocations observed inside the fused shard passes since
+  /// construction (arrival builds share the phase but not the meter).
+  /// Only meters when jobs == 1 (the serial soak configuration); counts
+  /// only advance when the mobiwlan_alloc_hook override is linked.
+  /// Slot-stable batches plus pooled sessions make this zero in steady
+  /// state.
   std::uint64_t hot_phase_allocs() const;
 
   /// Sessions a shard currently hosts (tests assert the partition spreads).
@@ -176,12 +192,33 @@ class CampusSim {
     std::uint64_t hot_allocs = 0;   ///< metered only when jobs == 1
   };
 
-  template <typename Fn>
-  void for_each_shard(Fn&& body);  ///< parallel when a pool exists; barrier
+  // One worker slot's scratch for arrival builds (parallel_for's dense
+  // slot index; slot 0 is the calling thread, which also primes fresh
+  // sessions at take). Line-aligned: slots are written by different
+  // workers.
+  struct alignas(64) BuildSlot {
+    ChannelBatch::Scratch scratch;
+    ChannelSample sample;
+  };
 
-  void phase_shard(std::size_t s);     // fused parallel phase for one shard
+  // One arrival of the current epoch, from take (serial, before the phase)
+  // through build (parallel, when stale) to placement (serial).
+  struct Arrival {
+    SessionPool::Taken taken;
+    std::uint64_t id = 0;
+    std::uint64_t dwell = 0;
+  };
+
+  /// Arrivals per build work item: ~150 us of reinit + prime, far above a
+  /// parallel_for claim, while the default campus's ~1250 arrivals per
+  /// epoch still split into ~40 items that fill shard imbalance.
+  static constexpr std::size_t kArrivalChunk = 32;
+
+  void take_arrivals();                // serial, ascending id within epoch
+  void phase_shard(std::size_t s);     // fused parallel pass for one shard
+  void build_arrivals(std::size_t chunk, BuildSlot& slot);  // parallel
   void drain_mailbox();                // serial, fixed (dst, src) order
-  void admit_arrivals();               // serial, ascending id within epoch
+  void place_arrivals();               // serial, bucket order
   void fold_departures();              // serial, ascending session id
   void place(std::size_t dst, SessionPtr sp);  // slot insert (serial phases)
 
@@ -198,18 +235,17 @@ class CampusSim {
   // counter-based arrival draw (a pure function of (master seed, id), so
   // re-deriving is free of draw-order coupling) and buckets the ids by
   // arrival epoch, ascending within each bucket — the old sorted-schedule
-  // admission order, at 8 bytes per not-yet-arrived id. Each epoch admits
-  // its bucket and releases it; the dwell draw happens at admission,
+  // admission order, at 8 bytes per not-yet-arrived id. Each epoch takes
+  // its bucket and releases it; the dwell draw happens at take,
   // continuing the id's substream exactly where schedule construction
   // would have.
   std::vector<std::vector<std::uint64_t>> arrival_buckets_;
   Rng arrivals_root_;
   int arrival_window_ = 1;
+  std::vector<Arrival> pending_;  ///< this epoch's; reserved to max bucket
 
-  // Serial-phase scratch, reused across epochs.
-  ChannelBatch::Scratch prime_scratch_;
-  ChannelSample prime_sample_;
-  std::vector<SessionStats> departed_stats_;
+  std::vector<BuildSlot> build_slots_;  ///< one per worker slot, pre-warmed
+  std::vector<SessionStats> departed_stats_;  ///< fold scratch
 
   CampusAggregate aggregate_;
   std::uint64_t epoch_ = 0;

@@ -100,12 +100,18 @@ void Session::reinit(std::uint64_t id, std::uint64_t arrival_epoch,
   const Vec2 hi = map_.bounds_max();
   const Vec2 home{home_rng.uniform(lo.x, hi.x), home_rng.uniform(lo.y, hi.y)};
   const double t0 = static_cast<double>(arrival_epoch) * params_.tick_s;
-  const double dwell_s = static_cast<double>(dwell_epochs) * params_.tick_s;
-  const auto n_legs =
-      static_cast<std::size_t>(dwell_s / params_.walk_leg_s) + 2;
   walk_.rebuild(home, lo, hi, t0, params_.walk_leg_s, params_.walk_wander_m,
-                n_legs, base_.stream(kWalkSalt).seed());
+                walk_legs(dwell_epochs), base_.stream(kWalkSalt).seed());
   associate(map_.nearest_ap(home));
+}
+
+std::size_t Session::walk_legs(std::uint64_t dwell_epochs) const {
+  const double dwell_s = static_cast<double>(dwell_epochs) * params_.tick_s;
+  return static_cast<std::size_t>(dwell_s / params_.walk_leg_s) + 2;
+}
+
+void Session::reserve(std::uint64_t dwell_epochs) {
+  walk_.reserve(walk_legs(dwell_epochs));
 }
 
 void Session::associate(std::size_t ap) {

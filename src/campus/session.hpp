@@ -123,6 +123,10 @@ class CampusWalk final : public Trajectory {
 
   Vec2 home() const { return waypoints_.front(); }
 
+  /// Grows the waypoint table to hold an `n_legs` walk, so the matching
+  /// rebuild() does not allocate.
+  void reserve(std::size_t n_legs) { waypoints_.reserve(n_legs + 1); }
+
   /// Cache-hint: streams the waypoint table in ahead of position().
   void prefetch() const {
     prefetch_lines(waypoints_.data(), waypoints_.size() * sizeof(Vec2));
@@ -176,6 +180,12 @@ class Session {
   void reinit(std::uint64_t id, std::uint64_t arrival_epoch,
               std::uint64_t dwell_epochs);
 
+  /// Grows every buffer a reinit(…, dwell_epochs) rebuilds — the walk's
+  /// waypoint table; the channel, classifier and RA buffers keep their
+  /// size — so the following reinit + prime is allocation-free on any
+  /// thread. SessionPool::take calls it serially for recycled sessions.
+  void reserve(std::uint64_t dwell_epochs);
+
   /// The two-sample association burst at arrival: samples at
   /// t_arrive - tick and t_arrive establish the classifier's similarity
   /// anchor (and take its one-time allocations) before the session enters
@@ -227,6 +237,7 @@ class Session {
 
  private:
   void associate(std::size_t ap);
+  std::size_t walk_legs(std::uint64_t dwell_epochs) const;
   void observe(double t, std::uint64_t epoch, const ChannelSample& sample);
 
   const CampusMap& map_;

@@ -13,9 +13,12 @@
 // the pool that created it, but its *ownership* travels — a cross-shard
 // handover moves the SessionPtr through the mailbox, and the deleter
 // releases the object back to its origin pool whenever the session departs,
-// from whichever shard it happens to be on. All acquire/release calls occur
-// in the simulator's serial phases (admit/drain/fold), so the pool needs no
-// locking; the parallel hot phase only ever dereferences stable pointers.
+// from whichever shard it happens to be on. Every free-list and slab
+// operation — take (and so acquire) and release — runs in the simulator's
+// serial phases (take before the epoch's parallel phase, fold after it), so
+// the pool needs no locking. The parallel phase only dereferences stable
+// pointers: shards step the sessions they host, and arrival builds
+// reinit + prime sessions already taken, which no shard references.
 //
 // Slab addresses never move (slabs are allocated once and kept), so &walk_
 // aliases and ChannelBatch slot pointers taken from pooled sessions stay
@@ -61,18 +64,29 @@ class SessionPool {
     }
   }
 
-  /// Hands out a session initialized exactly as Session{id, master_seed,
-  /// map, params, arrival_epoch, dwell_epochs}: a recycled slot reaches that
-  /// state via reinit (allocation-free), a fresh slot via placement-new.
-  /// master_seed/map/params must be the same on every call (one campus).
-  SessionPtr acquire(std::uint64_t id, std::uint64_t master_seed,
-                     const CampusMap& map, const SessionParams& params,
-                     std::uint64_t arrival_epoch, std::uint64_t dwell_epochs) {
+  /// A slot taken for one arrival. `stale` is false for a fresh slot,
+  /// constructed by take() and ready; true for a recycled one, which still
+  /// holds its previous occupant until the caller runs
+  /// `session->reinit(id, arrival_epoch, dwell_epochs)`.
+  struct Taken {
+    SessionPtr session;
+    bool stale = false;
+  };
+
+  /// The serial half of acquire(): pops the free list (LIFO) or constructs
+  /// Session{id, master_seed, map, params, arrival_epoch, dwell_epochs} in
+  /// the next slab slot. A recycled session's buffers are grown here for
+  /// `dwell_epochs`, so its reinit + prime can run on any thread without
+  /// touching the heap. master_seed/map/params must be the same on every
+  /// call (one campus).
+  Taken take(std::uint64_t id, std::uint64_t master_seed, const CampusMap& map,
+             const SessionParams& params, std::uint64_t arrival_epoch,
+             std::uint64_t dwell_epochs) {
     if (!free_.empty()) {
       Session* s = free_.back();
       free_.pop_back();
-      s->reinit(id, arrival_epoch, dwell_epochs);
-      return SessionPtr{s, PoolDeleter{this}};
+      s->reserve(dwell_epochs);
+      return {SessionPtr{s, PoolDeleter{this}}, true};
     }
     if (slabs_.empty() || slabs_.back().constructed == slab_sessions_) {
       Slab slab;
@@ -85,7 +99,18 @@ class SessionPool {
     Session* s = new (slab.data + slab.constructed)
         Session(id, master_seed, map, params, arrival_epoch, dwell_epochs);
     ++slab.constructed;
-    return SessionPtr{s, PoolDeleter{this}};
+    return {SessionPtr{s, PoolDeleter{this}}, false};
+  }
+
+  /// Hands out a session initialized exactly as Session{id, master_seed,
+  /// map, params, arrival_epoch, dwell_epochs}: take() plus, for a recycled
+  /// slot, the in-place reinit (allocation-free).
+  SessionPtr acquire(std::uint64_t id, std::uint64_t master_seed,
+                     const CampusMap& map, const SessionParams& params,
+                     std::uint64_t arrival_epoch, std::uint64_t dwell_epochs) {
+    Taken t = take(id, master_seed, map, params, arrival_epoch, dwell_epochs);
+    if (t.stale) t.session->reinit(id, arrival_epoch, dwell_epochs);
+    return std::move(t.session);
   }
 
   /// Returns a session to the free list. The object stays constructed; its

@@ -5,6 +5,7 @@
 #include "campus/campus.hpp"
 
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,59 @@ TEST(CampusConfigValidation, RejectsHorizonShorterThanWindowPlusMaxDwell) {
   EXPECT_EQ(sim.arrived(), cfg.n_sessions);
   EXPECT_EQ(sim.departed(), sim.arrived());
   EXPECT_EQ(sim.active(), 0u);
+}
+
+TEST(CampusConfigValidation, RejectsArrivalWindowAboveIntMax) {
+  // The arrival draw is uniform_int(1, window): a wider window would narrow
+  // and index past the arrival buckets. The horizon is kept long enough
+  // that only the window itself is wrong.
+  campus::CampusConfig cfg = small_config();
+  cfg.arrival_window_epochs =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + 1;
+  cfg.horizon_epochs = ~std::uint64_t{0};
+  expect_rejected(cfg, campus::CampusConfigError::Code::kArrivalWindowTooLong);
+}
+
+TEST(CampusConfigValidation, RejectsNegativeOrNonFiniteExtraDwell) {
+  for (const double mean : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    campus::CampusConfig cfg = small_config();
+    cfg.mean_extra_dwell_epochs = mean;
+    expect_rejected(cfg, campus::CampusConfigError::Code::kBadExtraDwell);
+  }
+  campus::CampusConfig cfg = small_config();
+  cfg.mean_extra_dwell_epochs = 0.0;  // every session dwells exactly min
+  campus::CampusSim sim(cfg);
+  sim.run();
+  EXPECT_EQ(sim.aggregate().sum_dwell_epochs,
+            static_cast<double>(cfg.min_dwell_epochs * cfg.n_sessions));
+}
+
+TEST(CampusConfigValidation, RejectsMinDwellAboveMaxDwell) {
+  campus::CampusConfig cfg = small_config();  // max dwell 24
+  cfg.min_dwell_epochs = 25;
+  expect_rejected(cfg, campus::CampusConfigError::Code::kDwellRangeInverted);
+}
+
+TEST(CampusConfigValidation, RejectsNonPositiveOrNonFinitePitch) {
+  // A NaN pitch would reach nearest_ap's size_t cast.
+  for (const double pitch : {0.0, -30.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    campus::CampusConfig cfg = small_config();
+    cfg.pitch_m = pitch;
+    expect_rejected(cfg, campus::CampusConfigError::Code::kBadPitch);
+  }
+}
+
+TEST(CampusConfigValidation, RejectsNonPositiveOrNonFiniteTick) {
+  for (const double tick : {0.0, -0.5,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    campus::CampusConfig cfg = small_config();
+    cfg.session.tick_s = tick;
+    expect_rejected(cfg, campus::CampusConfigError::Code::kBadTick);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 //   - SessionPool recycling: a released session's memory is handed back by
 //     the next acquire (LIFO), reinitialized in place with zero heap
 //     traffic once its internal buffers have grown;
+//   - the split take/build path CampusSim runs: take (serial) grows a
+//     recycled session's buffers for its new dwell, so the build — reinit
+//     + prime with a warmed scratch, which runs on pool workers — never
+//     touches the heap and lands on the fresh-construction bits;
 //   - slab growth tracks peak RESIDENCY, not total churn: a campus that
 //     admits N sessions over a long window constructs far fewer than N
 //     slab slots;
@@ -49,6 +53,50 @@ TEST(SessionPool, RecycledAcquireReusesMemoryWithoutAllocating) {
   EXPECT_EQ(second->id(), 8u);
   EXPECT_EQ(second->stats().arrival_epoch, 2u);
   EXPECT_EQ(second->depart_epoch(), 14u);
+}
+
+TEST(SessionPool, TakeLeavesRecycledBuildAllocationFree) {
+  ASSERT_TRUE(alloc_hook_active())
+      << "counting allocator not linked; test would vacuously pass";
+
+  campus::CampusConfig cfg = campus::campus_default_config();
+  campus::CampusMap map(cfg.cols, cfg.rows, cfg.pitch_m);
+  campus::SessionPool pool(64);
+  ChannelBatch::Scratch scratch;
+  ChannelSample sample;
+
+  // An empty free list: take constructs in the slab, ready to prime.
+  campus::SessionPool::Taken first = pool.take(
+      7, cfg.master_seed, map, cfg.session, 1, cfg.min_dwell_epochs);
+  ASSERT_FALSE(first.stale);
+  EXPECT_EQ(first.session->id(), 7u);
+  first.session->prime(scratch, sample);  // warms the scratch
+  campus::Session* raw = first.session.get();
+  first.session.reset();
+
+  // The recycled slot comes back stale; the longest dwell needs a larger
+  // walk than the shortest one it last held, which take must provide.
+  const std::uint64_t dwell = cfg.max_dwell_epochs;
+  campus::SessionPool::Taken taken =
+      pool.take(8, cfg.master_seed, map, cfg.session, 2, dwell);
+  ASSERT_TRUE(taken.stale);
+  EXPECT_EQ(taken.session.get(), raw) << "free list is LIFO";
+  EXPECT_EQ(taken.session->id(), 7u) << "take left init to the build step";
+
+  const std::uint64_t before = alloc_count();
+  taken.session->reinit(8, 2, dwell);
+  taken.session->prime(scratch, sample);
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "recycled reinit + prime touched the heap";
+
+  // The split path lands on the fresh-construction bits.
+  campus::Session fresh(8, cfg.master_seed, map, cfg.session, 2, dwell);
+  ChannelBatch::Scratch fresh_scratch;
+  ChannelSample fresh_sample;
+  fresh.prime(fresh_scratch, fresh_sample);
+  EXPECT_EQ(taken.session->stats().digest, fresh.stats().digest);
+  EXPECT_EQ(taken.session->depart_epoch(), fresh.depart_epoch());
+  EXPECT_EQ(taken.session->serving_ap(), fresh.serving_ap());
 }
 
 TEST(CampusPoolChurn, SlabGrowthTracksPeakResidencyAndHotPhaseGoesQuiet) {

@@ -6,6 +6,7 @@
 // gated by `mobiwlan-bench --suite campus` (`ci/gate.sh campus`); this file
 // keeps the property cheap to run and easy to bisect.
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,7 @@ struct RunResult {
   RunSummary summary;
   std::uint64_t handovers_sent;
   std::uint64_t deferred;
+  std::size_t pool_sessions;
 };
 
 RunResult run(campus::CampusConfig cfg, std::size_t shards, std::size_t jobs) {
@@ -46,7 +48,8 @@ RunResult run(campus::CampusConfig cfg, std::size_t shards, std::size_t jobs) {
   cfg.jobs = jobs;
   campus::CampusSim sim(cfg);
   sim.run();
-  return {summarize(sim), sim.handovers_sent(), sim.deferred_handovers()};
+  return {summarize(sim), sim.handovers_sent(), sim.deferred_handovers(),
+          sim.pool_sessions()};
 }
 
 TEST(ShardInvariance, AggregateIdenticalAcrossShardCounts) {
@@ -77,6 +80,39 @@ TEST(ShardInvariance, AggregateIdenticalAcrossWorkerCounts) {
   // shard is scheduling, what the shard sends is not.
   EXPECT_EQ(serial.handovers_sent, pooled8.handovers_sent);
   EXPECT_EQ(serial.deferred, pooled8.deferred);
+}
+
+TEST(ShardInvariance, ArrivalHeavyEpochsIdenticalAcrossWorkerCounts) {
+  // ~1000 arrivals per epoch: each epoch's arrival builds split into ~32
+  // chunks, more than any shard count below, and short dwells free enough
+  // sessions by epoch 3 that most later arrivals are recycled — built on
+  // pool workers concurrently with the shard passes.
+  campus::CampusConfig cfg = base_config();
+  cfg.n_sessions = 4000;
+  cfg.arrival_window_epochs = 4;
+  cfg.min_dwell_epochs = 2;
+  cfg.mean_extra_dwell_epochs = 1.0;
+  cfg.max_dwell_epochs = 6;
+  cfg.horizon_epochs = 12;
+
+  const RunResult reference = run(cfg, 1, 1);
+  EXPECT_LT(reference.pool_sessions, cfg.n_sessions * 3 / 4)
+      << "too few arrivals recycled a pooled session";
+  for (const std::size_t shards : {1u, 4u, 16u}) {
+    const RunResult serial = run(cfg, shards, 1);
+    expect_summaries_equal(reference.summary, serial.summary,
+                           "1 shard vs partitioned");
+    EXPECT_EQ(serial.pool_sessions, reference.pool_sessions);
+    for (const std::size_t jobs : {2u, 4u, 8u}) {
+      const RunResult pooled = run(cfg, shards, jobs);
+      const std::string label = std::to_string(shards) + " shards, jobs 1 vs " +
+                                std::to_string(jobs);
+      expect_summaries_equal(serial.summary, pooled.summary, label.c_str());
+      EXPECT_EQ(serial.handovers_sent, pooled.handovers_sent) << label;
+      EXPECT_EQ(serial.deferred, pooled.deferred) << label;
+      EXPECT_EQ(serial.pool_sessions, pooled.pool_sessions) << label;
+    }
+  }
 }
 
 TEST(ShardInvariance, BoundaryCrossingMidWindowCarriesClassifierState) {
