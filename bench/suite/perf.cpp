@@ -2,11 +2,12 @@
 //
 // The cases cover the per-packet pipeline the runtime loops execute
 // millions of times per study — full channel sampling, bare CSI synthesis
-// (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step —
-// plus pool dispatch and one campus epoch. Each case exercises the
-// scratch-buffer (zero-allocation) API that the steady-state loops use, so
-// allocs_per_op doubles as a regression check on the allocation-free
-// contract whenever the counting hook is linked (it is, in mobiwlan-bench).
+// (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step, the
+// A-MPDU loss kernel — plus pool dispatch and one campus epoch. Each case
+// exercises the scratch-buffer (zero-allocation) API that the steady-state
+// loops use, so allocs_per_op doubles as a regression check on the
+// allocation-free contract whenever the counting hook is linked (it is, in
+// mobiwlan-bench).
 //
 // The workload construction is deliberately simple and self-contained so
 // the numbers stay comparable across refactors: a strong-activity channel
@@ -27,6 +28,7 @@
 #include "chan/trajectory.hpp"
 #include "core/csi_similarity.hpp"
 #include "core/mobility_classifier.hpp"
+#include "mac/aggregation.hpp"
 #include "phy/aoa.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
@@ -166,6 +168,21 @@ PerfResult run_classifier_csi_step(double min_time_s) {
   });
 }
 
+PerfResult run_ampdu_errors(double min_time_s) {
+  // One full A-MPDU through the loss kernel: 64 MPDUs of 1500 B at MCS 12
+  // on a channel that decorrelated by 2% over the frame, so every MPDU
+  // ages differently and none takes the flat-frame path. The SNR sweeps
+  // 15-30 dB to cover both the waterfall and the error floor.
+  MpduErrors out;
+  const McsEntry& entry = mcs(12);
+  int k = 0;
+  return measure("ampdu_errors", min_time_s, [&] {
+    const double snr_db = 15.0 + static_cast<double>(k++ % 16);
+    ampdu_mpdu_errors(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {}, out);
+    asm volatile("" : : "r"(&out) : "memory");
+  });
+}
+
 PerfResult run_pool_post_many(double min_time_s) {
   // Dispatch overhead of the batched enqueue: one op = post_many() of 64
   // no-op tasks (one lock + one notify_all) plus the completion wait. The
@@ -238,6 +255,9 @@ const std::vector<PerfCaseDef>& perf_registry() {
        run_csi_similarity},
       {"classifier_csi_step", "MobilityClassifier::on_csi steady-state step",
        run_classifier_csi_step},
+      {"ampdu_errors",
+       "A-MPDU loss kernel: one aged 64-MPDU frame priced per MPDU",
+       run_ampdu_errors},
       {"pool_post_many", "64-task batched enqueue + drain on a 1-worker pool",
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",

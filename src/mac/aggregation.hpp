@@ -8,10 +8,12 @@
 // limit for the classified mobility mode; the stock driver uses a fixed 4 ms.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "core/mobility_mode.hpp"
 #include "phy/airtime.hpp"
+#include "phy/error_model.hpp"
 #include "phy/mcs.hpp"
 
 namespace mobiwlan {
@@ -37,6 +39,25 @@ struct AmpduPlan {
   /// mismatch for that subframe.
   double mpdu_age_fraction(int i) const;
 };
+
+/// Per-MPDU error rates of one A-MPDU; entries [0, n_mpdus) are valid.
+struct MpduErrors {
+  std::array<double, kMaxAmpduMpdus> per{};  ///< loss probability of MPDU i
+  std::array<double, kMaxAmpduMpdus> ber{};  ///< coded BER of MPDU i (SoftPHY)
+};
+
+/// The A-MPDU loss kernel: prices every MPDU of a frame sent at `snr_db`
+/// whose channel decorrelated by `decorr_end` between the preamble estimate
+/// and the frame end. MPDU i ages by decorr_end * mpdu_age_fraction(i), so
+///   per[i] == per_with_aging(mcs_entry, snr_db, payload_bytes, that aging)
+/// and ber[i] is the coded BER behind that PER, bitwise. Per-frame
+/// invariants (1/snr, stream split, payload bits) are computed once, and a
+/// flat frame (decorr_end <= 0: every MPDU's aging clamps to 0) is priced
+/// once for all its MPDUs. Requires 1 <= n_mpdus <= kMaxAmpduMpdus; draws
+/// no randomness and never allocates.
+void ampdu_mpdu_errors(const McsEntry& mcs_entry, double snr_db,
+                       double decorr_end, int n_mpdus, int payload_bytes,
+                       const ErrorModelConfig& config, MpduErrors& out);
 
 /// Plan an A-MPDU at the given MCS under an aggregation-time limit.
 AmpduPlan plan_ampdu(const McsEntry& mcs_entry, double limit_s,

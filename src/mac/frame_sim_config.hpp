@@ -1,0 +1,52 @@
+// frame_sim_config.hpp — the up-front config check shared by the frame
+// simulators (simulate_link, simulate_latency, simulate_overall).
+//
+// Each of them advances time frame by frame and catches the classifier up
+// on its CSI/ToF cadences with `while (next_t <= t) next_t += period`
+// loops. A zero, negative or NaN period spins those loops forever, an
+// infinite duration never ends, and a negative payload makes airtime (and
+// so time itself) run backwards. The simulators reject such configs before
+// the first frame instead.
+#pragma once
+
+#include <stdexcept>
+#include <string>
+
+#include "core/mobility_classifier.hpp"
+
+namespace mobiwlan {
+
+/// A frame-simulator config that cannot run to completion, with the reason
+/// as a code.
+class FrameSimConfigError : public std::invalid_argument {
+ public:
+  enum class Code {
+    kBadDuration,     ///< duration_s not finite and > 0
+    kBadPayload,      ///< mpdu_payload_bytes < 0
+    kBadCsiPeriod,    ///< classifier on and csi_period_s not finite and > 0
+    kBadTofPeriod,    ///< classifier on and tof_period_s not finite and > 0
+    kBadOfferedLoad,  ///< simulate_latency: offered_pps not finite and > 0
+  };
+
+  FrameSimConfigError(Code code, const std::string& what)
+      : std::invalid_argument(what), code_(code) {}
+
+  Code code() const { return code_; }
+
+ private:
+  Code code_;
+};
+
+/// Throws FrameSimConfigError(code), naming `who` and `field`, unless `v`
+/// is finite and > 0.
+void require_finite_positive(FrameSimConfigError::Code code, const char* who,
+                             const char* field, double v);
+
+/// Throws FrameSimConfigError (message prefixed with `who`) for the fields
+/// every frame simulator shares. `classifier` is null when the classifier
+/// is off; its cadences are then never read and go unchecked.
+void validate_frame_sim_config(const char* who, double duration_s,
+                               int mpdu_payload_bytes,
+                               const MobilityClassifier::Config* classifier);
+
+}  // namespace mobiwlan

@@ -1,5 +1,6 @@
 #include "mac/latency_sim.hpp"
 
+#include "mac/frame_sim_config.hpp"
 #include "phy/mcs.hpp"
 
 namespace mobiwlan {
@@ -28,6 +29,22 @@ void ground_csi(bool ok, const char* what) {
 
 }  // namespace
 
+int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
+                          double decorr_end, int n_mpdus, int payload_bytes,
+                          const ErrorModelConfig& config, Rng& rng,
+                          std::vector<bool>& delivered) {
+  MpduErrors errors;
+  ampdu_mpdu_errors(mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes,
+                    config, errors);
+  delivered.resize(static_cast<std::size_t>(n_mpdus));
+  int n_failed = 0;
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    delivered[i] = !rng.chance(errors.per[i]);
+    if (!delivered[i]) ++n_failed;
+  }
+  return n_failed;
+}
+
 LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,
                                   const LatencySimConfig& config, Rng& rng) {
   trace::LiveChannelSource live(*scenario.channel);
@@ -38,6 +55,11 @@ LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,
 LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
                                   const LatencySimConfig& config, Rng& rng) {
   using trace::StreamKind;
+  validate_frame_sim_config(
+      "latency sim", config.duration_s, config.mpdu_payload_bytes,
+      config.run_classifier ? &config.classifier : nullptr);
+  require_finite_positive(FrameSimConfigError::Code::kBadOfferedLoad,
+                          "latency sim", "offered_pps", config.offered_pps);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, "latency sim");
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof},
@@ -55,6 +77,8 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
   long delivered_bytes = 0;
 
   CsiMatrix meas_csi, h_start, h_end;
+  std::vector<bool> delivered;
+  delivered.reserve(kMaxAmpduMpdus);
 
   while (t < config.duration_s) {
     // CBR arrivals up to now. The flow stops at duration_s: arrivals at or
@@ -124,18 +148,10 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
     ground_csi(src.csi_true(0, t + frame_airtime, h_end), "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
-    std::vector<bool> delivered(frame.size());
-    int n_failed = 0;
-    AmpduPlan plan;
-    plan.n_mpdus = n;
-    plan.frame_airtime_s = frame_airtime;
-    for (int i = 0; i < n; ++i) {
-      const double decorr = decorr_end * plan.mpdu_age_fraction(i);
-      const double p = per_with_aging(entry, eff_snr, config.mpdu_payload_bytes,
-                                      decorr, config.error_model);
-      delivered[static_cast<std::size_t>(i)] = !rng.chance(p);
-      if (!delivered[static_cast<std::size_t>(i)]) ++n_failed;
-    }
+    const int n_failed =
+        draw_ampdu_deliveries(entry, eff_snr, decorr_end, n,
+                              config.mpdu_payload_bytes, config.error_model,
+                              rng, delivered);
 
     const auto outcome = window.on_block_ack(frame, delivered);
     for (const TrackedMpdu& m : outcome.delivered) {

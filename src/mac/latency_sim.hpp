@@ -9,6 +9,8 @@
 // Block ACK machinery and reports the delivery-latency distribution.
 #pragma once
 
+#include <vector>
+
 #include "chan/scenario.hpp"
 #include "core/mobility_classifier.hpp"
 #include "fault/fault.hpp"
@@ -52,6 +54,16 @@ struct LatencySimResult {
   double goodput_mbps = 0.0;
 };
 
+/// The loss draw of one simulate_latency frame: prices its n_mpdus MPDUs
+/// with ampdu_mpdu_errors, then draws each MPDU's delivery from `rng` in
+/// MPDU order into `delivered` (resized to n_mpdus). Returns the number
+/// lost. Allocation-free once `delivered` has capacity for n_mpdus;
+/// simulate_latency reserves kMaxAmpduMpdus once and reuses it every frame.
+int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
+                          double decorr_end, int n_mpdus, int payload_bytes,
+                          const ErrorModelConfig& config, Rng& rng,
+                          std::vector<bool>& delivered);
+
 /// Run a CBR downlink through the Block ACK machinery. Applies config.fault
 /// via a FaultedSource and delegates to the source-driven overload —
 /// bitwise-identical to the historical inline loop.
@@ -60,7 +72,9 @@ LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,
 
 /// Source-driven overload (live channel, recording tee, or trace replay;
 /// unit 0). config.fault is NOT applied here — compose a FaultedSource when
-/// faulting a live or replayed source.
+/// faulting a live or replayed source. Both overloads throw
+/// FrameSimConfigError (mac/frame_sim_config.hpp) for a config they cannot
+/// run to completion.
 LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
                                   const LatencySimConfig& config, Rng& rng);
 

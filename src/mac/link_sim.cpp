@@ -4,6 +4,7 @@
 
 #include "core/csi_similarity.hpp"
 #include "core/policy.hpp"
+#include "mac/frame_sim_config.hpp"
 
 namespace mobiwlan {
 
@@ -42,6 +43,9 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
                             const LinkSimConfig& config, Rng& rng,
                             std::optional<MobilityClass> sensor_truth) {
   using trace::StreamKind;
+  validate_frame_sim_config(
+      "link sim", config.duration_s, config.mpdu_payload_bytes,
+      config.run_classifier ? &config.classifier : nullptr);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, "link sim");
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof}, "link sim classifier");
@@ -55,6 +59,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
   long delivered_bytes = 0;
 
   CsiMatrix meas_csi, h_start, h_end;
+  MpduErrors errors;
 
   // Client PHY feedback (SoftRate / ESNR) carries the previous frame's view.
   std::optional<double> feedback_esnr;
@@ -154,18 +159,15 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
       n_failed = plan.n_mpdus;
       frame_ber_sum = 0.5 * plan.n_mpdus;
     } else {
-      for (int i = 0; i < plan.n_mpdus; ++i) {
-        const double decorr = decorr_end * plan.mpdu_age_fraction(i);
-        const double p = per_with_aging(entry, eff_snr, config.mpdu_payload_bytes,
-                                        decorr, config.error_model);
-        if (rng.chance(p)) ++n_failed;
-        // SoftPHY sees the whole frame: accumulate the per-MPDU BER the
-        // receiver would measure, aged tail included.
-        frame_ber_sum += coded_ber(
-            entry.modulation, entry.code_rate,
-            per_stream_snr_db(entry, aged_snr_db(eff_snr, decorr),
-                              config.error_model));
-      }
+      ampdu_mpdu_errors(entry, eff_snr, decorr_end, plan.n_mpdus,
+                        config.mpdu_payload_bytes, config.error_model, errors);
+      for (int i = 0; i < plan.n_mpdus; ++i)
+        if (rng.chance(errors.per[static_cast<std::size_t>(i)])) ++n_failed;
+      // SoftPHY sees the whole frame: sum the per-MPDU BER the receiver
+      // would measure, aged tail included, in MPDU order.
+      if (config.provide_phy_feedback)
+        for (int i = 0; i < plan.n_mpdus; ++i)
+          frame_ber_sum += errors.ber[static_cast<std::size_t>(i)];
     }
 
     FrameResult frame;

@@ -99,7 +99,9 @@ LinkSimResult simulate_link(Scenario& scenario, RateAdapter& ra,
 /// channel, recording tee, or trace replay; unit 0). config.fault is NOT
 /// applied here — compose a FaultedSource yourself when faulting a live or
 /// replayed source. `sensor_truth` replaces scenario.truth for the
-/// accelerometer hint (only read when config.provide_sensor_hint).
+/// accelerometer hint (only read when config.provide_sensor_hint). Both
+/// overloads throw FrameSimConfigError (mac/frame_sim_config.hpp) for a
+/// config they cannot run to completion.
 LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
                             const LinkSimConfig& config, Rng& rng,
                             std::optional<MobilityClass> sensor_truth = {});

@@ -29,7 +29,7 @@ int mpdus_within_time(const McsEntry& mcs_entry, double aggregation_time_s,
   const double bits_budget = aggregation_time_s * mcs_entry.rate_mbps * 1e6;
   const double bits_per_mpdu = 8.0 * (mpdu_payload_bytes + config.mpdu_header_bytes);
   const int n = static_cast<int>(bits_budget / bits_per_mpdu);
-  return std::clamp(n, 1, 64);
+  return std::clamp(n, 1, kMaxAmpduMpdus);
 }
 
 double exchange_goodput_mbps(const McsEntry& mcs_entry, int n_mpdus,

@@ -10,6 +10,9 @@
 
 namespace mobiwlan {
 
+/// Most MPDUs one A-MPDU carries: the Block ACK bitmap covers 64.
+inline constexpr int kMaxAmpduMpdus = 64;
+
 struct AirtimeConfig {
   double preamble_s = 36e-6;        ///< L-STF/L-LTF/L-SIG + HT-SIG + HT-STF
   double ht_ltf_per_stream_s = 4e-6;
@@ -30,8 +33,8 @@ double exchange_airtime_s(const McsEntry& mcs_entry, int n_mpdus,
 
 /// Number of MPDUs of `mpdu_payload_bytes` that fit within an aggregation
 /// *time* limit at the given MCS (§5: "Aggregation size = Maximum allowed
-/// aggregation time / Bit-rate"). Always at least 1, capped at 64 (Block ACK
-/// window).
+/// aggregation time / Bit-rate"). Always at least 1, capped at
+/// kMaxAmpduMpdus (Block ACK window).
 int mpdus_within_time(const McsEntry& mcs_entry, double aggregation_time_s,
                       int mpdu_payload_bytes, const AirtimeConfig& config = {});
 

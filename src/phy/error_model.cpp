@@ -20,6 +20,29 @@ double coding_gain_db(double code_rate) {
   return 3.25;  // 5/6
 }
 
+/// coded_ber with the code rate's coding gain already looked up.
+double coded_ber_at_gain(Modulation modulation, double gain_db, double snr_db) {
+  const double b = raw_ber(modulation, snr_db + gain_db);
+  return 2.0 * b * b;
+}
+
+/// 10*log10(streams): the per-stream power split (0 for one stream).
+double stream_split_db(int streams) {
+  return streams > 1 ? 10.0 * std::log10(static_cast<double>(streams)) : 0.0;
+}
+
+/// per_stream_snr_db with the power split already computed; the
+/// subtractions keep their order, so the result is bitwise the same.
+double stream_snr_db(double link_snr_db, int streams, double split_db,
+                     const ErrorModelConfig& config) {
+  double snr = link_snr_db - config.implementation_loss_db;
+  if (streams > 1) {
+    snr -= split_db;
+    snr -= config.stream_penalty_db;
+  }
+  return snr;
+}
+
 }  // namespace
 
 double raw_ber(Modulation modulation, double snr_db) {
@@ -43,34 +66,52 @@ double raw_ber(Modulation modulation, double snr_db) {
   return 0.5;
 }
 
+// Models the Viterbi-decoded BER as the uncoded BER at an SNR boosted by the
+// coding gain, squared (with a small constant) to approximate the steeper
+// coded waterfall: an uncoded 1e-3 maps to ~2e-6.
+//
+// Coding is never worse than the uncoded channel by construction, so no
+// clamp is needed. Let b = raw_ber(snr + gain). The gain is >= 3.25 dB and
+// raw_ber is non-increasing in SNR, so b <= raw_ber(snr). Every raw_ber is
+// <= 0.5, so the exact 2*b*b is <= b, and rounding cannot lift the product
+// past the representable b. Hence 2*b*b <= b <= raw_ber(snr): the former
+// min(raw_ber(snr), 2*b*b) always returned 2*b*b, and dropping it halves
+// the cost. CodedBerClampNeverBinds checks this bitwise over every
+// modulation and code rate.
 double coded_ber(Modulation modulation, double code_rate, double snr_db) {
-  // Model the Viterbi-decoded BER as the uncoded BER at an SNR boosted by the
-  // coding gain, squared (with a small constant) to approximate the steeper
-  // coded waterfall: an uncoded 1e-3 maps to ~2e-6. Clamped so that coding
-  // never makes things worse than the uncoded channel.
-  const double boosted = snr_db + coding_gain_db(code_rate);
-  const double b = raw_ber(modulation, boosted);
-  return std::min(raw_ber(modulation, snr_db), 2.0 * b * b);
+  return coded_ber_at_gain(modulation, coding_gain_db(code_rate), snr_db);
 }
 
 double per_stream_snr_db(const McsEntry& mcs_entry, double link_snr_db,
                          const ErrorModelConfig& config) {
-  double snr = link_snr_db - config.implementation_loss_db;
-  if (mcs_entry.streams > 1) {
-    snr -= 10.0 * std::log10(static_cast<double>(mcs_entry.streams));
-    snr -= config.stream_penalty_db;
-  }
-  return snr;
+  return stream_snr_db(link_snr_db, mcs_entry.streams,
+                       stream_split_db(mcs_entry.streams), config);
+}
+
+ErrorChain::ErrorChain(const McsEntry& mcs_entry, int payload_bytes,
+                       const ErrorModelConfig& config)
+    : config_(config),
+      modulation_(mcs_entry.modulation),
+      streams_(mcs_entry.streams),
+      gain_db_(coding_gain_db(mcs_entry.code_rate)),
+      split_db_(stream_split_db(mcs_entry.streams)),
+      bits_(8.0 * payload_bytes) {}
+
+double ErrorChain::ber(double link_snr_db) const {
+  return coded_ber_at_gain(modulation_, gain_db_,
+                           stream_snr_db(link_snr_db, streams_, split_db_, config_));
+}
+
+double ErrorChain::per(double ber) const {
+  // 1 - (1-ber)^bits, computed in log space for numerical stability.
+  const double log_ok = bits_ * std::log1p(-std::min(ber, 1.0 - 1e-12));
+  return std::clamp(1.0 - std::exp(log_ok), 0.0, 1.0);
 }
 
 double per_from_snr(const McsEntry& mcs_entry, double snr_db, int payload_bytes,
                     const ErrorModelConfig& config) {
-  const double stream_snr = per_stream_snr_db(mcs_entry, snr_db, config);
-  const double ber = coded_ber(mcs_entry.modulation, mcs_entry.code_rate, stream_snr);
-  const double bits = 8.0 * payload_bytes;
-  // 1 - (1-ber)^bits, computed in log space for numerical stability.
-  const double log_ok = bits * std::log1p(-std::min(ber, 1.0 - 1e-12));
-  return std::clamp(1.0 - std::exp(log_ok), 0.0, 1.0);
+  const ErrorChain chain(mcs_entry, payload_bytes, config);
+  return chain.per(chain.ber(snr_db));
 }
 
 double effective_snr_db(const CsiMatrix& csi, double wideband_snr_db) {
@@ -98,9 +139,12 @@ double effective_snr_db(const CsiMatrix& csi, double wideband_snr_db) {
 }
 
 double aged_snr_db(double snr_db, double decorrelation) {
+  return aged_snr_db_from_inverse(1.0 / db_to_linear(snr_db), decorrelation);
+}
+
+double aged_snr_db_from_inverse(double inv_snr, double decorrelation) {
   const double d = std::clamp(decorrelation, 0.0, 1.0 - 1e-9);
-  const double snr = db_to_linear(snr_db);
-  return linear_to_db((1.0 - d) / (1.0 / snr + d));
+  return linear_to_db((1.0 - d) / (inv_snr + d));
 }
 
 double per_with_aging(const McsEntry& mcs_entry, double snr_db, int payload_bytes,

@@ -26,6 +26,7 @@ double raw_ber(Modulation modulation, double snr_db);
 
 /// Coded BER: models convolutional coding as an SNR gain before the raw
 /// BER mapping, with a steepening exponent to approximate the waterfall.
+/// Never above raw_ber at the same SNR (see the proof at the definition).
 double coded_ber(Modulation modulation, double code_rate, double snr_db);
 
 /// Packet error rate of `payload_bytes` at the given MCS and post-processing
@@ -57,6 +58,38 @@ double per_with_aging(const McsEntry& mcs_entry, double snr_db, int payload_byte
 /// The post-equalization SINR (dB) after the channel decorrelated by `d`
 /// since the estimate: SINR = (1-d) / (1/snr + d).
 double aged_snr_db(double snr_db, double decorrelation);
+
+/// aged_snr_db with the link SNR passed as 1/snr (linear), so the MPDUs of
+/// one frame share a single db_to_linear. Bitwise equal to
+/// aged_snr_db(snr_db, d) for inv_snr = 1.0 / db_to_linear(snr_db).
+double aged_snr_db_from_inverse(double inv_snr, double decorrelation);
+
+/// The SNR -> BER -> PER chain of one MCS and payload size, with the
+/// per-call constants (coding gain, stream power split, payload bits)
+/// computed once at construction. per_from_snr runs through it, and the
+/// A-MPDU kernel (mac/aggregation.hpp) builds one per frame so that each
+/// MPDU pays only for its own SNR. Results are bitwise those of
+/// coded_ber(per_stream_snr_db(...)) and per_from_snr.
+class ErrorChain {
+ public:
+  ErrorChain(const McsEntry& mcs_entry, int payload_bytes,
+             const ErrorModelConfig& config = {});
+
+  /// Coded BER at the per-stream SNR of a link SNR (dB): the value that
+  /// drives the PER and that a SoftPHY receiver reports.
+  double ber(double link_snr_db) const;
+
+  /// Packet error rate of one payload at coded bit error rate `ber`.
+  double per(double ber) const;
+
+ private:
+  ErrorModelConfig config_;
+  Modulation modulation_;
+  int streams_;
+  double gain_db_;
+  double split_db_;
+  double bits_;
+};
 
 /// The MCS maximizing expected MAC throughput rate*(1-PER) at this SNR —
 /// the oracle the paper's Fig. 8 uses ("optimal bit-rate").

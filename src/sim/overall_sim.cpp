@@ -7,6 +7,7 @@
 #include "core/tof_tracker.hpp"
 #include "mac/aggregation.hpp"
 #include "mac/atheros_ra.hpp"
+#include "mac/frame_sim_config.hpp"
 #include "net/deployment_source.hpp"
 #include "phy/beamforming.hpp"
 #include "phy/mcs.hpp"
@@ -43,6 +44,9 @@ OverallSimResult simulate_overall(WlanDeployment& wlan,
 OverallSimResult simulate_overall(trace::ObservableSource& src,
                                   const OverallSimConfig& config, Rng& rng) {
   using trace::StreamKind;
+  validate_frame_sim_config(
+      "overall sim", config.duration_s, config.mpdu_payload_bytes,
+      config.mobility_aware ? &config.classifier : nullptr);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr, StreamKind::kRssi,
                StreamKind::kScanRssi, StreamKind::kCsiFeedback},
               "overall sim");
@@ -84,6 +88,7 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
   const bool rssi_only = config.fault.rssi_only;
 
   CsiMatrix meas_csi, h_start, h_end;
+  MpduErrors errors;
   std::vector<std::optional<double>> sweep(src.n_units());
 
   const double fb_airtime = feedback_exchange_airtime_s(config.feedback);
@@ -227,13 +232,11 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
                "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
+    ampdu_mpdu_errors(entry, snr, decorr_end, plan.n_mpdus,
+                      config.mpdu_payload_bytes, config.error_model, errors);
     int n_failed = 0;
-    for (int i = 0; i < plan.n_mpdus; ++i) {
-      const double decorr = decorr_end * plan.mpdu_age_fraction(i);
-      const double p = per_with_aging(entry, snr, config.mpdu_payload_bytes,
-                                      decorr, config.error_model);
-      if (rng.chance(p)) ++n_failed;
-    }
+    for (int i = 0; i < plan.n_mpdus; ++i)
+      if (rng.chance(errors.per[static_cast<std::size_t>(i)])) ++n_failed;
 
     FrameResult frame;
     frame.t = t;

@@ -60,7 +60,9 @@ OverallSimResult simulate_overall(WlanDeployment& wlan,
 /// Source-driven overload (unit = AP index). config.fault IS applied here —
 /// the loop gates exports with its own per-AP fault streams (the batched ToF
 /// sweep always draws for every AP; drops lose individual exports after the
-/// fact) — so do NOT also wrap the source in a FaultedSource.
+/// fact) — so do NOT also wrap the source in a FaultedSource. Both
+/// overloads throw FrameSimConfigError (mac/frame_sim_config.hpp) for a
+/// config they cannot run to completion.
 OverallSimResult simulate_overall(trace::ObservableSource& src,
                                   const OverallSimConfig& config, Rng& rng);
 

@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/policy.hpp"
+#include "phy/error_model.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -74,6 +81,68 @@ TEST(AmpduPlanTest, ZeroMpdusSafe) {
   AmpduPlan plan;
   plan.n_mpdus = 0;
   EXPECT_DOUBLE_EQ(plan.mpdu_age_fraction(0), 0.0);
+}
+
+/// The SoftPHY BER chain the frame simulators ran per MPDU before the
+/// kernel. coded_ber is now 2*b*b, so this restates its former clamp
+/// min(raw_ber, 2*b*b) around it.
+double reference_ber(const McsEntry& e, double snr_db, double decorrelation,
+                     const ErrorModelConfig& config) {
+  const double stream_snr =
+      per_stream_snr_db(e, aged_snr_db(snr_db, decorrelation), config);
+  return std::min(raw_ber(e.modulation, stream_snr),
+                  coded_ber(e.modulation, e.code_rate, stream_snr));
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(AmpduErrorsTest, BitwiseEqualToPerMpduChain) {
+  // The kernel must reproduce the per-MPDU per_with_aging / SoftPHY BER
+  // chain exactly: flat frames (decorr_end <= 0, incl. -0.0 and rounding
+  // negatives), fresh-ish, aged and clamped (>= 1) frames.
+  const ErrorModelConfig config;
+  const int payload = 1500;
+  const double decorrs[] = {-1e-16, -0.0, 0.0, 1e-9, 0.01, 0.3,
+                            1.0 - 1e-10, 1.0, 1.5};
+  MpduErrors out;
+  long mismatches = 0;
+  std::string first;
+  for (const McsEntry& e : mcs_table()) {
+    for (int step = 0; step <= 280; ++step) {
+      const double snr = -10.0 + 0.25 * step;
+      for (double decorr_end : decorrs) {
+        for (int n : {1, 2, 17, 45, 64}) {
+          ampdu_mpdu_errors(e, snr, decorr_end, n, payload, config, out);
+          const AmpduPlan plan{n, 0.0};
+          for (int i = 0; i < n; ++i) {
+            const double d = decorr_end * plan.mpdu_age_fraction(i);
+            const auto k = static_cast<std::size_t>(i);
+            const double per = per_with_aging(e, snr, payload, d, config);
+            const double ber = reference_ber(e, snr, d, config);
+            if (same_bits(out.per[k], per) && same_bits(out.ber[k], ber))
+              continue;
+            if (mismatches++ == 0)
+              first = "mcs " + std::to_string(e.index) + " snr " +
+                      std::to_string(snr) + " decorr_end " +
+                      std::to_string(decorr_end) + " n " + std::to_string(n) +
+                      " i " + std::to_string(i);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
+}
+
+TEST(AmpduErrorsTest, RejectsMpduCountOutsideBlockAckWindow) {
+  MpduErrors out;
+  EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, 0, 1500, {}, out),
+               std::out_of_range);
+  EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, kMaxAmpduMpdus + 1, 1500,
+                                 {}, out),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -3,10 +3,59 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mac/atheros_ra.hpp"
+#include "util/alloc_count.hpp"
 
 namespace mobiwlan {
 namespace {
+
+TEST(LatencyLossDrawTest, SteadyStateFramesDoNotAllocate) {
+  ASSERT_TRUE(alloc_hook_active())
+      << "counting allocator not linked; test would vacuously pass";
+  // simulate_latency's per-frame loss path: kernel pricing plus the
+  // delivery draw into the buffer it reserves once.
+  std::vector<bool> delivered;
+  delivered.reserve(kMaxAmpduMpdus);
+  Rng rng(11);
+  const ErrorModelConfig config;
+  // Warm-up frame: the first mcs() call builds the MCS table.
+  draw_ampdu_deliveries(mcs(0), 12.0, 0.0, 1, 1500, config, rng, delivered);
+  const std::uint64_t before = alloc_count();
+  int lost = 0;
+  for (int frame = 0; frame < 2000; ++frame) {
+    const int n = 1 + frame % kMaxAmpduMpdus;
+    const double decorr_end = (frame % 3 == 0) ? 0.0 : 0.002 * (frame % 50);
+    lost += draw_ampdu_deliveries(mcs(frame % 16), 12.0 + frame % 25,
+                                  decorr_end, n, 1500, config, rng, delivered);
+  }
+  EXPECT_EQ(alloc_count() - before, 0u) << "loss path touched the heap";
+  EXPECT_GT(lost, 0);
+}
+
+TEST(LatencyLossDrawTest, DrawsMatchPerMpduChainInOrder) {
+  std::vector<bool> delivered;
+  for (double decorr_end : {-0.0, 0.04}) {
+    Rng rng(12);
+    Rng ref_rng(12);
+    const int lost = draw_ampdu_deliveries(mcs(13), 24.0, decorr_end, 45,
+                                           1500, {}, rng, delivered);
+    ASSERT_EQ(delivered.size(), 45u);
+    AmpduPlan plan;
+    plan.n_mpdus = 45;
+    int ref_lost = 0;
+    for (int i = 0; i < 45; ++i) {
+      const double p = per_with_aging(mcs(13), 24.0, 1500,
+                                      decorr_end * plan.mpdu_age_fraction(i));
+      const bool ok = !ref_rng.chance(p);
+      EXPECT_EQ(delivered[static_cast<std::size_t>(i)], ok) << i;
+      ref_lost += !ok;
+    }
+    EXPECT_EQ(lost, ref_lost);
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "RNG streams diverged";
+  }
+}
 
 LatencySimConfig quick_config() {
   LatencySimConfig cfg;

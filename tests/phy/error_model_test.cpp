@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -35,6 +42,44 @@ TEST(BerTest, CodedBetterThanUncoded) {
   for (double snr = 2.0; snr <= 25.0; snr += 3.0) {
     EXPECT_LE(coded_ber(Modulation::kQpsk, 0.5, snr), raw_ber(Modulation::kQpsk, snr));
   }
+}
+
+TEST(BerTest, CodedBerClampNeverBinds) {
+  // coded_ber once returned min(raw_ber(snr), 2*b*b) with
+  // b = raw_ber(snr + gain); it now returns 2*b*b (proof at its
+  // definition). Sweep every modulation x code rate densely, far past both
+  // saturation ends, and demand the two agree bit for bit.
+  struct Code {
+    double rate;
+    double gain_db;  // restated from error_model.cpp
+  };
+  const Code codes[] = {{0.5, 5.5}, {2.0 / 3.0, 4.5}, {0.75, 4.0},
+                        {5.0 / 6.0, 3.25}};
+  std::vector<double> snrs;
+  for (int k = -40000; k <= 40000; ++k) snrs.push_back(0.01 * k);
+  for (double v : {-1e4, 1e4, -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::infinity()})
+    snrs.push_back(v);
+  long mismatches = 0;
+  std::string first;
+  for (auto mod : {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16,
+                   Modulation::kQam64}) {
+    for (const Code& code : codes) {
+      for (double snr : snrs) {
+        const double b = raw_ber(mod, snr + code.gain_db);
+        const double clamped = std::min(raw_ber(mod, snr), 2.0 * b * b);
+        const double coded = coded_ber(mod, code.rate, snr);
+        if (std::bit_cast<std::uint64_t>(coded) ==
+            std::bit_cast<std::uint64_t>(clamped))
+          continue;
+        if (mismatches++ == 0)
+          first = std::string(to_string(mod)) +
+                  " rate " + std::to_string(code.rate) + " snr " +
+                  std::to_string(snr);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
 }
 
 TEST(BerTest, StrongerCodeBetter) {

@@ -90,9 +90,12 @@ void write_trace(const std::string& path, const GeneratedTrace& g) {
   writer.close();
 }
 
+// Keyed by test name too: ctest runs each test of this binary as its own
+// process, in parallel, and two tests must not share a case file.
 std::string case_path(int index) {
-  return ::testing::TempDir() + "/trace_prop_" + std::to_string(index) +
-         ".mwtr";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/trace_prop_" + info->name() + "_" +
+         std::to_string(index) + ".mwtr";
 }
 
 TEST(TraceProp, SaveLoadRoundTripsBitwise) {
