@@ -3,7 +3,9 @@
 //   mobiwlan-bench --list                 enumerate benches, perf cases and
 //                                         gated suites
 //   mobiwlan-bench                        run every bench (default seed/jobs)
-//   mobiwlan-bench --filter fig9          run benches whose name contains it
+//   mobiwlan-bench --filter fig1          run the bench named fig1, or, if no
+//                                         name equals the filter, every bench
+//                                         whose name contains it (ablation)
 //   mobiwlan-bench --jobs 8 --seed 42     worker count / master seed
 //   mobiwlan-bench --json out.json        write the structured run report
 //   mobiwlan-bench --no-job-timing        omit per-job arrays from the JSON
@@ -73,7 +75,7 @@ namespace runtime = mobiwlan::runtime;
 
 void print_usage() {
   std::printf(
-      "usage: mobiwlan-bench [--list] [--filter SUBSTR] [--jobs N] [--seed S]\n"
+      "usage: mobiwlan-bench [--list] [--filter NAME] [--jobs N] [--seed S]\n"
       "                      [--json PATH] [--no-job-timing]\n"
       "       mobiwlan-bench --suite NAME [--check | --check-only REPORT]\n"
       "                      [--out PATH] [--baseline PATH] [--jobs N] "
@@ -83,6 +85,8 @@ void print_usage() {
       "       mobiwlan-bench --perf | --scale [--check] [--out PATH]\n"
       "                      [--baseline PATH] [--perf-min-time SECONDS] "
       "[--jobs N]\n"
+      "--filter NAME runs the bench named NAME or, if no bench has that name,\n"
+      "every bench whose name contains NAME\n"
       "suites:");
   for (const GatedSuiteDef& def : gated_registry())
     std::printf(" %s", def.name.c_str());
@@ -262,9 +266,8 @@ std::string or_default(const std::string& v, std::string def) {
   return v.empty() ? def : v;
 }
 
-/// Runs the perf cases, writes the flat BENCH report (with pre-PR baseline
-/// numbers and speedups folded in when the baseline file provides them), and
-/// optionally gates against the baseline's gate_* values.
+/// Runs the perf cases, writes the flat BENCH report, and optionally gates
+/// against the baseline's gate_* values.
 int run_perf(const Options& opt) {
   const std::string out_path = or_default(opt.out, "BENCH_channel.json");
   const std::string baseline_path =
@@ -310,21 +313,6 @@ int run_perf(const Options& opt) {
     std::snprintf(buf, sizeof buf, "  \"%s_allocs\": %.2f,\n", r.name.c_str(),
                   r.allocs_per_op);
     out << buf;
-    const auto pre_ns = baseline.find("pre_pr_" + r.name + "_ns");
-    if (pre_ns != baseline.end()) {
-      std::snprintf(buf, sizeof buf, "  \"pre_pr_%s_ns\": %.1f,\n",
-                    r.name.c_str(), pre_ns->second);
-      out << buf;
-      const auto pre_allocs = baseline.find("pre_pr_" + r.name + "_allocs");
-      if (pre_allocs != baseline.end()) {
-        std::snprintf(buf, sizeof buf, "  \"pre_pr_%s_allocs\": %.2f,\n",
-                      r.name.c_str(), pre_allocs->second);
-        out << buf;
-      }
-      std::snprintf(buf, sizeof buf, "  \"%s_speedup_vs_pre_pr\": %.2f,\n",
-                    r.name.c_str(), pre_ns->second / r.ns_per_op);
-      out << buf;
-    }
   }
   // Host-capability and tier provenance, quarantined on timing_* keys (the
   // same convention the determinism diffs filter on), so perf baselines are
@@ -475,12 +463,16 @@ int run_suite(const GatedSuiteDef& def, const Options& opt) {
   return rc;
 }
 
-/// The default mode: run every registered bench matching --filter.
+/// The default mode: run the bench named by --filter or, when no name equals
+/// it, every registered bench whose name contains it.
 int run_benches(const Options& opt) {
   std::vector<const BenchDef*> selected;
   for (const BenchDef& def : registry())
-    if (def.name.find(opt.filter) != std::string::npos)
-      selected.push_back(&def);
+    if (def.name == opt.filter) selected.push_back(&def);
+  if (selected.empty())
+    for (const BenchDef& def : registry())
+      if (def.name.find(opt.filter) != std::string::npos)
+        selected.push_back(&def);
   if (selected.empty()) {
     std::fprintf(stderr, "mobiwlan-bench: no bench matches --filter '%s'\n",
                  opt.filter.c_str());
@@ -537,12 +529,12 @@ int main(int argc, char** argv) {
 
   if (opt.list) {
     for (const BenchDef& def : registry())
-      std::printf("%-10s %s\n", def.name.c_str(), def.description.c_str());
+      std::printf("%-18s %s\n", def.name.c_str(), def.description.c_str());
     for (const PerfCaseDef& def : perf_registry())
-      std::printf("%-10s [perf] %s\n", def.name.c_str(),
+      std::printf("%-18s [perf] %s\n", def.name.c_str(),
                   def.description.c_str());
     for (const GatedSuiteDef& def : gated_registry())
-      std::printf("%-10s [suite] %s\n", def.name.c_str(),
+      std::printf("%-18s [suite] %s\n", def.name.c_str(),
                   def.description.c_str());
     return 0;
   }

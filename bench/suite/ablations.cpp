@@ -1,0 +1,559 @@
+// The ablations: the §9 follow-ups (AoA augmentation, 802.11r handoff cost,
+// channel-width/MIMO-mode null result, uplink hints, per-MPDU latency, AP
+// scheduling) and the channel-substrate mechanism check. Every trial that
+// builds its own generator from the experiment seed plus a fixed offset
+// runs as one job; the width ablation draws its links in sequence from one
+// generator and runs as a single job.
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mac/atheros_ra.hpp"
+#include "mac/latency_sim.hpp"
+#include "mac/link_sim.hpp"
+#include "net/deployment.hpp"
+#include "net/roaming.hpp"
+#include "net/scheduler.hpp"
+#include "phy/error_model.hpp"
+#include "phy/mcs.hpp"
+#include "sim/evaluation.hpp"
+#include "suite/suite.hpp"
+#include "util/stats.hpp"
+#include "util/table.hpp"
+
+namespace mobiwlan::benchsuite {
+namespace {
+
+// ---- Channel width & MIMO mode -------------------------------------------
+
+double best_tput_40mhz(double snr_db) {
+  const int best = best_mcs(snr_db, 1500, 2);
+  return expected_throughput_mbps(mcs(best), snr_db, 1500);
+}
+
+double best_tput_20mhz(double snr_db) {
+  // Half the bandwidth: +3 dB SNR (half the noise power), 52/108 of the rate.
+  const double scale = 52.0 / 108.0;
+  double best = 0.0;
+  for (const auto& e : mcs_table()) {
+    McsEntry narrow = e;
+    narrow.rate_mbps *= scale;
+    best = std::max(best, expected_throughput_mbps(narrow, snr_db + 3.0, 1500));
+  }
+  return best;
+}
+
+double best_tput_diversity(double snr_db) {
+  // Single stream with transmit/receive diversity gain (~3 dB) instead of
+  // splitting power across two streams.
+  double best = 0.0;
+  for (const auto& e : mcs_table()) {
+    if (e.streams != 1) continue;
+    best = std::max(best, expected_throughput_mbps(e, snr_db + 3.0, 1500));
+  }
+  return best;
+}
+
+// ---- Uplink hints --------------------------------------------------------
+
+double run_uplink(bool aware, double hint_latency_s, std::uint64_t seed) {
+  Rng rng(seed);
+  Scenario s = make_scenario(seed % 2 == 0 ? MobilityClass::kMacro
+                                           : MobilityClass::kMicro,
+                             rng);
+  LinkSimConfig cfg;
+  cfg.duration_s = 12.0;
+  cfg.tcp_stall_s = 0.025;
+  cfg.mobility_hint_latency_s = hint_latency_s;
+  Rng frame_rng(seed + 4242);
+  AtherosRa ra = aware ? make_mobility_aware_atheros_ra() : AtherosRa{};
+  return simulate_link(s, ra, cfg, frame_rng).goodput_mbps;
+}
+
+// ---- Latency -------------------------------------------------------------
+
+/// Latency quantiles (ms) and drops of one CBR link.
+struct LatencyRow {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  int dropped = 0;
+};
+
+LatencyRow run_latency(MobilityClass cls, bool adaptive, double fixed_limit,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  Scenario s = make_scenario(cls, rng);
+  AtherosRa ra;
+  LatencySimConfig cfg;
+  cfg.duration_s = 10.0;
+  cfg.offered_pps = 3600.0;  // ~43 Mbps CBR: enough pressure to fill frames
+  cfg.aggregation.adaptive = adaptive;
+  cfg.aggregation.fixed_limit_s = fixed_limit;
+  Rng sim_rng(seed + 606);
+  const LatencySimResult r = simulate_latency(s, ra, cfg, sim_rng);
+  return {r.latencies_s.median() * 1e3, r.latencies_s.quantile(0.95) * 1e3,
+          r.latencies_s.quantile(0.99) * 1e3, r.dropped};
+}
+
+// ---- Scheduling ----------------------------------------------------------
+
+struct SchedulerRun {
+  double total_mbps = 0.0;
+  double static_share = 0.0;
+  double mobile_mbps = 0.0;
+};
+
+std::unique_ptr<Scheduler> make_scheduler(std::size_t which) {
+  if (which == 0) return std::make_unique<RoundRobinScheduler>();
+  if (which == 1) return std::make_unique<ProportionalFairScheduler>();
+  return std::make_unique<MobilityAwareScheduler>();
+}
+
+/// One static and one walking client sharing an AP for 20 s.
+SchedulerRun run_scheduler(Scheduler& scheduler, std::uint64_t seed) {
+  Rng rng(seed);
+  Scenario stat = make_scenario(MobilityClass::kStatic, rng);
+  Scenario walk = make_scenario(MobilityClass::kMacro, rng);
+
+  const double slot = 5e-3;
+  const double duration = 20.0;
+  double delivered[2] = {0.0, 0.0};
+  int served_static = 0;
+  int slots = 0;
+
+  for (double t = 0.0; t < duration; t += slot) {
+    auto rate_of = [&](Scenario& s) {
+      const double snr =
+          effective_snr_db(s.channel->csi_true(t), s.channel->snr_db(t));
+      const int best = best_mcs(snr, 1500, 2);
+      return expected_throughput_mbps(mcs(best), snr, 1500) * 0.7;
+    };
+    std::vector<ClientSlotInfo> clients(2);
+    clients[0].rate_mbps = rate_of(stat);
+    clients[0].mobility = MobilityMode::kStatic;
+    clients[1].rate_mbps = rate_of(walk);
+    clients[1].mobility = MobilityMode::kMacroAway;
+
+    const std::size_t who = scheduler.pick(clients);
+    scheduler.on_served(clients, who);
+    delivered[who] += clients[who].rate_mbps * slot;
+    if (who == 0) ++served_static;
+    ++slots;
+  }
+
+  SchedulerRun r;
+  r.total_mbps = (delivered[0] + delivered[1]) / duration;
+  r.static_share = static_cast<double>(served_static) / slots;
+  r.mobile_mbps = delivered[1] / duration;
+  return r;
+}
+
+}  // namespace
+
+void run_ablation_aoa(runtime::Experiment& exp, runtime::BenchReport& report) {
+  const std::uint64_t seed = exp.master_seed();
+  report.text += banner_text(
+      "Ablation — AoA augmentation for the §9 circular-walk limitation",
+      "baseline misclassifies orbits as micro 100% of the time; "
+      "adding the AoA orbit detector should recover them as macro "
+      "without disturbing the four standard classes");
+
+  EvaluationOptions base;
+  base.trials = 10;
+  base.duration_s = 35.0;
+  EvaluationOptions with_aoa = base;
+  with_aoa.classifier.use_aoa = true;
+
+  {
+    // Per radius: the baseline, then with AoA, over the same seed.
+    const double radii[] = {8.0, 12.0, 16.0};
+    const auto orbits = exp.map<std::pair<double, double>>(
+        6, [&](runtime::Trial& trial) {
+          const double radius = radii[trial.index / 2];
+          Rng rng(seed + static_cast<std::uint64_t>(radius));
+          EvaluationOptions opt = trial.index % 2 == 0 ? base : with_aoa;
+          opt.trials = 5;
+          return evaluate_orbit(rng, opt, radius);
+        });
+    TablePrinter t("circular orbit around the AP (ground truth: macro)");
+    t.set_header({"radius", "baseline: macro / micro", "with AoA: macro / micro"});
+    for (std::size_t r = 0; r < 3; ++r) {
+      const auto [macro_a, micro_a] = orbits[r * 2];
+      const auto [macro_b, micro_b] = orbits[r * 2 + 1];
+      t.add_row({strf("%.0f m", radii[r]),
+                 TablePrinter::pct(macro_a) + " / " + TablePrinter::pct(micro_a),
+                 TablePrinter::pct(macro_b) + " / " + TablePrinter::pct(micro_b)});
+    }
+    report.text += t.render();
+  }
+
+  {
+    const auto matrices =
+        exp.map<ConfusionMatrix>(2, [&](runtime::Trial& trial) {
+          Rng rng(seed + 99);
+          return evaluate_all(rng, trial.index == 0 ? base : with_aoa);
+        });
+    const ConfusionMatrix& a = matrices[0];
+    const ConfusionMatrix& b = matrices[1];
+    TablePrinter t("standard classes: accuracy without / with AoA");
+    t.set_header({"class", "baseline", "with AoA"});
+    for (MobilityClass cls : kClasses) {
+      t.add_row({std::string(to_string(cls)), TablePrinter::pct(a.accuracy(cls)),
+                 TablePrinter::pct(b.accuracy(cls))});
+    }
+    report.text += t.render();
+    report.text += strf("\nmean accuracy: baseline %s vs with-AoA %s "
+                        "(expected: within a few points; micro may give a "
+                        "little to the orbit detector's false positives)\n",
+                        TablePrinter::pct(a.mean_accuracy()).c_str(),
+                        TablePrinter::pct(b.mean_accuracy()).c_str());
+  }
+}
+
+void run_ablation_substrate(runtime::Experiment& exp,
+                            runtime::BenchReport& report) {
+  report.text += banner_text(
+      "Ablation — channel mechanisms vs classifier stages",
+      "each substrate mechanism maps to one classifier signal; "
+      "removing it should move exactly the class that depends on it");
+
+  struct Variant {
+    const char* name;
+    ChannelConfig config;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"full substrate", ChannelConfig{}});
+  {
+    ChannelConfig c;
+    c.tof_noise_ns = 0.0;
+    variants.push_back({"no ToF jitter", c});
+  }
+  {
+    ChannelConfig c;
+    c.tof_clock_hz = 44e6;  // the raw Atheros timestamp clock, no interpolation
+    variants.push_back({"44 MHz ToF clock", c});
+  }
+  {
+    ChannelConfig c;
+    c.person_reflection_loss_lo_db = 40.0;  // movers contribute ~nothing
+    c.person_reflection_loss_hi_db = 46.0;
+    c.blockage_depth_weak_db = 0.0;
+    c.blockage_depth_strong_db = 0.0;
+    variants.push_back({"people invisible to RF", c});
+  }
+  {
+    ChannelConfig c;
+    c.mover_amplitude_weak_m = 0.0;  // people present but frozen
+    c.mover_amplitude_strong_m = 0.0;
+    c.blockage_depth_weak_db = 0.0;
+    c.blockage_depth_strong_db = 0.0;
+    variants.push_back({"people frozen", c});
+  }
+
+  // The Table-1 evaluation once per variant, every variant on one seed.
+  const std::uint64_t seed = exp.master_seed() + 5;
+  const auto matrices = exp.map<ConfusionMatrix>(
+      variants.size(), [&](runtime::Trial& trial) {
+        EvaluationOptions opt;
+        opt.trials = 10;
+        opt.duration_s = 35.0;
+        opt.scenario.channel = variants[trial.index].config;
+        Rng rng(seed);
+        return evaluate_all(rng, opt);
+      });
+
+  TablePrinter t("per-class accuracy under substrate ablations");
+  t.set_header({"variant", "static", "environmental", "micro", "macro"});
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const ConfusionMatrix& m = matrices[v];
+    t.add_row({variants[v].name,
+               TablePrinter::pct(m.accuracy(MobilityClass::kStatic)),
+               TablePrinter::pct(m.accuracy(MobilityClass::kEnvironmental)),
+               TablePrinter::pct(m.accuracy(MobilityClass::kMicro)),
+               TablePrinter::pct(m.accuracy(MobilityClass::kMacro))});
+  }
+  report.text += t.render();
+
+  report.text += "\nReading guide: removing ToF jitter should raise macro "
+                 "accuracy; the coarse 44 MHz clock should lower it; making "
+                 "people RF-invisible or frozen should collapse the "
+                 "environmental class toward static while leaving the "
+                 "device-mobility classes intact.\n";
+}
+
+void run_ablation_roaming(runtime::Experiment& exp,
+                          runtime::BenchReport& report) {
+  const std::uint64_t seed = exp.master_seed();
+  report.text += banner_text(
+      "Ablation — handoff cost: full scan (200 ms) vs 802.11r (40 ms)",
+      "802.11r shrinks the outage budget ~5x, which mostly helps "
+      "the schemes that hand off often; the motion-aware ordering "
+      "must hold at both costs");
+
+  const int walks = 10;
+  const RoamingScheme schemes[] = {RoamingScheme::kDefault,
+                                   RoamingScheme::kSensorHint,
+                                   RoamingScheme::kMotionAware};
+  const double costs[] = {0.200, 0.040};
+  // Job index = (scheme * 2 + cost) * walks + walk.
+  const auto runs = exp.map<RoamingResult>(
+      3 * 2 * walks, [&](runtime::Trial& trial) {
+        const std::size_t cell = trial.index / walks;
+        const std::uint64_t walk = trial.index % walks;
+        Rng rng(seed + 7000 + walk);
+        auto traj = WlanDeployment::corridor_walk(rng);
+        WlanDeployment wlan(WlanDeployment::corridor_layout(), traj,
+                            ChannelConfig{}, rng);
+        RoamingConfig cfg;
+        cfg.duration_s = 75.0;
+        cfg.handoff_outage_s = costs[cell % 2];
+        Rng sim_rng(seed + 7100 + walk);
+        return simulate_roaming(wlan, schemes[cell / 2], cfg, sim_rng);
+      });
+
+  struct Outcome {
+    double median_tput = 0.0;
+    double mean_outage_s = 0.0;
+    double mean_handoffs = 0.0;
+  };
+  const auto outcome = [&](std::size_t cell) {
+    SampleSet tput;
+    double outage = 0.0;
+    int handoffs = 0;
+    for (int walk = 0; walk < walks; ++walk) {
+      const RoamingResult& r = runs[cell * walks + walk];
+      tput.add(r.mean_throughput_mbps);
+      outage += r.outage_s;
+      handoffs += r.handoffs;
+    }
+    return Outcome{tput.median(), outage / walks,
+                   static_cast<double>(handoffs) / walks};
+  };
+
+  TablePrinter t("median throughput (Mbps) and mean outage per 75 s walk");
+  t.set_header({"scheme", "200 ms: tput", "outage", "40 ms: tput", "outage",
+                "handoffs"});
+  for (std::size_t s = 0; s < 3; ++s) {
+    const Outcome slow = outcome(s * 2);
+    const Outcome fast = outcome(s * 2 + 1);
+    t.add_row({std::string(to_string(schemes[s])),
+               TablePrinter::num(slow.median_tput, 1),
+               TablePrinter::num(slow.mean_outage_s, 2) + " s",
+               TablePrinter::num(fast.median_tput, 1),
+               TablePrinter::num(fast.mean_outage_s, 2) + " s",
+               TablePrinter::num(fast.mean_handoffs, 1)});
+  }
+  report.text += t.render();
+
+  report.text += "\nReading guide: with 802.11r the motion-aware scheme's "
+                 "forced disassociations become nearly free (sub-0.5 s of "
+                 "outage per walk), addressing the paper's real-time-traffic "
+                 "concern without changing the protocol.\n";
+}
+
+void run_ablation_width(runtime::Experiment& exp,
+                        runtime::BenchReport& report) {
+  report.text += banner_text(
+      "Ablation — channel width & MIMO mode adaptation (§9 null result)",
+      "the paper's preliminary experiments found no significant "
+      "gains from either knob; the oracle gains here should be "
+      "near zero except at the very edge of coverage");
+  // The links draw in sequence from one generator: a single job.
+  const std::uint64_t seed = exp.master_seed() + 42;
+  report.text += exp.map<std::string>(1, [seed](runtime::Trial&) {
+    SampleSet width_gain;
+    SampleSet diversity_gain;
+    SampleSet width_gain_edge;
+    SampleSet diversity_gain_edge;
+
+    Rng master(seed);
+    const int links = 12;
+    for (int link = 0; link < links; ++link) {
+      // A moving-away client: SNR decays through the run.
+      Scenario s = make_radial_scenario(false, 10.0, master);
+      for (double t = 0.0; t < 25.0; t += 1.0) {
+        const double snr =
+            effective_snr_db(s.channel->csi_true(t), s.channel->snr_db(t));
+        const double base = best_tput_40mhz(snr);
+        if (base < 1.0) continue;  // link effectively dead either way
+        const double w = best_tput_20mhz(snr) / base - 1.0;
+        const double d = best_tput_diversity(snr) / base - 1.0;
+        width_gain.add(w);
+        diversity_gain.add(d);
+        if (snr < 10.0) {
+          width_gain_edge.add(w);
+          diversity_gain_edge.add(d);
+        }
+      }
+    }
+
+    TablePrinter t("oracle gain from switching, moving-away links");
+    t.set_header({"knob", "median gain (all samples)", "p90",
+                  "median at SNR<10 dB"});
+    const auto edge = [](const SampleSet& set) {
+      return set.empty() ? std::string("n/a") : TablePrinter::pct(set.median());
+    };
+    t.add_row({"40 MHz -> 20 MHz", TablePrinter::pct(width_gain.median()),
+               TablePrinter::pct(width_gain.quantile(0.9)),
+               edge(width_gain_edge)});
+    t.add_row({"multiplexing -> diversity",
+               TablePrinter::pct(diversity_gain.median()),
+               TablePrinter::pct(diversity_gain.quantile(0.9)),
+               edge(diversity_gain_edge)});
+    return t.render() +
+           "\nReading guide: the narrower channel never wins — the MCS "
+           "ladder already provides its robustness at full width — and "
+           "diversity only pays below ~10 dB, where absolute rates are "
+           "tiny. Averaged over a walk both medians are zero-to-negative, "
+           "matching the paper's \"no significant gains\" finding.\n";
+  })[0];
+}
+
+void run_ablation_uplink(runtime::Experiment& exp,
+                         runtime::BenchReport& report) {
+  const std::uint64_t seed = exp.master_seed();
+  report.text += banner_text(
+      "Ablation — uplink: mobility hints advertised to the client (§9)",
+      "the AP classifies; the client-side RA consumes hints with "
+      "advertisement latency. Mobility modes persist for seconds, "
+      "so most of the gain should survive beacon-scale staleness");
+
+  const int links = 10;
+  const double latencies[] = {0.0, 0.1, 0.5, 1.0, 3.0};
+  // Row 0 is stock (no hints); row 1 + i is motion-aware at latencies[i].
+  // Job index = row * links + link; every row replays the same links.
+  const auto goodput = exp.map<double>(6 * links, [&](runtime::Trial& trial) {
+    const std::size_t row = trial.index / links;
+    return run_uplink(row > 0, row > 0 ? latencies[row - 1] : 0.0,
+                      seed + 8800 + trial.index % links);
+  });
+  const auto row_median = [&](std::size_t row) {
+    const auto first = goodput.begin() + static_cast<long>(row) * links;
+    return SampleSet(std::vector<double>(first, first + links)).median();
+  };
+
+  const double stock = row_median(0);
+  TablePrinter t("median goodput (Mbps), client-side RA on uplink");
+  t.set_header({"hint latency", "motion-aware", "gain vs stock"});
+  t.add_row({"(stock, no hints)", TablePrinter::num(stock, 1), "0.0%"});
+  for (std::size_t i = 0; i < 5; ++i) {
+    const double aware = row_median(i + 1);
+    t.add_row({latencies[i] == 0.0 ? std::string("0 (downlink baseline)")
+                                   : strf("%.1f s", latencies[i]),
+               TablePrinter::num(aware, 1),
+               TablePrinter::pct(aware / stock - 1.0)});
+  }
+  report.text += t.render();
+
+  report.text += "\nReading guide: mobility modes change on multi-second "
+                 "timescales (Fig. 8a), so hint latencies up to ~1 s (a "
+                 "handful of beacon intervals) retain most of the downlink "
+                 "gain; only multi-second staleness erodes it.\n";
+}
+
+void run_ablation_latency(runtime::Experiment& exp,
+                          runtime::BenchReport& report) {
+  const std::uint64_t seed = exp.master_seed();
+  report.text += banner_text(
+      "Ablation — MPDU delivery latency vs aggregation policy",
+      "under device mobility long frames trade tail latency for "
+      "nothing; the adaptive limit should match the best static "
+      "choice per mode");
+
+  struct Policy {
+    const char* name;
+    bool adaptive;
+    double fixed;
+  };
+  const MobilityClass classes[] = {MobilityClass::kStatic,
+                                   MobilityClass::kMacro};
+  const Policy policies[] = {{"2 ms", false, 2e-3},
+                             {"8 ms", false, 8e-3},
+                             {"adaptive", true, 4e-3}};
+  const int links = 6;
+  // Job index = (class * 3 + policy) * links + link.
+  const auto rows = exp.map<LatencyRow>(2 * 3 * links,
+                                        [&](runtime::Trial& trial) {
+    const std::size_t cell = trial.index / links;
+    const Policy& p = policies[cell % 3];
+    return run_latency(classes[cell / 3], p.adaptive, p.fixed,
+                       seed + 9000 + trial.index % links);
+  });
+
+  TablePrinter t("latency per mode and aggregation policy (ms), 43 Mbps CBR");
+  t.set_header({"mode", "policy", "p50", "p95", "p99", "dropped"});
+  for (std::size_t cell = 0; cell < 6; ++cell) {
+    SampleSet p50;
+    SampleSet p95;
+    SampleSet p99;
+    int dropped = 0;
+    for (int link = 0; link < links; ++link) {
+      const LatencyRow& r = rows[cell * links + link];
+      p50.add(r.p50);
+      p95.add(r.p95);
+      p99.add(r.p99);
+      dropped += r.dropped;
+    }
+    t.add_row({std::string(to_string(classes[cell / 3])),
+               policies[cell % 3].name, TablePrinter::num(p50.mean(), 2),
+               TablePrinter::num(p95.mean(), 2),
+               TablePrinter::num(p99.mean(), 2), std::to_string(dropped)});
+  }
+  report.text += t.render();
+
+  report.text += "\nReading guide: for static clients all policies are "
+                 "equivalent at this load; for macro clients the 8 ms limit "
+                 "inflates the tail (lost frame tails head-of-line block the "
+                 "Block ACK window) while the adaptive policy tracks the 2 ms "
+                 "figure.\n";
+}
+
+void run_ablation_scheduler(runtime::Experiment& exp,
+                            runtime::BenchReport& report) {
+  const std::uint64_t seed = exp.master_seed();
+  report.text += banner_text(
+      "Ablation — mobility-aware scheduling at the AP (§9)",
+      "opportunism applied only to the device-mobile client should "
+      "beat round-robin and match-or-beat plain proportional fair, "
+      "without starving the static client");
+
+  const int draws = 8;
+  // Job index = scheduler * draws + draw; every scheduler replays the
+  // same channel draws.
+  const auto runs = exp.map<SchedulerRun>(3 * draws, [&](runtime::Trial& trial) {
+    const auto scheduler = make_scheduler(trial.index / draws);
+    return run_scheduler(*scheduler, seed + 9900 + trial.index % draws);
+  });
+
+  TablePrinter t("two clients (static + walking), 20 s, mean over 8 draws");
+  t.set_header({"scheduler", "total Mbps", "mobile Mbps", "static airtime share"});
+  for (std::size_t which = 0; which < 3; ++which) {
+    SampleSet total;
+    SampleSet mobile;
+    SampleSet share;
+    for (int draw = 0; draw < draws; ++draw) {
+      const SchedulerRun& r = runs[which * draws + draw];
+      total.add(r.total_mbps);
+      mobile.add(r.mobile_mbps);
+      share.add(r.static_share);
+    }
+    t.add_row({std::string(make_scheduler(which)->name()),
+               TablePrinter::num(total.mean(), 1),
+               TablePrinter::num(mobile.mean(), 1),
+               TablePrinter::pct(share.mean())});
+  }
+  report.text += t.render();
+
+  report.text += "\nReading guide: the gain over proportional fair is real "
+                 "but modest (~1%) because indoor channel swings are slow "
+                 "relative to the PF averaging window — consistent with the "
+                 "paper leaving scheduling as future work rather than a "
+                 "headline result. The important property is that the "
+                 "opportunism boost is self-normalizing: the static client's "
+                 "airtime share stays at parity.\n";
+}
+
+}  // namespace mobiwlan::benchsuite

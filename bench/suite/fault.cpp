@@ -34,13 +34,18 @@
 #include "util/stats.hpp"
 
 namespace mobiwlan::benchsuite {
+
+FaultPlan export_drop_plan(double drop, std::uint64_t scenario_seed) {
+  FaultPlan plan;
+  plan.csi.drop_prob = drop;
+  plan.tof.drop_prob = drop;
+  plan.seed = Rng(scenario_seed).stream(kFaultSalt).seed();
+  return plan;
+}
+
 namespace {
 
 using fidelity::FidelityReport;
-
-constexpr MobilityClass kClasses[] = {
-    MobilityClass::kStatic, MobilityClass::kEnvironmental, MobilityClass::kMicro,
-    MobilityClass::kMacro};
 
 /// The drop-rate sweep every subsection reports at (fractions of exports
 /// lost). Metric suffixes are percentage-styled: drop00, drop10, ...
@@ -52,26 +57,7 @@ std::string drop_key(double drop) {
   return buf;
 }
 
-/// Stream-id offset decorrelating fault substreams from the channel draws
-/// that share a scenario seed.
-constexpr std::uint64_t kFaultSalt = 0xFA17;
-
-/// A CSI+ToF drop plan whose substreams derive from the scenario seed, so
-/// the fault world is reproducible and independent of the channel draws.
-FaultPlan drop_plan(double drop, std::uint64_t scenario_seed) {
-  FaultPlan plan;
-  plan.csi.drop_prob = drop;
-  plan.tof.drop_prob = drop;
-  plan.seed = Rng(scenario_seed).stream(kFaultSalt).seed();
-  return plan;
-}
-
 // ---- Table 1 under export loss ------------------------------------------
-
-struct HitCounts {
-  int hits = 0;
-  int total = 0;
-};
 
 /// One classification trial through DegradedObservables, sampling the
 /// hold-then-decay decision(t) once per second: a withheld (stale) decision
@@ -115,7 +101,7 @@ void fault_table1(runtime::Experiment& exp, FidelityReport& rep) {
           const MobilityClass cls =
               kClasses[trial.index / static_cast<std::size_t>(trials)];
           const std::uint64_t seed = scenario_seeds[trial.index];
-          const FaultPlan plan = drop_plan(drop, seed);
+          const FaultPlan plan = export_drop_plan(drop, seed);
           Rng scenario_rng(seed);
           return degraded_accuracy_trial(cls, plan, scenario_rng);
         });
@@ -147,7 +133,7 @@ void fault_fig9(runtime::Experiment& exp, FidelityReport& rep) {
         static_cast<std::size_t>(traces) * 2,
         [&trace_seeds, drop](runtime::Trial& trial) {
           const std::uint64_t seed = trace_seeds[trial.index / 2];
-          const FaultPlan plan = drop_plan(drop, seed);
+          const FaultPlan plan = export_drop_plan(drop, seed);
           const char* scheme = trial.index % 2 == 0 ? "atheros" : "motion-aware";
           return fig9_run_scheme(scheme, seed, MobilityClass::kMacro, plan);
         });
@@ -180,7 +166,7 @@ void fault_fig13(runtime::Experiment& exp, FidelityReport& rep) {
           OverallSimConfig cfg;
           cfg.duration_s = 45.0;
           cfg.mobility_aware = trial.index % 2 == 1;
-          cfg.fault = drop_plan(drop, walk_seeds[walk]);
+          cfg.fault = export_drop_plan(drop, walk_seeds[walk]);
           Rng sim_rng(traffic_seeds[walk]);
           return simulate_overall(wlan, cfg, sim_rng).throughput_mbps;
         });

@@ -7,20 +7,14 @@
 //
 // Metric naming: `<experiment>.<group>.<stat>`; EXPERIMENTS.md links each
 // experiment section to its assertion ids.
-#include <array>
 #include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "chan/channel_batch.hpp"
 #include "chan/scenario.hpp"
-#include "core/csi_similarity.hpp"
-#include "core/mobility_classifier.hpp"
 #include "fidelity/fidelity.hpp"
-#include "runtime/classifier_driver.hpp"
 #include "suite/suite.hpp"
-#include "util/filters.hpp"
 #include "util/significance.hpp"
 #include "util/stats.hpp"
 
@@ -28,16 +22,6 @@ namespace mobiwlan::benchsuite {
 namespace {
 
 using fidelity::FidelityReport;
-
-constexpr MobilityClass kClasses[] = {
-    MobilityClass::kStatic, MobilityClass::kEnvironmental, MobilityClass::kMicro,
-    MobilityClass::kMacro};
-
-int class_index(MobilityClass c) {
-  for (int i = 0; i < 4; ++i)
-    if (kClasses[i] == c) return i;
-  return 0;
-}
 
 /// Metric id segment for a class ("static", "environmental", ...).
 std::string class_key(MobilityClass c) { return std::string(to_string(c)); }
@@ -55,24 +39,12 @@ void add_accuracy_with_ci(FidelityReport& rep, const std::string& prefix,
 
 // ---- Table 1: confusion-matrix diagonal + heading ------------------------
 
-struct ClassCounts {
-  std::array<int, 4> detected{};
-  int total = 0;
-};
-
 void fidelity_table1(runtime::Experiment& exp, FidelityReport& rep) {
   const int trials = 16;  // locations per class; 30 s each, 10 s warmup
   for (const MobilityClass cls : kClasses) {
     const auto rows = exp.map<ClassCounts>(
         static_cast<std::size_t>(trials), [cls](runtime::Trial& trial) {
-          ClassCounts out;
-          const Scenario s = make_scenario(cls, trial.rng);
-          runtime::run_classifier(s, 30.0, 10.0,
-                                  [&](double, MobilityMode mode) {
-                                    ++out.total;
-                                    ++out.detected[class_index(to_class(mode))];
-                                  });
-          return out;
+          return classify_trial(cls, 30.0, trial);
         });
     int hits = 0, total = 0;
     for (const ClassCounts& r : rows) {
@@ -84,24 +56,7 @@ void fidelity_table1(runtime::Experiment& exp, FidelityReport& rep) {
   }
 
   // Heading accuracy on controlled radial walks (paper §2.4).
-  struct HitCounts {
-    int hits = 0;
-    int total = 0;
-  };
-  const auto heading = exp.map<HitCounts>(12, [](runtime::Trial& trial) {
-    const bool toward = trial.index % 2 == 0;
-    HitCounts out;
-    const Scenario s =
-        make_radial_scenario(toward, toward ? 30.0 : 8.0, trial.rng);
-    runtime::run_classifier(s, 18.0, 8.0, [&](double, MobilityMode mode) {
-      if (!is_macro(mode)) return;
-      ++out.total;
-      const MobilityMode want =
-          toward ? MobilityMode::kMacroToward : MobilityMode::kMacroAway;
-      if (mode == want) ++out.hits;
-    });
-    return out;
-  });
+  const auto heading = exp.map<HitCounts>(12, heading_trial);
   int hits = 0, total = 0;
   for (const HitCounts& r : heading) {
     hits += r.hits;
@@ -112,29 +67,12 @@ void fidelity_table1(runtime::Experiment& exp, FidelityReport& rep) {
 
 // ---- Fig 2: CSI-similarity threshold separation at tau = 0.5 s -----------
 
-std::vector<double> similarity_trial(MobilityClass cls,
-                                     std::optional<EnvironmentalActivity> act,
-                                     runtime::Trial& trial) {
-  Scenario s = act ? make_environmental_scenario(*act, trial.rng)
-                   : make_scenario(cls, trial.rng);
-  std::vector<double> out;
-  ChannelBatch::Scratch scratch;
-  CsiMatrix prev, cur;
-  ChannelBatch::csi_link(*s.channel, 0.0, prev, scratch);
-  for (double t = 0.5; t < 15.0; t += 0.5) {
-    ChannelBatch::csi_link(*s.channel, t, cur, scratch);
-    out.push_back(csi_similarity(prev, cur));
-    std::swap(prev, cur);
-  }
-  return out;
-}
-
 SampleSet similarity_samples(runtime::Experiment& exp, MobilityClass cls,
                              std::optional<EnvironmentalActivity> act,
                              int trials) {
   const auto rows = exp.map<std::vector<double>>(
       static_cast<std::size_t>(trials), [cls, act](runtime::Trial& trial) {
-        return similarity_trial(cls, act, trial);
+        return similarity_trial(cls, act, 0.5, trial.rng);
       });
   SampleSet out;
   for (const auto& r : rows) out.add_all(r);
@@ -181,22 +119,8 @@ void fidelity_fig2(runtime::Experiment& exp, FidelityReport& rep) {
 
 // ---- Fig 4: ToF ramps under macro vs micro mobility ----------------------
 
-std::vector<double> tof_median_series(Scenario& s, double duration_s) {
-  std::vector<double> out;
-  MedianAggregator agg;
-  double epoch = 0.0;
-  for (double t = 0.0; t < duration_s; t += 0.02) {
-    if (t - epoch >= 1.0) {
-      if (auto m = agg.flush()) out.push_back(*m);
-      epoch += 1.0;
-    }
-    agg.add(s.channel->tof_cycles(t));
-  }
-  return out;
-}
-
 void fidelity_fig4(runtime::Experiment& exp, FidelityReport& rep) {
-  // Same run definition as bench_fig4_tof: a monotone stretch counts as a
+  // Same run definition as the fig4 bench: a monotone stretch counts as a
   // walking ramp if it spans >= 3 steps and >= 3 cycles of net change.
   constexpr std::size_t kMinSteps = 3;
   constexpr double kMinChange = 3.0;

@@ -1,19 +1,54 @@
 #include "suite/suite.hpp"
 
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <thread>
-
-#include "runtime/thread_pool.hpp"
 
 namespace mobiwlan::benchsuite {
 
 const std::vector<BenchDef>& registry() {
   static const std::vector<BenchDef> benches = {
-      table1_bench(),
-      fig9_bench(),
-      fig13_bench(),
+      {"fig1", "RSSI std-dev CDFs per mobility type", run_fig1},
+      {"fig2", "CSI similarity vs sampling period, thresholds, micro/macro",
+       run_fig2},
+      {"table1",
+       "mobility classification accuracy (confusion matrix + macro heading)",
+       run_table1},
+      {"fig4", "ToF medians over time under micro and macro mobility",
+       run_fig4},
+      {"fig6", "detector sensitivity to CSI period and ToF trend window",
+       run_fig6},
+      {"fig7", "roaming: oracle gain per mode, three roaming schemes",
+       run_fig7},
+      {"fig8", "how long the optimal bit-rate holds, MCS series per mode",
+       run_fig8},
+      {"fig9",
+       "rate adaptation: stock vs motion-aware, and five schemes head-to-head",
+       run_fig9},
+      {"fig10", "frame aggregation limit per mode, adaptive vs fixed",
+       run_fig10},
+      {"fig11", "SU beamforming feedback period, adaptive vs stock",
+       run_fig11},
+      {"fig12", "MU-MIMO feedback period, per-client adaptive vs stock",
+       run_fig12},
+      {"fig13",
+       "end-to-end 6-AP floor walks: full mobility-aware suite vs stock stack",
+       run_fig13},
+      {"table2", "per-mode protocol parameters from core/policy.hpp",
+       run_table2},
+      {"ablation_aoa", "AoA orbit detector for the circular-walk limitation",
+       run_ablation_aoa},
+      {"ablation_substrate", "channel mechanisms vs classifier stages",
+       run_ablation_substrate},
+      {"ablation_roaming", "handoff cost: full scan vs 802.11r",
+       run_ablation_roaming},
+      {"ablation_width", "channel width and MIMO mode adaptation (null result)",
+       run_ablation_width},
+      {"ablation_uplink", "uplink RA fed by delayed mobility hints",
+       run_ablation_uplink},
+      {"ablation_latency", "MPDU delivery latency vs aggregation policy",
+       run_ablation_latency},
+      {"ablation_scheduler", "mobility-aware AP scheduling of two clients",
+       run_ablation_scheduler},
   };
   return benches;
 }
@@ -32,31 +67,6 @@ const std::vector<GatedSuiteDef>& gated_registry() {
        run_loc_report},
   };
   return suites;
-}
-
-int run_standalone(const std::string& name) {
-  for (const BenchDef& def : registry()) {
-    if (def.name != name) continue;
-    const unsigned hw = std::thread::hardware_concurrency();
-    runtime::ThreadPool pool(hw ? hw : 1);
-    runtime::BenchReport report;
-    report.name = def.name;
-    report.description = def.description;
-    runtime::Experiment exp(pool, runtime::kMasterSeed, &report);
-    const auto start = std::chrono::steady_clock::now();
-    def.run(exp, report);
-    report.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    std::fputs(report.text.c_str(), stdout);
-    std::printf("\n[%s: %zu jobs on %zu workers, %.2fs wall, %.0f%% "
-                "utilization]\n",
-                def.name.c_str(), report.jobs.size(), report.workers,
-                report.wall_s, 100.0 * report.worker_utilization());
-    return 0;
-  }
-  std::fprintf(stderr, "unknown bench: %s\n", name.c_str());
-  return 1;
 }
 
 std::string strf(const char* format, ...) {
@@ -81,6 +91,27 @@ std::string banner_text(const std::string& figure,
               "%s\nPaper: %s\n"
               "================================================================\n",
               figure.c_str(), expectation.c_str());
+}
+
+std::string sequential_text(runtime::Experiment& exp,
+                            const std::function<std::string(Rng&)>& body) {
+  const std::uint64_t seed = exp.master_seed();
+  return exp.map<std::string>(1, [&](runtime::Trial&) {
+    Rng master(seed);
+    return body(master);
+  })[0];
+}
+
+std::vector<Rng> split_rows(Rng& master, std::size_t count) {
+  std::vector<Rng> rows;
+  for (std::size_t i = 0; i < count; ++i) rows.push_back(master.split());
+  return rows;
+}
+
+int class_index(MobilityClass c) {
+  for (int i = 0; i < 4; ++i)
+    if (kClasses[i] == c) return i;
+  return 0;
 }
 
 }  // namespace mobiwlan::benchsuite

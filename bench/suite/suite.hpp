@@ -1,20 +1,25 @@
 // suite.hpp — the benches registered with the unified mobiwlan-bench driver.
 //
-// Each ported bench is a BenchDef: a name the CLI filters on and a run
-// function that fans trials out through a runtime::Experiment and records
-// metrics/text into a runtime::BenchReport. The standalone per-figure
-// binaries forward to run_standalone() so both entry points execute the
-// exact same trial code.
+// Every paper table, figure and ablation is a BenchDef: a name the CLI
+// filters on and a run function that fans trials out through a
+// runtime::Experiment and records metrics/text into a runtime::BenchReport.
+// The gated suites reuse the figures' trial functions declared below, so a
+// gate replays exactly the code its figure runs.
 #pragma once
 
+#include <array>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "chan/scenario.hpp"
 #include "core/mobility_mode.hpp"
 #include "fault/fault.hpp"
 #include "fidelity/fidelity.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/report.hpp"
+#include "util/rng.hpp"
 
 namespace mobiwlan::benchsuite {
 
@@ -25,7 +30,7 @@ struct BenchDef {
   std::function<void(runtime::Experiment&, runtime::BenchReport&)> run;
 };
 
-/// All benches ported onto the runtime runner, in registration order.
+/// Every bench, in paper order (tables and figures, then the ablations).
 const std::vector<BenchDef>& registry();
 
 /// One timed measurement from a perf case.
@@ -50,12 +55,6 @@ struct PerfCaseDef {
 /// The registered perf cases (bench/suite/perf.cpp), in registration order.
 const std::vector<PerfCaseDef>& perf_registry();
 
-/// Runs one registered bench with the default seed and one worker per
-/// hardware thread, printing its text output — the compatibility entry
-/// point for the historical per-figure binaries. Returns a process exit
-/// code (1 if `name` is not registered).
-int run_standalone(const std::string& name);
-
 /// printf-style formatting into a std::string (bench text assembly).
 std::string strf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
@@ -64,10 +63,97 @@ std::string strf(const char* format, ...)
 std::string banner_text(const std::string& figure,
                         const std::string& expectation);
 
-// The registered benches (one definition per suite/*.cpp file).
-BenchDef table1_bench();
-BenchDef fig9_bench();
-BenchDef fig13_bench();
+/// Runs `body` as one job on Rng(exp.master_seed()) and returns its text:
+/// for benches whose every trial draws in sequence from one master
+/// generator, so the draws cannot be split into independent jobs.
+std::string sequential_text(runtime::Experiment& exp,
+                            const std::function<std::string(Rng&)>& body);
+
+/// `count` generators split in order from `master`: the rows of a
+/// master-sequence bench, each then run as its own job.
+std::vector<Rng> split_rows(Rng& master, std::size_t count);
+
+// The registered benches. table1.cpp, fig9.cpp and fig13.cpp hold one
+// bench each; classification.cpp the classifier-signal figures (1, 2, 4,
+// 6); protocols.cpp the protocol figures (7, 8, 10, 11, 12) and Table 2;
+// ablations.cpp the ablations.
+void run_fig1(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig2(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_table1(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig4(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig6(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig7(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig8(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig9(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig10(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig11(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig12(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_fig13(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_table2(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_ablation_aoa(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_ablation_substrate(runtime::Experiment& exp,
+                            runtime::BenchReport& report);
+void run_ablation_roaming(runtime::Experiment& exp,
+                          runtime::BenchReport& report);
+void run_ablation_width(runtime::Experiment& exp, runtime::BenchReport& report);
+void run_ablation_uplink(runtime::Experiment& exp,
+                         runtime::BenchReport& report);
+void run_ablation_latency(runtime::Experiment& exp,
+                          runtime::BenchReport& report);
+void run_ablation_scheduler(runtime::Experiment& exp,
+                            runtime::BenchReport& report);
+
+// ---- Trial code shared by the figures and the gated suites ---------------
+
+/// The four coarse classes in display order.
+inline constexpr MobilityClass kClasses[] = {
+    MobilityClass::kStatic, MobilityClass::kEnvironmental, MobilityClass::kMicro,
+    MobilityClass::kMacro};
+
+/// Position of `c` in kClasses.
+int class_index(MobilityClass c);
+
+/// Correct seconds out of the seconds counted.
+struct HitCounts {
+  int hits = 0;
+  int total = 0;
+};
+
+/// Per-second detections of one randomized-location trial, by class index.
+struct ClassCounts {
+  std::array<int, 4> detected{};
+  int total = 0;
+};
+
+/// One Table-1 location (table1.cpp): a `cls` scenario drawn from the
+/// trial's generator, classified once per second for `duration_s` after a
+/// 10 s warmup.
+ClassCounts classify_trial(MobilityClass cls, double duration_s,
+                           runtime::Trial& trial);
+
+/// One Table-1 heading walk (table1.cpp): even trial indices walk toward
+/// the AP, odd ones away; counts the macro seconds with the right heading.
+HitCounts heading_trial(runtime::Trial& trial);
+
+/// Fig 2 (classification.cpp): Eq.-1 similarity of consecutive CSI samples
+/// `period_s` apart over the first 15 s of one scenario drawn from `rng`
+/// (an environmental scenario of activity `act` when given).
+std::vector<double> similarity_trial(MobilityClass cls,
+                                     std::optional<EnvironmentalActivity> act,
+                                     double period_s, Rng& rng);
+
+/// Fig 4 (classification.cpp): per-second ToF medians (the classifier's
+/// working signal) over `duration_s` of a scenario.
+std::vector<double> tof_median_series(Scenario& s, double duration_s);
+
+/// Stream-id offset decorrelating fault substreams from the channel draws
+/// that share a scenario seed (fault and trace suites).
+inline constexpr std::uint64_t kFaultSalt = 0xFA17;
+
+/// A CSI+ToF export-drop plan for the fault and trace suites, its fault
+/// seed drawn from the scenario seed's kFaultSalt substream, so the fault
+/// world is reproducible and independent of the channel draws.
+FaultPlan export_drop_plan(double drop, std::uint64_t scenario_seed);
 
 /// One RA scheme over one channel seed (fig9.cpp) — shared with the
 /// fidelity suite so the gate replays exactly the bench's trial code. The

@@ -4,7 +4,6 @@
 // is one independent job; aggregation is in job-index order so the numbers
 // are identical for any worker count.
 #include <algorithm>
-#include <array>
 #include <string>
 
 #include "chan/scenario.hpp"
@@ -14,136 +13,109 @@
 #include "util/table.hpp"
 
 namespace mobiwlan::benchsuite {
-namespace {
 
-constexpr MobilityClass kClasses[] = {
-    MobilityClass::kStatic, MobilityClass::kEnvironmental, MobilityClass::kMicro,
-    MobilityClass::kMacro};
-
-int class_index(MobilityClass c) {
-  for (int i = 0; i < 4; ++i)
-    if (kClasses[i] == c) return i;
-  return 0;
-}
-
-/// Per-second detections of one randomized-location trial.
-struct ClassCounts {
-  std::array<int, 4> detected{};
-  int total = 0;
-};
-
-ClassCounts classify_trial(MobilityClass cls, runtime::Trial& trial) {
+ClassCounts classify_trial(MobilityClass cls, double duration_s,
+                           runtime::Trial& trial) {
   ClassCounts out;
   const Scenario s = make_scenario(cls, trial.rng);
-  runtime::run_classifier(s, 40.0, 10.0, [&](double, MobilityMode mode) {
+  runtime::run_classifier(s, duration_s, 10.0, [&](double, MobilityMode mode) {
     ++out.total;
     ++out.detected[class_index(to_class(mode))];
   });
   return out;
 }
 
-struct HitCounts {
-  int hits = 0;
-  int total = 0;
-};
+HitCounts heading_trial(runtime::Trial& trial) {
+  const bool toward = trial.index % 2 == 0;
+  HitCounts out;
+  const Scenario s =
+      make_radial_scenario(toward, toward ? 30.0 : 8.0, trial.rng);
+  runtime::run_classifier(s, 18.0, 8.0, [&](double, MobilityMode mode) {
+    if (!is_macro(mode)) return;
+    ++out.total;
+    const MobilityMode want =
+        toward ? MobilityMode::kMacroToward : MobilityMode::kMacroAway;
+    if (mode == want) ++out.hits;
+  });
+  return out;
+}
 
-}  // namespace
+void run_table1(runtime::Experiment& exp, runtime::BenchReport& report) {
+  report.text += banner_text(
+      "Table 1 — mobility classification accuracy",
+      "diagonal > 92% everywhere (paper: static 97 / env 95 / "
+      "micro 96 / macro 93)");
 
-BenchDef table1_bench() {
-  BenchDef def;
-  def.name = "table1";
-  def.description =
-      "mobility classification accuracy (confusion matrix + macro heading)";
-  def.run = [](runtime::Experiment& exp, runtime::BenchReport& report) {
-    report.text += banner_text(
-        "Table 1 — mobility classification accuracy",
-        "diagonal > 92% everywhere (paper: static 97 / env 95 / "
-        "micro 96 / macro 93)");
+  const int trials = 30;  // "locations" per class
+  report.add_metadata("trials_per_class", std::to_string(trials));
+  report.add_metadata("trial_duration_s", "40");
+  report.add_metadata("warmup_s", "10");
 
-    const int trials = 30;  // "locations" per class
-    report.add_metadata("trials_per_class", std::to_string(trials));
-    report.add_metadata("trial_duration_s", "40");
-    report.add_metadata("warmup_s", "10");
-
-    TablePrinter t("confusion matrix (rows = ground truth)");
-    t.set_header({"truth \\ detected", "static", "environmental", "micro",
-                  "macro"});
-    for (const MobilityClass cls : kClasses) {
-      const auto rows = exp.map<ClassCounts>(
-          static_cast<std::size_t>(trials),
-          [cls](runtime::Trial& trial) { return classify_trial(cls, trial); });
-      ClassCounts sum;
-      for (const ClassCounts& r : rows) {
-        sum.total += r.total;
-        for (int i = 0; i < 4; ++i) sum.detected[i] += r.detected[i];
-      }
-      std::vector<std::string> cells{std::string(to_string(cls))};
-      for (const MobilityClass det : kClasses) {
-        const double frac =
-            static_cast<double>(sum.detected[class_index(det)]) /
-            std::max(1, sum.total);
-        report.add_metric(strf("confusion.%s.%s",
-                               std::string(to_string(cls)).c_str(),
-                               std::string(to_string(det)).c_str()),
-                          frac);
-        cells.push_back(TablePrinter::pct(frac));
-      }
-      t.add_row(cells);
+  TablePrinter t("confusion matrix (rows = ground truth)");
+  t.set_header({"truth \\ detected", "static", "environmental", "micro",
+                "macro"});
+  for (const MobilityClass cls : kClasses) {
+    const auto rows = exp.map<ClassCounts>(
+        static_cast<std::size_t>(trials), [cls](runtime::Trial& trial) {
+          return classify_trial(cls, 40.0, trial);
+        });
+    ClassCounts sum;
+    for (const ClassCounts& r : rows) {
+      sum.total += r.total;
+      for (int i = 0; i < 4; ++i) sum.detected[i] += r.detected[i];
     }
-    report.text += t.render();
+    std::vector<std::string> cells{std::string(to_string(cls))};
+    for (const MobilityClass det : kClasses) {
+      const double frac =
+          static_cast<double>(sum.detected[class_index(det)]) /
+          std::max(1, sum.total);
+      report.add_metric(strf("confusion.%s.%s",
+                             std::string(to_string(cls)).c_str(),
+                             std::string(to_string(det)).c_str()),
+                        frac);
+      cells.push_back(TablePrinter::pct(frac));
+    }
+    t.add_row(cells);
+  }
+  report.text += t.render();
 
-    // Heading accuracy on controlled toward/away walks (§2.4).
-    const auto heading = exp.map<HitCounts>(16, [](runtime::Trial& trial) {
-      const bool toward = trial.index % 2 == 0;
-      HitCounts out;
-      const Scenario s =
-          make_radial_scenario(toward, toward ? 30.0 : 8.0, trial.rng);
-      runtime::run_classifier(s, 18.0, 8.0, [&](double, MobilityMode mode) {
-        if (!is_macro(mode)) return;
-        ++out.total;
-        const MobilityMode want =
-            toward ? MobilityMode::kMacroToward : MobilityMode::kMacroAway;
-        if (mode == want) ++out.hits;
-      });
-      return out;
+  // Heading accuracy on controlled toward/away walks (§2.4).
+  const auto heading = exp.map<HitCounts>(16, heading_trial);
+  HitCounts h;
+  for (const HitCounts& r : heading) {
+    h.hits += r.hits;
+    h.total += r.total;
+  }
+  const double heading_acc =
+      static_cast<double>(h.hits) / std::max(1, h.total);
+  report.add_metric("heading_accuracy", heading_acc);
+  report.text += strf("\nHeading (toward vs away) accuracy on radial walks: "
+                      "%.1f%% (%d/%d classified-macro seconds)\n",
+                      100.0 * heading_acc, h.hits, h.total);
+
+  // §9 limitation: a circular walk around the AP must classify as micro.
+  const auto circular = exp.map<HitCounts>(6, [](runtime::Trial& trial) {
+    HitCounts out;
+    const Scenario s = make_circular_scenario(
+        10.0 + static_cast<double>(trial.index), trial.rng);
+    runtime::run_classifier(s, 30.0, 10.0, [&](double, MobilityMode mode) {
+      ++out.total;
+      if (mode == MobilityMode::kMicro) ++out.hits;
     });
-    HitCounts h;
-    for (const HitCounts& r : heading) {
-      h.hits += r.hits;
-      h.total += r.total;
-    }
-    const double heading_acc =
-        static_cast<double>(h.hits) / std::max(1, h.total);
-    report.add_metric("heading_accuracy", heading_acc);
-    report.text += strf("\nHeading (toward vs away) accuracy on radial walks: "
-                        "%.1f%% (%d/%d classified-macro seconds)\n",
-                        100.0 * heading_acc, h.hits, h.total);
-
-    // §9 limitation: a circular walk around the AP must classify as micro.
-    const auto circular = exp.map<HitCounts>(6, [](runtime::Trial& trial) {
-      HitCounts out;
-      const Scenario s = make_circular_scenario(
-          10.0 + static_cast<double>(trial.index), trial.rng);
-      runtime::run_classifier(s, 30.0, 10.0, [&](double, MobilityMode mode) {
-        ++out.total;
-        if (mode == MobilityMode::kMicro) ++out.hits;
-      });
-      return out;
-    });
-    HitCounts c;
-    for (const HitCounts& r : circular) {
-      c.hits += r.hits;
-      c.total += r.total;
-    }
-    const double circular_micro =
-        static_cast<double>(c.hits) / std::max(1, c.total);
-    report.add_metric("circular_classified_micro", circular_micro);
-    report.text += strf("Limitation check (§9): circular walk classified "
-                        "micro %.1f%% of the time (paper predicts "
-                        "misclassification as micro)\n",
-                        100.0 * circular_micro);
-  };
-  return def;
+    return out;
+  });
+  HitCounts c;
+  for (const HitCounts& r : circular) {
+    c.hits += r.hits;
+    c.total += r.total;
+  }
+  const double circular_micro =
+      static_cast<double>(c.hits) / std::max(1, c.total);
+  report.add_metric("circular_classified_micro", circular_micro);
+  report.text += strf("Limitation check (§9): circular walk classified "
+                      "micro %.1f%% of the time (paper predicts "
+                      "misclassification as micro)\n",
+                      100.0 * circular_micro);
 }
 
 }  // namespace mobiwlan::benchsuite

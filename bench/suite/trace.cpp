@@ -55,20 +55,10 @@ namespace {
 
 using fidelity::FidelityReport;
 
-constexpr MobilityClass kClasses[] = {
-    MobilityClass::kStatic, MobilityClass::kEnvironmental, MobilityClass::kMicro,
-    MobilityClass::kMacro};
-
-/// Same salt as the fault suite: fault substreams decorrelated from the
-/// channel draws sharing a scenario seed.
-constexpr std::uint64_t kTraceFaultSalt = 0xFA17;
-
+/// The fault suite's export-drop plan, with feedback exports dropped too.
 FaultPlan trace_drop_plan(double drop, std::uint64_t scenario_seed) {
-  FaultPlan plan;
-  plan.csi.drop_prob = drop;
-  plan.tof.drop_prob = drop;
+  FaultPlan plan = export_drop_plan(drop, scenario_seed);
   plan.feedback.drop_prob = drop;
-  plan.seed = Rng(scenario_seed).stream(kTraceFaultSalt).seed();
   return plan;
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ci/check.sh — the full pre-merge gate:
 #   1. plain build + entire ctest suite;
-#   2. runtime determinism check: mobiwlan-bench at --jobs 1 vs --jobs 8
-#      must produce byte-identical JSON outside the "timing" lines;
+#   2. runtime determinism check: every registered bench at --jobs 1 vs
+#      --jobs 8 must produce byte-identical JSON and stdout outside the
+#      "timing" lines and the per-bench wall-time footers;
 #   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
 #      budget and the baseline's 25% tolerance band (microbench cases, the
 #      AP-scale throughput bench and its bitwise-agreement/alloc gates, the
@@ -39,11 +40,17 @@ cmake --build build -j"${JOBS}"
 echo "== ctest =="
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 
-echo "== determinism: --jobs 1 vs --jobs 8 =="
-./build/bench/mobiwlan-bench --filter table1 --jobs 8 --json /tmp/mobiwlan_a.json >/dev/null
-./build/bench/mobiwlan-bench --filter table1 --jobs 1 --json /tmp/mobiwlan_b.json >/dev/null
-if ! diff <(grep -v '"timing":' /tmp/mobiwlan_a.json) \
-          <(grep -v '"timing":' /tmp/mobiwlan_b.json); then
+echo "== determinism: --jobs 1 vs --jobs 8, every registered bench =="
+# Text-only benches put nothing in the JSON, so stdout is diffed too; only
+# the "timing": JSON lines and the [NAME: ... wall ...] footers may differ.
+for jobs in 8 1; do
+  ./build/bench/mobiwlan-bench --jobs "${jobs}" \
+    --json /tmp/mobiwlan_bench.json >/tmp/mobiwlan_j"${jobs}".txt
+  grep -v '"timing":' /tmp/mobiwlan_bench.json >/tmp/mobiwlan_j"${jobs}".json
+  sed -i '/^\[[a-z0-9_]*: .* wall/d' /tmp/mobiwlan_j"${jobs}".txt
+done
+if ! diff /tmp/mobiwlan_j8.json /tmp/mobiwlan_j1.json ||
+   ! diff /tmp/mobiwlan_j8.txt /tmp/mobiwlan_j1.txt; then
   echo "FAIL: bench results differ between --jobs 8 and --jobs 1" >&2
   exit 1
 fi

@@ -172,11 +172,6 @@ void Session::observe(double t, std::uint64_t epoch,
   stats_.digest = d;
 }
 
-void Session::step(std::uint64_t epoch, const ChannelSample& sample) {
-  observe_step(epoch, sample);
-  mac_step(epoch, sample);
-}
-
 void Session::observe_step(std::uint64_t epoch, const ChannelSample& sample) {
   observe(static_cast<double>(epoch) * params_.tick_s, epoch, sample);
 }

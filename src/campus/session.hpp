@@ -193,13 +193,13 @@ class Session {
   /// ChannelBatch::sample_link — the same kernels as the shard's batch.
   void prime(ChannelBatch::Scratch& scratch, ChannelSample& sample);
 
-  /// One batched-epoch step from an already-taken channel sample: feeds the
-  /// classifier, runs the rate-adaptation exchange, updates stats and the
-  /// observable digest. Allocation-free. `epoch` is the campus epoch the
-  /// sample belongs to. Equivalent to observe_step() then mac_step().
-  void step(std::uint64_t epoch, const ChannelSample& sample);
-
-  /// Classifier half of step(): the anchored Eq.-1 similarity update over
+  /// One batched-epoch step from an already-taken channel sample is
+  /// observe_step() then mac_step(): together they feed the classifier, run
+  /// the rate-adaptation exchange and update stats and the observable
+  /// digest. Both are allocation-free; `epoch` is the campus epoch the
+  /// sample belongs to.
+  ///
+  /// Classifier half of the step: the anchored Eq.-1 similarity update over
   /// the sampled CSI plane (the batched classifier pass — the anchor's
   /// magnitude plane is precomputed once and shared across the window, so
   /// the per-epoch cost is one SoA magnitude kernel per session). Split
@@ -207,7 +207,7 @@ class Session {
   /// order — observe before MAC — explicit; the split is digest-neutral.
   void observe_step(std::uint64_t epoch, const ChannelSample& sample);
 
-  /// MAC half of step(): rate adaptation plus the per-tick A-MPDU exchange
+  /// MAC half of the step: rate adaptation plus the per-tick A-MPDU exchange
   /// at the sample's true SNR.
   void mac_step(std::uint64_t epoch, const ChannelSample& sample);
 

@@ -3,9 +3,8 @@
 // Every classification bench drives a MobilityClassifier over a scenario at
 // the paper's measurement cadences (CSI every cfg.csi_period_s, ToF every
 // cfg.tof_period_s) and samples the decision once per second. That cadence
-// logic used to be duplicated inline in every bench binary via
-// bench_common.hpp; it lives here, once, so benches and the unified driver
-// share a single definition of what "one trial" means.
+// logic lives here, once, so every bench and gated suite shares a single
+// definition of what "one trial" means.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,6 @@
 // Integration: Table-1-style accuracy of the full classification pipeline
 // over randomized locations, at reduced trial counts suitable for CI.
-// The bench binary bench_table1_classification runs the full-scale version.
+// `mobiwlan-bench --filter table1` runs the full-scale version.
 #include <gtest/gtest.h>
 
 #include <cmath>
