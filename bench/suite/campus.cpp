@@ -311,12 +311,14 @@ FidelityReport run_campus_report(runtime::Experiment& exp) {
     rep.add(p + ".mailbox_depth", static_cast<double>(runs[i].mailbox_depth));
   }
   // Peak resident sessions (slab high-water) is deterministic and
-  // shard-invariant, so it is exact-gated; the 16x1 run is always serial,
-  // so its fused-phase allocation meter is live — steady-state churn must
-  // stay pool-only (0 allocations) regardless of worker availability.
+  // shard-invariant, so it is exact-gated. The fused-phase allocation
+  // meter is per worker thread, so it is live in every run: summed over
+  // all four shapes, it must stay 0.
   rep.add("campus.pool_sessions",
           static_cast<double>(runs[0].pool_sessions));
-  rep.add("campus.hot_allocs", static_cast<double>(runs[3].hot_allocs));
+  std::uint64_t hot_allocs = 0;
+  for (const CampusRun& r : runs) hot_allocs += r.hot_allocs;
+  rep.add("campus.hot_allocs", static_cast<double>(hot_allocs));
   if (wall_s > 0.0) {
     double total_steps = 0.0;
     for (const CampusRun& r : runs) total_steps += static_cast<double>(r.agg.steps);

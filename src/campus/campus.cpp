@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -81,8 +82,8 @@ const CampusConfig& validated(const CampusConfig& cfg) {
 CampusSim::CampusSim(const CampusConfig& config)
     : config_(validated(config)),
       map_(config.cols, config.rows, config.pitch_m),
-      session_pool_(4096),
-      shards_(config.shards == 0 ? 1 : config.shards),
+      pools_(config.shards == 0 ? 1 : config.shards),
+      shards_(pools_.size()),
       mailbox_(shards_.size(), config.mailbox_lane_capacity),
       arrivals_root_(Rng(config.master_seed).stream(kArrivalSalt)) {
   config_.shards = shards_.size();
@@ -108,23 +109,26 @@ CampusSim::CampusSim(const CampusConfig& config)
     max_bucket = std::max(max_bucket, bucket.size());
   pending_.reserve(max_bucket);
 
-  // Pre-size the shared per-shard sample (serial, once) so the hot phase
-  // never allocates.
-  const ChannelConfig& ch = config_.session.channel;
-  for (Shard& sh : shards_)
-    sh.sample.csi.resize(ch.n_tx, ch.n_rx, ch.n_subcarriers);
-
-  // Warm every build slot here, on the constructing thread, with a
-  // throwaway session's association burst: an arrival build on a worker
-  // then never touches the heap.
+  // Warm every shard's and build slot's scratch and sample here, on the
+  // constructing thread, with a throwaway session's association burst, and
+  // build the lazily initialized MCS table with one MAC step: neither a
+  // shard pass nor an arrival build then ever touches the heap.
   build_slots_.resize(pool_ ? pool_->size() + 1 : 1);
   Session warm(0, config_.master_seed, map_, config_.session, 1, 2);
   for (BuildSlot& b : build_slots_) warm.prime(b.scratch, b.sample);
+  for (Shard& sh : shards_) warm.prime(sh.scratch, sh.sample);
+  warm.mac_step(1, build_slots_[0].sample);
 }
 
 std::uint64_t CampusSim::active() const {
   std::uint64_t n = 0;
-  for (const Shard& sh : shards_) n += sh.occupied;
+  for (const Shard& sh : shards_) n += sh.sessions.size();
+  return n;
+}
+
+std::size_t CampusSim::pool_sessions() const {
+  std::size_t n = 0;
+  for (const SessionPool& pool : pools_) n += pool.constructed();
   return n;
 }
 
@@ -145,35 +149,56 @@ void CampusSim::place(std::size_t dst, SessionPtr sp) {
   // A mailbox-delivered session one epoch from departure would be staged by
   // its new shard *before* sampling under a start-of-epoch scan; the fused
   // pass stages at the *end* of the previous epoch instead, so catch it here
-  // (it never needs a slot). Arrivals can't hit this: dwell >= 2.
+  // (it is never stepped here). Arrivals can't hit this: dwell >= 2.
   if (sp->depart_epoch() <= epoch_ + 1) {
     sh.departing.push_back(std::move(sp));
     return;
   }
-  const std::size_t slot = sh.batch.add_link(sp->channel());
-  if (slot >= sh.sessions.size()) sh.sessions.resize(slot + 1);
-  sh.sessions[slot] = std::move(sp);
-  ++sh.occupied;
-  // The fused pass stages every same-epoch departure into `departing`,
-  // which can hold at most one entry per occupied slot. Reserving to the
-  // slot vector's capacity here (serial phase, O(log n) reallocations)
-  // keeps the hot phase structurally allocation-free even through the
-  // drain wave after the arrival window closes.
-  if (sh.departing.capacity() < sh.sessions.capacity())
-    sh.departing.reserve(sh.sessions.capacity());
+  sh.incoming.push_back(std::move(sp));
+}
+
+void CampusSim::merge_incoming() {
+  const std::less<const Session*> before;
+  for (Shard& sh : shards_) {
+    // The fused pass stages every same-epoch departure into `departing`,
+    // on top of any the drain staged: at most one more entry per hosted
+    // session. Reserving for that here (serial phase, geometric growth)
+    // keeps the hot phase structurally allocation-free.
+    const std::size_t hosted = sh.sessions.size() + sh.incoming.size();
+    const std::size_t need = sh.departing.size() + hosted;
+    if (sh.departing.capacity() < need)
+      sh.departing.reserve(std::max(need, 2 * sh.departing.capacity()));
+    if (sh.incoming.empty()) continue;
+    std::sort(sh.incoming.begin(), sh.incoming.end(),
+              [&before](const SessionPtr& a, const SessionPtr& b) {
+                return before(a.get(), b.get());
+              });
+    // Merge from the back, so each hosted session moves at most once.
+    std::size_t i = sh.sessions.size();
+    std::size_t j = sh.incoming.size();
+    sh.sessions.resize(i + j);
+    for (std::size_t out = i + j; j > 0;) {
+      if (i > 0 && before(sh.incoming[j - 1].get(), sh.sessions[i - 1].get()))
+        sh.sessions[--out] = std::move(sh.sessions[--i]);
+      else
+        sh.sessions[--out] = std::move(sh.incoming[--j]);
+    }
+    sh.incoming.clear();
+  }
 }
 
 void CampusSim::phase_shard(std::size_t s) {
   Shard& sh = shards_[s];
   const double t = static_cast<double>(epoch_) * config_.session.tick_s;
-  const std::size_t n_slots = sh.batch.size();
 
-  // One fused pass: each occupied slot is sampled, observed (the batched
-  // Eq.-1 classifier step), MAC-stepped, roamed, and — when its dwell ends
-  // next epoch — staged for departure, all while its session/channel state
-  // is cache-hot. At campus scale the shard's working set is far beyond L2,
-  // so touching each session once per epoch instead of once per sweep is
-  // what the throughput gate measures.
+  // One fused pass in ascending address order: each session is sampled,
+  // observed (the Eq.-1 classifier step), MAC-stepped, roamed, and — when
+  // its dwell ends next epoch — staged for departure, all while its state
+  // is cache-hot. At campus scale the shard's sessions are far beyond L2,
+  // so the pass is bound by streaming them in: each session is one
+  // contiguous slab slot, most of them this shard's own consecutive
+  // slots, and walking them forward lets the hardware prefetchers run
+  // ahead. Survivors are compacted in place, which keeps the order.
   //
   // Bitwise neutrality vs. the multi-sweep form: per-session draw order
   // (sample -> observe -> MAC -> roam) is unchanged, sessions are mutually
@@ -181,65 +206,34 @@ void CampusSim::phase_shard(std::size_t s) {
   // epoch d-1 instead of the start of epoch d is a uniform one-epoch shift
   // for *every* session — the per-epoch id-sorted fold batches concatenate
   // to the identical sequence, so the aggregate folds the same bits.
-  // Software prefetch pays for itself only when the shard's working set
-  // has outgrown L2 — then every session's lines were evicted since last
-  // epoch and the misses (not the arithmetic) dominate the pass. Below
-  // ~512 resident sessions (~4 KiB each, so ~2 MiB) the set is cache-
-  // resident and the hint chain is pure issue-port overhead (~2x on the
-  // 512-session microbench), so it is gated on occupancy. Purely a timing
-  // decision: prefetches touch no architectural state, so the digests are
-  // identical either way.
-  const bool stream_ahead = sh.occupied >= 512;
-  std::uint64_t allocs_before = 0;
-  if (!pool_) allocs_before = alloc_count();
-  for (std::size_t i = 0; i < n_slots; ++i) {
+  const std::uint64_t allocs_before = thread_alloc_count();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < sh.sessions.size(); ++i) {
     SessionPtr& sp = sh.sessions[i];
-    if (!sp) continue;
-    // Stream upcoming slots' working sets in under this slot's synthesis:
-    // slot i+1 gets the full set; slot i+2 gets its top-level objects so
-    // the dependent buffer pointers are warm when its own full hint issues.
-    if (stream_ahead) {
-      if (i + 2 < n_slots) {
-        if (const Session* nx2 = sh.sessions[i + 2].get()) {
-          prefetch_lines(nx2, sizeof(Session));
-          sh.batch.prefetch_slot(i + 2);
-        }
-      }
-      if (i + 1 < n_slots) {
-        if (const Session* nx = sh.sessions[i + 1].get()) {
-          nx->prefetch();
-          sh.batch.prefetch_slot(i + 1);
-        }
-      }
-    }
-    sh.batch.sample_slot(t, i, sh.sample, sh.scratch);
+    ChannelBatch::sample_link(*sp->channel(), t, sh.sample, sh.scratch);
     sp->observe_step(epoch_, sh.sample);
     sp->mac_step(epoch_, sh.sample);
     sp->maybe_roam(t);
     if (sp->depart_epoch() <= epoch_ + 1) {
-      // Dwell ends next epoch: this was the session's last batched step in
-      // every partitioning, so it leaves the batch now.
-      sh.batch.remove_link(i);
+      // Dwell ends next epoch: this was the session's last step in every
+      // partitioning, so it leaves the shard now.
       sh.departing.push_back(std::move(sp));
-      --sh.occupied;
       continue;
     }
     const std::size_t dst = map_.shard_of_ap(sp->serving_ap(), shards_.size());
-    if (dst == s) continue;
-    // Cross-shard mover: leaves through this shard's own SPSC lane. A
-    // same-shard roam re-drew the channel realization in place (stable
-    // address), so the batch slot needed no update at all.
-    if (mailbox_.try_send(s, dst, sp)) {  // consumed only on success
-      sh.batch.remove_link(i);
-      --sh.occupied;
-    } else {
+    if (dst != s) {
+      // Cross-shard mover: leaves through this shard's own SPSC lane.
+      if (mailbox_.try_send(s, dst, sp)) continue;  // consumed on success
       // Lane full: keep hosting for one more epoch. The session computes
       // the same observables here as it would on dst, so back-pressure is
       // observably invisible — it only shows up in this counter.
       ++sh.deferred;
     }
+    if (kept != i) sh.sessions[kept] = std::move(sp);
+    ++kept;
   }
-  if (!pool_) sh.hot_allocs += alloc_count() - allocs_before;
+  sh.sessions.resize(kept);
+  sh.hot_allocs += thread_alloc_count() - allocs_before;
 }
 
 void CampusSim::drain_mailbox() {
@@ -267,9 +261,11 @@ void CampusSim::take_arrivals() {
                               ? config_.max_dwell_epochs
                               : config_.min_dwell_epochs +
                                     static_cast<std::uint64_t>(extra);
-    if (dwell < 2) dwell = 2;  // at least one batched step before departure
+    if (dwell < 2) dwell = 2;  // at least one pass step before departure
 
-    SessionPool::Taken taken = session_pool_.take(
+    const std::size_t dst = map_.shard_of_ap(
+        Session::home_ap(id, config_.master_seed, map_), shards_.size());
+    SessionPool::Taken taken = arrival_pool(dst).take(
         id, config_.master_seed, map_, config_.session, epoch_, dwell);
     // A fresh slab session was just built on this thread; prime it here
     // too. Building fresh sessions on workers would spread their first-touch
@@ -279,6 +275,19 @@ void CampusSim::take_arrivals() {
     pending_.push_back({std::move(taken), id, dwell});
   }
   bucket = {};  // release this epoch's bucket storage
+}
+
+SessionPool& CampusSim::arrival_pool(std::size_t dst) {
+  // The hosting shard's own free session first. Failing that, borrow from
+  // the pool with the most free sessions (lowest shard on ties): a session
+  // is then constructed only when every free list is empty — exactly when
+  // one campus-wide free list would have been — so pool_sessions() does not
+  // depend on the shard count.
+  SessionPool* pool = &pools_[dst];
+  if (pool->free_count() > 0) return *pool;
+  for (SessionPool& p : pools_)
+    if (p.free_count() > pool->free_count()) pool = &p;
+  return *pool;
 }
 
 void CampusSim::build_arrivals(std::size_t chunk, BuildSlot& slot) {
@@ -350,6 +359,7 @@ void CampusSim::step_epoch() {
   // in fixed (shard id, session id) order.
   drain_mailbox();
   place_arrivals();
+  merge_incoming();
   fold_departures();
 }
 

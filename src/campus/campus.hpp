@@ -1,22 +1,21 @@
 // campus.hpp — campus-scale sharded deployment with live client churn.
 //
-// CampusSim runs thousands of APs partitioned into shards. Each shard owns
-// a ChannelBatch over the sessions it currently hosts and steps them with
-// the batched engine; client sessions arrive by a seeded process, walk
-// between shards, and depart, folding their statistics into a streamed
-// aggregate (stats_stream.hpp) — per-session records are never
-// materialized. Cross-shard handover travels through the bounded lock-free
+// CampusSim runs thousands of APs partitioned into shards. Each shard steps
+// the sessions it currently hosts through the channel engine's link entry
+// point; client sessions arrive by a seeded process, walk between shards,
+// and depart, folding their statistics into a streamed aggregate
+// (stats_stream.hpp) — per-session records are never materialized.
+// Cross-shard handover travels through the bounded lock-free
 // HandoverMailbox (mailbox.hpp).
 //
-// Scale mechanics (DESIGN.md §8): sessions live in a slab pool
-// (session_pool.hpp) and are recycled across arrivals without touching the
-// global allocator; arrivals are streamed from their counter-based RNG
+// Scale mechanics (DESIGN.md §8): each shard has its own slab pool
+// (session_pool.hpp); a session holds every buffer inline, so it is one
+// slab slot, taken from the pool of the shard that will host it and
+// recycled across arrivals without touching the global allocator. Each
+// shard keeps its sessions in ascending address order, so its pass walks
+// its slabs forward. Arrivals are streamed from their counter-based RNG
 // substreams instead of a materialized schedule (O(not-yet-arrived) ids, a
-// single 8-byte word each, instead of a sorted 24-byte-per-session vector);
-// and shard batch membership is incremental — a session occupies one batch
-// slot from admission to departure, and only churned links touch the SoA
-// planes. Same-shard roams re-draw the channel realization in place at a
-// stable address, so they touch no batch state at all.
+// single 8-byte word each, instead of a sorted 24-byte-per-session vector).
 //
 // Determinism contract (the property the shard-invariance suite gates):
 // every per-session observable — and therefore the campus aggregate — is
@@ -26,10 +25,10 @@
 //   1. Session state is a pure function of (master seed, session id, time):
 //      all randomness comes from counter-derived Rng substreams keyed by
 //      the session id, never by the hosting shard or worker (session.hpp).
-//      Batch slot order is therefore irrelevant to the bits a session
-//      computes — slots only decide which out[] element receives them.
+//      The order a shard visits its sessions in — their addresses — is
+//      therefore irrelevant to the bits any session computes.
 //   2. Epochs are barriered: one parallel phase per epoch runs every
-//      shard's fused pass (stage departures, batched sample + step, roam +
+//      shard's fused pass (stage departures, sample + step, roam +
 //      handover send) with no cross-shard communication except SPSC
 //      mailbox lanes written by their owning source shard. The same phase
 //      builds the epoch's recycled arrivals (reinit + prime, in fixed-size
@@ -42,8 +41,9 @@
 //      draw and pool slot per id, ascending id; a fresh slab session is
 //      also built and primed there, on the calling thread); after the
 //      barrier, mailbox drain in (dst, src) order, arrival placement in
-//      bucket order, and the departure fold in session-id order. Worker
-//      count can change who executes a work item, never what it computes.
+//      bucket order, the address-order merge of each shard's newcomers,
+//      and the departure fold in session-id order. Worker count can change
+//      who executes a work item, never what it computes.
 //   3. Handover moves the Session object wholesale — classifier
 //      hold-then-decay state, rate-adaptation state, channel RNG and all —
 //      so hosting is invisible. A handover deferred by mailbox back-pressure
@@ -132,8 +132,8 @@ class CampusSim {
   explicit CampusSim(const CampusConfig& config);
 
   /// Advances one epoch: the serial take of the epoch's arrivals, then one
-  /// barriered parallel phase — a single fused pass per shard (per slot:
-  /// batched sample, classifier observe, MAC, roam/handover send,
+  /// barriered parallel phase — a single fused pass per shard (per
+  /// session: sample, classifier observe, MAC, roam/handover send,
   /// end-of-dwell staging) beside the recycled arrivals' builds — then the
   /// serial tail (mailbox drain, arrival placement, departure fold).
   void step_epoch();
@@ -157,39 +157,37 @@ class CampusSim {
   std::size_t mailbox_max_depth() const { return mailbox_.max_depth(); }
 
   /// Heap allocations observed inside the fused shard passes since
-  /// construction (arrival builds share the phase but not the meter).
-  /// Only meters when jobs == 1 (the serial soak configuration); counts
-  /// only advance when the mobiwlan_alloc_hook override is linked.
-  /// Slot-stable batches plus pooled sessions make this zero in steady
-  /// state.
+  /// construction, metered per worker thread, so at any worker count
+  /// (arrival builds share the phase but not the meter). Counts only
+  /// advance when the mobiwlan_alloc_hook override is linked. Inline
+  /// sessions, pre-warmed scratch and serially reserved shard vectors make
+  /// this zero.
   std::uint64_t hot_phase_allocs() const;
 
   /// Sessions a shard currently hosts (tests assert the partition spreads).
   std::size_t shard_session_count(std::size_t shard) const {
-    return shards_[shard].occupied;
+    return shards_[shard].sessions.size();
   }
 
-  /// Sessions the pool has constructed (peak concurrency high-water mark);
-  /// the memory actually held is this count regardless of total arrivals.
-  std::size_t pool_sessions() const { return session_pool_.constructed(); }
+  /// Sessions the pools have constructed (peak concurrency high-water
+  /// mark); the memory actually held is this count regardless of total
+  /// arrivals. Shard-invariant: see arrival_pool().
+  std::size_t pool_sessions() const;
 
  private:
   struct Shard {
-    // Slot-aligned with `batch`: sessions[i] owns the session whose channel
-    // sits in batch slot i; a departed or handed-over slot leaves a nullptr
-    // hole, and ChannelBatch's LIFO free list hands the same slot to the
-    // next admission. One ChannelSample serves the whole shard: the fused
-    // pass consumes each sample before taking the next, so nothing per-slot
-    // is retained — at campus scale that removes megabytes of sample planes
-    // from the per-epoch working set.
+    // Hosted sessions in ascending address order, so the fused pass walks
+    // this shard's slabs forward and the hardware prefetchers stream them.
+    // One ChannelSample serves the whole shard: the fused pass consumes
+    // each sample before taking the next, so nothing per-session is
+    // retained.
     std::vector<SessionPtr> sessions;
+    std::vector<SessionPtr> incoming;   ///< placed this tail, merged at its end
     std::vector<SessionPtr> departing;  ///< staged this epoch, folded serially
-    ChannelBatch batch;
-    ChannelSample sample;           ///< reused slot to slot (memory-bound!)
+    ChannelSample sample;           ///< reused session to session
     ChannelBatch::Scratch scratch;  ///< one worker per shard per phase
-    std::size_t occupied = 0;       ///< non-hole slots
     std::uint64_t deferred = 0;     ///< back-pressure deferrals (this shard)
-    std::uint64_t hot_allocs = 0;   ///< metered only when jobs == 1
+    std::uint64_t hot_allocs = 0;   ///< this shard's passes, any worker
   };
 
   // One worker slot's scratch for arrival builds (parallel_for's dense
@@ -215,18 +213,21 @@ class CampusSim {
   static constexpr std::size_t kArrivalChunk = 32;
 
   void take_arrivals();                // serial, ascending id within epoch
+  SessionPool& arrival_pool(std::size_t dst);  // serial, in take_arrivals
   void phase_shard(std::size_t s);     // fused parallel pass for one shard
   void build_arrivals(std::size_t chunk, BuildSlot& slot);  // parallel
   void drain_mailbox();                // serial, fixed (dst, src) order
   void place_arrivals();               // serial, bucket order
+  void merge_incoming();               // serial, per shard
   void fold_departures();              // serial, ascending session id
-  void place(std::size_t dst, SessionPtr sp);  // slot insert (serial phases)
+  void place(std::size_t dst, SessionPtr sp);  // stage (serial phases)
 
   CampusConfig config_;
   CampusMap map_;
-  // The pool outlives shards_ and mailbox_ (declared first, destroyed
-  // last): their SessionPtrs release into it on teardown.
-  SessionPool session_pool_;
+  // One pool per shard. The pools outlive shards_, mailbox_ and pending_
+  // (declared first, destroyed last): their SessionPtrs release into them
+  // on teardown. Never resized, so PoolDeleter's pool pointers stay valid.
+  std::vector<SessionPool> pools_;
   std::vector<Shard> shards_;
   HandoverMailbox<SessionPtr> mailbox_;
   std::unique_ptr<runtime::ThreadPool> pool_;  ///< null when jobs == 1

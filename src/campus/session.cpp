@@ -79,14 +79,36 @@ Session::Session(std::uint64_t id, std::uint64_t master_seed,
       // Non-owning alias of the in-object walk (empty owner: no control
       // block, never deletes). &walk_ is stable — sessions are pool slots.
       walk_ref_(std::shared_ptr<const CampusWalk>(), &walk_),
+      channel_(params.channel, walk_ref_),
       classifier_(params.classifier),
       ra_(make_mobility_aware_atheros_ra()) {
   reinit(id, arrival_epoch, dwell_epochs);
 }
 
+namespace {
+
+Rng session_base(std::uint64_t id, std::uint64_t master_seed) {
+  return Rng(master_seed).stream(kSessionSalt).stream(id);
+}
+
+Vec2 home_point(const Rng& base, const CampusMap& map) {
+  Rng home_rng = base.stream(kHomeSalt);
+  const Vec2 lo = map.bounds_min();
+  const Vec2 hi = map.bounds_max();
+  // Braced init: x is drawn before y.
+  return Vec2{home_rng.uniform(lo.x, hi.x), home_rng.uniform(lo.y, hi.y)};
+}
+
+}  // namespace
+
+std::size_t Session::home_ap(std::uint64_t id, std::uint64_t master_seed,
+                             const CampusMap& map) {
+  return map.nearest_ap(home_point(session_base(id, master_seed), map));
+}
+
 void Session::reinit(std::uint64_t id, std::uint64_t arrival_epoch,
                      std::uint64_t dwell_epochs) {
-  base_ = Rng(master_seed_).stream(kSessionSalt).stream(id);
+  base_ = session_base(id, master_seed_);
   mac_rng_ = base_.stream(kMacSalt);
   classifier_.reset();
   ra_.reset();
@@ -95,10 +117,9 @@ void Session::reinit(std::uint64_t id, std::uint64_t arrival_epoch,
   stats_.arrival_epoch = arrival_epoch;
   stats_.depart_epoch = arrival_epoch + dwell_epochs;
 
-  Rng home_rng = base_.stream(kHomeSalt);
+  const Vec2 home = home_point(base_, map_);
   const Vec2 lo = map_.bounds_min();
   const Vec2 hi = map_.bounds_max();
-  const Vec2 home{home_rng.uniform(lo.x, hi.x), home_rng.uniform(lo.y, hi.y)};
   const double t0 = static_cast<double>(arrival_epoch) * params_.tick_s;
   walk_.rebuild(home, lo, hi, t0, params_.walk_leg_s, params_.walk_wander_m,
                 walk_legs(dwell_epochs), base_.stream(kWalkSalt).seed());
@@ -118,31 +139,23 @@ void Session::associate(std::size_t ap) {
   serving_ap_ = ap;
   // The channel realization is keyed by (session, AP): revisiting an AP
   // replays the same scatterer field — deterministic, and independent of
-  // when or from which shard the association happens. The channel object is
-  // built once per pool slot and re-drawn in place afterwards, so its
-  // address — and the ChannelBatch slot holding it — survives both roams
-  // and session recycling.
-  const Rng ch_rng =
-      base_.stream(kChannelSalt).stream(static_cast<std::uint64_t>(ap));
-  if (channel_) {
-    channel_->reinit(map_.ap_position(ap), ch_rng);
-  } else {
-    channel_ = std::make_unique<WirelessChannel>(
-        params_.channel, map_.ap_position(ap), walk_ref_, ch_rng);
-  }
+  // when or from which shard the association happens. It is re-drawn in
+  // place, inside the session.
+  channel_.reinit(map_.ap_position(ap),
+                  base_.stream(kChannelSalt).stream(
+                      static_cast<std::uint64_t>(ap)));
 }
 
 void Session::prime(ChannelBatch::Scratch& scratch, ChannelSample& sample) {
   const double t0 =
       static_cast<double>(stats_.arrival_epoch) * params_.tick_s;
   // Two consecutive samples one tick apart: the association burst that
-  // anchors the classifier's similarity stream (and takes its one-time
-  // last_csi_/scratch allocations) before the batched hot loop sees the
-  // session. The channel engine's kernels are bitwise tier-invariant, so
+  // anchors the classifier's similarity stream before the shard pass sees
+  // the session. The channel engine's kernels are bitwise tier-invariant, so
   // the digest is the same on every SIMD tier.
-  ChannelBatch::sample_link(*channel_, t0 - params_.tick_s, sample, scratch);
+  ChannelBatch::sample_link(channel_, t0 - params_.tick_s, sample, scratch);
   observe(t0 - params_.tick_s, stats_.arrival_epoch, sample);
-  ChannelBatch::sample_link(*channel_, t0, sample, scratch);
+  ChannelBatch::sample_link(channel_, t0, sample, scratch);
   observe(t0, stats_.arrival_epoch, sample);
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "chan/channel.hpp"
 #include "chan/channel_batch.hpp"
@@ -25,6 +24,7 @@
 #include "campus/stats_stream.hpp"
 #include "core/mobility_classifier.hpp"
 #include "mac/atheros_ra.hpp"
+#include "util/inline_vec.hpp"
 #include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
@@ -127,15 +127,12 @@ class CampusWalk final : public Trajectory {
   /// rebuild() does not allocate.
   void reserve(std::size_t n_legs) { waypoints_.reserve(n_legs + 1); }
 
-  /// Cache-hint: streams the waypoint table in ahead of position().
-  void prefetch() const {
-    prefetch_lines(waypoints_.data(), waypoints_.size() * sizeof(Vec2));
-  }
-
  private:
   double t0_ = 0.0;
   double leg_s_ = 1.0;
-  std::vector<Vec2> waypoints_;  // n_legs + 1 points, fixed per rebuild
+  // n_legs + 1 points, fixed per rebuild. Inline up to a 3-leg walk, which
+  // covers the default campus's 40-epoch maximum dwell.
+  InlineVec<Vec2, 4> waypoints_;
   // position(t) memo; rebuild() invalidates. NaN never equals t, so the
   // sentinel can't alias a real query.
   mutable double memo_t_ = std::numeric_limits<double>::quiet_NaN();
@@ -158,6 +155,12 @@ struct SessionParams {
 /// One client session. Not copyable (owns its channel); CampusSim moves the
 /// whole object across shards on handover, classifier hold-then-decay state
 /// and all.
+///
+/// Memory layout: at the campus channel shape every buffer the session uses
+/// — walk waypoints, channel realization, classifier windows and anchors,
+/// RA tables — lives inside the object, so a pooled session is exactly one
+/// slab slot and a step reads one contiguous block. Construction, prime(),
+/// stepping, a roam and reinit() make no heap allocation.
 class Session {
  public:
   /// Creates the session at its arrival instant: derives the RNG tree from
@@ -170,30 +173,33 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
+  /// The AP session `id` associates to at arrival: the AP nearest its home
+  /// point. A pure function of (id, master_seed, map), so CampusSim picks
+  /// the hosting shard — and that shard's pool — before building anything.
+  static std::size_t home_ap(std::uint64_t id, std::uint64_t master_seed,
+                             const CampusMap& map);
+
   /// Recycles this object for a new arrival: bitwise the state a freshly
   /// constructed Session{id, master_seed, map, params, arrival_epoch,
-  /// dwell_epochs} would hold, but reusing every internal buffer — walk
-  /// waypoints, channel scatterers, classifier anchors, RA ladder — so a
-  /// pooled steady state performs no allocation. The channel object's
-  /// address is stable across reinit *and* across maybe_roam(), which is
-  /// what lets CampusSim keep batch slots alive for the whole pool slot.
+  /// dwell_epochs} would hold, reusing every internal buffer, so a pooled
+  /// steady state performs no allocation.
   void reinit(std::uint64_t id, std::uint64_t arrival_epoch,
               std::uint64_t dwell_epochs);
 
   /// Grows every buffer a reinit(…, dwell_epochs) rebuilds — the walk's
-  /// waypoint table; the channel, classifier and RA buffers keep their
-  /// size — so the following reinit + prime is allocation-free on any
-  /// thread. SessionPool::take calls it serially for recycled sessions.
+  /// waypoint table, which only leaves its inline storage for dwells above
+  /// the default campus's; the other buffers keep their size — so the
+  /// following reinit + prime is allocation-free on any thread.
+  /// SessionPool::take calls it serially for recycled sessions.
   void reserve(std::uint64_t dwell_epochs);
 
   /// The two-sample association burst at arrival: samples at
   /// t_arrive - tick and t_arrive establish the classifier's similarity
-  /// anchor (and take its one-time allocations) before the session enters
-  /// any shard's batched hot loop. Uses the caller's scratch and
-  /// ChannelBatch::sample_link — the same kernels as the shard's batch.
+  /// anchor before the session enters any shard's pass. Uses the caller's
+  /// scratch and ChannelBatch::sample_link — the same kernel as the pass.
   void prime(ChannelBatch::Scratch& scratch, ChannelSample& sample);
 
-  /// One batched-epoch step from an already-taken channel sample is
+  /// One epoch's step from an already-taken channel sample is
   /// observe_step() then mac_step(): together they feed the classifier, run
   /// the rate-adaptation exchange and update stats and the observable
   /// digest. Both are allocation-free; `epoch` is the campus epoch the
@@ -211,15 +217,10 @@ class Session {
   /// at the sample's true SNR.
   void mac_step(std::uint64_t epoch, const ChannelSample& sample);
 
-  /// Cache-hint for the whole per-step working set on the session side
-  /// (the object, walk waypoints, classifier planes, RA tables — the
-  /// channel is hinted separately via ChannelBatch::prefetch_slot). The
-  /// fused campus pass issues it one slot ahead; no observable effect.
+  /// Cache-hint for the whole per-step working set: the object, which
+  /// embeds the channel and every buffer. No observable effect.
   void prefetch() const {
     prefetch_lines(this, sizeof(Session), /*for_write=*/true);
-    walk_.prefetch();
-    classifier_.prefetch();
-    ra_.prefetch();
   }
 
   /// End-of-epoch roam decision: re-associate to the nearest AP if it beats
@@ -231,7 +232,7 @@ class Session {
   std::uint64_t id() const { return stats_.id; }
   std::uint64_t depart_epoch() const { return stats_.depart_epoch; }
   std::size_t serving_ap() const { return serving_ap_; }
-  WirelessChannel* channel() { return channel_.get(); }
+  WirelessChannel* channel() { return &channel_; }
   const SessionStats& stats() const { return stats_; }
   const MobilityClassifier& classifier() const { return classifier_; }
 
@@ -246,13 +247,14 @@ class Session {
   Rng base_;                 ///< Rng(master).stream(kSessionSalt).stream(id)
   Rng mac_rng_;              ///< per-MPDU loss draws (fixed draws per step)
   // The walk lives inside the Session (rebuilt in place on reinit); the
-  // channel sees it through a non-owning aliasing shared_ptr built once at
-  // construction. Sessions live in pool slabs, so &walk_ is stable for the
-  // object's whole lifetime and the alias never dangles.
+  // channel sees it through a non-owning aliasing shared_ptr. Sessions are
+  // never moved (they live in pool slabs, or on the heap behind a
+  // pointer), so &walk_ is stable for the object's lifetime and the alias
+  // never dangles.
   CampusWalk walk_;
   std::shared_ptr<const CampusWalk> walk_ref_;
   std::size_t serving_ap_ = 0;
-  std::unique_ptr<WirelessChannel> channel_;
+  WirelessChannel channel_;  ///< realization re-drawn in place per AP
   MobilityClassifier classifier_;
   AtherosRa ra_;             ///< mobility-aware variant (Table-2 parameters)
   SessionStats stats_;

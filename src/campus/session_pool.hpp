@@ -1,13 +1,16 @@
 // session_pool.hpp — slab-pooled Session storage for the campus simulator.
 //
 // Arrival/departure churn at campus scale (~1% of sessions per epoch) made
-// the global allocator the hot path: every arrival built a Session, a
-// CampusWalk control block, a WirelessChannel and the classifier's buffers,
-// and every departure tore them down. The pool keeps released Sessions
+// the global allocator the hot path: every arrival built a Session and
+// every departure tore it down. The pool keeps released Sessions
 // CONSTRUCTED on a free list; a recycled arrival calls Session::reinit,
-// which re-draws the state in place and reuses every internal buffer's
-// capacity (walk waypoints, scatterers, CSI anchors, RA ladder). Steady-
-// state churn then performs no allocation at all.
+// which re-draws the state in place. A Session holds all of its buffers
+// inline, so a slab slot is the session's whole memory and steady-state
+// churn performs no allocation at all.
+//
+// CampusSim keeps one pool per shard and takes each arrival from the pool
+// of the shard that will host it, so a shard's sessions are mostly
+// contiguous slots of its own slabs, which its pass walks in address order.
 //
 // Ownership vs. residence: a session's *memory* always lives in the slab of
 // the pool that created it, but its *ownership* travels — a cross-shard
@@ -21,8 +24,9 @@
 // reinit + prime sessions already taken, which no shard references.
 //
 // Slab addresses never move (slabs are allocated once and kept), so &walk_
-// aliases and ChannelBatch slot pointers taken from pooled sessions stay
-// valid for the pool's lifetime.
+// aliases inside pooled sessions stay valid for the pool's lifetime. A slab
+// is written only where sessions are constructed, front to back, so its
+// untouched tail costs address space, not resident memory.
 #pragma once
 
 #include <cstddef>

@@ -29,6 +29,10 @@ WirelessChannel::WirelessChannel(const ChannelConfig& config, Vec2 ap_pos,
   build_realization();
 }
 
+WirelessChannel::WirelessChannel(const ChannelConfig& config,
+                                 std::shared_ptr<const Trajectory> trajectory)
+    : config_(config), trajectory_(std::move(trajectory)) {}
+
 void WirelessChannel::reinit(Vec2 ap_pos, Rng rng) {
   ap_pos_ = ap_pos;
   rng_ = rng;
@@ -38,14 +42,7 @@ void WirelessChannel::reinit(Vec2 ap_pos, Rng rng) {
 }
 
 void WirelessChannel::prefetch() const {
-  // rng_ and the sampler's reads all live in the object + the two
-  // realization vectors. The data() loads depend on this-object lines that
-  // may themselves miss; out-of-order issue still starts them far ahead of
-  // the next sample's demand loads.
   prefetch_lines(this, sizeof(WirelessChannel), /*for_write=*/true);
-  prefetch_lines(scatterers_.data(), scatterers_.size() * sizeof(Scatterer));
-  prefetch_lines(shadow_waves_.data(),
-                 shadow_waves_.size() * sizeof(ShadowWave));
 }
 
 void WirelessChannel::build_realization() {

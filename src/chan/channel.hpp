@@ -32,11 +32,11 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "chan/geometry.hpp"
 #include "chan/trajectory.hpp"
 #include "phy/csi.hpp"
+#include "util/inline_vec.hpp"
 #include "util/rng.hpp"
 
 namespace mobiwlan {
@@ -142,18 +142,22 @@ class WirelessChannel {
   WirelessChannel(const ChannelConfig& config, Vec2 ap_pos,
                   std::shared_ptr<const Trajectory> trajectory, Rng rng);
 
+  /// A channel with no realization yet, for an owner that associates later
+  /// (a pooled campus session embeds its channel). Every read is invalid
+  /// until the first reinit().
+  WirelessChannel(const ChannelConfig& config,
+                  std::shared_ptr<const Trajectory> trajectory);
+
   /// Re-draws the channel realization in place for a new AP association:
   /// bitwise the state a freshly constructed WirelessChannel{config(),
-  /// ap_pos, trajectory(), rng} would hold, but reusing the scatterer and
-  /// shadow-wave storage. The object's address — and therefore any
-  /// ChannelBatch slot pointing at it — stays valid, which is what lets a
-  /// pooled session roam between APs without touching its shard's batch.
+  /// ap_pos, trajectory(), rng} would hold, reusing the scatterer and
+  /// shadow-wave storage. Allocation-free within the inline capacities.
   void reinit(Vec2 ap_pos, Rng rng);
 
-  /// Prefetches the realization state the next sample will touch (the
-  /// object itself, scatterers, shadow waves). Purely a cache hint — no
-  /// observable effect; a batched caller issues it one link ahead so the
-  /// misses overlap the current link's synthesis.
+  /// Prefetches the object, which holds the realization at the campus
+  /// shape. Purely a cache hint — no observable effect; a batched caller
+  /// issues it one link ahead so the misses overlap the current link's
+  /// synthesis.
   void prefetch() const;
 
   /// Full observation (CSI + RSSI + SNR + ToF) at time t
@@ -198,7 +202,7 @@ class WirelessChannel {
   friend class ChannelBatch;
 
   // Draws scatterers_ and shadow_waves_ from rng_ (shared by the
-  // constructor and reinit; clear()+refill keeps vector capacity).
+  // constructor and reinit; clear()+refill keeps the capacity).
   void build_realization();
 
   struct Scatterer {
@@ -222,8 +226,10 @@ class WirelessChannel {
   ChannelConfig config_;
   Vec2 ap_pos_;
   std::shared_ptr<const Trajectory> trajectory_;
-  std::vector<Scatterer> scatterers_;
-  std::vector<ShadowWave> shadow_waves_;
+  // Inline capacities cover campus_channel_config() (4 static paths, no
+  // movers, 6 shadow waves); the 10-path default spills to the heap.
+  InlineVec<Scatterer, 4> scatterers_;
+  InlineVec<ShadowWave, 6> shadow_waves_;
   Rng rng_;
 };
 

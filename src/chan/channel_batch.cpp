@@ -1548,7 +1548,7 @@ void ChannelBatch::sample_range(double t, std::size_t begin, std::size_t end,
                                 ChannelSample* out, Scratch& scratch) {
   const SynthSpec spec = SynthSpec::resolve();
   for (std::size_t i = begin; i < end; ++i)
-    if (links_[i] != nullptr) sample_one(*links_[i], spec, t, out[i], scratch);
+    sample_one(*links_[i], spec, t, out[i], scratch);
 }
 
 void ChannelBatch::sample_slot(double t, std::size_t slot, ChannelSample& out,
@@ -1558,16 +1558,13 @@ void ChannelBatch::sample_slot(double t, std::size_t slot, ChannelSample& out,
 
 void ChannelBatch::rssi_all(double t, Scratch& scratch) {
   scratch.rssi.resize(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    // Holes never win strongest_link.
-    scratch.rssi[i] =
-        links_[i] == nullptr ? -1e9 : rssi_link(*links_[i], t, scratch);
-  }
+  for (std::size_t i = 0; i < links_.size(); ++i)
+    scratch.rssi[i] = rssi_link(*links_[i], t, scratch);
 }
 
 void ChannelBatch::tof_all(double t, double* out) {
   for (std::size_t i = 0; i < links_.size(); ++i)
-    if (links_[i] != nullptr) out[i] = links_[i]->tof_cycles(t);
+    out[i] = links_[i]->tof_cycles(t);
 }
 
 std::size_t ChannelBatch::strongest_link(double t, Scratch& scratch) {

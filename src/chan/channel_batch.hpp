@@ -7,14 +7,14 @@
 // the link's measurement noise. Two ways in:
 //
 //   * link entry points (sample_link, csi_link, csi_true_link, rssi_link,
-//     snr_link) take any WirelessChannel, registered or not — the live
-//     trace sources, the fault layer, CsiTrace::record and the by-value
-//     WirelessChannel reads all use them;
+//     snr_link) take any WirelessChannel, registered or not — the campus
+//     shard passes, the live trace sources, the fault layer,
+//     CsiTrace::record and the by-value WirelessChannel reads all use them;
 //   * slot-indexed calls (sample_range, sample_slot, csi_into,
 //     csi_true_into, rssi_all, tof_all, strongest_link) run over the links
-//     registered with a batch — the campus shards, the deployment scan and
-//     the scale bench. Each forwards per slot to the same kernels, so a
-//     link's output does not depend on which way it was read.
+//     registered with a batch — the deployment scan and the scale bench.
+//     Each forwards per slot to the same kernels, so a link's output does
+//     not depend on which way it was read.
 //
 // Kernel structure:
 //   * the SIMD dispatch (`simd::active_tier()`) is resolved once per call,
@@ -96,46 +96,17 @@ class ChannelBatch {
 
   ChannelBatch() = default;
 
-  /// Registers a link and returns its slot. Slots are *stable*: a link
-  /// keeps its slot until remove_link, and new links fill the most
-  /// recently freed hole first (LIFO), else append. The channel must
-  /// outlive its membership. Per-link sampling is independent, so slot
-  /// order never affects any link's output — only which out[] element it
-  /// lands in.
+  /// Registers a link and returns its slot (slots are dense, in
+  /// registration order). The channel must outlive the batch. Per-link
+  /// sampling is independent, so slot order never affects any link's
+  /// output — only which out[] element it lands in.
   std::size_t add_link(WirelessChannel* channel) {
-    if (!free_slots_.empty()) {
-      const std::size_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      links_[slot] = channel;
-      return slot;
-    }
     links_.push_back(channel);
-    // Every slot can become a hole, so growing the hole list alongside the
-    // slot vector (amortized by capacity, O(log n) reallocations) makes
-    // remove_link allocation-free — callers punch holes from hot loops.
-    if (free_slots_.capacity() < links_.capacity())
-      free_slots_.reserve(links_.capacity());
     return links_.size() - 1;
   }
 
-  /// Frees a slot, leaving a hole the range calls skip. The slot is
-  /// recycled by a later add_link.
-  void remove_link(std::size_t slot) {
-    links_[slot] = nullptr;
-    free_slots_.push_back(slot);
-  }
-
-  /// Forgets every link and hole, keeping the registration buffers.
-  void clear() {
-    links_.clear();
-    free_slots_.clear();
-  }
-
-  /// Slot count, holes included (the bound for the range calls).
+  /// Link count (the bound for the range calls).
   std::size_t size() const { return links_.size(); }
-  /// Links registered (slots minus holes).
-  std::size_t occupied() const { return links_.size() - free_slots_.size(); }
-  bool is_hole(std::size_t i) const { return links_[i] == nullptr; }
   WirelessChannel& link(std::size_t i) { return *links_[i]; }
   const WirelessChannel& link(std::size_t i) const { return *links_[i]; }
 
@@ -164,23 +135,18 @@ class ChannelBatch {
   // -- slot-indexed calls over the registered links -------------------------
 
   /// Full observations for links [begin, end) at time t, into
-  /// out[begin..end). Holes are skipped (their out element is left
-  /// untouched). Allocation-free in steady state.
+  /// out[begin..end). Allocation-free in steady state.
   void sample_range(double t, std::size_t begin, std::size_t end,
                     ChannelSample* out, Scratch& scratch);
 
-  /// One slot's full observation. Lets a memory-bound caller interleave
-  /// sampling with per-link consumption in one pass, so each link's working
-  /// set is touched exactly once per epoch. `slot` must not be a hole.
+  /// One slot's full observation: sample_link for the link in `slot`.
   void sample_slot(double t, std::size_t slot, ChannelSample& out,
                    Scratch& scratch);
 
-  /// Cache-hint for the link in `slot` (hole-safe no-op): issue it one slot
-  /// ahead of sample_slot so the link's realization lines stream in under
-  /// the current slot's synthesis.
-  void prefetch_slot(std::size_t slot) const {
-    if (const WirelessChannel* ch = links_[slot]) ch->prefetch();
-  }
+  /// Cache-hint for the link in `slot`: issue it one slot ahead of
+  /// sample_slot so the link's realization lines stream in under the
+  /// current slot's synthesis.
+  void prefetch_slot(std::size_t slot) const { links_[slot]->prefetch(); }
 
   /// csi_link for the link in slot i.
   void csi_into(std::size_t i, double t, CsiMatrix& out, Scratch& scratch) {
@@ -194,7 +160,7 @@ class ChannelBatch {
   }
 
   /// rssi_link for every link at time t into scratch.rssi, in slot order —
-  /// the roaming scan as one pass. Holes read -1e9.
+  /// the roaming scan as one pass.
   void rssi_all(double t, Scratch& scratch);
 
   /// One noisy ToF reading per link at time t into out[0..size()) — the
@@ -227,7 +193,6 @@ class ChannelBatch {
                              double csi_power_sum, CsiMatrix& csi);
 
   std::vector<WirelessChannel*> links_;
-  std::vector<std::size_t> free_slots_;  // LIFO recycled holes
 };
 
 }  // namespace mobiwlan

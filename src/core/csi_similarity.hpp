@@ -8,10 +8,10 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "phy/csi.hpp"
+#include "util/inline_vec.hpp"
 
 namespace mobiwlan {
 
@@ -45,18 +45,12 @@ double csi_similarity(const CsiMatrix& a, const CsiMatrix& b,
 /// compares a *stream* of consecutive samples — where each sample becomes
 /// the next comparison's anchor — computes every magnitude exactly once
 /// instead of twice, and never needs to retain the anchor's complex CSI.
+/// A 1x1x16 plane (the campus link) lives inside the object.
 struct CsiAnchor {
   std::size_t n_pairs = 0;
   std::size_t n_sc = 0;
-  std::vector<double> mag;   ///< [pair][sc], pair index = tx * n_rx + rx
-  std::vector<double> mean;  ///< per-pair magnitude mean
-
-  void swap(CsiAnchor& other) noexcept {
-    std::swap(n_pairs, other.n_pairs);
-    std::swap(n_sc, other.n_sc);
-    mag.swap(other.mag);
-    mean.swap(other.mean);
-  }
+  InlineVec<double, 16> mag;  ///< [pair][sc], pair index = tx * n_rx + rx
+  InlineVec<double, 1> mean;  ///< per-pair magnitude mean
 };
 
 /// Fills `anchor` with the magnitude pass for `m` — bit-for-bit the values
@@ -66,8 +60,8 @@ void csi_anchor_set(const CsiMatrix& m, CsiAnchor& anchor);
 
 /// Eq. (1) of `b` against a cached anchor, averaged over antenna pairs:
 /// bitwise identical to csi_similarity(a, b) when `anchor` was set from a.
-/// Also fills `next` with b's magnitude pass, so the caller can
-/// `next.swap(anchor)` to advance the stream at zero recomputation.
+/// Also fills `next` with b's magnitude pass, so the caller can make `next`
+/// the following comparison's anchor at zero recomputation.
 double csi_similarity_anchored(const CsiAnchor& anchor, const CsiMatrix& b,
                                CsiAnchor& next);
 

@@ -1,11 +1,12 @@
 #include "core/mobility_classifier.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "chan/channel.hpp"
 #include "core/csi_similarity.hpp"
 #include "phy/aoa.hpp"
-#include "util/prefetch.hpp"
 #include "util/stats.hpp"
 
 namespace mobiwlan {
@@ -17,7 +18,7 @@ MobilityClassifier::MobilityClassifier(Config config)
 
 void MobilityClassifier::on_csi(double t, const CsiMatrix& csi) {
   if (!have_anchor_) {
-    csi_anchor_set(csi, anchor_);
+    csi_anchor_set(csi, anchors_[anchor_]);
     have_anchor_ = true;
     last_csi_t_ = t;
     return;
@@ -29,7 +30,7 @@ void MobilityClassifier::on_csi(double t, const CsiMatrix& csi) {
   // is too old for Eq. (1)'s consecutive-sample similarity, so re-anchor on
   // this sample and rebuild the average from genuinely adjacent pairs.
   if (t - last_csi_t_ > config_.csi_gap_reanchor_factor * config_.csi_period_s) {
-    csi_anchor_set(csi, anchor_);
+    csi_anchor_set(csi, anchors_[anchor_]);
     last_csi_t_ = t;
     similarity_avg_.reset();
     have_similarity_ = false;
@@ -38,9 +39,10 @@ void MobilityClassifier::on_csi(double t, const CsiMatrix& csi) {
 
   // Anchored Eq. (1): bitwise the same value csi_similarity(last, csi)
   // produced, but only this sample's magnitude pass runs; its pass becomes
-  // the next anchor via the swap.
-  const double s = csi_similarity_anchored(anchor_, csi, next_anchor_);
-  next_anchor_.swap(anchor_);
+  // the next anchor via the index flip.
+  const double s =
+      csi_similarity_anchored(anchors_[anchor_], csi, anchors_[anchor_ ^ 1]);
+  anchor_ ^= 1;
   similarity_avg_.add(s);
   have_similarity_ = true;
   last_csi_t_ = t;
@@ -48,13 +50,18 @@ void MobilityClassifier::on_csi(double t, const CsiMatrix& csi) {
     const AoaEstimate est = estimate_aoa(csi);
     last_aoa_ = est.angle_rad;
     aoa_values_.push_back(est.angle_rad);
-    if (aoa_values_.size() > config_.aoa_trend_window) aoa_values_.pop_front();
+    if (aoa_values_.size() > config_.aoa_trend_window) {
+      std::copy(aoa_values_.begin() + 1, aoa_values_.end(),
+                aoa_values_.begin());
+      aoa_values_.pop_back();
+    }
   }
   update_mode(t);
 }
 
 void MobilityClassifier::reset() {
   similarity_avg_.reset();
+  anchor_ = 0;
   have_anchor_ = false;
   last_csi_t_ = 0.0;
   have_similarity_ = false;
@@ -65,16 +72,6 @@ void MobilityClassifier::reset() {
   mode_ = MobilityMode::kStatic;
   macro_until_ = -1.0;
   macro_direction_ = MobilityMode::kMacroAway;
-}
-
-void MobilityClassifier::prefetch() const {
-  // The anchor's magnitude plane is read by every on_csi; next_anchor_'s is
-  // overwritten by the incoming sample's pass, and the similarity ring
-  // absorbs the result.
-  prefetch_lines(anchor_.mag.data(), anchor_.mag.size() * sizeof(double));
-  prefetch_lines(next_anchor_.mag.data(),
-                 next_anchor_.mag.size() * sizeof(double), /*for_write=*/true);
-  similarity_avg_.prefetch();
 }
 
 void MobilityClassifier::on_tof(double t, double tof_cycles) {

@@ -14,15 +14,15 @@
 // chart. No client-side cooperation or sensors are involved.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/csi_similarity.hpp"
 #include "core/mobility_mode.hpp"
 #include "core/tof_tracker.hpp"
 #include "phy/csi.hpp"
-#include <deque>
-
 #include "util/filters.hpp"
+#include "util/inline_vec.hpp"
 
 namespace mobiwlan {
 
@@ -82,10 +82,6 @@ class MobilityClassifier {
   /// behaves bitwise like a freshly constructed one, without reallocating.
   void reset();
 
-  /// Cache-hint: streams the anchored-similarity planes in ahead of the
-  /// next on_csi. No observable effect.
-  void prefetch() const;
-
   /// Feed one raw ToF reading (round-trip clock cycles). Ignored unless the
   /// classifier has started ToF measurement (i.e. CSI says device mobility).
   void on_tof(double t, double tof_cycles);
@@ -123,10 +119,11 @@ class MobilityClassifier {
   // recomputing both magnitude planes per comparison, the classifier caches
   // the anchor's magnitude pass (CsiAnchor) and computes only the incoming
   // sample's — bitwise the same similarity at half the arithmetic and
-  // roughly half the per-classifier memory. next_anchor_ is the swap buffer
-  // that receives the incoming sample's pass and becomes the new anchor.
-  CsiAnchor anchor_;
-  CsiAnchor next_anchor_;
+  // roughly half the per-classifier memory. anchors_[anchor_] is the anchor;
+  // the other slot receives the incoming sample's pass and becomes the new
+  // anchor by flipping the index, so no plane is ever copied.
+  CsiAnchor anchors_[2];
+  std::uint8_t anchor_ = 0;
   bool have_anchor_ = false;
   double last_csi_t_ = 0.0;
   bool have_similarity_ = false;
@@ -136,7 +133,8 @@ class MobilityClassifier {
 
   bool aoa_orbit_trend() const;
 
-  std::deque<double> aoa_values_;
+  // Oldest first; capped at aoa_trend_window (16 by default, inline).
+  InlineVec<double, 16> aoa_values_;
   std::optional<double> last_aoa_;
 
   MobilityMode mode_ = MobilityMode::kStatic;

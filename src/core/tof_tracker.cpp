@@ -5,11 +5,7 @@
 namespace mobiwlan {
 
 TofTracker::TofTracker(Config config)
-    // 64 pending readings covers a full aggregation period at the paper's
-    // 20 ms sampling cadence, so steady-state add() never allocates.
-    : config_(config),
-      aggregator_(64),
-      window_(config.trend_window, config.slack_cycles) {}
+    : config_(config), window_(config.trend_window, config.slack_cycles) {}
 
 void TofTracker::add(double t, double tof_cycles) {
   if (!epoch_open_) {

@@ -5,7 +5,6 @@
 
 #include "core/policy.hpp"
 #include "phy/mcs.hpp"
-#include "util/prefetch.hpp"
 
 namespace mobiwlan {
 
@@ -13,10 +12,11 @@ AtherosRa::AtherosRa(Config config)
     : AtherosRa(config, [](const TxContext&) { return AtherosRaParams{}; },
                 "atheros-ra") {}
 
-AtherosRa::AtherosRa(Config config, ParamProvider params, std::string name)
+AtherosRa::AtherosRa(Config config, ParamProvider params,
+                     std::string_view name)
     : config_(config),
       params_(std::move(params)),
-      name_(std::move(name)),
+      name_(name),
       ladder_(atheros_rate_ladder(config.max_streams)),
       per_(ladder_.size(), 0.0),
       current_(ladder_.size() - 1) {}  // §4.1: starts with the highest bit-rate
@@ -32,12 +32,6 @@ void AtherosRa::reset() {
   epoch_failed_ = 0;
   probing_ = false;
   probe_return_ = 0;
-}
-
-void AtherosRa::prefetch() const {
-  prefetch_lines(ladder_.data(), ladder_.size() * sizeof(int));
-  prefetch_lines(per_.data(), per_.size() * sizeof(double),
-                 /*for_write=*/true);
 }
 
 std::size_t AtherosRa::ladder_pos(int mcs_index) const {

@@ -18,10 +18,11 @@
 #pragma once
 
 #include <functional>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 #include "mac/rate_adaptation.hpp"
+#include "util/inline_vec.hpp"
 
 namespace mobiwlan {
 
@@ -53,7 +54,8 @@ class AtherosRa final : public RateAdapter {
   explicit AtherosRa(Config config);
 
   /// Custom parameter policy (used by make_mobility_aware_atheros_ra).
-  AtherosRa(Config config, ParamProvider params, std::string name);
+  /// `name` is not copied: pass a string literal.
+  AtherosRa(Config config, ParamProvider params, std::string_view name);
 
   int select_mcs(const TxContext& ctx) override;
   void on_result(const FrameResult& result, const TxContext& ctx) override;
@@ -63,10 +65,6 @@ class AtherosRa final : public RateAdapter {
   /// ladder_ — the session-pool recycle path. A reset adapter behaves
   /// bitwise like a freshly constructed one and performs no allocation.
   void reset();
-
-  /// Cache-hint: streams the ladder and filtered-PER tables in ahead of the
-  /// next select_mcs/on_result pair. No observable effect.
-  void prefetch() const;
 
   bool probing() const override { return probing_; }
   std::string_view name() const override { return name_; }
@@ -82,9 +80,9 @@ class AtherosRa final : public RateAdapter {
 
   Config config_;
   ParamProvider params_;
-  std::string name_;
-  std::vector<int> ladder_;
-  std::vector<double> per_;       ///< filtered PER per ladder position
+  std::string_view name_;
+  std::span<const int> ladder_;   ///< the shared atheros_rate_ladder table
+  InlineVec<double, 10> per_;     ///< filtered PER per ladder position
   std::size_t current_ = 0;       ///< ladder position in use
   double last_rate_change_t_ = 0.0;
   double last_probe_t_ = 0.0;

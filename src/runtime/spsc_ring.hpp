@@ -18,8 +18,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace mobiwlan::runtime {
 
@@ -30,25 +30,37 @@ namespace mobiwlan::runtime {
 template <typename T>
 class SpscRing {
  public:
+  // Slots are raw storage: a slot holds a T only from its push to its pop,
+  // so construction touches no slot memory. A 16-shard campus mailbox is
+  // 256 lanes of 1024 slots (4 MB), almost none of which ever hold a
+  // message.
   explicit SpscRing(std::size_t min_capacity) {
     std::size_t cap = 1;
     while (cap < min_capacity) cap <<= 1;
-    slots_.resize(cap);
+    slots_ = std::allocator<T>().allocate(cap);
     mask_ = cap - 1;
+  }
+
+  ~SpscRing() {
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    for (std::uint64_t i = head_.load(std::memory_order_relaxed); i != tail;
+         ++i)
+      std::destroy_at(slots_ + (i & mask_));
+    std::allocator<T>().deallocate(slots_, capacity());
   }
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
   /// Producer side. The value is moved only on success; on a full ring the
   /// caller keeps it and decides what back-pressure means.
   bool try_push(T& v) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= slots_.size())
+    if (tail - head_.load(std::memory_order_acquire) >= capacity())
       return false;  // full
-    slots_[tail & mask_] = std::move(v);
+    std::construct_at(slots_ + (tail & mask_), std::move(v));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -57,7 +69,9 @@ class SpscRing {
   bool try_pop(T& out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_.load(std::memory_order_acquire)) return false;  // empty
-    out = std::move(slots_[head & mask_]);
+    T* slot = slots_ + (head & mask_);
+    out = std::move(*slot);
+    std::destroy_at(slot);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -71,7 +85,7 @@ class SpscRing {
   }
 
  private:
-  std::vector<T> slots_;
+  T* slots_ = nullptr;  // capacity() slots; live ones are [head_, tail_)
   std::size_t mask_ = 0;
   // Head and tail on separate cache lines so the producer's stores never
   // invalidate the consumer's line (and vice versa).

@@ -16,6 +16,11 @@ namespace mobiwlan {
 /// the counting hook is not linked.
 std::uint64_t alloc_count();
 
+/// The calling thread's share of alloc_count(): operator-new invocations
+/// made on this thread. Lets a worker meter its own section while other
+/// workers allocate concurrently.
+std::uint64_t thread_alloc_count();
+
 /// True when the counting hook is linked into this executable (i.e. the
 /// value of alloc_count() is meaningful).
 bool alloc_hook_active();

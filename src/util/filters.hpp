@@ -9,9 +9,8 @@
 
 #include <cstddef>
 #include <optional>
-#include <vector>
 
-#include "util/prefetch.hpp"
+#include "util/inline_vec.hpp"
 
 namespace mobiwlan {
 
@@ -50,9 +49,10 @@ class Ewma {
 
 /// Fixed-capacity moving average over the last `window` samples.
 ///
-/// Backed by a preallocated ring buffer: add() never allocates, so the
-/// per-packet similarity pipeline that feeds it stays allocation-free (a
-/// deque-backed window allocates a fresh block every ~64 pushes).
+/// Backed by a ring buffer sized at construction: add() never allocates, so
+/// the per-packet similarity pipeline that feeds it stays allocation-free (a
+/// deque-backed window allocates a fresh block every ~64 pushes). Windows up
+/// to 8 (the classifier's default is 5) live inside the object.
 class MovingAverage {
  public:
   explicit MovingAverage(std::size_t window);
@@ -64,15 +64,9 @@ class MovingAverage {
   bool full() const { return count_ == window_; }
   void reset();
 
-  /// Cache-hint: streams the ring buffer in ahead of the next add().
-  void prefetch() const {
-    prefetch_lines(ring_.data(), ring_.size() * sizeof(double),
-                   /*for_write=*/true);
-  }
-
  private:
   std::size_t window_;
-  std::vector<double> ring_;  // capacity fixed at window_
+  InlineVec<double, 8> ring_;  // size fixed at window_
   std::size_t head_ = 0;      // index of the oldest retained sample
   std::size_t count_ = 0;
   double sum_ = 0.0;
@@ -82,14 +76,12 @@ class MovingAverage {
 ///
 /// Models the per-second median aggregation of raw 20 ms ToF readings.
 /// flush() selects the median in place (the buffer is discarded anyway), so
-/// after the first full period the aggregator stops allocating.
+/// after the first full period the aggregator stops allocating. Up to 4
+/// pending readings — a campus session's one reading per 0.5 s tick — live
+/// inside the object; a 20 ms feed moves them to a heap block in its first
+/// period.
 class MedianAggregator {
  public:
-  MedianAggregator() = default;
-  /// Preallocates the pending buffer so the first period never allocates
-  /// either — for hot loops that meter allocations from the first sample.
-  explicit MedianAggregator(std::size_t reserve) { pending_.reserve(reserve); }
-
   void add(double x) { pending_.push_back(x); }
   std::size_t pending_count() const { return pending_.size(); }
 
@@ -100,13 +92,14 @@ class MedianAggregator {
   void clear() { pending_.clear(); }
 
  private:
-  std::vector<double> pending_;
+  InlineVec<double, 4> pending_;
 };
 
 /// Sliding window of the most recent `window` values with trend queries.
 ///
 /// "Only if all the ToF values in the moving window suggest an increasing or
 /// decreasing trend, we declare that the client is under macro-mobility."
+/// Windows up to 4 (the tracker's default) live inside the object.
 class TrendWindow {
  public:
   /// `window` is the number of retained values; `slack` allows each
@@ -133,7 +126,7 @@ class TrendWindow {
  private:
   std::size_t window_;
   double slack_;
-  std::vector<double> ring_;  // capacity fixed at window_; add() never allocates
+  InlineVec<double, 4> ring_;  // size fixed at window_; add() never allocates
   std::size_t head_ = 0;      // index of the oldest retained value
   std::size_t count_ = 0;
 };

@@ -1,12 +1,11 @@
-// prefetch.hpp — software prefetch for pointer-chasing hot loops.
+// prefetch.hpp — software prefetch hints.
 //
-// The campus fused pass walks thousands of pooled sessions per epoch; each
-// step dereferences a handful of heap buffers (channel realization, walk
-// waypoints, classifier anchor, RA tables) whose lines have been evicted
-// since the previous epoch. With ~1.5us of arithmetic per session there is
-// ample latency to hide: issuing the next slot's loads one iteration ahead
-// overlaps its misses with the current slot's compute. Prefetches never
-// change observable state, so every use is digest-neutral by construction.
+// A caller that visits objects in an order the hardware prefetchers cannot
+// predict can issue the next object's loads one iteration ahead, so its
+// misses overlap the current object's compute (Session::prefetch,
+// WirelessChannel::prefetch). The campus pass itself no longer needs it:
+// it walks inline sessions in address order. Prefetches never change
+// observable state, so every use is digest-neutral by construction.
 #pragma once
 
 #include <cstddef>

@@ -27,7 +27,7 @@ TEST(CampusSoak, OneSimulatedHourOfChurn) {
   cfg.cols = 8;
   cfg.rows = 8;
   cfg.shards = 4;
-  cfg.jobs = 1;  // hot-phase allocs are only metered on the serial path
+  cfg.jobs = 1;
   const auto hour_epochs =
       static_cast<std::uint64_t>(3600.0 / cfg.session.tick_s);  // 7200
   cfg.n_sessions = 20000;
