@@ -115,7 +115,7 @@ void Rng::add_complex_gaussian(std::complex<double>* dst, std::size_t n,
   const std::size_t vec_end = k + 8 * ((total - k) / 8);
 #if defined(__x86_64__)
   // Four transforms per iteration on AVX2+FMA hosts (checked per call so
-  // MOBIWLAN_FORCE_SCALAR and the simd test hook reach this path). The
+  // MOBIWLAN_SIMD_TIER and the simd test hook reach this path). The
   // uniforms are drawn scalar in the canonical order (u1 then u2 per
   // transform), so the stream position after the block matches the scalar
   // path exactly.

@@ -2,61 +2,62 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace mobiwlan::simd {
 
 namespace {
 
-// Sentinels for the forced-tier cell: kDeferToEnv consults the environment,
-// kUnforcedBest ignores both the hook and the environment (the legacy
-// set_force_scalar(0) semantics: "un-force, let cpuid decide").
+// The forced-tier / forced-precision cells: kDeferToEnv consults the
+// environment, anything else is an explicit request.
 constexpr int kDeferToEnv = -1;
-constexpr int kUnforcedBest = 3;
 
-bool truthy(const char* v) {
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
+[[noreturn]] void reject(const char* var, std::string_view value,
+                         const char* accepted) {
+  throw std::invalid_argument(std::string(var) + "='" + std::string(value) +
+                              "' is not a valid value (accepted: " +
+                              accepted + ")");
 }
 
-/// The tier the environment requests: 0/1/2, or kDeferToEnv when neither
-/// MOBIWLAN_SIMD_TIER nor the legacy MOBIWLAN_FORCE_SCALAR alias is set.
-/// An unrecognized MOBIWLAN_SIMD_TIER value is ignored (best tier).
+/// The value of environment variable `var`, or nullptr when it is unset
+/// or empty.
+const char* env_value(const char* var) {
+  const char* v = std::getenv(var);
+  return (v != nullptr && v[0] != '\0') ? v : nullptr;
+}
+
+/// The tier the environment requests (0/1/2), or kDeferToEnv when
+/// MOBIWLAN_SIMD_TIER is unset.
 int env_tier_request() {
-  const char* tier = std::getenv("MOBIWLAN_SIMD_TIER");
-  if (tier != nullptr && tier[0] != '\0') {
-    if (std::strcmp(tier, "scalar") == 0) return 0;
-    if (std::strcmp(tier, "avx2") == 0) return 1;
-    if (std::strcmp(tier, "avx512") == 0) return 2;
-    return kUnforcedBest;
-  }
-  if (truthy(std::getenv("MOBIWLAN_FORCE_SCALAR"))) return 0;
-  return kDeferToEnv;
+  const char* v = env_value("MOBIWLAN_SIMD_TIER");
+  return v != nullptr ? static_cast<int>(parse_tier(v)) : kDeferToEnv;
 }
 
-/// fp32 when MOBIWLAN_PRECISION is fp32/float32/f32; fp64 otherwise.
+/// The precision the environment requests (0/1), or kDeferToEnv when
+/// MOBIWLAN_PRECISION is unset.
 int env_precision_request() {
-  const char* p = std::getenv("MOBIWLAN_PRECISION");
-  if (p == nullptr || p[0] == '\0') return kDeferToEnv;
-  if (std::strcmp(p, "fp32") == 0 || std::strcmp(p, "float32") == 0 ||
-      std::strcmp(p, "f32") == 0)
-    return 1;
-  return 0;
+  const char* v = env_value("MOBIWLAN_PRECISION");
+  return v != nullptr ? static_cast<int>(parse_precision(v)) : kDeferToEnv;
 }
 
 std::atomic<int> g_forced_tier{kDeferToEnv};
 std::atomic<int> g_forced_precision{kDeferToEnv};
 
-/// The requested tier after the hook-then-environment cascade:
-/// 0/1/2 = explicit tier, kUnforcedBest = best supported, kDeferToEnv =
-/// nothing requested anywhere (also best supported).
-int tier_request() {
-  const int forced = g_forced_tier.load(std::memory_order_relaxed);
-  if (forced != kDeferToEnv) return forced;
-  static const int from_env = env_tier_request();
-  return from_env;
+}  // namespace
+
+Tier parse_tier(std::string_view value) {
+  if (value == "scalar") return Tier::kScalar;
+  if (value == "avx2") return Tier::kAvx2;
+  if (value == "avx512") return Tier::kAvx512;
+  reject("MOBIWLAN_SIMD_TIER", value, "scalar, avx2, avx512");
 }
 
-}  // namespace
+Precision parse_precision(std::string_view value) {
+  if (value == "fp64") return Precision::kFloat64;
+  if (value == "fp32") return Precision::kFloat32;
+  reject("MOBIWLAN_PRECISION", value, "fp32, fp64");
+}
 
 bool avx2fma_supported() {
 #if defined(__x86_64__)
@@ -86,9 +87,13 @@ Tier best_supported_tier() {
 }
 
 Tier active_tier() {
-  const int req = tier_request();
+  int req = g_forced_tier.load(std::memory_order_relaxed);
+  if (req == kDeferToEnv) {
+    static const int from_env = env_tier_request();
+    req = from_env;
+  }
   const Tier best = best_supported_tier();
-  if (req == kDeferToEnv || req == kUnforcedBest) return best;
+  if (req == kDeferToEnv) return best;
   // Graceful fallback: a tier the host lacks degrades to the best it has
   // (avx512 -> avx2 -> scalar); a tier below the best is honored as-is.
   const Tier requested = static_cast<Tier>(req);
@@ -132,19 +137,6 @@ const char* precision_name(Precision precision) {
   return precision == Precision::kFloat32 ? "fp32" : "fp64";
 }
 
-bool force_scalar() { return tier_request() == 0; }
-
-void set_force_scalar(int forced) {
-  if (forced < 0)
-    g_forced_tier.store(kDeferToEnv, std::memory_order_relaxed);
-  else if (forced != 0)
-    g_forced_tier.store(0, std::memory_order_relaxed);
-  else
-    g_forced_tier.store(kUnforcedBest, std::memory_order_relaxed);
-}
-
 bool use_avx2fma() { return active_tier() >= Tier::kAvx2; }
-
-bool use_avx512() { return active_tier() == Tier::kAvx512; }
 
 }  // namespace mobiwlan::simd

@@ -13,8 +13,7 @@
 //     once, at first query) or set_forced_tier() from test code. A
 //     requested tier the host cannot run degrades gracefully
 //     (avx512 → avx2 → scalar); CI uses the override to force-exercise
-//     every dispatch path on one host. MOBIWLAN_FORCE_SCALAR=1 is kept as
-//     an alias for MOBIWLAN_SIMD_TIER=scalar.
+//     every dispatch path on one host.
 //   * the **precision tier** (fp64 / fp32) of the batched channel-synthesis
 //     plane math, overridable with MOBIWLAN_PRECISION=fp32|fp64 or
 //     set_forced_precision(). The default is fp64, which preserves every
@@ -23,10 +22,16 @@
 //     and RNG stay double either way — see DESIGN.md §5 "Precision
 //     tiers").
 //
+// Both variables accept exactly the spellings above; any other non-empty
+// value throws std::invalid_argument at the first query instead of
+// silently running a different kernel set. An empty value means unset.
+//
 // Kernels must consult use_avx2fma()/active_tier()/active_precision() per
 // call (not cache them in a static): that is what makes the test hooks
 // effective.
 #pragma once
+
+#include <string_view>
 
 namespace mobiwlan::simd {
 
@@ -57,8 +62,8 @@ Tier active_tier();
 /// effect on the next active_tier() query.
 void set_forced_tier(int tier);
 
-/// The active precision tier: MOBIWLAN_PRECISION=fp32 selects kFloat32,
-/// anything else (or unset) keeps the default kFloat64.
+/// The active precision tier: MOBIWLAN_PRECISION=fp32 selects kFloat32;
+/// fp64, empty or unset keeps the default kFloat64.
 Precision active_precision();
 
 /// Test hook: -1 defers to the environment (the default), 0 forces fp64,
@@ -69,20 +74,16 @@ void set_forced_precision(int precision);
 const char* tier_name(Tier tier);
 const char* precision_name(Precision precision);
 
-/// True if scalar kernels are explicitly requested — by set_forced_tier(0)
-/// / set_force_scalar(), or by the environment (MOBIWLAN_SIMD_TIER=scalar,
-/// or the legacy MOBIWLAN_FORCE_SCALAR set to anything but "0" or empty).
-bool force_scalar();
+/// Parses a MOBIWLAN_SIMD_TIER value: exactly "scalar", "avx2" or
+/// "avx512". Anything else throws std::invalid_argument naming the
+/// variable, the value and the accepted spellings.
+Tier parse_tier(std::string_view value);
 
-/// Legacy test hook, kept for existing call sites: -1 defers to the
-/// environment, 1 forces scalar kernels, 0 un-forces (best supported tier,
-/// ignoring the environment). Forwards onto set_forced_tier().
-void set_force_scalar(int forced);
+/// Parses a MOBIWLAN_PRECISION value: exactly "fp32" or "fp64". Anything
+/// else throws std::invalid_argument like parse_tier().
+Precision parse_precision(std::string_view value);
 
 /// The question AVX2-tier dispatch sites ask: active tier >= kAvx2.
 bool use_avx2fma();
-
-/// The question AVX-512 dispatch sites ask: active tier == kAvx512.
-bool use_avx512();
 
 }  // namespace mobiwlan::simd

@@ -183,9 +183,11 @@ TEST_F(BatchFixture, SingleLinkCsiSteadyStateIsAllocationFree) {
   std::size_t pass = 0;
   EXPECT_EQ(steady_allocs(32,
                           [&](double t) {
-                            batch.csi_into(pass % kNumCases, t, meas, scratch);
-                            batch.csi_true_into(pass % kNumCases, t, truth,
-                                                scratch);
+                            ChannelBatch::csi_link(batch.link(pass % kNumCases),
+                                                   t, meas, scratch);
+                            ChannelBatch::csi_true_link(
+                                batch.link(pass % kNumCases), t, truth,
+                                scratch);
                             ++pass;
                           }),
             0u);

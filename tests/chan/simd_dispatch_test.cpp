@@ -1,19 +1,19 @@
 // SIMD dispatch override: the scalar and AVX2+FMA kernel variants must
-// produce the same channels, and the MOBIWLAN_FORCE_SCALAR override must
-// actually reach every dispatch site.
+// produce the same channels, the tier override must actually reach every
+// dispatch site, and the environment knobs must reject unknown spellings.
 //
 // Runs the golden channel realizations (the same eight the equivalence
 // fixtures pin) once per variant through the full noisy pipeline —
-// synthesis MAC (chan/channel.cpp) and Box-Muller noise fill (util/rng.cpp)
-// both re-consult simd::use_avx2fma() per call, which is what this test
-// leans on. On hosts without AVX2+FMA both runs take the scalar path and
-// the comparison is trivially exact; ctest also registers the whole seed
-// suite under MOBIWLAN_FORCE_SCALAR=1 (label tier2) so the scalar fallback
-// stays green on AVX2 machines too.
+// the channel engine (chan/channel_batch.cpp) and the Box-Muller noise
+// fill (util/rng.cpp) both resolve the tier per call, which is what this
+// test leans on. On hosts without AVX2+FMA both runs take the scalar path
+// and the comparison is trivially exact; ctest also re-runs this binary
+// under MOBIWLAN_SIMD_TIER=scalar|avx2|avx512 (label precision).
 #include "util/simd.hpp"
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,10 +25,10 @@
 namespace mobiwlan {
 namespace {
 
-/// Restores the dispatch override (and therefore env semantics) on exit.
-struct ForceScalarGuard {
-  explicit ForceScalarGuard(int forced) { simd::set_force_scalar(forced); }
-  ~ForceScalarGuard() { simd::set_force_scalar(-1); }
+/// Restores the tier override (and therefore env semantics) on exit.
+struct ForcedTierGuard {
+  explicit ForcedTierGuard(int tier) { simd::set_forced_tier(tier); }
+  ~ForcedTierGuard() { simd::set_forced_tier(-1); }
 };
 
 /// Full noisy samples of one golden channel at 10 Hz over 3 s.
@@ -39,43 +39,12 @@ std::vector<ChannelSample> sample_channel(std::size_t case_idx) {
   return out;
 }
 
-TEST(SimdDispatchTest, SetForceScalarOverridesDispatch) {
-  {
-    ForceScalarGuard guard(1);
-    EXPECT_TRUE(simd::force_scalar());
-    EXPECT_FALSE(simd::use_avx2fma());
-  }
-  {
-    ForceScalarGuard guard(0);
-    EXPECT_FALSE(simd::force_scalar());
-    EXPECT_EQ(simd::use_avx2fma(), simd::avx2fma_supported());
-  }
-}
-
-TEST(SimdDispatchTest, EnvVarForcesScalarWhenNoOverride) {
-  // set_force_scalar(-1) defers to the environment, which ctest sets for
-  // the env-forced registration of this test; assert consistency either way.
-  simd::set_force_scalar(-1);
-  const char* env = std::getenv("MOBIWLAN_FORCE_SCALAR");
-  const bool env_forced = env && *env && !(env[0] == '0' && env[1] == '\0');
-  EXPECT_EQ(simd::force_scalar(), env_forced);
-  if (env_forced) EXPECT_FALSE(simd::use_avx2fma());
-}
-
-/// Restores the tier override on exit (the three-way generalization of
-/// ForceScalarGuard).
-struct ForcedTierGuard {
-  explicit ForcedTierGuard(int tier) { simd::set_forced_tier(tier); }
-  ~ForcedTierGuard() { simd::set_forced_tier(-1); }
-};
-
 TEST(SimdDispatchTest, ForcedTierClampsToHostSupport) {
   const simd::Tier best = simd::best_supported_tier();
   {
     ForcedTierGuard guard(0);
     EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
     EXPECT_FALSE(simd::use_avx2fma());
-    EXPECT_FALSE(simd::use_avx512());
   }
   {
     // A tier the host lacks degrades gracefully to the best it has; a tier
@@ -87,6 +56,7 @@ TEST(SimdDispatchTest, ForcedTierClampsToHostSupport) {
   {
     ForcedTierGuard guard(2);
     EXPECT_EQ(simd::active_tier(), best);  // avx512 -> avx2 -> scalar
+    EXPECT_EQ(simd::use_avx2fma(), simd::avx2fma_supported());
   }
   {
     ForcedTierGuard guard(99);  // out-of-range requests clamp to avx512
@@ -95,35 +65,57 @@ TEST(SimdDispatchTest, ForcedTierClampsToHostSupport) {
 }
 
 TEST(SimdDispatchTest, TierEnvVarHonoredWhenNoOverride) {
-  // set_forced_tier(-1) defers to MOBIWLAN_SIMD_TIER (with
-  // MOBIWLAN_FORCE_SCALAR as the legacy scalar-only alias); ctest re-runs
-  // this binary under both spellings, so assert consistency with whatever
-  // the environment says rather than pinning one value.
+  // set_forced_tier(-1) defers to MOBIWLAN_SIMD_TIER; ctest re-runs this
+  // binary under each tier, so assert consistency with whatever the
+  // environment says rather than pinning one value.
   simd::set_forced_tier(-1);
   const char* tier_env = std::getenv("MOBIWLAN_SIMD_TIER");
-  if (tier_env != nullptr && *tier_env != '\0') {
-    const std::string req(tier_env);
-    const simd::Tier best = simd::best_supported_tier();
-    if (req == "scalar")
-      EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
-    else if (req == "avx2")
-      EXPECT_EQ(simd::active_tier(),
-                best < simd::Tier::kAvx2 ? best : simd::Tier::kAvx2);
-    else if (req == "avx512")
-      EXPECT_EQ(simd::active_tier(), best);
-    else
-      EXPECT_EQ(simd::active_tier(), best);  // unrecognized: best tier
+  const simd::Tier best = simd::best_supported_tier();
+  if (tier_env == nullptr || *tier_env == '\0') {
+    EXPECT_EQ(simd::active_tier(), best);
+    return;
   }
+  const simd::Tier requested = simd::parse_tier(tier_env);
+  EXPECT_EQ(simd::active_tier(), requested < best ? requested : best);
 }
 
-TEST(SimdDispatchTest, LegacyForceScalarMapsOntoTiers) {
-  {
-    ForceScalarGuard guard(1);
-    EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
+TEST(SimdDispatchTest, EnvSpellingsParseExactly) {
+  EXPECT_EQ(simd::parse_tier("scalar"), simd::Tier::kScalar);
+  EXPECT_EQ(simd::parse_tier("avx2"), simd::Tier::kAvx2);
+  EXPECT_EQ(simd::parse_tier("avx512"), simd::Tier::kAvx512);
+  EXPECT_EQ(simd::parse_precision("fp32"), simd::Precision::kFloat32);
+  EXPECT_EQ(simd::parse_precision("fp64"), simd::Precision::kFloat64);
+}
+
+TEST(SimdDispatchTest, EnvRejectsUnknownSpellings) {
+  // A near-miss used to run a different kernel set without a word
+  // (AVX2 -> best tier, FP32 -> fp64); now it names the variable, the value
+  // and what is accepted.
+  for (const char* bad : {"AVX2", "avx-2", "Scalar", "avx2 ", "sse4", "1"}) {
+    SCOPED_TRACE(bad);
+    try {
+      simd::parse_tier(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MOBIWLAN_SIMD_TIER"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("scalar, avx2, avx512"), std::string::npos) << what;
+    }
   }
-  {
-    ForceScalarGuard guard(0);  // un-force: cpuid decides, env ignored
-    EXPECT_EQ(simd::active_tier(), simd::best_supported_tier());
+  for (const char* bad : {"FP32", "float32", "f32", "fp16", "double"}) {
+    SCOPED_TRACE(bad);
+    try {
+      simd::parse_precision(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MOBIWLAN_PRECISION"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("fp32, fp64"), std::string::npos) << what;
+    }
   }
 }
 
@@ -132,10 +124,7 @@ TEST(SimdDispatchTest, PrecisionOverrideAndDefault) {
   // hook overrides it in both directions and -1 restores deference.
   simd::set_forced_precision(-1);
   const char* env = std::getenv("MOBIWLAN_PRECISION");
-  const bool env_f32 =
-      env != nullptr && (std::string(env) == "fp32" ||
-                         std::string(env) == "float32" ||
-                         std::string(env) == "f32");
+  const bool env_f32 = env != nullptr && std::string(env) == "fp32";
   EXPECT_EQ(simd::active_precision() == simd::Precision::kFloat32, env_f32);
   simd::set_forced_precision(1);
   EXPECT_EQ(simd::active_precision(), simd::Precision::kFloat32);
@@ -158,11 +147,11 @@ TEST(SimdDispatchTest, ScalarAndSimdChannelsAgreeOnGoldenCases) {
     SCOPED_TRACE(goldencase::case_name(idx));
     std::vector<ChannelSample> scalar, dispatched;
     {
-      ForceScalarGuard guard(1);
+      ForcedTierGuard guard(0);
       scalar = sample_channel(idx);
     }
     {
-      ForceScalarGuard guard(0);  // cpuid decides: AVX2 where available
+      ForcedTierGuard guard(2);  // the best tier the host has
       dispatched = sample_channel(idx);
     }
     ASSERT_EQ(scalar.size(), dispatched.size());

@@ -21,15 +21,15 @@
 namespace mobiwlan {
 namespace {
 
-/// Runs `fn` once with SIMD dispatch un-forced and once pinned to scalar,
+/// Runs `fn` once at the best tier the host has and once pinned to scalar,
 /// restoring the environment-deferred default afterwards.
 template <typename Fn>
 void with_both_kernels(Fn fn, double& simd_out, double& scalar_out) {
-  simd::set_force_scalar(0);
+  simd::set_forced_tier(2);
   simd_out = fn();
-  simd::set_force_scalar(1);
+  simd::set_forced_tier(0);
   scalar_out = fn();
-  simd::set_force_scalar(-1);
+  simd::set_forced_tier(-1);
 }
 
 std::vector<CsiMatrix> golden_snapshots() {
@@ -72,11 +72,11 @@ TEST(CsiSimilaritySimd, PerPairOverloadMatchesScalar) {
 TEST(CsiSimilaritySimd, VectorKernelIsExactlySymmetric) {
   const std::vector<CsiMatrix> snaps = golden_snapshots();
   CsiSimilarityScratch scratch;
-  simd::set_force_scalar(0);
+  simd::set_forced_tier(2);
   for (std::size_t i = 0; i + 1 < snaps.size(); i += 2)
     EXPECT_EQ(csi_similarity(snaps[i], snaps[i + 1], scratch),
               csi_similarity(snaps[i + 1], snaps[i], scratch));
-  simd::set_force_scalar(-1);
+  simd::set_forced_tier(-1);
 }
 
 TEST(CsiSimilaritySimd, SelfSimilarityIsOneUnderBothKernels) {
