@@ -3,11 +3,11 @@
 // The cases cover the per-packet pipeline the runtime loops execute
 // millions of times per study — full channel sampling, bare CSI synthesis
 // (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step, the
-// A-MPDU loss kernel — plus pool dispatch and one campus epoch. Each case
-// exercises the scratch-buffer (zero-allocation) API that the steady-state
-// loops use, so allocs_per_op doubles as a regression check on the
-// allocation-free contract whenever the counting hook is linked (it is, in
-// mobiwlan-bench).
+// A-MPDU loss kernel — plus pool dispatch, one campus epoch and the strict
+// replay of a recorded link. Each case exercises the scratch-buffer
+// (zero-allocation) API that the steady-state loops use, so allocs_per_op
+// doubles as a regression check on the allocation-free contract whenever the
+// counting hook is linked (it is, in mobiwlan-bench).
 //
 // The workload construction is deliberately simple and self-contained so
 // the numbers stay comparable across refactors: a strong-activity channel
@@ -18,20 +18,31 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "campus/campus.hpp"
 #include "chan/channel.hpp"
 #include "chan/channel_batch.hpp"
+#include "chan/scenario.hpp"
 #include "chan/trajectory.hpp"
 #include "core/csi_similarity.hpp"
 #include "core/mobility_classifier.hpp"
 #include "mac/aggregation.hpp"
+#include "mac/atheros_ra.hpp"
+#include "mac/link_sim.hpp"
 #include "phy/aoa.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
+#include "trace/source.hpp"
+#include "trace/trace_io.hpp"
+#include "trace/trace_source.hpp"
 #include "util/alloc_count.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -236,6 +247,71 @@ PerfResult run_campus_step(double min_time_s) {
   return measure("campus_step", min_time_s, [&] { sim.step_epoch(); });
 }
 
+/// Issues the read a trace record logs, against `src`, at the record's
+/// time; returns the value read (0 for an absent or matrix read).
+double replay_read(trace::ObservableSource& src, const trace::TraceRecord& q,
+                   CsiMatrix& csi) {
+  using trace::StreamKind;
+  std::optional<double> v;
+  switch (q.kind) {
+    case StreamKind::kCsi: return src.csi(q.unit, q.t, csi) ? 1.0 : 0.0;
+    case StreamKind::kCsiFeedback:
+      return src.csi_feedback(q.unit, q.t, csi) ? 1.0 : 0.0;
+    case StreamKind::kTrueCsi: return src.csi_true(q.unit, q.t, csi) ? 1.0 : 0.0;
+    case StreamKind::kRssi: v = src.rssi_dbm(q.unit, q.t); break;
+    case StreamKind::kScanRssi: v = src.scan_rssi_dbm(q.unit, q.t); break;
+    case StreamKind::kTof: v = src.tof_cycles(q.unit, q.t); break;
+    case StreamKind::kSnr: v = src.snr_db(q.unit, q.t); break;
+    case StreamKind::kTrueDistance: v = src.true_distance(q.unit, q.t); break;
+    case StreamKind::kFeedbackOk:
+      return src.feedback_delivered(q.unit, q.t) ? 1.0 : 0.0;
+  }
+  return v.value_or(0.0);
+}
+
+PerfResult run_trace_replay(double min_time_s) {
+  // One op = the strict replay of a recorded 1 s link (mobility-aware
+  // Atheros RA over a walking client): every read the link loop made, issued
+  // again in recorded order against a TraceSource rewound to the start. The
+  // source keeps its decode buffers across rewinds, so allocs/op gates the
+  // allocation-free replay contract.
+  const std::string path =
+      "BENCH_trace_tmp_" + std::to_string(::getpid()) + "_perf_replay.mwtr";
+  {
+    Rng rng(20140204);
+    Scenario s = make_scenario(MobilityClass::kMacro, rng);
+    trace::LiveChannelSource live(*s.channel);
+    trace::TraceWriter writer(
+        path, trace::RecordingSource::header_for(live, ChannelConfig{}));
+    trace::RecordingSource tee(live, writer);
+    AtherosRa ra = make_mobility_aware_atheros_ra();
+    LinkSimConfig cfg;
+    cfg.duration_s = 1.0;
+    Rng sim_rng(20140205);
+    (void)simulate_link(tee, ra, cfg, sim_rng, s.truth);
+    writer.close();
+  }
+  std::vector<trace::TraceRecord> reads;
+  {
+    trace::TraceReader reader(path);
+    trace::TraceRecord rec;
+    while (reader.next(rec)) {
+      rec.csi = CsiMatrix();  // only the query (kind, unit, t) is replayed
+      reads.push_back(rec);
+    }
+  }
+  trace::TraceSource replay(path);  // strict: any divergence throws
+  CsiMatrix csi;
+  PerfResult r = measure("trace_replay", min_time_s, [&] {
+    replay.rewind();
+    double sink = 0.0;
+    for (const trace::TraceRecord& q : reads) sink += replay_read(replay, q, csi);
+    asm volatile("" : : "r"(&sink) : "memory");
+  });
+  std::remove(path.c_str());
+  return r;
+}
+
 }  // namespace
 
 const std::vector<PerfCaseDef>& perf_registry() {
@@ -262,6 +338,9 @@ const std::vector<PerfCaseDef>& perf_registry() {
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",
        run_campus_step},
+      {"trace_replay",
+       "strict TraceSource replay of every read of a recorded 1 s link",
+       run_trace_replay},
   };
   return cases;
 }

@@ -133,6 +133,7 @@ class TraceError : public std::runtime_error {
     kMissingStream,    ///< consumer requires a stream the trace lacks
     kTimestampSkew,    ///< strict replay: query times diverge from the log
     kWriteFailed,      ///< I/O error while writing
+    kBadConfig,        ///< replay configured with an unusable tolerance
   };
 
   TraceError(Code code, const std::string& what)

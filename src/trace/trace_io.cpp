@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -17,6 +18,7 @@ constexpr std::uint32_t kMaxUnits = 1u << 16;
 constexpr std::size_t kMaxCsiValues = 1u << 24;
 constexpr std::uint32_t kMaxChunkPayload = 1u << 30;
 
+constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kRecordHeadBytes = 1 + 1 + 2 + 8;  // kind,flags,unit,t
 
 static_assert(sizeof(double) == 8, "MWTR requires 8-byte IEEE doubles");
@@ -25,6 +27,19 @@ void append_bytes(std::vector<unsigned char>& buf, const void* p,
                   std::size_t n) {
   const auto* b = static_cast<const unsigned char*>(p);
   buf.insert(buf.end(), b, b + n);
+}
+
+/// The largest record `h` admits: a full CSI matrix when a matrix stream is
+/// declared, else one scalar. A chunk flushes once it reaches kChunkBytes,
+/// so kChunkBytes plus this bounds every chunk a TraceWriter produces.
+std::size_t max_record_bytes(const TraceHeader& h) {
+  std::size_t payload = 8;
+  for (std::size_t k = 0; k < kNumStreamKinds; ++k)
+    if (h.has(static_cast<StreamKind>(k)) &&
+        is_matrix_kind(static_cast<StreamKind>(k)))
+      payload = std::max(payload,
+                         h.csi_values() * sizeof(std::complex<double>));
+  return kRecordHeadBytes + payload;
 }
 
 void check_geometry(const TraceHeader& h) {
@@ -77,6 +92,7 @@ std::string_view to_string(TraceError::Code c) {
     case TraceError::Code::kMissingStream: return "missing-stream";
     case TraceError::Code::kTimestampSkew: return "timestamp-skew";
     case TraceError::Code::kWriteFailed: return "write-failed";
+    case TraceError::Code::kBadConfig: return "bad-config";
   }
   return "?";
 }
@@ -92,9 +108,9 @@ TraceWriter::TraceWriter(const std::string& path, const TraceHeader& header)
                      "cannot create trace file: " + path);
   last_t_.assign(kNumStreamKinds * header_.n_units,
                  -std::numeric_limits<double>::infinity());
-  buf_.reserve(kChunkBytes + 4096);
+  buf_.reserve(kChunkBytes + max_record_bytes(header_));
 
-  unsigned char head[48];
+  unsigned char head[kHeaderBytes];
   std::size_t off = 0;
   auto put_u32 = [&](std::uint32_t v) {
     std::memcpy(head + off, &v, 4);
@@ -227,7 +243,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     throw TraceError(TraceError::Code::kOpenFailed,
                      "cannot open trace file: " + path);
   try {
-    unsigned char head[48];
+    unsigned char head[kHeaderBytes];
     const std::size_t got = std::fread(head, 1, sizeof head, f_);
     // A short file that cannot even hold the magic is classified by what is
     // there: wrong magic bytes beat "truncated" so garbage files report
@@ -269,6 +285,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     check_geometry(header_);
     last_t_.assign(kNumStreamKinds * header_.n_units,
                    -std::numeric_limits<double>::infinity());
+    chunk_.reserve(kChunkBytes + max_record_bytes(header_));
   } catch (...) {
     std::fclose(f_);
     f_ = nullptr;
@@ -304,18 +321,32 @@ void TraceReader::load_chunk() {
   chunk_left_ = count;
 }
 
-bool TraceReader::next(TraceRecord& out) {
-  while (chunk_left_ == 0) {
-    if (eof_) return false;
-    load_chunk();
-    if (eof_) return false;
-  }
+void TraceReader::rewind() {
+  if (std::fseek(f_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
+    throw TraceError(TraceError::Code::kOpenFailed,
+                     "cannot rewind trace file: " + path_);
+  pos_ = 0;
+  chunk_left_ = 0;
+  eof_ = false;
+  have_head_ = false;
+  n_records_ = 0;
+  std::fill(last_t_.begin(), last_t_.end(),
+            -std::numeric_limits<double>::infinity());
+}
 
-  auto need = [&](std::size_t n) {
-    if (chunk_.size() - pos_ < n)
-      throw TraceError(TraceError::Code::kTruncated,
-                       "record overruns its chunk: " + path_);
-  };
+void TraceReader::need(std::size_t n) const {
+  if (chunk_.size() - pos_ < n)
+    throw TraceError(TraceError::Code::kTruncated,
+                     "record overruns its chunk: " + path_);
+}
+
+const TraceReader::Head* TraceReader::peek() {
+  if (have_head_) return &head_;
+  while (chunk_left_ == 0) {
+    if (eof_) return nullptr;
+    load_chunk();
+    if (eof_) return nullptr;
+  }
 
   need(kRecordHeadBytes);
   const std::uint8_t kind_raw = chunk_[pos_];
@@ -347,13 +378,24 @@ bool TraceReader::next(TraceRecord& out) {
                          std::string(to_string(kind)) + "': " + path_);
   last = t;
 
-  out.kind = kind;
-  out.unit = unit;
-  out.t = t;
-  out.present = (flags & kFlagAbsent) == 0;
+  head_.kind = kind;
+  head_.unit = unit;
+  head_.t = t;
+  head_.present = (flags & kFlagAbsent) == 0;
+  have_head_ = true;
+  return &head_;
+}
+
+bool TraceReader::next(TraceRecord& out) {
+  if (peek() == nullptr) return false;
+  have_head_ = false;
+  out.kind = head_.kind;
+  out.unit = head_.unit;
+  out.t = head_.t;
+  out.present = head_.present;
   if (!out.present) {
     // Absent reads carry no payload.
-  } else if (is_matrix_kind(kind)) {
+  } else if (is_matrix_kind(out.kind)) {
     const std::size_t values = header_.csi_values();
     need(values * sizeof(std::complex<double>));
     out.csi.resize_for_overwrite(header_.n_tx, header_.n_rx, header_.n_sc);

@@ -71,15 +71,33 @@ class TraceReader {
 
   const TraceHeader& header() const { return header_; }
 
+  /// A record's fields known before its payload is decoded.
+  struct Head {
+    StreamKind kind = StreamKind::kCsi;
+    std::uint32_t unit = 0;
+    double t = 0.0;
+    bool present = true;
+  };
+
+  /// Validates the next record's head (kind, flags, unit, per-stream
+  /// timestamp order) and returns it without consuming the record, so a
+  /// caller can pick the decode target by stream first. nullptr at clean
+  /// end-of-file; throws what next() would throw for that head.
+  const Head* peek();
+
   /// Decodes the next record into `out` (reusing its CsiMatrix storage).
   /// Returns false at clean end-of-file; throws TraceError on truncation,
   /// corruption, or per-stream timestamp regression.
   bool next(TraceRecord& out);
 
+  /// Restarts at the first record, keeping the chunk buffer.
+  void rewind();
+
   std::uint64_t records_read() const { return n_records_; }
 
  private:
   void load_chunk();  // refills chunk_ from the file; sets eof_ at clean EOF
+  void need(std::size_t n) const;  // throws kTruncated past the chunk's end
 
   std::FILE* f_ = nullptr;
   std::string path_;
@@ -88,6 +106,8 @@ class TraceReader {
   std::size_t pos_ = 0;
   std::uint32_t chunk_left_ = 0;  // records remaining in the loaded chunk
   bool eof_ = false;
+  Head head_;               // valid while have_head_
+  bool have_head_ = false;  // peek() consumed head_'s bytes, not its payload
   std::uint64_t n_records_ = 0;
   std::vector<double> last_t_;
 };

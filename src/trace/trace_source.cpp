@@ -1,5 +1,6 @@
 #include "trace/trace_source.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -12,11 +13,55 @@ std::string at(StreamKind kind, std::uint32_t unit, double t) {
          " at t=" + std::to_string(t);
 }
 
+/// A tolerance that is NaN, infinite or negative makes every query miss
+/// (or, strictly, throw a misleading kTimestampSkew), so it is refused up
+/// front.
+void check_tolerance(const char* field, double v) {
+  if (std::isfinite(v) && v >= 0.0) return;
+  throw TraceError(TraceError::Code::kBadConfig,
+                   std::string("trace replay: ") + field +
+                       " must be finite and >= 0, got " + std::to_string(v));
+}
+
+const TraceSource::Config& checked(const TraceSource::Config& config) {
+  check_tolerance("skew_tol_s", config.skew_tol_s);
+  check_tolerance("max_age_s", config.max_age_s);
+  return config;
+}
+
+// Slots a stream's ring starts with. A faithful replay consumes each record
+// as soon as it is decoded, so rings only grow while consumers drift apart.
+constexpr std::size_t kInitialSlots = 4;
+
 }  // namespace
 
 TraceSource::TraceSource(const std::string& path, Config config)
-    : reader_(path), config_(config) {
+    : config_(checked(config)), reader_(path) {
   streams_.resize(kNumStreamKinds * header().n_units);
+}
+
+void TraceSource::rewind() {
+  reader_.rewind();
+  for (Stream& s : streams_) {
+    s.head = 0;
+    s.size = 0;
+    s.have_current = false;
+  }
+  counters_ = Counters{};
+  reader_done_ = false;
+}
+
+TraceRecord& TraceSource::Stream::tail() {
+  if (size == ring.size()) {
+    // Full: unroll the pending records into a ring twice the size. Moves
+    // carry each slot's matrix storage along.
+    std::vector<TraceRecord> grown(std::max(kInitialSlots, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i)
+      grown[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    ring.swap(grown);
+    head = 0;
+  }
+  return ring[(head + size) & (ring.size() - 1)];
 }
 
 TraceSource::Stream& TraceSource::stream(StreamKind kind, std::uint32_t unit) {
@@ -24,15 +69,23 @@ TraceSource::Stream& TraceSource::stream(StreamKind kind, std::uint32_t unit) {
 }
 
 void TraceSource::pump(Stream& s, double t) {
-  const double horizon = t + config_.skew_tol_s;
-  while (!reader_done_ &&
-         (s.pending.empty() || s.pending.back().t <= horizon)) {
-    if (!reader_.next(scratch_)) {
+  const double floor = t - config_.skew_tol_s;
+  while (!reader_done_ && (s.size == 0 || s.back().t < floor)) {
+    const TraceReader::Head* head = reader_.peek();
+    if (head == nullptr) {
       reader_done_ = true;
       break;
     }
-    if ((config_.ignore_mask & stream_bit(scratch_.kind)) != 0) continue;
-    stream(scratch_.kind, scratch_.unit).pending.push_back(scratch_);
+    if ((config_.ignore_mask & stream_bit(head->kind)) != 0) {
+      reader_.next(scratch_);
+      continue;
+    }
+    // Decode straight into the record's own stream; it becomes pending only
+    // once its payload decoded in full.
+    Stream& dst = stream(head->kind, head->unit);
+    reader_.next(dst.tail());
+    dst.push();
+    ++counters_.decoded;
   }
 }
 
@@ -44,31 +97,31 @@ const TraceRecord* TraceSource::fetch(StreamKind kind, std::uint32_t unit,
   // Records strictly behind the query were never consumed by a read: in a
   // faithful replay that cannot happen, so strict mode reports skew. Relaxed
   // mode passes over them (keeping the newest as the held value).
-  while (!s.pending.empty() && s.pending.front().t < t - tol) {
+  while (s.size > 0 && s.front().t < t - tol) {
     if (config_.strict) {
       throw TraceError(TraceError::Code::kTimestampSkew,
                        "strict replay: query for " + at(kind, unit, t) +
                            " skips recorded read at t=" +
-                           std::to_string(s.pending.front().t));
+                           std::to_string(s.front().t));
     }
     ++counters_.skipped;
-    if (s.pending.front().present) {
-      s.current = std::move(s.pending.front());
+    if (s.front().present) {
+      std::swap(s.current, s.front());
       s.have_current = true;
     }
-    s.pending.pop_front();
+    s.pop();
   }
-  if (!s.pending.empty() && s.pending.front().t <= t + tol) {
+  if (s.size > 0 && s.front().t <= t + tol) {
+    TraceRecord& rec = s.front();
+    s.pop();  // the slot stays intact until the next decode into it
     // A recorded absence is an answer too: the read was dropped when the
     // trace was made, so the replayed read is dropped identically.
-    if (!s.pending.front().present) {
-      s.pending.pop_front();
+    if (!rec.present) {
       ++counters_.absent;
       return nullptr;
     }
-    s.current = std::move(s.pending.front());
+    std::swap(s.current, rec);
     s.have_current = true;
-    s.pending.pop_front();
     ++counters_.served;
     return &s.current;
   }

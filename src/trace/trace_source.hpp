@@ -4,9 +4,13 @@
 // walks each log with a cursor: every query consumes exactly one in-tolerance
 // record from its stream (duplicate timestamps are legal — a roaming scan
 // reads the same AP twice at one instant — and are served in log order).
-// Records are decoded from the file strictly forward in one pass, so replay
-// streams in memory bounded by how far the interleaved consumers drift apart,
-// never by trace length.
+// Records are decoded from the file strictly forward in one pass, and only
+// as far as the query needs: decoding stops at the first record of the
+// queried stream that is not behind the query, the only one it can serve.
+// A faithful replay therefore decodes each record exactly when its read
+// comes, and memory is bounded by how far the interleaved consumers drift
+// apart, never by trace length. Each stream keeps its pending records in a
+// ring of recycled slots, so steady-state replay does not allocate.
 //
 // The arXiv 2002.03905 trace-replay pitfalls map to explicit behavior here:
 //
@@ -25,8 +29,8 @@
 //                      consumer from a trace lacking its observables.
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "trace/source.hpp"
 #include "trace/trace_io.hpp"
@@ -38,10 +42,11 @@ class TraceSource : public ObservableSource {
   struct Config {
     /// Queries within this of a record's timestamp match it. Recorded
     /// replays align exactly; the default only forgives representation-level
-    /// jitter in imported traces.
+    /// jitter in imported traces. Must be finite and >= 0 (kBadConfig).
     double skew_tol_s = 1e-9;
     /// Relaxed mode only: serve the stream's previous record on a miss while
     /// it is at most this old. 0 = misses are absent (the gap contract).
+    /// Must be finite and >= 0 (kBadConfig).
     double max_age_s = 0.0;
     /// Strict replay: any skipped record or unmatched query throws
     /// kTimestampSkew. Relaxed replay counts them instead.
@@ -56,15 +61,20 @@ class TraceSource : public ObservableSource {
   /// matches against recorded absence records (the read was dropped when
   /// recorded), `held` misses covered by max_age_s, `missing` queries with no
   /// matching record at all, `skipped` records passed over by a later query
-  /// (relaxed mode only).
+  /// (relaxed mode only), `decoded` records decoded into a stream (records of
+  /// ignore_mask streams are not counted). A faithful strict replay keeps
+  /// decoded == served + absent after every query: nothing is read ahead.
   struct Counters {
     std::uint64_t served = 0;
     std::uint64_t absent = 0;
     std::uint64_t held = 0;
     std::uint64_t missing = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t decoded = 0;
   };
 
+  /// Opens the trace. Throws kBadConfig for a NaN, infinite or negative
+  /// tolerance, then whatever TraceReader throws for the file.
   explicit TraceSource(const std::string& path) : TraceSource(path, Config{}) {}
   TraceSource(const std::string& path, Config config);
 
@@ -87,16 +97,40 @@ class TraceSource : public ObservableSource {
   const Config& config() const { return config_; }
   const Counters& counters() const { return counters_; }
 
+  /// Restarts replay at the trace's first record with zeroed counters,
+  /// keeping every decode buffer: replaying the same trace again does not
+  /// allocate.
+  void rewind();
+
  private:
+  /// One (kind, unit) log. Its decoded, not yet consumed records sit in a
+  /// power-of-two ring whose slots keep their CsiMatrix storage; consuming
+  /// one swaps it with `current`, so buffers circulate instead of being
+  /// freed and reallocated. The ring doubles when a record arrives while it
+  /// is full (warm-up, or consumers drifting apart), and never shrinks.
   struct Stream {
-    std::deque<TraceRecord> pending;  // decoded, not yet consumed
-    TraceRecord current;              // last consumed record
+    std::vector<TraceRecord> ring;
+    std::size_t head = 0;  // oldest pending slot
+    std::size_t size = 0;  // pending records
+    TraceRecord current;   // last consumed record
     bool have_current = false;
+
+    TraceRecord& front() { return ring[head]; }
+    TraceRecord& back() { return ring[(head + size - 1) & (ring.size() - 1)]; }
+    /// The slot the next decoded record goes into; grows a full ring.
+    /// The record is pending only once push() commits it.
+    TraceRecord& tail();
+    void push() { ++size; }
+    /// An emptied ring restarts at slot 0, so lockstep replay (one pending
+    /// record at a time) cycles a single slot's buffer with `current`.
+    void pop() {
+      head = --size == 0 ? 0 : (head + 1) & (ring.size() - 1);
+    }
   };
 
   Stream& stream(StreamKind kind, std::uint32_t unit);
-  /// Decodes records forward until `s` can answer a query at time t (it holds
-  /// a record with timestamp > t + tol) or the file ends.
+  /// Decodes records forward until `s` holds one with timestamp >= t - tol
+  /// (the only record a query at t can serve) or the file ends.
   void pump(Stream& s, double t);
   /// Consumes and returns the record matching (kind, unit, t), nullptr on an
   /// uncovered miss. Throws kTimestampSkew per the strictness contract.
@@ -106,11 +140,11 @@ class TraceSource : public ObservableSource {
   bool fetch_csi(StreamKind kind, std::uint32_t unit, double t,
                  CsiMatrix& out);
 
+  Config config_;  // before reader_: validated before the file is opened
   TraceReader reader_;
-  Config config_;
   Counters counters_;
   std::vector<Stream> streams_;  // [kind * n_units + unit]
-  TraceRecord scratch_;          // decode target before routing
+  TraceRecord scratch_;          // decode target of ignore_mask records
   bool reader_done_ = false;
 };
 

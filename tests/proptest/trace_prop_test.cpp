@@ -1,7 +1,8 @@
 // Property suite for the MWTR v2 trace format: randomly generated traces
 // (random stream sets, unit counts, geometries, cadences, absences) must
 // survive a save -> load round trip bitwise — scalars, CSI matrices, flags,
-// ordering — and TraceSource must replay every stream in recorded order.
+// ordering — and TraceSource must replay every stream in recorded order,
+// decoding each record exactly when its read comes (lockstep).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -146,8 +147,15 @@ TEST(TraceProp, TraceSourceReplaysEveryStreamInOrder) {
     // Querying each stream at exactly its recorded times must reproduce the
     // full log: present records by value, absences as nullopt/false.
     TraceSource src(path);  // strict
+    // Lockstep: after every query exactly the records served so far have
+    // been decoded — none is read ahead.
+    auto expect_lockstep = [&src] {
+      const auto& c = src.counters();
+      EXPECT_EQ(c.decoded, c.served + c.absent);
+    };
     CsiMatrix csi;
     for (const TraceRecord& want : g.records) {
+      expect_lockstep();  // after the previous query
       if (is_matrix_kind(want.kind)) {
         const bool got = src.csi(want.unit, want.t, csi);
         EXPECT_EQ(got, want.present);
@@ -178,7 +186,9 @@ TEST(TraceProp, TraceSourceReplaysEveryStreamInOrder) {
         if (got) EXPECT_EQ(*got, want.scalar);
       }
     }
+    expect_lockstep();  // after the last query
     const auto& c = src.counters();
+    EXPECT_EQ(c.decoded, g.records.size());
     EXPECT_EQ(c.held, 0u);
     EXPECT_EQ(c.missing, 0u);
     EXPECT_EQ(c.skipped, 0u);

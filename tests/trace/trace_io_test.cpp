@@ -1,7 +1,8 @@
 // Tests for the MWTR v2 binary trace format: TraceWriter/TraceReader
 // round-trips, writer misuse, and the typed rejection of every class of
 // malformed input (wrong magic, legacy v1 files, unknown versions,
-// truncation, non-monotone stream timestamps, corrupt records).
+// truncation, non-monotone stream timestamps, corrupt records), and the
+// reader's peek and rewind.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -199,6 +200,63 @@ TEST(TraceIoTest, DuplicateTimestampsAreLegal) {
   EXPECT_DOUBLE_EQ(rec.scalar, -50.0);
   ASSERT_TRUE(reader.next(rec));
   EXPECT_DOUBLE_EQ(rec.scalar, -51.0);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, PeekReportsTheNextHeadWithoutConsumingIt) {
+  const std::string path = tmp("io_peek.mwtr");
+  {
+    TraceWriter writer(path, scalar_header());
+    writer.put_scalar(StreamKind::kTof, 1, 0.25, 410.0);
+    writer.put_absent(StreamKind::kRssi, 0, 0.5);
+    writer.close();
+  }
+  TraceReader reader(path);
+  const TraceReader::Head* head = reader.peek();
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->kind, StreamKind::kTof);
+  EXPECT_EQ(head->unit, 1u);
+  EXPECT_EQ(head->t, 0.25);
+  EXPECT_TRUE(head->present);
+  EXPECT_EQ(reader.peek(), head);  // idempotent until next()
+  EXPECT_EQ(reader.records_read(), 0u);
+  TraceRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_EQ(rec.kind, StreamKind::kTof);
+  EXPECT_EQ(rec.scalar, 410.0);
+  head = reader.peek();
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->kind, StreamKind::kRssi);
+  EXPECT_FALSE(head->present);
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_FALSE(rec.present);
+  EXPECT_EQ(reader.peek(), nullptr);
+  EXPECT_FALSE(reader.next(rec));
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, RewindRestartsAtTheFirstRecord) {
+  const std::string path = tmp("io_rewind.mwtr");
+  {
+    TraceWriter writer(path, scalar_header());
+    for (int i = 0; i < 4; ++i)
+      writer.put_scalar(StreamKind::kRssi, 0, 0.1 * i, -50.0 - i);
+    writer.close();
+  }
+  TraceReader reader(path);
+  TraceRecord rec;
+  while (reader.next(rec)) {
+  }
+  EXPECT_EQ(reader.records_read(), 4u);
+  reader.rewind();
+  EXPECT_EQ(reader.records_read(), 0u);
+  // The per-stream timestamp cursor restarts too: t=0 is no regression.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(rec.t, 0.1 * i);
+    EXPECT_EQ(rec.scalar, -50.0 - i);
+  }
+  EXPECT_FALSE(reader.next(rec));
   std::remove(path.c_str());
 }
 

@@ -1,13 +1,20 @@
 // Tests for the ObservableSource hierarchy: TraceSource replay semantics
 // (strict skew detection, relaxed hold-then-decay, recorded-absence replay,
-// counters, stream gating), RecordingSource tee behaviour, and FaultedSource
-// composition over a replayed trace.
+// counters, stream gating, lockstep decoding, config validation, rewind),
+// RecordingSource tee behaviour, and FaultedSource composition over a
+// replayed trace.
 #include "trace/trace_source.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "chan/scenario.hpp"
 #include "trace/source.hpp"
@@ -183,6 +190,192 @@ TEST(TraceSourceTest, StrongestUnitIsFirstWinsArgmax) {
   }
   TraceSource src(path);
   EXPECT_EQ(src.strongest_unit(0.0), 1u);
+  std::remove(path.c_str());
+}
+
+// ---- lockstep decoding -----------------------------------------------------
+
+TEST(TraceSourceTest, DecodesOnlyTheRecordsQueriesNeed) {
+  const std::string path = write_scalar_trace("src_lockstep.mwtr");
+  TraceSource src(path);
+  EXPECT_EQ(src.counters().decoded, 0u);  // opening decodes nothing
+  EXPECT_EQ(src.rssi_dbm(0, 0.0), -50.0);
+  EXPECT_EQ(src.counters().decoded, 1u);
+  // ToF at 0.0 is the third record: the unit-1 RSSI read in between is
+  // decoded into its own stream on the way and served from there.
+  EXPECT_EQ(src.tof_cycles(0, 0.0), 400.0);
+  EXPECT_EQ(src.counters().decoded, 3u);
+  EXPECT_EQ(src.rssi_dbm(1, 0.0), -60.0);
+  EXPECT_EQ(src.counters().decoded, 3u);
+  EXPECT_EQ(src.counters().served, 3u);
+  std::remove(path.c_str());
+}
+
+/// Reads a whole file into memory.
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(TraceSourceTest, TruncatedTraceFailsAtTheFirstReadPastTheCut) {
+  // RSSI and ToF reads alternate on one clock; 16,000 pairs of 20-byte
+  // records span two full 256 KiB chunks and a third, partial one. The file
+  // is cut inside the second chunk's payload.
+  const std::string path = tmp("src_truncated.mwtr");
+  TraceHeader h;
+  h.stream_mask = stream_bit(StreamKind::kRssi) | stream_bit(StreamKind::kTof);
+  h.n_tx = 1;
+  h.n_rx = 1;
+  h.n_sc = 1;
+  constexpr int kPairs = 16000;
+  {
+    TraceWriter writer(path, h);
+    for (int i = 0; i < kPairs; ++i) {
+      writer.put_scalar(StreamKind::kRssi, 0, 0.001 * i, -50.0 - i);
+      writer.put_scalar(StreamKind::kTof, 0, 0.001 * i, 400.0 + i);
+    }
+    writer.close();
+  }
+  // Records the first chunk holds: the writer flushes at the first record
+  // end at or past 256 KiB.
+  constexpr int kChunkRecords = (256 * 1024 + 19) / 20;
+  static_assert(kChunkRecords % 2 == 0, "the first chunk ends on a pair");
+  std::vector<char> bytes = read_bytes(path);
+  bytes.resize(48 + 8 + 20 * kChunkRecords + 8 + 1000);
+  write_bytes(path, bytes);
+
+  TraceSource src(path);  // strict
+  // Every record of the intact first chunk is served, up to its last one:
+  // nothing is decoded beyond the record a query needs.
+  for (int i = 0; i < kChunkRecords / 2; ++i) {
+    const double t = 0.001 * i;
+    ASSERT_EQ(src.rssi_dbm(0, t), -50.0 - i) << "i=" << i;
+    ASSERT_EQ(src.tof_cycles(0, t), 400.0 + i) << "i=" << i;
+  }
+  EXPECT_EQ(src.counters().served, static_cast<std::uint64_t>(kChunkRecords));
+  EXPECT_EQ(src.counters().decoded, static_cast<std::uint64_t>(kChunkRecords));
+  // The first read that needs a record past the cut reports it.
+  try {
+    (void)src.rssi_dbm(0, 0.001 * (kChunkRecords / 2));
+    FAIL() << "read past the cut did not throw";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kTruncated);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceSourceTest, CorruptRecordBeyondTheLastReadIsNotReported) {
+  // Five RSSI reads; the fourth record's kind byte is garbage. A consumer
+  // that stops after three reads never reaches it, so the replay succeeds;
+  // the fourth read reports it.
+  const std::string path = tmp("src_corrupt_tail.mwtr");
+  TraceHeader h;
+  h.stream_mask = stream_bit(StreamKind::kRssi);
+  h.n_tx = 1;
+  h.n_rx = 1;
+  h.n_sc = 1;
+  {
+    TraceWriter writer(path, h);
+    for (int i = 0; i < 5; ++i)
+      writer.put_scalar(StreamKind::kRssi, 0, 0.1 * i, -50.0 - i);
+    writer.close();
+  }
+  std::vector<char> bytes = read_bytes(path);
+  bytes[48 + 8 + 3 * 20] = static_cast<char>(200);  // not a StreamKind
+  write_bytes(path, bytes);
+
+  TraceSource src(path);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(src.rssi_dbm(0, 0.1 * i), -50.0 - i);
+  try {
+    (void)src.rssi_dbm(0, 0.3);
+    FAIL() << "corrupt record served";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kCorruptRecord);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceSourceTest, RewindReplaysFromTheFirstRecord) {
+  const std::string path = write_scalar_trace("src_rewind.mwtr");
+  TraceSource src(path);
+  auto replay_unit0 = [&] {
+    std::vector<std::optional<double>> got;
+    for (int i = 0; i < 5; ++i) got.push_back(src.rssi_dbm(0, 0.1 * i));
+    return got;
+  };
+  const auto first = replay_unit0();
+  src.rewind();
+  EXPECT_EQ(src.counters().served, 0u);
+  EXPECT_EQ(src.counters().decoded, 0u);
+  EXPECT_EQ(replay_unit0(), first);
+  EXPECT_EQ(src.counters().absent, 1u);
+  std::remove(path.c_str());
+}
+
+// ---- config validation -----------------------------------------------------
+
+using BadConfigCase = std::tuple<const char*, const char*, double>;
+
+class TraceSourceBadConfig : public ::testing::TestWithParam<BadConfigCase> {};
+
+TEST_P(TraceSourceBadConfig, RejectedAtConstruction) {
+  const auto& [field, kind, value] = GetParam();
+  const std::string path = write_scalar_trace(
+      (std::string("src_badcfg_") + field + "_" + kind + ".mwtr").c_str());
+  TraceSource::Config cfg;
+  cfg.strict = false;
+  if (std::string(field) == "skew_tol_s")
+    cfg.skew_tol_s = value;
+  else
+    cfg.max_age_s = value;
+  try {
+    TraceSource src(path, cfg);
+    FAIL() << field << " = " << value << " accepted";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kBadConfig);
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  // The config is checked before the file is opened.
+  try {
+    TraceSource src(tmp("src_badcfg_does_not_exist.mwtr"), cfg);
+    FAIL() << "bad config with a missing file accepted";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kBadConfig);
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, TraceSourceBadConfig,
+    ::testing::Values(
+        BadConfigCase{"skew_tol_s", "nan",
+                      std::numeric_limits<double>::quiet_NaN()},
+        BadConfigCase{"skew_tol_s", "inf",
+                      std::numeric_limits<double>::infinity()},
+        BadConfigCase{"skew_tol_s", "negative", -1e-9},
+        BadConfigCase{"max_age_s", "nan",
+                      std::numeric_limits<double>::quiet_NaN()},
+        BadConfigCase{"max_age_s", "inf",
+                      std::numeric_limits<double>::infinity()},
+        BadConfigCase{"max_age_s", "negative", -0.05}),
+    [](const ::testing::TestParamInfo<BadConfigCase>& param_info) {
+      return std::string(std::get<0>(param_info.param)) + "_" +
+             std::get<1>(param_info.param);
+    });
+
+TEST(TraceSourceTest, ZeroTolerancesAreValid) {
+  const std::string path = write_scalar_trace("src_zero_tol.mwtr");
+  TraceSource::Config cfg;
+  cfg.skew_tol_s = 0.0;
+  cfg.max_age_s = 0.0;
+  TraceSource src(path, cfg);
+  EXPECT_EQ(src.rssi_dbm(0, 0.0), -50.0);
   std::remove(path.c_str());
 }
 
