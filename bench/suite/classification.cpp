@@ -119,11 +119,12 @@ std::pair<double, double> rates(const HitCounts& a, const HitCounts& b) {
 void count_seconds(const Scenario& s, double duration_s, double warmup_s,
                    const MobilityClassifier::Config& cfg,
                    bool (*hit)(MobilityMode), HitCounts& out) {
+  trace::LiveChannelSource live(*s.channel);
   runtime::run_classifier(
-      s, duration_s, warmup_s,
-      [&](double, MobilityMode mode) {
+      live, 0, duration_s, warmup_s,
+      [&](double, const MobilityClassifier& clf) {
         ++out.total;
-        if (hit(mode)) ++out.hits;
+        if (hit(clf.mode())) ++out.hits;
       },
       cfg);
 }

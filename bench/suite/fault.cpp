@@ -29,8 +29,10 @@
 #include "fidelity/fidelity.hpp"
 #include "net/deployment.hpp"
 #include "net/roaming.hpp"
+#include "runtime/classifier_driver.hpp"
 #include "sim/overall_sim.hpp"
 #include "suite/suite.hpp"
+#include "trace/source.hpp"
 #include "util/stats.hpp"
 
 namespace mobiwlan::benchsuite {
@@ -59,35 +61,6 @@ std::string drop_key(double drop) {
 
 // ---- Table 1 under export loss ------------------------------------------
 
-/// One classification trial through DegradedObservables, sampling the
-/// hold-then-decay decision(t) once per second: a withheld (stale) decision
-/// counts as a miss, so the metric prices both misclassification and the
-/// classifier knowing it has gone blind.
-HitCounts degraded_accuracy_trial(MobilityClass cls, const FaultPlan& plan,
-                                  Rng& scenario_rng) {
-  const Scenario s = make_scenario(cls, scenario_rng);
-  DegradedObservables obs(*s.channel, plan);
-  const MobilityClassifier::Config cfg;
-  MobilityClassifier clf(cfg);
-  HitCounts out;
-  double next_csi = 0.0;
-  double next_second = 10.0;  // warmup
-  for (double t = 0.0; t < 30.0; t += cfg.tof_period_s) {
-    if (t >= next_csi - 1e-9) {
-      if (auto csi = obs.csi(t)) clf.on_csi(t, *csi);
-      next_csi += cfg.csi_period_s;
-    }
-    if (auto tof = obs.tof_cycles(t)) clf.on_tof(t, *tof);
-    if (t >= next_second) {
-      ++out.total;
-      const auto decided = clf.decision(t);
-      if (decided && to_class(*decided) == cls) ++out.hits;
-      next_second += 1.0;
-    }
-  }
-  return out;
-}
-
 void fault_table1(runtime::Experiment& exp, FidelityReport& rep) {
   const int trials = 6;  // locations per class, shared across drop levels
   const std::size_t n = 4 * static_cast<std::size_t>(trials);
@@ -101,9 +74,22 @@ void fault_table1(runtime::Experiment& exp, FidelityReport& rep) {
           const MobilityClass cls =
               kClasses[trial.index / static_cast<std::size_t>(trials)];
           const std::uint64_t seed = scenario_seeds[trial.index];
-          const FaultPlan plan = export_drop_plan(drop, seed);
           Rng scenario_rng(seed);
-          return degraded_accuracy_trial(cls, plan, scenario_rng);
+          const Scenario s = make_scenario(cls, scenario_rng);
+          trace::LiveChannelSource live(*s.channel);
+          trace::FaultedSource faulted(live, export_drop_plan(drop, seed));
+          // Sample the hold-then-decay decision(t): a withheld (stale)
+          // decision counts as a miss, so the metric prices both
+          // misclassification and the classifier knowing it has gone blind.
+          HitCounts out;
+          runtime::run_classifier(
+              faulted, 0, 30.0, 10.0,
+              [&](double t, const MobilityClassifier& clf) {
+                ++out.total;
+                const auto decided = clf.decision(t);
+                if (decided && to_class(*decided) == cls) ++out.hits;
+              });
+          return out;
         });
     int hits = 0, total = 0;
     for (const HitCounts& r : rows) {
@@ -214,24 +200,26 @@ void fault_roaming(runtime::Experiment& exp, FidelityReport& rep) {
 // ---- Exact zero-fault identity probe -------------------------------------
 
 /// An all-zero plan must reproduce the raw channel observables bit for bit:
-/// twin channels built from the same seed, one read through
-/// DegradedObservables, one raw, same call order. Any mismatch (value or a
+/// twin channels built from the same seed, one read through a FaultedSource
+/// over a live source, one raw, same call order. Any mismatch (value or a
 /// withheld reading) counts.
 int zero_identity_mismatches(std::uint64_t seed) {
   Rng rng_a(seed), rng_b(seed);
   const Scenario a = make_scenario(MobilityClass::kMacro, rng_a);
   const Scenario b = make_scenario(MobilityClass::kMacro, rng_b);
-  DegradedObservables obs(*a.channel, FaultPlan{});
+  trace::LiveChannelSource live(*a.channel);
+  trace::FaultedSource obs(live, FaultPlan{});
+  CsiMatrix csi;
   int mismatches = 0;
   for (double t = 0.0; t < 10.0; t += 0.1) {
-    const auto csi = obs.csi(t);
+    const bool have_csi = obs.csi(0, t, csi);
     const CsiMatrix want = b.channel->csi_at(t);
-    if (!csi || csi->raw() != want.raw()) ++mismatches;
-    const auto tof = obs.tof_cycles(t);
+    if (!have_csi || csi.raw() != want.raw()) ++mismatches;
+    const auto tof = obs.tof_cycles(0, t);
     if (!tof || *tof != b.channel->tof_cycles(t)) ++mismatches;
-    const auto rssi = obs.rssi_dbm(t);
+    const auto rssi = obs.rssi_dbm(0, t);
     if (!rssi || *rssi != b.channel->rssi_dbm(t)) ++mismatches;
-    if (!obs.feedback_delivered(t)) ++mismatches;
+    if (!obs.feedback_delivered(0, t)) ++mismatches;
   }
   return mismatches;
 }

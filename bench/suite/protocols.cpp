@@ -135,14 +135,12 @@ double run_bf(MobilityClass cls, bool adaptive, double fixed_period,
   cfg.duration_s = 10.0;
   cfg.adaptive_period = adaptive;
   cfg.fixed_period_s = fixed_period;
-  Rng sim_rng(seed + 1234);
-  return simulate_su_beamforming(s, cfg, sim_rng).throughput_mbps;
+  return simulate_su_beamforming(s, cfg).throughput_mbps;
 }
 
 /// One MU-MIMO draw (Fig 12): an environmental, a micro and a macro
 /// single-antenna client drawn from `seed`, served for 8 s.
-MuMimoSimResult run_trio(std::uint64_t seed, bool adaptive, double period,
-                         std::uint64_t sim_seed) {
+MuMimoSimResult run_trio(std::uint64_t seed, bool adaptive, double period) {
   Rng rng(seed);
   ScenarioOptions opt;
   opt.channel.n_rx = 1;  // single-antenna MU-MIMO clients
@@ -153,8 +151,7 @@ MuMimoSimResult run_trio(std::uint64_t seed, bool adaptive, double period,
   cfg.duration_s = 8.0;
   cfg.adaptive_period = adaptive;
   cfg.fixed_period_s = period;
-  Rng sim_rng(sim_seed);
-  return simulate_mu_mimo({&env, &micro, &macro}, cfg, sim_rng);
+  return simulate_mu_mimo({&env, &micro, &macro}, cfg);
 }
 
 }  // namespace
@@ -453,7 +450,7 @@ void run_fig12(runtime::Experiment& exp, runtime::BenchReport& report) {
         6 * draws, [&](runtime::Trial& trial) {
           const std::size_t draw = trial.index % draws;
           return run_trio(seed + 3000 + draw, false,
-                          periods[trial.index / draws], seed + 3100 + draw);
+                          periods[trial.index / draws]);
         });
     TablePrinter t("per-client throughput (Mbps) vs feedback period");
     t.set_header({"period", "environmental", "micro", "macro", "total"});
@@ -484,8 +481,7 @@ void run_fig12(runtime::Experiment& exp, runtime::BenchReport& report) {
     const auto runs = exp.map<MuMimoSimResult>(
         draws * 2, [&](runtime::Trial& trial) {
           const std::uint64_t draw_seed = seed + 3500 + trial.index / 2;
-          return run_trio(draw_seed, trial.index % 2 == 0, 2e-3,
-                          draw_seed + 50);
+          return run_trio(draw_seed, trial.index % 2 == 0, 2e-3);
         });
     SampleSet gains;
     SampleSet macro_gains;

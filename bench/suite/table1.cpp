@@ -18,10 +18,12 @@ ClassCounts classify_trial(MobilityClass cls, double duration_s,
                            runtime::Trial& trial) {
   ClassCounts out;
   const Scenario s = make_scenario(cls, trial.rng);
-  runtime::run_classifier(s, duration_s, 10.0, [&](double, MobilityMode mode) {
-    ++out.total;
-    ++out.detected[class_index(to_class(mode))];
-  });
+  trace::LiveChannelSource live(*s.channel);
+  runtime::run_classifier(
+      live, 0, duration_s, 10.0, [&](double, const MobilityClassifier& clf) {
+        ++out.total;
+        ++out.detected[class_index(to_class(clf.mode()))];
+      });
   return out;
 }
 
@@ -30,13 +32,16 @@ HitCounts heading_trial(runtime::Trial& trial) {
   HitCounts out;
   const Scenario s =
       make_radial_scenario(toward, toward ? 30.0 : 8.0, trial.rng);
-  runtime::run_classifier(s, 18.0, 8.0, [&](double, MobilityMode mode) {
-    if (!is_macro(mode)) return;
-    ++out.total;
-    const MobilityMode want =
-        toward ? MobilityMode::kMacroToward : MobilityMode::kMacroAway;
-    if (mode == want) ++out.hits;
-  });
+  trace::LiveChannelSource live(*s.channel);
+  runtime::run_classifier(
+      live, 0, 18.0, 8.0, [&](double, const MobilityClassifier& clf) {
+        const MobilityMode mode = clf.mode();
+        if (!is_macro(mode)) return;
+        ++out.total;
+        const MobilityMode want =
+            toward ? MobilityMode::kMacroToward : MobilityMode::kMacroAway;
+        if (mode == want) ++out.hits;
+      });
   return out;
 }
 
@@ -98,10 +103,12 @@ void run_table1(runtime::Experiment& exp, runtime::BenchReport& report) {
     HitCounts out;
     const Scenario s = make_circular_scenario(
         10.0 + static_cast<double>(trial.index), trial.rng);
-    runtime::run_classifier(s, 30.0, 10.0, [&](double, MobilityMode mode) {
-      ++out.total;
-      if (mode == MobilityMode::kMicro) ++out.hits;
-    });
+    trace::LiveChannelSource live(*s.channel);
+    runtime::run_classifier(
+        live, 0, 30.0, 10.0, [&](double, const MobilityClassifier& clf) {
+          ++out.total;
+          if (clf.mode() == MobilityMode::kMicro) ++out.hits;
+        });
     return out;
   });
   HitCounts c;

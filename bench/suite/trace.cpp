@@ -94,17 +94,17 @@ int classifier_replay_mismatches(MobilityClass cls, std::uint64_t seed,
     trace::TraceWriter writer(
         path, trace::RecordingSource::header_for(live, ChannelConfig{}));
     trace::RecordingSource rec(live, writer);
-    runtime::run_classifier_from_source(
-        rec, 0, 30.0, 10.0, [&](double t, std::optional<MobilityMode> m) {
-          live_log.emplace_back(t, m);
+    runtime::run_classifier(
+        rec, 0, 30.0, 10.0, [&](double t, const MobilityClassifier& clf) {
+          live_log.emplace_back(t, clf.decision(t));
         });
     writer.close();
   }
   {
     trace::TraceSource replay(path);  // strict
-    runtime::run_classifier_from_source(
-        replay, 0, 30.0, 10.0, [&](double t, std::optional<MobilityMode> m) {
-          replay_log.emplace_back(t, m);
+    runtime::run_classifier(
+        replay, 0, 30.0, 10.0, [&](double t, const MobilityClassifier& clf) {
+          replay_log.emplace_back(t, clf.decision(t));
         });
   }
   if (live_log.size() != replay_log.size()) return 1;
@@ -446,8 +446,8 @@ void trace_pitfalls(runtime::Experiment& exp, FidelityReport& rep) {
       trace::TraceWriter writer(
           path, trace::RecordingSource::header_for(live, ChannelConfig{}));
       trace::RecordingSource rec(live, writer);
-      runtime::run_classifier_from_source(rec, 0, 20.0, 10.0,
-                                          [](double, std::optional<MobilityMode>) {});
+      runtime::run_classifier(rec, 0, 20.0, 10.0,
+                              [](double, const MobilityClassifier&) {});
       writer.close();
     }
     bool engaged_in_coverage = false;
@@ -455,8 +455,9 @@ void trace_pitfalls(runtime::Experiment& exp, FidelityReport& rep) {
     trace::TraceSource::Config tc;
     tc.strict = false;
     trace::TraceSource replay(path, tc);
-    runtime::run_classifier_from_source(
-        replay, 0, 40.0, 10.0, [&](double t, std::optional<MobilityMode> m) {
+    runtime::run_classifier(
+        replay, 0, 40.0, 10.0, [&](double t, const MobilityClassifier& clf) {
+          const bool m = clf.decision(t).has_value();
           if (t < 20.0 && m) engaged_in_coverage = true;
           if (t >= 25.0 && m) engaged_in_gap = true;
         });
@@ -477,8 +478,8 @@ void trace_pitfalls(runtime::Experiment& exp, FidelityReport& rep) {
       trace::TraceWriter writer(
           path, trace::RecordingSource::header_for(live, ChannelConfig{}));
       trace::RecordingSource rec(live, writer);
-      runtime::run_classifier_from_source(rec, 0, 12.0, 10.0,
-                                          [](double, std::optional<MobilityMode>) {});
+      runtime::run_classifier(rec, 0, 12.0, 10.0,
+                              [](double, const MobilityClassifier&) {});
       writer.close();
     }
     bool refused = false;
@@ -486,8 +487,8 @@ void trace_pitfalls(runtime::Experiment& exp, FidelityReport& rep) {
       trace::TraceSource::Config tc;
       tc.ignore_mask = trace::stream_bit(trace::StreamKind::kTof);
       trace::TraceSource replay(path, tc);
-      runtime::run_classifier_from_source(replay, 0, 12.0, 10.0,
-                                          [](double, std::optional<MobilityMode>) {});
+      runtime::run_classifier(replay, 0, 12.0, 10.0,
+                              [](double, const MobilityClassifier&) {});
     } catch (const trace::TraceError& e) {
       refused = e.code() == trace::TraceError::Code::kMissingStream;
     }

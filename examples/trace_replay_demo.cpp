@@ -70,9 +70,10 @@ using DecisionLog = std::vector<std::pair<double, std::optional<MobilityMode>>>;
 
 DecisionLog run(trace::ObservableSource& src, double duration_s) {
   DecisionLog log;
-  runtime::run_classifier_from_source(
-      src, 0, duration_s, 10.0,
-      [&](double t, std::optional<MobilityMode> m) { log.emplace_back(t, m); });
+  runtime::run_classifier(src, 0, duration_s, 10.0,
+                          [&](double t, const MobilityClassifier& clf) {
+                            log.emplace_back(t, clf.decision(t));
+                          });
   return log;
 }
 

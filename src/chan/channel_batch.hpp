@@ -8,8 +8,9 @@
 //
 //   * link entry points (sample_link, csi_link, csi_true_link, rssi_link,
 //     snr_link) take any WirelessChannel, registered or not — the campus
-//     shard passes, the live trace sources, the fault layer,
-//     CsiTrace::record and the by-value WirelessChannel reads all use them;
+//     shard passes, the live trace sources (and so every loop that reads
+//     through an ObservableSource) and the by-value WirelessChannel reads
+//     all use them;
 //   * slot-indexed calls (sample_range, sample_slot, rssi_all, tof_all,
 //     strongest_link) run over the links registered with a batch — the
 //     deployment scan and the scale bench.

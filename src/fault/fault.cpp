@@ -61,38 +61,4 @@ FaultStream make_stream(const FaultPlan& plan, FaultStreamKind kind,
   return FaultStream(fault, master.stream(id), master.stream(id + 1));
 }
 
-DegradedObservables::DegradedObservables(WirelessChannel& channel,
-                                         const FaultPlan& plan,
-                                         std::uint64_t unit)
-    : channel_(channel),
-      plan_(plan),
-      csi_(make_stream(plan, FaultStreamKind::kCsi, unit)),
-      tof_(make_stream(plan, FaultStreamKind::kTof, unit)),
-      rssi_(make_stream(plan, FaultStreamKind::kRssi, unit)),
-      feedback_(make_stream(plan, FaultStreamKind::kFeedback, unit)) {}
-
-std::optional<CsiMatrix> DegradedObservables::csi(double t) {
-  if (plan_.rssi_only) return std::nullopt;
-  if (!csi_.deliver(t)) return std::nullopt;
-  CsiMatrix csi;
-  ChannelBatch::csi_link(channel_, csi_.measured_t(t), csi, scratch_);
-  return csi;
-}
-
-std::optional<double> DegradedObservables::tof_cycles(double t) {
-  if (plan_.rssi_only) return std::nullopt;
-  if (!tof_.deliver(t)) return std::nullopt;
-  return channel_.tof_cycles(tof_.measured_t(t));
-}
-
-std::optional<double> DegradedObservables::rssi_dbm(double t) {
-  if (!rssi_.deliver(t)) return std::nullopt;
-  return ChannelBatch::rssi_link(channel_, rssi_.measured_t(t), scratch_);
-}
-
-bool DegradedObservables::feedback_delivered(double t) {
-  if (plan_.rssi_only) return false;
-  return feedback_.deliver(t);
-}
-
 }  // namespace mobiwlan

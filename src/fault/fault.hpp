@@ -25,10 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "chan/channel.hpp"
-#include "chan/channel_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mobiwlan {
@@ -102,40 +99,5 @@ class FaultStream {
 /// order and thread count cannot change the sequence.
 FaultStream make_stream(const FaultPlan& plan, FaultStreamKind kind,
                         std::uint64_t unit = 0);
-
-/// The degraded view of one AP-client link: every observable passes through
-/// its fault process. A dropped reading returns nullopt AND leaves the
-/// channel's generator untouched (the reading was lost in export, not
-/// taken differently), so a zero-fault plan reproduces the raw channel
-/// call-for-call and bit-for-bit.
-class DegradedObservables {
- public:
-  DegradedObservables(WirelessChannel& channel, const FaultPlan& plan,
-                      std::uint64_t unit = 0);
-
-  /// Measured CSI, if the export survives (nullopt under rssi_only).
-  std::optional<CsiMatrix> csi(double t);
-
-  /// One ToF reading, if the export survives (nullopt under rssi_only).
-  std::optional<double> tof_cycles(double t);
-
-  /// Quantized RSSI, if the reading survives (available under rssi_only).
-  std::optional<double> rssi_dbm(double t);
-
-  /// Whether the PHY feedback piggybacked on the frame acked at t survives.
-  bool feedback_delivered(double t);
-
-  WirelessChannel& channel() { return channel_; }
-  const FaultPlan& plan() const { return plan_; }
-
- private:
-  WirelessChannel& channel_;
-  FaultPlan plan_;
-  ChannelBatch::Scratch scratch_;
-  FaultStream csi_;
-  FaultStream tof_;
-  FaultStream rssi_;
-  FaultStream feedback_;
-};
 
 }  // namespace mobiwlan

@@ -1,21 +1,29 @@
 // beamforming_sim.hpp — §6: SU beamforming and MU-MIMO under CSI staleness.
 //
-// Both emulators replay a channel at a fine time step; at each step the AP
+// Both emulators step a link at a fine time slot; at each slot the AP
 // precodes with the CSI it last received from the client, which refreshes
 // only every feedback period. Each refresh also consumes airtime (sounding +
 // report at the lowest rate), so short periods tax static clients while long
 // periods starve mobile ones — the tension Fig. 11(a)/12(a) plots. The
 // adaptive scheme picks the Table-2 period for each client's classified
 // mobility mode.
+//
+// Every PHY read goes through a trace::ObservableSource at unit 0: the
+// classifier reads csi/tof_cycles, the sounding exchange csi_feedback, and
+// the emulator's ground truth csi_true/snr_db. Over a live source that is the
+// synthetic emulation; over a RecordingSource -> TraceSource pair it is the
+// paper's §6.2 method ("we fed the series of CSI values to a MU-MIMO
+// emulator"): record once, replay every scheme over identical conditions.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "chan/csi_trace.hpp"
 #include "chan/scenario.hpp"
 #include "core/mobility_classifier.hpp"
 #include "phy/csi_feedback.hpp"
 #include "phy/error_model.hpp"
+#include "trace/source.hpp"
 
 namespace mobiwlan {
 
@@ -37,34 +45,32 @@ struct SuBeamformingResult {
   double overhead_fraction = 0.0;   ///< airtime share spent on feedback
 };
 
-/// Single-user transmit beamforming on one link (Fig. 11).
+/// Single-user transmit beamforming on unit 0 of `src` (Fig. 11). Throws
+/// FrameSimConfigError (mac/frame_sim_config.hpp) for a config the slot loop
+/// cannot finish, and TraceError::kMissingStream for a source lacking a
+/// stream the emulator reads.
+SuBeamformingResult simulate_su_beamforming(trace::ObservableSource& src,
+                                            const BeamformingSimConfig& config);
+
+/// The live emulation over one scenario's channel.
 SuBeamformingResult simulate_su_beamforming(Scenario& scenario,
-                                            const BeamformingSimConfig& config,
-                                            Rng& rng);
+                                            const BeamformingSimConfig& config);
 
 struct MuMimoSimResult {
   std::vector<double> per_client_mbps;
   double total_mbps = 0.0;
 };
 
-/// MU-MIMO downlink to `clients.size()` single-antenna clients (Fig. 12).
-/// Each scenario's channel must be configured with n_rx = 1, and the count
-/// must not exceed the AP antenna count.
-MuMimoSimResult simulate_mu_mimo(std::vector<Scenario*> clients,
-                                 const BeamformingSimConfig& config, Rng& rng);
+/// MU-MIMO downlink to `clients.size()` single-antenna clients (Fig. 12),
+/// one source per client, each read at unit 0. Every client's CSI must have
+/// n_rx = 1, and the count must not exceed the AP antenna count. Throws as
+/// simulate_su_beamforming does.
+MuMimoSimResult simulate_mu_mimo(
+    std::span<trace::ObservableSource* const> clients,
+    const BeamformingSimConfig& config);
 
-/// The paper's literal §6.2 methodology: CSI traces are recorded once (at
-/// the slot cadence) and then replayed through the zero-forcing emulator —
-/// "we fed the series of CSI values to a MU-MIMO emulator". The classifier
-/// is fed from the same traces (CSI similarity + ToF), so mobility estimation
-/// and precoding see exactly what the recording saw.
-MuMimoSimResult simulate_mu_mimo_traces(const std::vector<const CsiTrace*>& clients,
-                                        const BeamformingSimConfig& config);
-
-/// File-based entry: load each per-client recording (CsiTrace::load — a
-/// malformed or truncated file throws trace::TraceError rather than yielding
-/// a silently-garbled emulation) and replay them through the emulator above.
-MuMimoSimResult simulate_mu_mimo_trace_files(
-    const std::vector<std::string>& paths, const BeamformingSimConfig& config);
+/// The live emulation over each scenario's channel.
+MuMimoSimResult simulate_mu_mimo(const std::vector<Scenario*>& clients,
+                                 const BeamformingSimConfig& config);
 
 }  // namespace mobiwlan

@@ -1,5 +1,9 @@
 #include "sim/evaluation.hpp"
 
+#include <functional>
+
+#include "runtime/classifier_driver.hpp"
+
 namespace mobiwlan {
 
 double ClassTally::accuracy(MobilityClass truth) const {
@@ -27,12 +31,27 @@ double ConfusionMatrix::mean_accuracy() const {
   return sum / static_cast<double>(rows.size());
 }
 
+namespace {
+
+/// One trial over `s` at the options' cadences: `on_mode` receives the
+/// classifier's label once per second after the warmup.
+void run_trial(const Scenario& s, const EvaluationOptions& opt,
+               const std::function<void(MobilityMode)>& on_mode) {
+  trace::LiveChannelSource live(*s.channel);
+  runtime::run_classifier(
+      live, 0, opt.duration_s, opt.warmup_s,
+      [&](double, const MobilityClassifier& clf) { on_mode(clf.mode()); },
+      opt.classifier);
+}
+
+}  // namespace
+
 ClassTally evaluate_class(MobilityClass cls, Rng& rng,
                           const EvaluationOptions& opt) {
   ClassTally tally;
   for (int trial = 0; trial < opt.trials; ++trial) {
     const Scenario s = make_scenario(cls, rng, opt.scenario);
-    drive_classifier(s, opt, [&](double, MobilityMode mode) {
+    run_trial(s, opt, [&](MobilityMode mode) {
       ++tally.total;
       ++tally.by_class[to_class(mode)];
       ++tally.by_mode[mode];
@@ -57,7 +76,7 @@ std::pair<double, double> evaluate_orbit(Rng& rng, const EvaluationOptions& opt,
   int total = 0;
   for (int trial = 0; trial < opt.trials; ++trial) {
     const Scenario s = make_circular_scenario(radius_m + trial, rng, opt.scenario);
-    drive_classifier(s, opt, [&](double, MobilityMode mode) {
+    run_trial(s, opt, [&](MobilityMode mode) {
       ++total;
       if (is_macro(mode)) ++macro;
       if (mode == MobilityMode::kMicro) ++micro;

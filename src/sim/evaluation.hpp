@@ -2,9 +2,10 @@
 //
 // Table 1, Figure 6 and the ablation benches all need the same experiment:
 // run the classifier over randomized scenarios at the standard measurement
-// cadences and tally per-second decisions against ground truth. Centralizing
-// it keeps every consumer on the same protocol (warmup, cadences, decision
-// sampling), so their numbers are comparable.
+// cadences and tally per-second decisions against ground truth. Each trial
+// is runtime::run_classifier over a live source, so every consumer shares
+// one protocol (warmup, cadences, decision sampling) and their numbers are
+// comparable.
 #pragma once
 
 #include <map>
@@ -40,29 +41,6 @@ struct ConfusionMatrix {
   /// Mean of the four per-class accuracies.
   double mean_accuracy() const;
 };
-
-/// Drive the classifier over one scenario; `on_second(t, mode)` fires once
-/// per second after the warmup. This is THE measurement protocol: CSI at the
-/// classifier's configured period, ToF every tof_period_s.
-template <typename PerSecond>
-void drive_classifier(const Scenario& s, const EvaluationOptions& opt,
-                      PerSecond on_second) {
-  MobilityClassifier clf(opt.classifier);
-  double next_csi = 0.0;
-  double next_second = opt.warmup_s;
-  const double step = opt.classifier.tof_period_s;
-  for (double t = 0.0; t < opt.duration_s; t += step) {
-    if (t >= next_csi - 1e-9) {
-      clf.on_csi(t, s.channel->csi_at(t));
-      next_csi += opt.classifier.csi_period_s;
-    }
-    clf.on_tof(t, s.channel->tof_cycles(t));
-    if (t >= next_second) {
-      on_second(t, clf.mode());
-      next_second += 1.0;
-    }
-  }
-}
 
 /// Evaluate one ground-truth class over `opt.trials` random locations.
 ClassTally evaluate_class(MobilityClass cls, Rng& rng,

@@ -40,11 +40,11 @@
 // because replay consumes each stream as an ordered log.
 //
 // Versioning policy: the magic identifies the family, the version the layout.
-// A reader accepts exactly the versions it knows (currently 2; the legacy
-// CsiTrace v1 "CSIT" layout is a different magic and is rejected with
-// kBadMagic). Additive evolution (new StreamKinds) does not bump the version:
-// unknown kinds in the mask are an error, so old readers refuse new traces
-// loudly instead of misreading them.
+// A reader accepts exactly the versions it knows (currently 2; the retired
+// v1 layout opens with a different magic, "CSIT", and is rejected with
+// kBadVersion so the user learns to re-record). Additive evolution (new
+// StreamKinds) does not bump the version: unknown kinds in the mask are an
+// error, so old readers refuse new traces loudly instead of misreading them.
 #pragma once
 
 #include <cstdint>

@@ -19,11 +19,11 @@
 //   replayed           — trace::TraceSource (trace_source.hpp) serves the
 //                        same reads back from the recorded log.
 //
-// FaultedSource composes PR 5's fault layer over any source: drops and
-// staleness apply identically to a live channel or a replayed trace, and a
-// dropped reading never touches the inner source (the export was lost, not
-// taken differently) — the same bitwise-invisibility contract
-// DegradedObservables keeps.
+// FaultedSource composes the fault layer (fault/fault.hpp) over any source:
+// drops and staleness apply identically to a live channel or a replayed
+// trace, and a dropped reading never touches the inner source (the export
+// was lost, not taken differently), so an all-zero plan is bitwise
+// invisible.
 //
 // Absence contract: a read returns false / nullopt when the observable is
 // not available (dropped by a fault process, or missing from a replayed
@@ -177,11 +177,12 @@ class RecordingSource : public ObservableSource {
   TraceWriter& writer_;
 };
 
-/// Fault-composed view over any source: PR 5's FaultPlan applied per unit.
-/// Dropped reads skip the inner source entirely; delayed reads query it at
-/// measured_t. Over a live source with unit 0 this is draw-for-draw
-/// identical to DegradedObservables; over a TraceSource it injects drops
-/// and staleness into replay deterministically.
+/// Fault-composed view over any source: a FaultPlan applied per unit, each
+/// unit's fault processes keyed by its index. Dropped reads skip the inner
+/// source entirely (the link's generator is left untouched); delayed reads
+/// query it at measured_t. Over a live source an all-zero plan reproduces
+/// the raw channel call for call; over a TraceSource it injects drops and
+/// staleness into replay deterministically.
 class FaultedSource : public ObservableSource {
  public:
   FaultedSource(ObservableSource& inner, const FaultPlan& plan);

@@ -252,7 +252,7 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     std::uint32_t magic = 0;
     if (got >= 4) std::memcpy(&magic, head, 4);
     if (got < 4 || magic != kMagic) {
-      if (got >= 4 && magic == 0x43534954u)  // legacy CsiTrace v1 "CSIT"
+      if (got >= 4 && magic == 0x43534954u)  // retired v1 layout, "CSIT"
         throw TraceError(TraceError::Code::kBadVersion,
                          "legacy v1 trace (re-record in the v2 format): " +
                              path);

@@ -1,4 +1,5 @@
-// Unit tests for the PHY-observable fault-injection layer (src/fault/).
+// Unit tests for the PHY-observable fault-injection layer (src/fault/) and
+// trace::FaultedSource, which applies it to every PHY read.
 //
 // The load-bearing contract is zero-fault bitwise identity: an all-zero
 // FaultPlan must make exactly the same channel calls in the same order as
@@ -13,6 +14,7 @@
 #include <algorithm>
 
 #include "chan/scenario.hpp"
+#include "trace/source.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -98,21 +100,31 @@ TEST(FaultStreamTest, SubstreamsAreReproducibleAndUnitDecorrelated) {
   EXPECT_GT(unit_disagreements, 200);  // distinct units draw distinct worlds
 }
 
+// The degraded observables of one link: trace::FaultedSource over a
+// trace::LiveChannelSource, read at unit 0.
+struct FaultedLink {
+  FaultedLink(const Scenario& s, const FaultPlan& plan)
+      : live(*s.channel), faulted(live, plan) {}
+  trace::LiveChannelSource live;
+  trace::FaultedSource faulted;
+};
+
 TEST(DegradedObservablesTest, ZeroPlanIsBitwiseIdenticalToRawChannel) {
   const Scenario a = twin_scenario(2024);
   const Scenario b = twin_scenario(2024);
-  DegradedObservables obs(*a.channel, FaultPlan{});
+  FaultedLink link(a, FaultPlan{});
+  trace::ObservableSource& obs = link.faulted;
+  CsiMatrix csi;
   for (double t = 0.0; t < 12.0; t += 0.25) {
-    const auto csi = obs.csi(t);
-    ASSERT_TRUE(csi.has_value());
-    EXPECT_EQ(csi->raw(), b.channel->csi_at(t).raw());
-    const auto tof = obs.tof_cycles(t);
+    ASSERT_TRUE(obs.csi(0, t, csi));
+    EXPECT_EQ(csi.raw(), b.channel->csi_at(t).raw());
+    const auto tof = obs.tof_cycles(0, t);
     ASSERT_TRUE(tof.has_value());
     EXPECT_EQ(*tof, b.channel->tof_cycles(t));
-    const auto rssi = obs.rssi_dbm(t);
+    const auto rssi = obs.rssi_dbm(0, t);
     ASSERT_TRUE(rssi.has_value());
     EXPECT_EQ(*rssi, b.channel->rssi_dbm(t));
-    EXPECT_TRUE(obs.feedback_delivered(t));
+    EXPECT_TRUE(obs.feedback_delivered(0, t));
   }
 }
 
@@ -121,12 +133,14 @@ TEST(DegradedObservablesTest, RssiOnlyFallbackKeepsOnlyRssi) {
   const Scenario b = twin_scenario(5);
   FaultPlan plan;
   plan.rssi_only = true;
-  DegradedObservables obs(*a.channel, plan);
+  FaultedLink link(a, plan);
+  trace::ObservableSource& obs = link.faulted;
+  CsiMatrix csi;
   for (double t = 0.0; t < 5.0; t += 0.5) {
-    EXPECT_FALSE(obs.csi(t).has_value());
-    EXPECT_FALSE(obs.tof_cycles(t).has_value());
-    EXPECT_FALSE(obs.feedback_delivered(t));
-    const auto rssi = obs.rssi_dbm(t);
+    EXPECT_FALSE(obs.csi(0, t, csi));
+    EXPECT_FALSE(obs.tof_cycles(0, t).has_value());
+    EXPECT_FALSE(obs.feedback_delivered(0, t));
+    const auto rssi = obs.rssi_dbm(0, t);
     ASSERT_TRUE(rssi.has_value());
     EXPECT_EQ(*rssi, b.channel->rssi_dbm(t));
   }
@@ -138,12 +152,14 @@ TEST(DegradedObservablesTest, DroppedReadingLeavesChannelRngUntouched) {
   FaultPlan plan;
   plan.seed = 3;
   plan.csi.drop_prob = 1.0;  // every CSI export lost
-  DegradedObservables obs(*a.channel, plan);
+  FaultedLink link(a, plan);
+  trace::ObservableSource& obs = link.faulted;
+  CsiMatrix csi;
   for (double t = 0.0; t < 5.0; t += 0.5) {
-    EXPECT_FALSE(obs.csi(t).has_value());
+    EXPECT_FALSE(obs.csi(0, t, csi));
     // The twin never issues the CSI call at all; if the drop path had
     // consumed channel randomness, these subsequent draws would diverge.
-    const auto tof = obs.tof_cycles(t);
+    const auto tof = obs.tof_cycles(0, t);
     ASSERT_TRUE(tof.has_value());
     EXPECT_EQ(*tof, b.channel->tof_cycles(t));
   }
@@ -155,9 +171,10 @@ TEST(DegradedObservablesTest, DelayedReadingIsTheOlderObservable) {
   FaultPlan plan;
   plan.seed = 8;
   plan.tof.delay_s = 0.5;
-  DegradedObservables obs(*a.channel, plan);
+  FaultedLink link(a, plan);
+  trace::ObservableSource& obs = link.faulted;
   for (double t = 1.0; t < 8.0; t += 0.5) {
-    const auto tof = obs.tof_cycles(t);
+    const auto tof = obs.tof_cycles(0, t);
     ASSERT_TRUE(tof.has_value());
     // Staleness contract: the consumer never sees anything newer than
     // t - delay_s.

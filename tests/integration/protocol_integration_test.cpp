@@ -139,8 +139,7 @@ TEST(BeamformingIntegration, AdaptiveFeedbackBeatsDefaultOnMacro) {
       BeamformingSimConfig cfg;
       cfg.duration_s = 5.0;
       cfg.adaptive_period = adaptive;
-      Rng sim_rng(1000 + seed);
-      total += simulate_su_beamforming(s, cfg, sim_rng).throughput_mbps;
+      total += simulate_su_beamforming(s, cfg).throughput_mbps;
     }
     return total;
   };

@@ -1,5 +1,6 @@
 // Property suite: invariants of the fault-injection layer over random
-// scenarios, fault plans, and sampling cadences.
+// scenarios, fault plans, and sampling cadences, read through
+// trace::FaultedSource over live sources.
 //
 // The three contracts that keep faulted experiments meaningful:
 //   * an all-zero FaultPlan is bitwise invisible — same channel calls, same
@@ -13,7 +14,9 @@
 
 #include "chan/scenario.hpp"
 #include "fault/fault.hpp"
+#include "net/deployment_source.hpp"
 #include "proptest.hpp"
+#include "trace/source.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -56,19 +59,20 @@ TEST(FaultProperty, ZeroPlanIsBitwiseInvisible) {
   run_cases("fault_zero_plan_identity", [](Rng& rng, int i) {
     const std::uint64_t seed = rng.next_u64();
     Twins tw = make_twins(seed, i);
-    DegradedObservables obs(*tw.a.channel, FaultPlan{});
+    trace::LiveChannelSource live(*tw.a.channel);
+    trace::FaultedSource obs(live, FaultPlan{});
+    CsiMatrix csi;
     const double period = rng.uniform(0.05, 0.5);
     for (double t = 0.0; t < 10.0; t += period) {
-      const auto csi = obs.csi(t);
-      ASSERT_TRUE(csi.has_value());
-      ASSERT_EQ(csi->raw(), tw.b.channel->csi_at(t).raw());
-      const auto tof = obs.tof_cycles(t);
+      ASSERT_TRUE(obs.csi(0, t, csi));
+      ASSERT_EQ(csi.raw(), tw.b.channel->csi_at(t).raw());
+      const auto tof = obs.tof_cycles(0, t);
       ASSERT_TRUE(tof.has_value());
       ASSERT_EQ(*tof, tw.b.channel->tof_cycles(t));
-      const auto rssi = obs.rssi_dbm(t);
+      const auto rssi = obs.rssi_dbm(0, t);
       ASSERT_TRUE(rssi.has_value());
       ASSERT_EQ(*rssi, tw.b.channel->rssi_dbm(t));
-      ASSERT_TRUE(obs.feedback_delivered(t));
+      ASSERT_TRUE(obs.feedback_delivered(0, t));
     }
   }, 48);
 }
@@ -78,9 +82,17 @@ TEST(FaultProperty, SamePlanIsReproducibleAcrossObservers) {
     const std::uint64_t seed = rng.next_u64();
     Twins tw = make_twins(seed, i);
     const FaultPlan plan = random_plan(rng);
-    const std::uint64_t unit = rng.next_u64() % 8;
-    DegradedObservables oa(*tw.a.channel, plan, unit);
-    DegradedObservables ob(*tw.b.channel, plan, unit);
+    // Twin 8-AP deployments along the twin scenarios' trajectory: each AP
+    // index is a unit with its own channel and its own fault substreams.
+    Rng da(seed + 1), db(seed + 1);
+    WlanDeployment wa(WlanDeployment::corridor_layout(8), tw.a.trajectory,
+                      ChannelConfig{}, da);
+    WlanDeployment wb(WlanDeployment::corridor_layout(8), tw.b.trajectory,
+                      ChannelConfig{}, db);
+    LiveDeploymentSource la(wa), lb(wb);
+    trace::FaultedSource oa(la, plan), ob(lb, plan);
+    const auto unit = static_cast<std::uint32_t>(rng.next_u64() % 8);
+    CsiMatrix ca, cb;
     const double period = rng.uniform(0.05, 0.5);
     int delivered = 0;
     for (double t = 0.0; t < 10.0; t += period) {
@@ -88,22 +100,21 @@ TEST(FaultProperty, SamePlanIsReproducibleAcrossObservers) {
       // observers must agree on every drop, and on the delivered values —
       // disagreement would also desynchronize the twin channels' RNGs and
       // cascade, so any divergence shows up immediately.
-      const auto ca = oa.csi(t);
-      const auto cb = ob.csi(t);
-      ASSERT_EQ(ca.has_value(), cb.has_value());
-      if (ca) {
-        ASSERT_EQ(ca->raw(), cb->raw());
+      const bool ha = oa.csi(unit, t, ca);
+      ASSERT_EQ(ha, ob.csi(unit, t, cb));
+      if (ha) {
+        ASSERT_EQ(ca.raw(), cb.raw());
         ++delivered;
       }
-      const auto ta = oa.tof_cycles(t);
-      const auto tb = ob.tof_cycles(t);
+      const auto ta = oa.tof_cycles(unit, t);
+      const auto tb = ob.tof_cycles(unit, t);
       ASSERT_EQ(ta.has_value(), tb.has_value());
       if (ta) ASSERT_EQ(*ta, *tb);
-      const auto ra = oa.rssi_dbm(t);
-      const auto rb = ob.rssi_dbm(t);
+      const auto ra = oa.rssi_dbm(unit, t);
+      const auto rb = ob.rssi_dbm(unit, t);
       ASSERT_EQ(ra.has_value(), rb.has_value());
       if (ra) ASSERT_EQ(*ra, *rb);
-      ASSERT_EQ(oa.feedback_delivered(t), ob.feedback_delivered(t));
+      ASSERT_EQ(oa.feedback_delivered(unit, t), ob.feedback_delivered(unit, t));
     }
     // drop_prob <= 0.6 over >= 20 samples: statistically impossible to lose
     // everything; guards against a deliver() that is accidentally all-false.
@@ -119,16 +130,18 @@ TEST(FaultProperty, DeliveredReadingIsNeverNewerThanInjectionDelay) {
     plan.seed = rng.next_u64();
     plan.csi.drop_prob = rng.uniform(0.0, 0.5);
     plan.csi.delay_s = rng.uniform(0.1, 1.5);
-    DegradedObservables obs(*tw.a.channel, plan);
+    trace::LiveChannelSource live(*tw.a.channel);
+    trace::FaultedSource obs(live, plan);
     // Oracle: a second stream with the same plan predicts the drops, and the
     // twin channel — called only at delivered instants, at the delayed time —
     // stays in RNG lockstep with the observer.
     FaultStream oracle = make_stream(plan, FaultStreamKind::kCsi);
     const double period = rng.uniform(0.1, 0.6);
+    CsiMatrix csi;
     for (double t = 0.0; t < 12.0; t += period) {
-      const auto csi = obs.csi(t);
-      ASSERT_EQ(csi.has_value(), oracle.deliver(t));
-      if (!csi) continue;
+      const bool have = obs.csi(0, t, csi);
+      ASSERT_EQ(have, oracle.deliver(t));
+      if (!have) continue;
       // The classifier (or any consumer) reads the channel as it was
       // delay_s ago — exactly, not approximately — clamped at the epoch
       // (before t = delay_s no export could have arrived yet).
@@ -136,7 +149,7 @@ TEST(FaultProperty, DeliveredReadingIsNeverNewerThanInjectionDelay) {
       const double shifted = t - plan.csi.delay_s;
       ASSERT_EQ(stale_t, shifted > 0.0 ? shifted : 0.0);
       ASSERT_LE(stale_t, t);
-      ASSERT_EQ(csi->raw(), tw.b.channel->csi_at(stale_t).raw());
+      ASSERT_EQ(csi.raw(), tw.b.channel->csi_at(stale_t).raw());
     }
   }, 48);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/classifier_driver.hpp"
+
 namespace mobiwlan {
 namespace {
 
@@ -87,18 +89,17 @@ TEST(EvaluationTest, DeterministicGivenSeed) {
 }
 
 TEST(EvaluationTest, RadialWalksClassifiedWithHeading) {
-  // drive_classifier is usable directly for controlled experiments.
+  // The harness's trial loop is usable directly for controlled experiments.
   Rng rng(8);
   const Scenario s = make_radial_scenario(false, 8.0, rng);
-  EvaluationOptions opt = quick_options();
-  opt.duration_s = 18.0;
-  opt.warmup_s = 8.0;
+  trace::LiveChannelSource live(*s.channel);
   int away = 0;
   int total = 0;
-  drive_classifier(s, opt, [&](double, MobilityMode mode) {
-    ++total;
-    if (mode == MobilityMode::kMacroAway) ++away;
-  });
+  runtime::run_classifier(live, 0, 18.0, 8.0,
+                          [&](double, const MobilityClassifier& clf) {
+                            ++total;
+                            if (clf.mode() == MobilityMode::kMacroAway) ++away;
+                          });
   ASSERT_GT(total, 0);
   EXPECT_GT(static_cast<double>(away) / total, 0.6);
 }

@@ -1,6 +1,8 @@
-// Tests for the up-front config check of the three frame simulators
-// (simulate_link, simulate_latency, simulate_overall): one test per
-// FrameSimConfigError code, each across every simulator the field reaches.
+// Tests for the up-front config check of the frame simulators
+// (simulate_link, simulate_latency, simulate_overall), the beamforming
+// emulators (simulate_su_beamforming, simulate_mu_mimo) and the classifier
+// trial loop (runtime::run_classifier): one test per FrameSimConfigError
+// code, each across every loop the field reaches.
 #include "mac/frame_sim_config.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include "mac/atheros_ra.hpp"
 #include "mac/latency_sim.hpp"
 #include "mac/link_sim.hpp"
+#include "runtime/classifier_driver.hpp"
+#include "sim/beamforming_sim.hpp"
 #include "sim/overall_sim.hpp"
 
 namespace mobiwlan {
@@ -65,10 +69,47 @@ void run_overall(const std::function<void(OverallSimConfig&)>& edit) {
   simulate_overall(wlan, cfg, sim_rng);
 }
 
+void run_su(const std::function<void(BeamformingSimConfig&)>& edit) {
+  Rng rng(7);
+  Scenario s = make_scenario(MobilityClass::kStatic, rng);
+  BeamformingSimConfig cfg;
+  cfg.duration_s = 0.2;
+  edit(cfg);
+  simulate_su_beamforming(s, cfg);
+}
+
+void run_mu(const std::function<void(BeamformingSimConfig&)>& edit) {
+  Rng rng(8);
+  ScenarioOptions opt;
+  opt.channel.n_rx = 1;
+  Scenario a = make_scenario(MobilityClass::kStatic, rng, opt);
+  Scenario b = make_scenario(MobilityClass::kMacro, rng, opt);
+  BeamformingSimConfig cfg;
+  cfg.duration_s = 0.2;
+  edit(cfg);
+  simulate_mu_mimo({&a, &b}, cfg);
+}
+
+/// Runs the classifier trial loop for `duration_s` on a static link after
+/// `edit` changes the default classifier config.
+void run_trial(double duration_s,
+               const std::function<void(MobilityClassifier::Config&)>& edit) {
+  Rng rng(9);
+  Scenario s = make_scenario(MobilityClass::kStatic, rng);
+  trace::LiveChannelSource live(*s.channel);
+  MobilityClassifier::Config cfg;
+  edit(cfg);
+  runtime::run_classifier(live, 0, duration_s, 0.0,
+                          [](double, const MobilityClassifier&) {}, cfg);
+}
+
 TEST(FrameSimConfigTest, DefaultsRunInEverySimulator) {
   EXPECT_NO_THROW(run_link([](LinkSimConfig&) {}));
   EXPECT_NO_THROW(run_latency([](LatencySimConfig&) {}));
   EXPECT_NO_THROW(run_overall([](OverallSimConfig&) {}));
+  EXPECT_NO_THROW(run_su([](BeamformingSimConfig&) {}));
+  EXPECT_NO_THROW(run_mu([](BeamformingSimConfig&) {}));
+  EXPECT_NO_THROW(run_trial(2.0, [](MobilityClassifier::Config&) {}));
 }
 
 TEST(FrameSimConfigTest, BadDurationRejected) {
@@ -82,6 +123,14 @@ TEST(FrameSimConfigTest, BadDurationRejected) {
     expect_code(
         [&] { run_overall([&](OverallSimConfig& c) { c.duration_s = d; }); },
         Code::kBadDuration);
+    expect_code(
+        [&] { run_su([&](BeamformingSimConfig& c) { c.duration_s = d; }); },
+        Code::kBadDuration);
+    expect_code(
+        [&] { run_mu([&](BeamformingSimConfig& c) { c.duration_s = d; }); },
+        Code::kBadDuration);
+    expect_code([&] { run_trial(d, [](MobilityClassifier::Config&) {}); },
+                Code::kBadDuration);
   }
 }
 
@@ -97,6 +146,16 @@ TEST(FrameSimConfigTest, NegativePayloadRejected) {
   expect_code(
       [] {
         run_overall([](OverallSimConfig& c) { c.mpdu_payload_bytes = -2000; });
+      },
+      Code::kBadPayload);
+  expect_code(
+      [] {
+        run_su([](BeamformingSimConfig& c) { c.mpdu_payload_bytes = -2000; });
+      },
+      Code::kBadPayload);
+  expect_code(
+      [] {
+        run_mu([](BeamformingSimConfig& c) { c.mpdu_payload_bytes = -2000; });
       },
       Code::kBadPayload);
 }
@@ -118,6 +177,24 @@ TEST(FrameSimConfigTest, BadCsiPeriodRejectedWhenClassifierRuns) {
         [&] {
           run_overall(
               [&](OverallSimConfig& c) { c.classifier.csi_period_s = p; });
+        },
+        Code::kBadCsiPeriod);
+    expect_code(
+        [&] {
+          run_su(
+              [&](BeamformingSimConfig& c) { c.classifier.csi_period_s = p; });
+        },
+        Code::kBadCsiPeriod);
+    expect_code(
+        [&] {
+          run_mu(
+              [&](BeamformingSimConfig& c) { c.classifier.csi_period_s = p; });
+        },
+        Code::kBadCsiPeriod);
+    expect_code(
+        [&] {
+          run_trial(2.0,
+                    [&](MobilityClassifier::Config& c) { c.csi_period_s = p; });
         },
         Code::kBadCsiPeriod);
   }
@@ -155,6 +232,24 @@ TEST(FrameSimConfigTest, BadTofPeriodRejectedWhenClassifierRuns) {
               [&](OverallSimConfig& c) { c.classifier.tof_period_s = p; });
         },
         Code::kBadTofPeriod);
+    expect_code(
+        [&] {
+          run_su(
+              [&](BeamformingSimConfig& c) { c.classifier.tof_period_s = p; });
+        },
+        Code::kBadTofPeriod);
+    expect_code(
+        [&] {
+          run_mu(
+              [&](BeamformingSimConfig& c) { c.classifier.tof_period_s = p; });
+        },
+        Code::kBadTofPeriod);
+    expect_code(
+        [&] {
+          run_trial(2.0,
+                    [&](MobilityClassifier::Config& c) { c.tof_period_s = p; });
+        },
+        Code::kBadTofPeriod);
   }
   EXPECT_NO_THROW(run_link([](LinkSimConfig& c) {
     c.run_classifier = false;
@@ -168,6 +263,18 @@ TEST(FrameSimConfigTest, BadTofPeriodRejectedWhenClassifierRuns) {
     c.mobility_aware = false;
     c.classifier.tof_period_s = 0.0;
   }));
+}
+
+TEST(FrameSimConfigTest, BadSlotRejectedByBeamformingEmulators) {
+  // 0, negative and NaN slots never advance time; +inf scores one slot.
+  for (double slot : {0.0, -2e-3, kNaN, kInf}) {
+    expect_code(
+        [&] { run_su([&](BeamformingSimConfig& c) { c.slot_s = slot; }); },
+        Code::kBadSlot);
+    expect_code(
+        [&] { run_mu([&](BeamformingSimConfig& c) { c.slot_s = slot; }); },
+        Code::kBadSlot);
+  }
 }
 
 TEST(FrameSimConfigTest, BadOfferedLoadRejectedByLatencySim) {

@@ -341,7 +341,7 @@ TEST(TraceIoTest, GarbageIsBadMagic) {
 }
 
 TEST(TraceIoTest, LegacyV1MagicIsBadVersion) {
-  // The legacy CsiTrace layout opens with "CSIT"; pointing the v2 reader at
+  // The retired v1 layout opens with "CSIT"; pointing the v2 reader at
   // it must say "wrong version", not "not a trace" — the user should learn
   // to re-record, not to suspect corruption.
   const std::string path = tmp("io_legacy.mwtr");

@@ -107,16 +107,16 @@ TEST(TraceReplayTest, ClassifierDecisionsReplayExactly) {
     trace::TraceWriter writer(
         path, trace::RecordingSource::header_for(live, ChannelConfig{}));
     trace::RecordingSource rec(live, writer);
-    runtime::run_classifier_from_source(
-        rec, 0, 15.0, 5.0, [&](double t, std::optional<MobilityMode> m) {
-          live_log.emplace_back(t, m);
+    runtime::run_classifier(
+        rec, 0, 15.0, 5.0, [&](double t, const MobilityClassifier& clf) {
+          live_log.emplace_back(t, clf.decision(t));
         });
     writer.close();
   }
   trace::TraceSource replay(path);
-  runtime::run_classifier_from_source(
-      replay, 0, 15.0, 5.0, [&](double t, std::optional<MobilityMode> m) {
-        replay_log.emplace_back(t, m);
+  runtime::run_classifier(
+      replay, 0, 15.0, 5.0, [&](double t, const MobilityClassifier& clf) {
+        replay_log.emplace_back(t, clf.decision(t));
       });
   ASSERT_FALSE(live_log.empty());
   EXPECT_EQ(live_log, replay_log);
@@ -132,16 +132,16 @@ TEST(TraceReplayTest, ReplayRefusesTraceMissingRequiredStream) {
     trace::TraceWriter writer(
         path, trace::RecordingSource::header_for(live, ChannelConfig{}));
     trace::RecordingSource rec(live, writer);
-    runtime::run_classifier_from_source(rec, 0, 6.0, 5.0,
-                                        [](double, std::optional<MobilityMode>) {});
+    runtime::run_classifier(rec, 0, 6.0, 5.0,
+                            [](double, const MobilityClassifier&) {});
     writer.close();
   }
   trace::TraceSource::Config cfg;
   cfg.ignore_mask = trace::stream_bit(trace::StreamKind::kTof);
   trace::TraceSource replay(path, cfg);
   try {
-    runtime::run_classifier_from_source(replay, 0, 6.0, 5.0,
-                                        [](double, std::optional<MobilityMode>) {});
+    runtime::run_classifier(replay, 0, 6.0, 5.0,
+                            [](double, const MobilityClassifier&) {});
     FAIL() << "classifier ran without its required ToF stream";
   } catch (const trace::TraceError& e) {
     EXPECT_EQ(e.code(), trace::TraceError::Code::kMissingStream);
@@ -150,16 +150,54 @@ TEST(TraceReplayTest, ReplayRefusesTraceMissingRequiredStream) {
 }
 
 TEST(TraceReplayTest, MuMimoTraceFilesRejectMalformedInput) {
-  const std::string path = tmp("replay_mumimo_bad.mwtr");
+  // A client recording cut mid-file must fail the replay with kTruncated at
+  // the first read past the cut, never emulate from a silently short trace;
+  // a file that is not a trace at all is refused when it is opened.
+  const std::string path = tmp("replay_mumimo_cut.mwtr");
+  BeamformingSimConfig cfg;
+  cfg.duration_s = 2.0;
+  {
+    Rng rng(51);
+    ScenarioOptions opt;
+    opt.channel.n_rx = 1;
+    Scenario s = make_scenario(MobilityClass::kMacro, rng, opt);
+    trace::LiveChannelSource live(*s.channel);
+    trace::TraceWriter writer(
+        path, trace::RecordingSource::header_for(live, s.channel->config()));
+    trace::RecordingSource rec(live, writer);
+    trace::ObservableSource* const clients[] = {&rec};
+    (void)simulate_mu_mimo(clients, cfg);
+    writer.close();
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::vector<char> bytes(1 << 24);
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    std::fclose(f);
+    ASSERT_GT(bytes.size(), 1000u);
+    ASSERT_LT(bytes.size(), std::size_t{1} << 24);
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
+    std::fclose(f);
+  }
+  try {
+    trace::TraceSource replay(path);
+    trace::ObservableSource* const clients[] = {&replay};
+    (void)simulate_mu_mimo(clients, cfg);
+    FAIL() << "truncated client trace accepted";
+  } catch (const trace::TraceError& e) {
+    EXPECT_EQ(e.code(), trace::TraceError::Code::kTruncated);
+  }
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("garbage, not a recorded client trace", f);
     std::fclose(f);
   }
-  BeamformingSimConfig cfg;
   try {
-    (void)simulate_mu_mimo_trace_files({path}, cfg);
+    trace::TraceSource replay(path);
     FAIL() << "malformed client trace accepted";
   } catch (const trace::TraceError& e) {
     EXPECT_EQ(e.code(), trace::TraceError::Code::kBadMagic);
