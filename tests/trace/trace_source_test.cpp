@@ -320,7 +320,9 @@ TEST(TraceSourceTest, RewindReplaysFromTheFirstRecord) {
 
 // ---- config validation -----------------------------------------------------
 
-using BadConfigCase = std::tuple<const char*, const char*, double>;
+// The name fields are std::string, not const char*, so gtest prints their text
+// in the listed test name rather than their addresses, which move between runs.
+using BadConfigCase = std::tuple<std::string, std::string, double>;
 
 class TraceSourceBadConfig : public ::testing::TestWithParam<BadConfigCase> {};
 
@@ -330,7 +332,7 @@ TEST_P(TraceSourceBadConfig, RejectedAtConstruction) {
       (std::string("src_badcfg_") + field + "_" + kind + ".mwtr").c_str());
   TraceSource::Config cfg;
   cfg.strict = false;
-  if (std::string(field) == "skew_tol_s")
+  if (field == "skew_tol_s")
     cfg.skew_tol_s = value;
   else
     cfg.max_age_s = value;
@@ -365,8 +367,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::numeric_limits<double>::infinity()},
         BadConfigCase{"max_age_s", "negative", -0.05}),
     [](const ::testing::TestParamInfo<BadConfigCase>& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_" +
-             std::get<1>(param_info.param);
+      return std::get<0>(param_info.param) + "_" + std::get<1>(param_info.param);
     });
 
 TEST(TraceSourceTest, ZeroTolerancesAreValid) {
