@@ -27,12 +27,9 @@
 //   mobiwlan-bench --perf [--check]       hot-path perf cases ->
 //                                         BENCH_channel.json, gated against
 //                                         ci/perf_baseline.json
-//   mobiwlan-bench --scale [--check]      AP-scale throughput bench (64 APs x
-//                                         512 clients) -> BENCH_scale.json,
-//                                         gated on its gate_scale_* keys
 //
 // --out PATH and --baseline PATH override the report and baseline paths of
-// --suite, --perf and --scale.
+// --suite and --perf.
 //
 // Determinism contract: for a fixed --seed, the printed tables and every
 // non-"timing" byte of the bench JSON and of every gated-suite report are
@@ -47,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +68,7 @@ using mobiwlan::benchsuite::PerfResult;
 using mobiwlan::benchsuite::gated_registry;
 using mobiwlan::benchsuite::perf_registry;
 using mobiwlan::benchsuite::registry;
+using mobiwlan::benchsuite::strf;
 namespace fidelity = mobiwlan::fidelity;
 namespace runtime = mobiwlan::runtime;
 
@@ -82,9 +81,8 @@ void print_usage() {
       "[--seed S]\n"
       "                      [--campus-sessions N [--campus-rss-budget-mb "
       "MB]]\n"
-      "       mobiwlan-bench --perf | --scale [--check] [--out PATH]\n"
-      "                      [--baseline PATH] [--perf-min-time SECONDS] "
-      "[--jobs N]\n"
+      "       mobiwlan-bench --perf [--check] [--out PATH] [--baseline PATH]\n"
+      "                      [--perf-min-time SECONDS]\n"
       "--filter NAME runs the bench named NAME or, if no bench has that name,\n"
       "every bench whose name contains NAME\n"
       "suites:");
@@ -97,7 +95,6 @@ struct Options {
   bool list = false;
   bool job_timing = true;
   bool perf = false;
-  bool scale = false;
   bool check = false;
   std::string suite;       // --suite NAME
   std::string check_only;  // re-check this existing suite report
@@ -160,13 +157,13 @@ bool validate(const Options& opt) {
     std::fprintf(stderr, "mobiwlan-bench: %s\n", msg);
     return false;
   };
-  const int modes = (opt.perf ? 1 : 0) + (opt.scale ? 1 : 0) +
-                    (opt.suite.empty() ? 0 : 1);
-  if (modes > 1) return fail("--perf, --scale and --suite are exclusive");
-  if (modes == 0 && (opt.check || !opt.check_only.empty() ||
-                     !opt.out.empty() || !opt.baseline.empty()))
-    return fail("--check/--check-only/--out/--baseline need --suite, --perf "
-                "or --scale");
+  if (opt.perf && !opt.suite.empty())
+    return fail("--perf and --suite are exclusive");
+  if (!opt.perf && opt.suite.empty() &&
+      (opt.check || !opt.check_only.empty() || !opt.out.empty() ||
+       !opt.baseline.empty()))
+    return fail("--check/--check-only/--out/--baseline need --suite or "
+                "--perf");
   if (!opt.check_only.empty() && opt.suite.empty())
     return fail("--check-only needs --suite");
   if (!opt.suite.empty() && !find_suite(opt.suite)) {
@@ -216,8 +213,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.job_timing = false;
     } else if (arg == "--perf") {
       opt.perf = true;
-    } else if (arg == "--scale") {
-      opt.scale = true;
     } else if (arg == "--check") {
       opt.check = true;
     } else if (arg == "--suite") {
@@ -285,8 +280,10 @@ int run_perf(const Options& opt) {
   std::vector<PerfResult> results;
   for (const PerfCaseDef& def : perf_registry()) {
     PerfResult r = def.run(opt.perf_min_time);
-    std::printf("  %-20s %12.1f ns/op  %12.0f ops/s  %6.2f allocs/op\n",
+    std::printf("  %-22s %12.1f ns/op  %12.0f ops/s  %6.2f allocs/op",
                 r.name.c_str(), r.ns_per_op, r.ops_per_sec, r.allocs_per_op);
+    if (r.speedup > 0.0) std::printf("  %.2fx speedup", r.speedup);
+    std::printf("\n");
     results.push_back(std::move(r));
   }
 
@@ -310,9 +307,14 @@ int run_perf(const Options& opt) {
     std::snprintf(buf, sizeof buf, "  \"%s_ops_per_sec\": %.0f,\n",
                   r.name.c_str(), r.ops_per_sec);
     out << buf;
-    std::snprintf(buf, sizeof buf, "  \"%s_allocs\": %.2f,\n", r.name.c_str(),
+    std::snprintf(buf, sizeof buf, "  \"%s_allocs\": %.6g,\n", r.name.c_str(),
                   r.allocs_per_op);
     out << buf;
+    if (r.speedup > 0.0) {
+      std::snprintf(buf, sizeof buf, "  \"%s_speedup\": %.2f,\n",
+                    r.name.c_str(), r.speedup);
+      out << buf;
+    }
   }
   // Host-capability and tier provenance, quarantined on timing_* keys (the
   // same convention the determinism diffs filter on), so perf baselines are
@@ -339,33 +341,61 @@ int run_perf(const Options& opt) {
   if (!opt.check) return 0;
 
   // Gate: each case must stay within (1 + tolerance) of its committed
-  // gate_*_ns and must not allocate more than gate_*_allocs (+0.5 slack for
-  // amortized one-off growth). Missing gate keys are reported, not fatal,
-  // so new cases can land before the baseline is refreshed.
+  // gate_<case>_ns; must not allocate more than gate_<case>_allocs (a gate
+  // of 0 is exact, a nonzero one gets +0.5 slack for amortized one-off
+  // growth); and a paired case must reach gate_<case>_min_speedup, except
+  // on the scalar tier, which the ratio floor does not describe. Missing
+  // gate keys are reported, not fatal, so new cases can land before the
+  // baseline is refreshed.
   const auto tol_it = baseline.find("tolerance");
   const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;
+  const auto gate = [&](const PerfResult& r,
+                        const char* suffix) -> std::optional<double> {
+    const auto it = baseline.find("gate_" + r.name + suffix);
+    if (it == baseline.end()) return std::nullopt;
+    return it->second;
+  };
+  const auto tier = mobiwlan::simd::active_tier();
   bool ok = true;
   for (const PerfResult& r : results) {
-    const auto gate_ns = baseline.find("gate_" + r.name + "_ns");
-    if (gate_ns == baseline.end()) {
-      std::printf("perf-check: %-20s no gate_%s_ns in baseline, skipped\n",
+    const auto gate_ns = gate(r, "_ns");
+    const auto gate_allocs = gate(r, "_allocs");
+    const auto gate_speedup = gate(r, "_min_speedup");
+    if (!gate_ns && !gate_allocs && !gate_speedup) {
+      std::printf("perf-check: %-22s no gate_%s_* in baseline, skipped\n",
                   r.name.c_str(), r.name.c_str());
       continue;
     }
-    const double limit = gate_ns->second * (1.0 + tol);
-    const bool time_ok = r.ns_per_op <= limit;
-    bool allocs_ok = true;
-    const auto gate_allocs = baseline.find("gate_" + r.name + "_allocs");
-    if (gate_allocs != baseline.end() && mobiwlan::alloc_hook_active())
-      allocs_ok = r.allocs_per_op <= gate_allocs->second + 0.5;
-    std::printf("perf-check: %-20s %s  (%.1f ns/op vs limit %.1f",
-                r.name.c_str(), time_ok && allocs_ok ? "ok" : "REGRESSION",
-                r.ns_per_op, limit);
-    if (gate_allocs != baseline.end())
-      std::printf(", %.2f allocs/op vs gate %.2f", r.allocs_per_op,
-                  gate_allocs->second);
-    std::printf(")\n");
-    ok = ok && time_ok && allocs_ok;
+    bool case_ok = true;
+    std::string detail;
+    const auto note = [&](const std::string& part) {
+      detail += (detail.empty() ? "" : ", ") + part;
+    };
+    if (gate_ns) {
+      const double limit = *gate_ns * (1.0 + tol);
+      case_ok = case_ok && r.ns_per_op <= limit;
+      note(strf("%.1f ns/op vs limit %.1f", r.ns_per_op, limit));
+    }
+    if (gate_allocs) {
+      const double limit = *gate_allocs == 0.0 ? 0.0 : *gate_allocs + 0.5;
+      if (mobiwlan::alloc_hook_active())
+        case_ok = case_ok && r.allocs_per_op <= limit;
+      note(strf("%.6g allocs/op vs limit %g", r.allocs_per_op, limit));
+    }
+    if (gate_speedup && tier == mobiwlan::simd::Tier::kScalar) {
+      std::fprintf(stderr,
+                   "perf-check: %s speedup gate SKIPPED — the active SIMD "
+                   "tier is scalar; the %.2fx floor does not apply to it\n",
+                   r.name.c_str(), *gate_speedup);
+      note("speedup floor skipped on the scalar tier");
+    } else if (gate_speedup) {
+      case_ok = case_ok && r.speedup >= *gate_speedup;
+      note(strf("%.2fx speedup vs floor %.2fx (%s tier)", r.speedup,
+                *gate_speedup, mobiwlan::simd::tier_name(tier)));
+    }
+    std::printf("perf-check: %-22s %s  (%s)\n", r.name.c_str(),
+                case_ok ? "ok" : "REGRESSION", detail.c_str());
+    ok = ok && case_ok;
   }
   if (!ok) {
     std::fprintf(stderr,
@@ -541,16 +571,6 @@ int main(int argc, char** argv) {
 
   try {
     if (opt.perf) return run_perf(opt);
-    if (opt.scale) {
-      mobiwlan::benchsuite::ScaleOptions so;
-      so.jobs = opt.jobs ? opt.jobs : 1;
-      so.seed = opt.seed;
-      so.min_time_s = opt.perf_min_time;
-      so.check = opt.check;
-      so.out = or_default(opt.out, so.out);
-      so.baseline = or_default(opt.baseline, so.baseline);
-      return mobiwlan::benchsuite::run_scale_bench(so);
-    }
     if (!opt.suite.empty()) return run_suite(*find_suite(opt.suite), opt);
     return run_benches(opt);
   } catch (const mobiwlan::FlatJsonError& e) {

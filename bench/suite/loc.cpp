@@ -19,8 +19,8 @@
 // ci/loc_baseline.json with the usual flat-JSON schema and seed policy.
 // Everything outside keys starting with "timing" is byte-identical for a
 // fixed --seed at any --jobs; `ci/gate.sh loc` diffs jobs 1 vs 8, and
-// ci/perf_gate.sh holds the lookup-rate floor (gate_loc_lookups_per_s,
-// 0.85 grace like the campus throughput floor).
+// ci/perf_gate.sh holds the lookup-rate floor (gate_loc_lookups_per_s in
+// ci/perf_baseline.json, 0.85 grace like the campus throughput floor).
 #include <algorithm>
 #include <bit>
 #include <chrono>

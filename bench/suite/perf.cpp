@@ -3,24 +3,28 @@
 // The cases cover the per-packet pipeline the runtime loops execute
 // millions of times per study — full channel sampling, bare CSI synthesis
 // (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step, the
-// A-MPDU loss kernel — plus pool dispatch, one campus epoch and the strict
-// replay of a recorded link. Each case exercises the scratch-buffer
-// (zero-allocation) API that the steady-state loops use, so allocs_per_op
-// doubles as a regression check on the allocation-free contract whenever the
-// counting hook is linked (it is, in mobiwlan-bench).
+// A-MPDU loss kernel — plus pool dispatch, one campus epoch, the strict
+// replay of a recorded link, one batched pass over a 512-link floor and the
+// paired fp32-vs-fp64 wideband synthesis ratio. Each case exercises the
+// scratch-buffer (zero-allocation) API that the steady-state loops use, so
+// allocs_per_op doubles as a regression check on the allocation-free
+// contract whenever the counting hook is linked (it is, in mobiwlan-bench).
 //
 // The workload construction is deliberately simple and self-contained so
 // the numbers stay comparable across refactors: a strong-activity channel
 // with a walking client, sampled at 1 kHz. ci/perf_baseline.json stores the
-// gate values; ci/perf_gate.sh fails the build when a case regresses past
-// the tolerance band.
+// gate values; `mobiwlan-bench --perf --check` (run by ci/perf_gate.sh)
+// fails when a case regresses past the tolerance band.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <numbers>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "mac/atheros_ra.hpp"
 #include "mac/link_sim.hpp"
 #include "phy/aoa.hpp"
+#include "runtime/experiment.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
 #include "trace/source.hpp"
@@ -312,6 +317,113 @@ PerfResult run_trace_replay(double min_time_s) {
   return r;
 }
 
+PerfResult run_scale_sample(double min_time_s) {
+  // One op = a single-thread sample_range pass over a 512-link floor: 64
+  // APs on an 8x8 grid at 30 m pitch, each serving 8 clients that start
+  // within 12 m of it and walk off at 1.2 m/s on a random heading, strong
+  // and weak activity alternating. The links are built through an
+  // Experiment at the default master seed (chunk-keyed substreams, grain
+  // 64), so the floor is the same on every host and pool size.
+  constexpr std::size_t kApsPerSide = 8;
+  constexpr std::size_t kNumAps = kApsPerSide * kApsPerSide;
+  constexpr std::size_t kNumLinks = 512;
+  constexpr double kApPitchM = 30.0;
+  std::vector<std::unique_ptr<WirelessChannel>> channels(kNumLinks);
+  {
+    runtime::ThreadPool pool(1);
+    runtime::Experiment exp(pool, runtime::kMasterSeed);
+    exp.shard(kNumLinks, 64,
+              [&](std::size_t begin, std::size_t end, Rng& rng) {
+                for (std::size_t i = begin; i < end; ++i) {
+                  const std::size_t ap = i % kNumAps;
+                  const Vec2 ap_pos{
+                      static_cast<double>(ap % kApsPerSide) * kApPitchM,
+                      static_cast<double>(ap / kApsPerSide) * kApPitchM};
+                  ChannelConfig cfg;
+                  cfg.activity = (i % 2 == 0) ? EnvironmentalActivity::kStrong
+                                              : EnvironmentalActivity::kWeak;
+                  const Vec2 start{ap_pos.x + rng.uniform(-12.0, 12.0),
+                                   ap_pos.y + rng.uniform(-12.0, 12.0)};
+                  const double heading =
+                      rng.uniform(0.0, 2.0 * std::numbers::pi);
+                  auto traj = std::make_shared<LinearTrajectory>(
+                      start, Vec2{std::cos(heading), std::sin(heading)}, 1.2);
+                  channels[i] = std::make_unique<WirelessChannel>(
+                      cfg, ap_pos, std::move(traj), rng.split());
+                }
+              });
+  }
+  ChannelBatch batch;
+  for (auto& ch : channels) batch.add_link(ch.get());
+  ChannelBatch::Scratch scratch;
+  std::vector<ChannelSample> out(kNumLinks);
+  double t = 10.0;
+  return measure("scale_sample", min_time_s, [&] {
+    batch.sample_range(t, 0, kNumLinks, out.data(), scratch);
+    t += 0.001;
+    asm volatile("" : : "r"(out.data()) : "memory");
+  });
+}
+
+PerfResult run_f32_wideband_synthesis(double min_time_s) {
+  // The fp32-vs-fp64 synthesis (csi_true_link) ratio at the active SIMD
+  // tier, on a wideband (242-subcarrier) link where the synthesis kernels,
+  // not the per-path scalar prep, dominate. The two precisions run
+  // interleaved in 256-op blocks, each after an untimed 32-op block that
+  // repopulates the caches post-switch, and the ratio comes from the summed
+  // times: background-load drift on a shared host hits both sides instead
+  // of skewing whichever ran second. ns/op and allocs/op are the fp32
+  // side's.
+  Rng master(runtime::kMasterSeed);
+  Rng rng = master.stream(7001);
+  ChannelConfig cfg;
+  cfg.n_subcarriers = 242;
+  cfg.activity = EnvironmentalActivity::kWeak;
+  auto traj =
+      std::make_shared<LinearTrajectory>(Vec2{9.0, 0.0}, Vec2{1.0, 0.4}, 1.2);
+  auto ch = std::make_unique<WirelessChannel>(cfg, Vec2{0.0, 0.0},
+                                              std::move(traj), rng.split());
+  ChannelBatch::Scratch scratch;
+  CsiMatrix m;
+  PrecisionGuard guard(0);
+  double t = 0.1;
+  const auto block = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      ChannelBatch::csi_true_link(*ch, t, m, scratch);
+      t += 1e-4;
+    }
+  };
+  for (int i = 0; i < 64; ++i) {  // size both precision tiers' planes
+    simd::set_forced_precision(i & 1);
+    block(1);
+  }
+  double t64 = 0.0, t32 = 0.0;
+  std::uint64_t ops = 0, allocs32 = 0;
+  do {
+    for (int precision = 0; precision < 2; ++precision) {
+      simd::set_forced_precision(precision);
+      block(32);
+      const std::uint64_t allocs0 = alloc_count();
+      const auto t0 = clock_type::now();
+      block(256);
+      const double dt =
+          std::chrono::duration<double>(clock_type::now() - t0).count();
+      (precision == 0 ? t64 : t32) += dt;
+      if (precision == 1) allocs32 += alloc_count() - allocs0;
+    }
+    ops += 256;
+  } while (t64 + t32 < min_time_s);
+
+  PerfResult r;
+  r.name = "f32_wideband_synthesis";
+  r.ns_per_op = 1e9 * t32 / static_cast<double>(ops);
+  r.ops_per_sec = static_cast<double>(ops) / t32;
+  r.allocs_per_op =
+      static_cast<double>(allocs32) / static_cast<double>(ops);
+  r.speedup = t64 / t32;
+  return r;
+}
+
 }  // namespace
 
 const std::vector<PerfCaseDef>& perf_registry() {
@@ -341,6 +453,12 @@ const std::vector<PerfCaseDef>& perf_registry() {
       {"trace_replay",
        "strict TraceSource replay of every read of a recorded 1 s link",
        run_trace_replay},
+      {"scale_sample",
+       "single-thread sample_range pass over a 64-AP x 512-link floor",
+       run_scale_sample},
+      {"f32_wideband_synthesis",
+       "paired fp64/fp32 242-subcarrier synthesis (speedup = f64/f32 time)",
+       run_f32_wideband_synthesis},
   };
   return cases;
 }

@@ -39,6 +39,7 @@ struct PerfResult {
   double ns_per_op = 0.0;
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;  ///< 0 unless the counting hook is linked
+  double speedup = 0.0;        ///< paired cases: fp64 / fp32 time; else 0
 };
 
 /// One hot-path microbenchmark run by `mobiwlan-bench --perf`.
@@ -210,21 +211,5 @@ fidelity::FidelityReport run_campus_large_report(runtime::Experiment& exp,
 /// database, held-out kNN/fused accuracy, the mobility-gated refresh
 /// ablation and the single-thread lookup-rate section.
 fidelity::FidelityReport run_loc_report(runtime::Experiment& exp);
-
-/// `mobiwlan-bench --scale` configuration (bench/suite/scale.cpp).
-struct ScaleOptions {
-  std::size_t jobs = 1;       ///< pool workers for the agreement/shard passes
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  double min_time_s = 1.0;    ///< per timing measurement
-  bool check = false;         ///< gate against the baseline's gate_scale_* keys
-  std::string out = "BENCH_scale.json";
-  std::string baseline = "ci/perf_baseline.json";
-};
-
-/// The AP-scale throughput bench: 64 APs x 512 clients, bitwise
-/// sample_range-vs-sample_link equivalence + throughput + thread-scaling ladder + steady-state alloc
-/// count. Everything in the JSON except `timing_*` keys is byte-identical
-/// across `jobs`. Returns a process exit code.
-int run_scale_bench(const ScaleOptions& opt);
 
 }  // namespace mobiwlan::benchsuite

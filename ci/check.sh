@@ -5,9 +5,9 @@
 #      --jobs 8 must produce byte-identical JSON and stdout outside the
 #      "timing" lines and the per-bench wall-time footers;
 #   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
-#      budget and the baseline's 25% tolerance band (microbench cases, the
-#      AP-scale throughput bench and its bitwise-agreement/alloc gates, the
-#      campus throughput floor and the loc lookup-rate floor);
+#      budget and the baseline's 25% tolerance band (the --perf cases with
+#      their zero-allocation and fp32 speedup gates, the campus throughput
+#      floor and the loc lookup-rate floor);
 #   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
 #      statistics), fault (graceful degradation under export loss), trace
 #      (bitwise record/replay), campus (shard invariance across 1/4/16
@@ -15,17 +15,15 @@
 #      refresh). Each checks its report against ci/NAME_baseline.json, diffs
 #      the --jobs 1 vs --jobs 8 reports, and proves its negative baseline
 #      still fails;
-#   5. scale determinism: the AP-scale bench JSON at --jobs 1 vs --jobs 8
-#      must be byte-identical outside the timing_* lines;
-#   6. AddressSanitizer + UndefinedBehaviorSanitizer build
+#   5. AddressSanitizer + UndefinedBehaviorSanitizer build
 #      (-DMOBIWLAN_SANITIZE=address,undefined) running every non-soak ctest
 #      test with halt_on_error=1;
-#   7. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
+#   6. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
 #      runtime thread-pool, experiment, and parallel_for tests, the
 #      campus mailbox stress test (concurrent SPSC producers against a
 #      live consumer) and the campus worker-count invariance cases (shard
 #      passes running beside the parallel arrival builds).
-#   8. the benchmark's own correctness checks (`perfbench/run.py --test`):
+#   7. the benchmark's own correctness checks (`perfbench/run.py --test`):
 #      every BENCHMARK.json workload at a tiny size must report correct,
 #      including the pinned default-seed link-trace record/frame counts.
 set -euo pipefail
@@ -63,18 +61,6 @@ for suite in fidelity fault trace campus loc; do
   echo "== ${suite} gate =="
   ./ci/gate.sh "${suite}"
 done
-
-echo "== scale determinism: --jobs 1 vs --jobs 8 =="
-./build/bench/mobiwlan-bench --scale --jobs 8 --perf-min-time 0.05 \
-  --out /tmp/mobiwlan_scale_a.json >/dev/null
-./build/bench/mobiwlan-bench --scale --jobs 1 --perf-min-time 0.05 \
-  --out /tmp/mobiwlan_scale_b.json >/dev/null
-if ! diff <(grep -v '"timing' /tmp/mobiwlan_scale_a.json) \
-          <(grep -v '"timing' /tmp/mobiwlan_scale_b.json); then
-  echo "FAIL: scale results differ between --jobs 8 and --jobs 1" >&2
-  exit 1
-fi
-echo "ok: scale results byte-identical modulo timing"
 
 echo "== AddressSanitizer + UBSan: non-soak ctest suite =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \

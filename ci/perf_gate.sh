@@ -1,25 +1,21 @@
 #!/usr/bin/env bash
 # ci/perf_gate.sh — perf-regression gate for the channel hot loops.
 #
-# Bench runs against the wall-clock gate_* values:
-#   1. mobiwlan-bench --perf: the per-op microbench cases, failing on any
-#      case past the baseline's tolerance band (default 25%) or any hot
-#      loop that starts allocating;
-#   2. mobiwlan-bench --scale: the AP-scale throughput bench (64 APs x 512
-#      clients), gating the batched sample time, the zero-allocation steady
-#      state and the fp32 synthesis speedup. The bench also enforces
-#      bitwise agreement between sample_range and per-link sample_link
-#      calls on every run;
-#   3. one campus suite run: the session-steps/s floor;
-#   4. one loc suite run: the single-thread lookup-rate floor.
+# Bench runs against the wall-clock gate_* values in ci/perf_baseline.json:
+#   1. mobiwlan-bench --perf --check: the per-op microbench cases (among
+#      them the 512-link sample_range pass and the fp32 wideband synthesis
+#      speedup), failing on any case past the baseline's tolerance band
+#      (default 25%), any zero-allocation case that allocates, or a speedup
+#      under its floor;
+#   2. one campus suite run: the session-steps/s floor;
+#   3. one loc suite run: the single-thread lookup-rate floor.
 # The deterministic halves of the campus and loc suites are gated exactly
 # by `ci/gate.sh NAME`; only their timing-quarantined rates are held here.
 # The gate values are wall-clock numbers from one reference host; the
 # tolerance absorbs normal host-to-host and run-to-run variance, so a
 # failure means a real regression, not noise. Refresh after an intentional
 # perf change with:
-#   ./build/bench/mobiwlan-bench --perf
-#   ./build/bench/mobiwlan-bench --scale
+#   ./build/bench/mobiwlan-bench --perf --perf-min-time 1.0
 # and copy the new values into ci/perf_baseline.json as gate_*.
 #
 # PERF_MIN_TIME sets seconds per case/measurement (default 0.2 for a quick
@@ -30,7 +26,6 @@ cd "$(dirname "$0")/.."
 BENCH="${BENCH:-./build/bench/mobiwlan-bench}"
 MIN_TIME="${PERF_MIN_TIME:-0.2}"
 OUT="${PERF_OUT:-/tmp/mobiwlan_perf.json}"
-SCALE_OUT="${SCALE_OUT:-/tmp/mobiwlan_scale.json}"
 
 if [[ ! -x "${BENCH}" ]]; then
   echo "FAIL: ${BENCH} not built (run cmake --build build first)" >&2
@@ -42,45 +37,7 @@ fi
   --out "${OUT}" \
   --baseline ci/perf_baseline.json
 
-"${BENCH}" --scale --check \
-  --perf-min-time "${MIN_TIME}" \
-  --out "${SCALE_OUT}" \
-  --baseline ci/perf_baseline.json
-
-# ---- fp32 precision-tier section ------------------------------------------
-# The scale bench publishes the paired (interleaved, drift-immune) fp32-vs-
-# fp64 wideband batched-synthesis ratio at the host's active SIMD tier. On
-# AVX2-capable hosts that ratio must clear gate_f32_min_speedup; hosts
-# without the wider ISA tiers skip the corresponding check LOUDLY rather
-# than silently passing.
 flat_key() { grep -o "\"$2\": *-\?[0-9.eE+-]*" "$1" | head -1 | awk '{print $NF}'; }
-
-HOST_AVX2="$(flat_key "${SCALE_OUT}" timing_host_avx2)"
-HOST_AVX512="$(flat_key "${SCALE_OUT}" timing_host_avx512)"
-
-if [[ "${HOST_AVX2}" != "1" ]]; then
-  echo "fp32-check: SKIPPED — host lacks AVX2+FMA; the avx2 and avx512" \
-       "tiers cannot be exercised here and the >=1.6x speedup gate does" \
-       "not apply to the scalar tier" >&2
-else
-  if [[ "${HOST_AVX512}" != "1" ]]; then
-    echo "fp32-check: NOTE — host lacks AVX-512 (f/dq/vl); the avx512 tier" \
-         "falls back to avx2 and the ratio below is gated at the avx2 tier" >&2
-  fi
-  SPEEDUP="$(flat_key "${SCALE_OUT}" timing_f32_synthesis_speedup)"
-  MIN_SPEEDUP="$(flat_key ci/perf_baseline.json gate_f32_min_speedup)"
-  if [[ -z "${SPEEDUP}" || -z "${MIN_SPEEDUP}" ]]; then
-    echo "FAIL: fp32 speedup keys missing (scale json ${SCALE_OUT})" >&2
-    exit 1
-  fi
-  if awk -v s="${SPEEDUP}" -v m="${MIN_SPEEDUP}" 'BEGIN { exit !(s >= m) }'; then
-    echo "fp32-check: batched synthesis fp32 speedup ${SPEEDUP}x >= ${MIN_SPEEDUP}x (active tier)"
-  else
-    echo "FAIL: fp32 batched synthesis speedup ${SPEEDUP}x below the" \
-         "${MIN_SPEEDUP}x floor (ci/perf_baseline.json gate_f32_min_speedup)" >&2
-    exit 1
-  fi
-fi
 
 # ---- campus throughput section --------------------------------------------
 # One full campus suite matrix (four runs of the identical 100k-session
@@ -117,17 +74,17 @@ fi
 # ---- loc lookup-rate section ----------------------------------------------
 # One loc suite run. Its single-thread lookup rate (timing_loc_lookups_per_s,
 # median of five 20k-lookup blocks) must clear 85% of the committed
-# gate_loc_lookups_per_s in ci/loc_baseline.json, and never the 10^5/s
+# gate_loc_lookups_per_s in ci/perf_baseline.json, and never the 10^5/s
 # requirement itself.
 LOC_PERF_OUT="${LOC_PERF_OUT:-/tmp/mobiwlan_loc_perf.json}"
 "${BENCH}" --suite loc --out "${LOC_PERF_OUT}" >/dev/null
 
 RATE="$(flat_key "${LOC_PERF_OUT}" timing_loc_lookups_per_s)"
-RATE_FLOOR="$(flat_key ci/loc_baseline.json gate_loc_lookups_per_s)"
+RATE_FLOOR="$(flat_key ci/perf_baseline.json gate_loc_lookups_per_s)"
 if ! awk -v r="${RATE}" -v f="${RATE_FLOOR}" \
      'BEGIN { exit !(r != "" && f != "" && r >= 100000 && r >= 0.85 * f) }'; then
   echo "FAIL: loc lookup rate ${RATE}/s below max(1e5, 0.85 * ${RATE_FLOOR})/s" \
-       "(ci/loc_baseline.json gate_loc_lookups_per_s)" >&2
+       "(ci/perf_baseline.json gate_loc_lookups_per_s)" >&2
   exit 1
 fi
 echo "loc-check: ${RATE} lookups/s >= max(1e5, 0.85 * ${RATE_FLOOR})"

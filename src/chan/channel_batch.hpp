@@ -13,7 +13,7 @@
 //     all use them;
 //   * slot-indexed calls (sample_range, sample_slot, rssi_all, tof_all,
 //     strongest_link) run over the links registered with a batch — the
-//     deployment scan and the scale bench.
+//     deployment scan and the scale_sample perf case.
 //     Each forwards per slot to the same kernels, so a link's output does
 //     not depend on which way it was read.
 //
