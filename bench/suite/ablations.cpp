@@ -310,8 +310,7 @@ void run_ablation_roaming(runtime::Experiment& exp,
         RoamingConfig cfg;
         cfg.duration_s = 75.0;
         cfg.handoff_outage_s = costs[cell % 2];
-        Rng sim_rng(seed + 7100 + walk);
-        return simulate_roaming(wlan, schemes[cell / 2], cfg, sim_rng);
+        return simulate_roaming(wlan, schemes[cell / 2], cfg);
       });
 
   struct Outcome {

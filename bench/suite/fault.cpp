@@ -182,11 +182,10 @@ void fault_roaming(runtime::Experiment& exp, FidelityReport& rep) {
         RoamingConfig cfg;
         cfg.fault.tof.drop_prob = 0.3;  // 30% of ToF exports lost
         cfg.fault.seed = Rng(walk_seeds[walk]).stream(kFaultSalt).seed();
-        Rng sim_rng(walk_seeds[walk] + 1);
         const RoamingScheme scheme = trial.index % 2 == 0
                                          ? RoamingScheme::kDefault
                                          : RoamingScheme::kMotionAware;
-        return simulate_roaming(wlan, scheme, cfg, sim_rng).mean_throughput_mbps;
+        return simulate_roaming(wlan, scheme, cfg).mean_throughput_mbps;
       });
   SampleSet def, aware;
   for (int walk = 0; walk < walks; ++walk) {

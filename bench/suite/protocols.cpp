@@ -212,9 +212,8 @@ void run_fig7(runtime::Experiment& exp, runtime::BenchReport& report) {
                               ChannelConfig{}, rng);
           RoamingConfig rc;
           rc.duration_s = 75.0;
-          Rng sim_rng(seed + 2000 + walk);
           const auto scheme = static_cast<RoamingScheme>(trial.index % 3);
-          return simulate_roaming(wlan, scheme, rc, sim_rng);
+          return simulate_roaming(wlan, scheme, rc);
         });
     SampleSet by_scheme[3];
     int handoffs[3] = {0, 0, 0};

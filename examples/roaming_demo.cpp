@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
 
     RoamingConfig config;
     config.duration_s = 90.0;
-    Rng sim_rng(seed + 1);
-    const RoamingResult result = simulate_roaming(wlan, scheme, config, sim_rng);
+    const RoamingResult result = simulate_roaming(wlan, scheme, config);
 
     std::printf("=== %s ===\n", to_string(scheme).data());
     std::printf("  mean throughput: %6.1f Mbps | handoffs: %d | time in "

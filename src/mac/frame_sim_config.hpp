@@ -1,9 +1,10 @@
 // frame_sim_config.hpp — the up-front config check shared by the frame
 // simulators (simulate_link, simulate_latency, simulate_overall), the
-// beamforming emulators (simulate_su_beamforming, simulate_mu_mimo) and the
-// classifier trial loop (runtime::run_classifier).
+// roaming control loop (simulate_roaming), the beamforming emulators
+// (simulate_su_beamforming, simulate_mu_mimo) and the classifier trial loop
+// (runtime::run_classifier).
 //
-// Each of them advances time frame by frame (or slot by slot) and catches
+// Each of them advances time frame by frame (or tick by tick) and catches
 // the classifier up on its CSI/ToF cadences with `while (next_t <= t)
 // next_t += period` loops. A zero, negative or NaN period or slot spins
 // those loops forever, an infinite duration never ends, and a negative
@@ -28,7 +29,8 @@ class FrameSimConfigError : public std::invalid_argument {
     kBadCsiPeriod,    ///< classifier on and csi_period_s not finite and > 0
     kBadTofPeriod,    ///< classifier on and tof_period_s not finite and > 0
     kBadOfferedLoad,  ///< simulate_latency: offered_pps not finite and > 0
-    kBadSlot,         ///< beamforming emulators: slot_s not finite and > 0
+    kBadSlot,         ///< a fixed time step not finite and > 0: the
+                      ///< beamforming emulators' slot_s, roaming's step_s
   };
 
   FrameSimConfigError(Code code, const std::string& what)

@@ -5,30 +5,6 @@
 
 namespace mobiwlan {
 
-namespace {
-
-/// Emulator-side observables (ground-truth CSI, SNR) must always be there:
-/// they model the medium itself, not a lossy firmware export. A trace that
-/// cannot serve one cannot drive this loop.
-double ground(std::optional<double> v, const char* what) {
-  if (!v)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("latency sim: ground-truth observable "
-                                        "unavailable from source: ") +
-                                what);
-  return *v;
-}
-
-void ground_csi(bool ok, const char* what) {
-  if (!ok)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("latency sim: ground-truth CSI "
-                                        "unavailable from source: ") +
-                                what);
-}
-
-}  // namespace
-
 int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
                           double decorr_end, int n_mpdus, int payload_bytes,
                           const ErrorModelConfig& config, Rng& rng,
@@ -55,12 +31,13 @@ LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,
 LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
                                   const LatencySimConfig& config, Rng& rng) {
   using trace::StreamKind;
+  constexpr const char* kLoop = "latency sim";
   validate_frame_sim_config(
-      "latency sim", config.duration_s, config.mpdu_payload_bytes,
+      kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.run_classifier ? &config.classifier : nullptr);
-  require_finite_positive(FrameSimConfigError::Code::kBadOfferedLoad,
-                          "latency sim", "offered_pps", config.offered_pps);
-  src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, "latency sim");
+  require_finite_positive(FrameSimConfigError::Code::kBadOfferedLoad, kLoop,
+                          "offered_pps", config.offered_pps);
+  src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, kLoop);
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof},
                 "latency sim classifier");
@@ -142,10 +119,11 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
       // unresolved and its MPDUs land in `leftover`.
       break;
     }
-    ground_csi(src.csi_true(0, t, h_start), "h_start");
-    const double eff_snr =
-        effective_snr_db(h_start, ground(src.snr_db(0, t), "snr"));
-    ground_csi(src.csi_true(0, t + frame_airtime, h_end), "h_end");
+    trace::ground_csi(src.csi_true(0, t, h_start), kLoop, "h_start");
+    const double eff_snr = effective_snr_db(
+        h_start, trace::ground(src.snr_db(0, t), kLoop, "snr"));
+    trace::ground_csi(src.csi_true(0, t + frame_airtime, h_end), kLoop,
+                      "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
     const int n_failed =

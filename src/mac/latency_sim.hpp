@@ -65,8 +65,7 @@ int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
                           std::vector<bool>& delivered);
 
 /// Run a CBR downlink through the Block ACK machinery. Applies config.fault
-/// via a FaultedSource and delegates to the source-driven overload —
-/// bitwise-identical to the historical inline loop.
+/// via a FaultedSource and delegates to the source-driven overload.
 LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,
                                   const LatencySimConfig& config, Rng& rng);
 

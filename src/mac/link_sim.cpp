@@ -8,30 +8,6 @@
 
 namespace mobiwlan {
 
-namespace {
-
-/// Emulator-side observables (ground-truth CSI, SNR) must always be there:
-/// they model the medium itself, not a lossy firmware export. A trace that
-/// cannot serve one cannot drive this loop.
-double ground(std::optional<double> v, const char* what) {
-  if (!v)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("link sim: ground-truth observable "
-                                        "unavailable from source: ") +
-                                what);
-  return *v;
-}
-
-void ground_csi(bool ok, const char* what) {
-  if (!ok)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("link sim: ground-truth CSI "
-                                        "unavailable from source: ") +
-                                what);
-}
-
-}  // namespace
-
 LinkSimResult simulate_link(Scenario& scenario, RateAdapter& ra,
                             const LinkSimConfig& config, Rng& rng) {
   trace::LiveChannelSource live(*scenario.channel);
@@ -43,10 +19,11 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
                             const LinkSimConfig& config, Rng& rng,
                             std::optional<MobilityClass> sensor_truth) {
   using trace::StreamKind;
+  constexpr const char* kLoop = "link sim";
   validate_frame_sim_config(
-      "link sim", config.duration_s, config.mpdu_payload_bytes,
+      kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.run_classifier ? &config.classifier : nullptr);
-  src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, "link sim");
+  src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, kLoop);
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof}, "link sim classifier");
 
@@ -136,12 +113,13 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
                         config.airtime);
     }
 
-    ground_csi(src.csi_true(0, t, h_start), "h_start");
-    const double snr0 = ground(src.snr_db(0, t), "snr");
+    trace::ground_csi(src.csi_true(0, t, h_start), kLoop, "h_start");
+    const double snr0 = trace::ground(src.snr_db(0, t), kLoop, "snr");
     const double eff_snr = effective_snr_db(h_start, snr0);
     // Channel aging across the frame: correlation between the channel at the
     // preamble (where it is estimated) and at the end of the frame.
-    ground_csi(src.csi_true(0, t + plan.frame_airtime_s, h_end), "h_end");
+    trace::ground_csi(src.csi_true(0, t + plan.frame_airtime_s, h_end), kLoop,
+                      "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
     // Advance the interference process past stale bursts.

@@ -91,7 +91,7 @@ struct LinkSimResult {
 
 /// Run a saturated downlink over the scenario's channel. Applies
 /// config.fault via a FaultedSource and delegates to the source-driven
-/// overload below — bitwise-identical to the historical inline loop.
+/// overload below.
 LinkSimResult simulate_link(Scenario& scenario, RateAdapter& ra,
                             const LinkSimConfig& config, Rng& rng);
 

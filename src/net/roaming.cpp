@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/tof_tracker.hpp"
+#include "mac/frame_sim_config.hpp"
 #include "net/deployment_source.hpp"
 #include "phy/mcs.hpp"
 
@@ -28,39 +29,33 @@ double link_rate_mbps(double snr, const RoamingConfig& config) {
          config.mac_efficiency;
 }
 
-/// Serving-link SNR models the medium itself, not a lossy export; a source
-/// that cannot serve it cannot drive this loop.
-double ground(std::optional<double> v, const char* what) {
-  if (!v)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("roaming sim: ground-truth observable "
-                                        "unavailable from source: ") +
-                                what);
-  return *v;
-}
-
 }  // namespace
 
 RoamingResult simulate_roaming(WlanDeployment& wlan, RoamingScheme scheme,
-                               const RoamingConfig& config, Rng& rng) {
+                               const RoamingConfig& config) {
   LiveDeploymentSource live(wlan);
   trace::FaultedSource src(live, config.fault);
-  return simulate_roaming(src, scheme, config, rng,
-                          wlan.client().mobility_class());
+  return simulate_roaming(src, scheme, config, wlan.client().mobility_class());
 }
 
 RoamingResult simulate_roaming(trace::ObservableSource& src,
                                RoamingScheme scheme,
-                               const RoamingConfig& config, Rng& rng,
+                               const RoamingConfig& config,
                                MobilityClass client_class) {
   using trace::StreamKind;
+  constexpr const char* kLoop = "roaming sim";
+  const bool aware = scheme == RoamingScheme::kMotionAware;
+  validate_frame_sim_config(kLoop, config.duration_s,
+                            config.mpdu_payload_bytes,
+                            aware ? &config.classifier : nullptr);
+  require_finite_positive(FrameSimConfigError::Code::kBadSlot, kLoop,
+                          "step_s", config.step_s);
   src.require({StreamKind::kSnr, StreamKind::kRssi, StreamKind::kScanRssi},
-              "roaming sim");
-  if (scheme == RoamingScheme::kMotionAware)
+              kLoop);
+  if (aware)
     src.require({StreamKind::kCsi, StreamKind::kTof}, "motion-aware roaming");
 
   RoamingResult result;
-  (void)rng;
 
   std::size_t assoc = src.strongest_unit(0.0).value_or(0);
   result.associations.emplace_back(0.0, assoc);
@@ -107,7 +102,7 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
   };
 
   for (double t = 0.0; t < config.duration_s; t += config.step_s) {
-    if (scheme == RoamingScheme::kMotionAware) {
+    if (aware) {
       while (next_csi_t <= t) {
         if (src.csi(assoc, next_csi_t, meas_csi))
           classifier.on_csi(next_csi_t, meas_csi);
@@ -129,11 +124,9 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
 
     if (t < outage_until) continue;  // scanning/associating: no goodput
 
-    delivered_mbit +=
-        link_rate_mbps(ground(src.snr_db(static_cast<std::uint32_t>(assoc), t),
-                              "serving snr"),
-                       config) *
-        config.step_s;
+    const double snr = trace::ground(
+        src.snr_db(static_cast<std::uint32_t>(assoc), t), kLoop, "serving snr");
+    delivered_mbit += link_rate_mbps(snr, config) * config.step_s;
 
     // Serving-link RSSI as exported by the AP firmware; the export can be
     // lost or stale. Scan measurements of *other* APs below are made fresh

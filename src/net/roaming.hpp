@@ -66,17 +66,20 @@ struct RoamingResult {
 
 /// Simulate a download to the walking client under the given scheme. Applies
 /// config.fault via a FaultedSource over the deployment and delegates to the
-/// source-driven overload — bitwise-identical to the historical inline loop.
+/// source-driven overload. The loop makes no random draw of its own.
 RoamingResult simulate_roaming(WlanDeployment& wlan, RoamingScheme scheme,
-                               const RoamingConfig& config, Rng& rng);
+                               const RoamingConfig& config);
 
 /// Source-driven overload: the same control loop over any multi-unit
 /// ObservableSource (unit = AP index). config.fault is NOT applied here —
 /// compose a FaultedSource yourself. `client_class` replaces
 /// wlan.client().mobility_class() for the sensor-hint scheme's accelerometer.
+/// Both overloads throw FrameSimConfigError (mac/frame_sim_config.hpp) for a
+/// config they cannot run to completion: step_s is checked as kBadSlot, and
+/// the classifier cadences only for kMotionAware.
 RoamingResult simulate_roaming(trace::ObservableSource& src,
                                RoamingScheme scheme,
-                               const RoamingConfig& config, Rng& rng,
+                               const RoamingConfig& config,
                                MobilityClass client_class);
 
 /// Fig. 7(a) helper: throughput of always using the instantaneous strongest

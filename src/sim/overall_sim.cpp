@@ -14,42 +14,23 @@
 
 namespace mobiwlan {
 
-namespace {
-
-double ground(std::optional<double> v, const char* what) {
-  if (!v)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("overall sim: ground-truth observable "
-                                        "unavailable from source: ") +
-                                what);
-  return *v;
-}
-
-void ground_csi(bool ok, const char* what) {
-  if (!ok)
-    throw trace::TraceError(trace::TraceError::Code::kMissingStream,
-                            std::string("overall sim: ground-truth CSI "
-                                        "unavailable from source: ") +
-                                what);
-}
-
-}  // namespace
-
 OverallSimResult simulate_overall(WlanDeployment& wlan,
                                   const OverallSimConfig& config, Rng& rng) {
-  LiveDeploymentSource src(wlan);
+  LiveDeploymentSource live(wlan);
+  trace::FaultedSource src(live, config.fault);
   return simulate_overall(src, config, rng);
 }
 
 OverallSimResult simulate_overall(trace::ObservableSource& src,
                                   const OverallSimConfig& config, Rng& rng) {
   using trace::StreamKind;
+  constexpr const char* kLoop = "overall sim";
   validate_frame_sim_config(
-      "overall sim", config.duration_s, config.mpdu_payload_bytes,
+      kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.mobility_aware ? &config.classifier : nullptr);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr, StreamKind::kRssi,
                StreamKind::kScanRssi, StreamKind::kCsiFeedback},
-              "overall sim");
+              kLoop);
   if (config.mobility_aware)
     src.require({StreamKind::kCsi, StreamKind::kTof},
                 "overall sim classifier");
@@ -69,23 +50,6 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
   MobilityClassifier classifier(config.classifier);
   std::vector<TofTracker> heading(src.n_units(),
                                   TofTracker(config.classifier.tof));
-
-  // Per-AP fault streams over the controller-facing exports, gated INSIDE
-  // the loop rather than by a FaultedSource: ToF is measured by a batched
-  // sweep across all APs, so the sweep always runs (every AP's reading is
-  // drawn, keeping the shared draw order) and per-AP drops are applied to
-  // the *export* after the fact. Dropped CSI/RSSI readings skip the source
-  // call entirely (export lost, channel RNG untouched), so an all-zero plan
-  // is bitwise-identical.
-  std::vector<FaultStream> csi_fault;
-  std::vector<FaultStream> tof_fault;
-  std::vector<FaultStream> rssi_fault;
-  for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-    csi_fault.push_back(make_stream(config.fault, FaultStreamKind::kCsi, ap));
-    tof_fault.push_back(make_stream(config.fault, FaultStreamKind::kTof, ap));
-    rssi_fault.push_back(make_stream(config.fault, FaultStreamKind::kRssi, ap));
-  }
-  const bool rssi_only = config.fault.rssi_only;
 
   CsiMatrix meas_csi, h_start, h_end;
   MpduErrors errors;
@@ -129,22 +93,14 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
     // --- measurement processes -----------------------------------------
     if (config.mobility_aware) {
       while (next_csi_t <= t) {
-        if (!rssi_only && csi_fault[assoc].deliver(next_csi_t)) {
-          if (src.csi(static_cast<std::uint32_t>(assoc),
-                      csi_fault[assoc].measured_t(next_csi_t), meas_csi))
-            classifier.on_csi(next_csi_t, meas_csi);
-        }
+        if (src.csi(static_cast<std::uint32_t>(assoc), next_csi_t, meas_csi))
+          classifier.on_csi(next_csi_t, meas_csi);
         next_csi_t += config.classifier.csi_period_s;
       }
       while (next_tof_t <= t) {
-        // plan.tof.delay_s is shared by every AP, so the whole (batched)
-        // sweep samples at the delayed instant; drops then lose individual
-        // AP exports without perturbing the shared draw order.
-        const double shifted = next_tof_t - config.fault.tof.delay_s;
-        src.tof_sweep(shifted > 0.0 ? shifted : 0.0, sweep.data());
+        src.tof_sweep(next_tof_t, sweep.data());
         for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-          if (rssi_only || !tof_fault[ap].deliver(next_tof_t)) continue;
-          if (!sweep[ap]) continue;  // trace gap: export never recorded
+          if (!sweep[ap]) continue;  // export lost or never recorded
           if (ap == assoc)
             classifier.on_tof(next_tof_t, *sweep[ap]);
           else
@@ -173,10 +129,8 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
       next_roam_check_t = t + config.roam_check_period_s;
       // Serving-link RSSI export; when the export is lost there is nothing
       // to trigger on this check and the client stays put (no spurious roam).
-      std::optional<double> current_rssi;
-      if (rssi_fault[assoc].deliver(t))
-        current_rssi = src.rssi_dbm(static_cast<std::uint32_t>(assoc),
-                                    rssi_fault[assoc].measured_t(t));
+      const std::optional<double> current_rssi =
+          src.rssi_dbm(static_cast<std::uint32_t>(assoc), t);
       if (current_rssi && *current_rssi < config.rssi_threshold_dbm &&
           t >= threshold_scan_ok_t) {
         threshold_scan_ok_t = t + config.min_scan_gap_s;
@@ -220,16 +174,14 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
     const AmpduPlan plan =
         plan_ampdu(entry, agg_limit, config.mpdu_payload_bytes, config.airtime);
 
-    ground_csi(src.csi_true(static_cast<std::uint32_t>(assoc), t, h_start),
-               "h_start");
+    const auto unit = static_cast<std::uint32_t>(assoc);
+    trace::ground_csi(src.csi_true(unit, t, h_start), kLoop, "h_start");
     double snr = effective_snr_db(
-        h_start, ground(src.snr_db(static_cast<std::uint32_t>(assoc), t),
-                        "serving snr"));
+        h_start, trace::ground(src.snr_db(unit, t), kLoop, "serving snr"));
     if (have_fb) snr += std::max(0.0, su_beamforming_gain_db(h_start, fb_csi));
 
-    ground_csi(src.csi_true(static_cast<std::uint32_t>(assoc),
-                            t + plan.frame_airtime_s, h_end),
-               "h_end");
+    trace::ground_csi(src.csi_true(unit, t + plan.frame_airtime_s, h_end),
+                      kLoop, "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
     ampdu_mpdu_errors(entry, snr, decorr_end, plan.n_mpdus,

@@ -51,17 +51,15 @@ struct OverallSimResult {
   std::vector<std::pair<double, std::size_t>> associations;
 };
 
-/// Wraps the deployment in a LiveDeploymentSource and delegates to the
-/// source-driven overload (the per-AP fault-stream gating stays inside the
-/// loop because the batched ToF sweep must always run).
+/// Applies config.fault via a FaultedSource over the deployment and
+/// delegates to the source-driven overload.
 OverallSimResult simulate_overall(WlanDeployment& wlan,
                                   const OverallSimConfig& config, Rng& rng);
 
-/// Source-driven overload (unit = AP index). config.fault IS applied here —
-/// the loop gates exports with its own per-AP fault streams (the batched ToF
-/// sweep always draws for every AP; drops lose individual exports after the
-/// fact) — so do NOT also wrap the source in a FaultedSource. Both
-/// overloads throw FrameSimConfigError (mac/frame_sim_config.hpp) for a
+/// Source-driven overload: the same loop over any multi-unit
+/// ObservableSource (unit = AP index). config.fault is NOT applied here —
+/// compose a FaultedSource yourself when faulting a live or replayed source.
+/// Both overloads throw FrameSimConfigError (mac/frame_sim_config.hpp) for a
 /// config they cannot run to completion.
 OverallSimResult simulate_overall(trace::ObservableSource& src,
                                   const OverallSimConfig& config, Rng& rng);

@@ -19,11 +19,13 @@
 //   replayed           — trace::TraceSource (trace_source.hpp) serves the
 //                        same reads back from the recorded log.
 //
-// FaultedSource composes the fault layer (fault/fault.hpp) over any source:
-// drops and staleness apply identically to a live channel or a replayed
-// trace, and a dropped reading never touches the inner source (the export
-// was lost, not taken differently), so an all-zero plan is bitwise
-// invisible.
+// FaultedSource composes the fault layer (fault/fault.hpp) over any source
+// and is the only way faults reach a protocol loop: every loop's live
+// overload wraps its source in one, so a recording holds the absences and
+// replays without the plan. Drops and staleness apply identically to a live
+// channel or a replayed trace, and a dropped reading never touches the
+// inner source (the export was lost, not taken differently), so an all-zero
+// plan is bitwise invisible.
 //
 // Absence contract: a read returns false / nullopt when the observable is
 // not available (dropped by a fault process, or missing from a replayed
@@ -94,6 +96,26 @@ class ObservableSource {
   void require(std::initializer_list<StreamKind> kinds,
                const char* consumer) const;
 };
+
+/// Throws TraceError::Code::kMissingStream: "<loop>: ground-truth <kind>
+/// unavailable from source: <what>". Out of line so the inline reads below
+/// stay a compare and a branch.
+[[noreturn]] void throw_missing_ground(const char* loop, const char* kind,
+                                       const char* what);
+
+/// The emulator's ground truth (true CSI, SNR) models the medium itself, not
+/// a lossy firmware export, so every protocol loop reads it through these:
+/// a source that cannot serve it cannot drive the loop. `loop` names the
+/// consumer ("link sim"), `what` the read ("h_start").
+inline double ground(std::optional<double> v, const char* loop,
+                     const char* what) {
+  if (!v) throw_missing_ground(loop, "observable", what);
+  return *v;
+}
+
+inline void ground_csi(bool ok, const char* loop, const char* what) {
+  if (!ok) throw_missing_ground(loop, "CSI", what);
+}
 
 /// Live single-link source over one WirelessChannel. Unit 0 only.
 class LiveChannelSource : public ObservableSource {
@@ -180,9 +202,13 @@ class RecordingSource : public ObservableSource {
 /// Fault-composed view over any source: a FaultPlan applied per unit, each
 /// unit's fault processes keyed by its index. Dropped reads skip the inner
 /// source entirely (the link's generator is left untouched); delayed reads
-/// query it at measured_t. Over a live source an all-zero plan reproduces
-/// the raw channel call for call; over a TraceSource it injects drops and
-/// staleness into replay deterministically.
+/// query it at measured_t. The neighbour ToF sweep is the one read a drop
+/// does not skip: it is one batched pass over every unit, so it always runs
+/// (at the ToF stream's delayed instant, which every unit shares) and drops
+/// then blank single units' exports after the fact, keeping the sweep's
+/// draw order whatever is lost. Over a live source an all-zero plan
+/// reproduces the raw channel call for call; over a TraceSource it injects
+/// drops and staleness into replay deterministically.
 class FaultedSource : public ObservableSource {
  public:
   FaultedSource(ObservableSource& inner, const FaultPlan& plan);
@@ -209,6 +235,7 @@ class FaultedSource : public ObservableSource {
     return inner_.true_distance(unit, t);
   }
   bool feedback_delivered(std::uint32_t unit, double t) override;
+  void tof_sweep(double t, std::optional<double>* out) override;
 
   /// Scans are client-side fresh measurements: pass through so a batched
   /// inner scan (LiveDeploymentSource) keeps its fast path.

@@ -25,8 +25,7 @@ TEST(RoamingTest, AllSchemesProduceThroughput) {
                       RoamingScheme::kMotionAware}) {
     Rng rng(0);
     WlanDeployment wlan = walking_deployment(1, rng);
-    Rng sim_rng(2);
-    const RoamingResult r = simulate_roaming(wlan, scheme, short_config(), sim_rng);
+    const RoamingResult r = simulate_roaming(wlan, scheme, short_config());
     EXPECT_GT(r.mean_throughput_mbps, 5.0) << to_string(scheme);
     EXPECT_FALSE(r.associations.empty());
   }
@@ -38,8 +37,7 @@ TEST(RoamingTest, StaticClientNeverRoams) {
   auto traj = std::make_shared<StaticTrajectory>(Vec2{20.0, 2.0});
   WlanDeployment wlan(WlanDeployment::corridor_layout(), traj, ChannelConfig{}, rng);
   for (auto scheme : {RoamingScheme::kDefault, RoamingScheme::kMotionAware}) {
-    Rng sim_rng(4);
-    const RoamingResult r = simulate_roaming(wlan, scheme, short_config(), sim_rng);
+    const RoamingResult r = simulate_roaming(wlan, scheme, short_config());
     EXPECT_EQ(r.handoffs, 0) << to_string(scheme);
   }
 }
@@ -49,9 +47,8 @@ TEST(RoamingTest, WalkingClientEventuallyRoams) {
   WlanDeployment wlan = walking_deployment(5, rng);
   RoamingConfig cfg = short_config();
   cfg.duration_s = 90.0;
-  Rng sim_rng(6);
   const RoamingResult r =
-      simulate_roaming(wlan, RoamingScheme::kMotionAware, cfg, sim_rng);
+      simulate_roaming(wlan, RoamingScheme::kMotionAware, cfg);
   EXPECT_GT(r.handoffs, 0);
 }
 
@@ -60,18 +57,16 @@ TEST(RoamingTest, HandoffsCostOutage) {
   WlanDeployment wlan = walking_deployment(7, rng);
   RoamingConfig cfg = short_config();
   cfg.duration_s = 90.0;
-  Rng sim_rng(8);
   const RoamingResult r =
-      simulate_roaming(wlan, RoamingScheme::kDefault, cfg, sim_rng);
+      simulate_roaming(wlan, RoamingScheme::kDefault, cfg);
   EXPECT_NEAR(r.outage_s, r.handoffs * cfg.handoff_outage_s, 1e-9);
 }
 
 TEST(RoamingTest, SensorHintScansCostOutageEvenWithoutHandoff) {
   Rng rng(0);
   WlanDeployment wlan = walking_deployment(9, rng);
-  Rng sim_rng(10);
   const RoamingResult r =
-      simulate_roaming(wlan, RoamingScheme::kSensorHint, short_config(), sim_rng);
+      simulate_roaming(wlan, RoamingScheme::kSensorHint, short_config());
   EXPECT_GT(r.outage_s, r.handoffs * short_config().handoff_outage_s - 1e-9);
 }
 
@@ -89,9 +84,8 @@ TEST(RoamingTest, ScanTriggeredHandoffOutageIsExtendOnly) {
   cfg.duration_s = 90.0;
   cfg.rssi_threshold_dbm = -200.0;  // no threshold-triggered handoffs
   cfg.handoff_outage_s = 0.05;      // shorter than the 0.12 s scan window
-  Rng sim_rng(10);
   const RoamingResult r =
-      simulate_roaming(wlan, RoamingScheme::kSensorHint, cfg, sim_rng);
+      simulate_roaming(wlan, RoamingScheme::kSensorHint, cfg);
   ASSERT_GT(r.scans, 0);
   ASSERT_GT(r.handoffs, 0);  // the walk must actually trigger steered scans
   EXPECT_NEAR(r.outage_s, r.scans * cfg.scan_cost_s, 1e-9);
@@ -105,10 +99,9 @@ TEST(RoamingTest, MotionAwareBeatsDefaultOnMedianWalk) {
     for (int scheme = 0; scheme < 2; ++scheme) {
       Rng rng(0);
       WlanDeployment wlan = walking_deployment(50 + i, rng);
-      Rng sim_rng(60 + i);
       const RoamingResult r = simulate_roaming(
           wlan, scheme == 0 ? RoamingScheme::kDefault : RoamingScheme::kMotionAware,
-          short_config(), sim_rng);
+          short_config());
       (scheme == 0 ? default_total : aware_total) += r.mean_throughput_mbps;
     }
   }
@@ -120,9 +113,8 @@ TEST(RoamingTest, AssociationsTimeOrdered) {
   WlanDeployment wlan = walking_deployment(11, rng);
   RoamingConfig cfg = short_config();
   cfg.duration_s = 90.0;
-  Rng sim_rng(12);
   const RoamingResult r =
-      simulate_roaming(wlan, RoamingScheme::kMotionAware, cfg, sim_rng);
+      simulate_roaming(wlan, RoamingScheme::kMotionAware, cfg);
   for (std::size_t i = 1; i < r.associations.size(); ++i) {
     EXPECT_GE(r.associations[i].first, r.associations[i - 1].first);
     EXPECT_NE(r.associations[i].second, r.associations[i - 1].second);

@@ -1,8 +1,9 @@
 // Tests for the up-front config check of the frame simulators
-// (simulate_link, simulate_latency, simulate_overall), the beamforming
-// emulators (simulate_su_beamforming, simulate_mu_mimo) and the classifier
-// trial loop (runtime::run_classifier): one test per FrameSimConfigError
-// code, each across every loop the field reaches.
+// (simulate_link, simulate_latency, simulate_overall), the roaming control
+// loop (simulate_roaming), the beamforming emulators
+// (simulate_su_beamforming, simulate_mu_mimo) and the classifier trial loop
+// (runtime::run_classifier): one test per FrameSimConfigError code, each
+// across every loop the field reaches.
 #include "mac/frame_sim_config.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "mac/atheros_ra.hpp"
 #include "mac/latency_sim.hpp"
 #include "mac/link_sim.hpp"
+#include "net/roaming.hpp"
 #include "runtime/classifier_driver.hpp"
 #include "sim/beamforming_sim.hpp"
 #include "sim/overall_sim.hpp"
@@ -69,6 +71,22 @@ void run_overall(const std::function<void(OverallSimConfig&)>& edit) {
   simulate_overall(wlan, cfg, sim_rng);
 }
 
+/// Runs simulate_roaming under `scheme` on a short corridor walk after
+/// `edit` changes the default config.
+void run_roam(RoamingScheme scheme,
+              const std::function<void(RoamingConfig&)>& edit) {
+  Rng rng(10);
+  auto traj = WlanDeployment::corridor_walk(rng);
+  WlanDeployment wlan(WlanDeployment::corridor_layout(), traj, ChannelConfig{},
+                      rng);
+  RoamingConfig cfg;
+  cfg.duration_s = 0.2;
+  edit(cfg);
+  simulate_roaming(wlan, scheme, cfg);
+}
+
+constexpr RoamingScheme kAware = RoamingScheme::kMotionAware;
+
 void run_su(const std::function<void(BeamformingSimConfig&)>& edit) {
   Rng rng(7);
   Scenario s = make_scenario(MobilityClass::kStatic, rng);
@@ -107,6 +125,9 @@ TEST(FrameSimConfigTest, DefaultsRunInEverySimulator) {
   EXPECT_NO_THROW(run_link([](LinkSimConfig&) {}));
   EXPECT_NO_THROW(run_latency([](LatencySimConfig&) {}));
   EXPECT_NO_THROW(run_overall([](OverallSimConfig&) {}));
+  for (RoamingScheme scheme : {RoamingScheme::kDefault,
+                               RoamingScheme::kSensorHint, kAware})
+    EXPECT_NO_THROW(run_roam(scheme, [](RoamingConfig&) {}));
   EXPECT_NO_THROW(run_su([](BeamformingSimConfig&) {}));
   EXPECT_NO_THROW(run_mu([](BeamformingSimConfig&) {}));
   EXPECT_NO_THROW(run_trial(2.0, [](MobilityClassifier::Config&) {}));
@@ -122,6 +143,12 @@ TEST(FrameSimConfigTest, BadDurationRejected) {
         Code::kBadDuration);
     expect_code(
         [&] { run_overall([&](OverallSimConfig& c) { c.duration_s = d; }); },
+        Code::kBadDuration);
+    expect_code(
+        [&] {
+          run_roam(RoamingScheme::kDefault,
+                   [&](RoamingConfig& c) { c.duration_s = d; });
+        },
         Code::kBadDuration);
     expect_code(
         [&] { run_su([&](BeamformingSimConfig& c) { c.duration_s = d; }); },
@@ -146,6 +173,12 @@ TEST(FrameSimConfigTest, NegativePayloadRejected) {
   expect_code(
       [] {
         run_overall([](OverallSimConfig& c) { c.mpdu_payload_bytes = -2000; });
+      },
+      Code::kBadPayload);
+  expect_code(
+      [] {
+        run_roam(RoamingScheme::kDefault,
+                 [](RoamingConfig& c) { c.mpdu_payload_bytes = -2000; });
       },
       Code::kBadPayload);
   expect_code(
@@ -181,6 +214,12 @@ TEST(FrameSimConfigTest, BadCsiPeriodRejectedWhenClassifierRuns) {
         Code::kBadCsiPeriod);
     expect_code(
         [&] {
+          run_roam(kAware,
+                   [&](RoamingConfig& c) { c.classifier.csi_period_s = p; });
+        },
+        Code::kBadCsiPeriod);
+    expect_code(
+        [&] {
           run_su(
               [&](BeamformingSimConfig& c) { c.classifier.csi_period_s = p; });
         },
@@ -211,6 +250,9 @@ TEST(FrameSimConfigTest, BadCsiPeriodRejectedWhenClassifierRuns) {
     c.mobility_aware = false;
     c.classifier.csi_period_s = 0.0;
   }));
+  EXPECT_NO_THROW(run_roam(RoamingScheme::kSensorHint, [](RoamingConfig& c) {
+    c.classifier.csi_period_s = 0.0;
+  }));
 }
 
 TEST(FrameSimConfigTest, BadTofPeriodRejectedWhenClassifierRuns) {
@@ -230,6 +272,12 @@ TEST(FrameSimConfigTest, BadTofPeriodRejectedWhenClassifierRuns) {
         [&] {
           run_overall(
               [&](OverallSimConfig& c) { c.classifier.tof_period_s = p; });
+        },
+        Code::kBadTofPeriod);
+    expect_code(
+        [&] {
+          run_roam(kAware,
+                   [&](RoamingConfig& c) { c.classifier.tof_period_s = p; });
         },
         Code::kBadTofPeriod);
     expect_code(
@@ -263,11 +311,21 @@ TEST(FrameSimConfigTest, BadTofPeriodRejectedWhenClassifierRuns) {
     c.mobility_aware = false;
     c.classifier.tof_period_s = 0.0;
   }));
+  EXPECT_NO_THROW(run_roam(RoamingScheme::kSensorHint, [](RoamingConfig& c) {
+    c.classifier.tof_period_s = 0.0;
+  }));
 }
 
 TEST(FrameSimConfigTest, BadSlotRejectedByBeamformingEmulators) {
   // 0, negative and NaN slots never advance time; +inf scores one slot.
+  // Roaming's control-loop tick step_s is the same kind of fixed step.
   for (double slot : {0.0, -2e-3, kNaN, kInf}) {
+    expect_code(
+        [&] {
+          run_roam(RoamingScheme::kDefault,
+                   [&](RoamingConfig& c) { c.step_s = slot; });
+        },
+        Code::kBadSlot);
     expect_code(
         [&] { run_su([&](BeamformingSimConfig& c) { c.slot_s = slot; }); },
         Code::kBadSlot);

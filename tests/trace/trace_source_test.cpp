@@ -1,14 +1,16 @@
 // Tests for the ObservableSource hierarchy: TraceSource replay semantics
 // (strict skew detection, relaxed hold-then-decay, recorded-absence replay,
 // counters, stream gating, lockstep decoding, config validation, rewind),
-// RecordingSource tee behaviour, and FaultedSource composition over a
-// replayed trace.
+// RecordingSource tee behaviour, FaultedSource composition over a replayed
+// trace, and FaultedSource's neighbour ToF sweep.
 #include "trace/trace_source.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -469,6 +471,102 @@ TEST(FaultedSourceTest, CompositionOverReplayIsDeterministic) {
   EXPECT_GT(dropped, 0u);
   EXPECT_LT(dropped, 100u);
   std::remove(path.c_str());
+}
+
+/// Three-unit source that only sweeps: unit u reads 100 + u + t, and every
+/// sweep is counted with the instant it was taken at.
+class CountingSweepSource : public ObservableSource {
+ public:
+  std::size_t n_units() const override { return 3; }
+  bool has(StreamKind) const override { return true; }
+  bool csi(std::uint32_t, double, CsiMatrix&) override { return false; }
+  bool csi_feedback(std::uint32_t, double, CsiMatrix&) override {
+    return false;
+  }
+  bool csi_true(std::uint32_t, double, CsiMatrix&) override { return false; }
+  std::optional<double> rssi_dbm(std::uint32_t, double) override {
+    return std::nullopt;
+  }
+  std::optional<double> scan_rssi_dbm(std::uint32_t, double) override {
+    return std::nullopt;
+  }
+  std::optional<double> tof_cycles(std::uint32_t, double) override {
+    return std::nullopt;
+  }
+  std::optional<double> snr_db(std::uint32_t, double) override {
+    return std::nullopt;
+  }
+  std::optional<double> true_distance(std::uint32_t, double) override {
+    return std::nullopt;
+  }
+  void tof_sweep(double t, std::optional<double>* out) override {
+    ++sweeps;
+    last_t = t;
+    for (std::size_t u = 0; u < 3; ++u) out[u] = 100.0 + u + t;
+  }
+
+  int sweeps = 0;
+  double last_t = -1.0;
+};
+
+TEST(FaultedSourceTest, TofSweepDrawsEveryUnitThenDrops) {
+  FaultPlan plan;
+  plan.tof.drop_prob = 0.5;
+  plan.tof.delay_s = 0.1;
+  plan.seed = 5;
+  CountingSweepSource inner;
+  FaultedSource faulted(inner, plan);
+  std::vector<FaultStream> tof_fault;
+  for (std::uint64_t u = 0; u < 3; ++u)
+    tof_fault.push_back(make_stream(plan, FaultStreamKind::kTof, u));
+  std::optional<double> out[3];
+  int served = 0;
+  int dropped = 0;
+  for (int i = 0; i < 40; ++i) {
+    const double t = 0.025 * i;
+    faulted.tof_sweep(t, out);
+    // One inner sweep per call, at the delayed instant, whatever is lost.
+    const double measured = std::max(0.0, t - 0.1);
+    EXPECT_EQ(inner.sweeps, i + 1);
+    EXPECT_EQ(inner.last_t, measured);
+    for (std::size_t u = 0; u < 3; ++u) {
+      if (tof_fault[u].deliver(t)) {
+        EXPECT_EQ(out[u], 100.0 + u + measured) << "i=" << i << " u=" << u;
+        ++served;
+      } else {
+        EXPECT_FALSE(out[u]) << "i=" << i << " u=" << u;
+        ++dropped;
+      }
+    }
+  }
+  EXPECT_GT(served, 0);
+  EXPECT_GT(dropped, 0);
+
+  // Stock firmware: the sweep still runs, and no unit exports a reading.
+  FaultPlan stock;
+  stock.rssi_only = true;
+  CountingSweepSource stock_inner;
+  FaultedSource stock_faulted(stock_inner, stock);
+  stock_faulted.tof_sweep(0.5, out);
+  EXPECT_EQ(stock_inner.sweeps, 1);
+  EXPECT_EQ(stock_inner.last_t, 0.5);
+  for (const auto& v : out) EXPECT_FALSE(v);
+
+  // An all-zero plan is the inner sweep, bit for bit.
+  CountingSweepSource zero_inner;
+  CountingSweepSource reference;
+  FaultedSource zero(zero_inner, FaultPlan{});
+  std::optional<double> raw[3];
+  for (double t : {0.0, 0.3, 1.7}) {
+    zero.tof_sweep(t, out);
+    reference.tof_sweep(t, raw);
+    EXPECT_EQ(zero_inner.last_t, t);
+    for (std::size_t u = 0; u < 3; ++u) {
+      ASSERT_TRUE(out[u] && raw[u]);
+      EXPECT_EQ(std::memcmp(&*out[u], &*raw[u], sizeof(double)), 0);
+    }
+  }
+  EXPECT_EQ(zero_inner.sweeps, 3);
 }
 
 }  // namespace
