@@ -167,6 +167,10 @@ bool validate(const Options& opt) {
                 "its own workers and inputs");
   if (opt.perf_min_time.has_value() && !opt.perf)
     return fail("--perf-min-time needs --perf");
+  if ((opt.perf || !opt.suite.empty()) &&
+      (!opt.filter.empty() || !opt.json_path.empty() || !opt.job_timing))
+    return fail("--filter/--json/--no-job-timing apply only to the bench "
+                "registry, not to --suite or --perf");
   if (!opt.perf && opt.suite.empty() &&
       (opt.check || !opt.check_only.empty() || !opt.out.empty() ||
        !opt.baseline.empty()))

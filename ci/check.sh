@@ -21,8 +21,10 @@
 #   6. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
 #      runtime thread-pool, experiment, and parallel_for tests, the
 #      campus mailbox stress test (concurrent SPSC producers against a
-#      live consumer) and the campus worker-count invariance cases (shard
-#      passes running beside the parallel arrival builds).
+#      live consumer), the campus worker-count invariance cases (shard
+#      passes running beside the parallel arrival builds) and the pool
+#      churn test (fresh sessions constructed in slab slots on pool
+#      workers).
 #   7. the benchmark's own correctness checks (`perfbench/run.py --test`):
 #      every BENCHMARK.json workload at a tiny size must report correct,
 #      including the pinned default-seed link-trace record/frame counts.
@@ -75,13 +77,14 @@ cmake -B build-tsan -S . -DMOBIWLAN_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j"${JOBS}" \
   --target thread_pool_test experiment_test parallel_for_test \
-           mailbox_stress_test shard_invariance_test
+           mailbox_stress_test shard_invariance_test pool_churn_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_invariance_test \
   --gtest_filter='ShardInvariance.*WorkerCounts'
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/pool_churn_test
 
 echo "== benchmark self-test: perfbench/run.py --test =="
 python3 perfbench/run.py --test

@@ -144,6 +144,12 @@ std::uint64_t CampusSim::hot_phase_allocs() const {
   return n;
 }
 
+std::uint64_t CampusSim::arrival_build_allocs() const {
+  std::uint64_t n = 0;
+  for (const BuildSlot& b : build_slots_) n += b.allocs;
+  return n;
+}
+
 void CampusSim::place(std::size_t dst, SessionPtr sp) {
   Shard& sh = shards_[dst];
   // A mailbox-delivered session one epoch from departure would be staged by
@@ -265,14 +271,7 @@ void CampusSim::take_arrivals() {
 
     const std::size_t dst = map_.shard_of_ap(
         Session::home_ap(id, config_.master_seed, map_), shards_.size());
-    SessionPool::Taken taken = arrival_pool(dst).take(
-        id, config_.master_seed, map_, config_.session, epoch_, dwell);
-    // A fresh slab session was just built on this thread; prime it here
-    // too. Building fresh sessions on workers would spread their first-touch
-    // allocations over per-thread malloc arenas and raise peak RSS.
-    if (!taken.stale)
-      taken.session->prime(build_slots_[0].scratch, build_slots_[0].sample);
-    pending_.push_back({std::move(taken), id, dwell});
+    pending_.push_back({arrival_pool(dst).take(dwell), id, dwell});
   }
   bucket = {};  // release this epoch's bucket storage
 }
@@ -291,21 +290,24 @@ SessionPool& CampusSim::arrival_pool(std::size_t dst) {
 }
 
 void CampusSim::build_arrivals(std::size_t chunk, BuildSlot& slot) {
+  const std::uint64_t allocs_before = thread_alloc_count();
   const std::size_t begin = chunk * kArrivalChunk;
   const std::size_t end = std::min(pending_.size(), begin + kArrivalChunk);
   for (std::size_t k = begin; k < end; ++k) {
     Arrival& a = pending_[k];
-    if (!a.taken.stale) continue;
-    a.taken.session->reinit(a.id, epoch_, a.dwell);
-    a.taken.session->prime(slot.scratch, slot.sample);
+    a.taken
+        .build(a.id, config_.master_seed, map_, config_.session, epoch_,
+               a.dwell)
+        .prime(slot.scratch, slot.sample);
   }
+  slot.allocs += thread_alloc_count() - allocs_before;
 }
 
 void CampusSim::place_arrivals() {
   for (Arrival& a : pending_) {
-    const std::size_t dst =
-        map_.shard_of_ap(a.taken.session->serving_ap(), shards_.size());
-    place(dst, std::move(a.taken.session));
+    SessionPtr sp = a.taken.release();
+    const std::size_t dst = map_.shard_of_ap(sp->serving_ap(), shards_.size());
+    place(dst, std::move(sp));
   }
   arrived_ += pending_.size();
   pending_.clear();
@@ -334,7 +336,8 @@ void CampusSim::step_epoch() {
   // passes: within an epoch no shard reads another shard's state (handover
   // only enqueues into this shard's own SPSC lanes), so departures, the hot
   // section and roam/send need no intermediate barriers. Items [S, S + A)
-  // build this epoch's recycled arrivals, which no shard references.
+  // build and prime this epoch's arrivals, fresh and recycled, in slots no
+  // shard references.
   const std::size_t n_shards = shards_.size();
   const std::size_t n_items =
       n_shards + (pending_.size() + kArrivalChunk - 1) / kArrivalChunk;

@@ -31,19 +31,19 @@
 //      shard's fused pass (stage departures, sample + step, roam +
 //      handover send) with no cross-shard communication except SPSC
 //      mailbox lanes written by their owning source shard. The same phase
-//      builds the epoch's recycled arrivals (reinit + prime, in fixed-size
+//      builds every arrival of the epoch (construction in a fresh slab
+//      slot or reinit of a recycled session, then prime, in fixed-size
 //      chunks), which is order-free: a session's construction and prime
-//      are a pure function of (seed, id, epoch, dwell), a session taken
-//      from the free list is referenced by no shard, and the map and
-//      session params are read-only. The phase ends at one
-//      ThreadPool::parallel_for barrier. Everything order-sensitive runs
-//      serially in fixed order: before the phase, the arrival take (dwell
-//      draw and pool slot per id, ascending id; a fresh slab session is
-//      also built and primed there, on the calling thread); after the
-//      barrier, mailbox drain in (dst, src) order, arrival placement in
-//      bucket order, the address-order merge of each shard's newcomers,
-//      and the departure fold in session-id order. Worker count can change
-//      who executes a work item, never what it computes.
+//      are a pure function of (seed, id, epoch, dwell), a taken slot is
+//      referenced by no shard, and the map and session params are
+//      read-only. The phase ends at one ThreadPool::parallel_for barrier.
+//      Everything order-sensitive runs serially in fixed order: before the
+//      phase, the arrival take (dwell draw, arrival_pool choice and slot
+//      claim per id, ascending id); after the barrier, mailbox drain in
+//      (dst, src) order, arrival placement in bucket order, the
+//      address-order merge of each shard's newcomers, and the departure
+//      fold in session-id order. Worker count can change who executes a
+//      work item, never what it computes.
 //   3. Handover moves the Session object wholesale — classifier
 //      hold-then-decay state, rate-adaptation state, channel RNG and all —
 //      so hosting is invisible. A handover deferred by mailbox back-pressure
@@ -134,8 +134,8 @@ class CampusSim {
   /// Advances one epoch: the serial take of the epoch's arrivals, then one
   /// barriered parallel phase — a single fused pass per shard (per
   /// session: sample, classifier observe, MAC, roam/handover send,
-  /// end-of-dwell staging) beside the recycled arrivals' builds — then the
-  /// serial tail (mailbox drain, arrival placement, departure fold).
+  /// end-of-dwell staging) beside the arrivals' builds — then the serial
+  /// tail (mailbox drain, arrival placement, departure fold).
   void step_epoch();
 
   /// Runs step_epoch() up to config.horizon_epochs.
@@ -164,6 +164,12 @@ class CampusSim {
   /// this zero.
   std::uint64_t hot_phase_allocs() const;
 
+  /// Heap allocations observed inside the arrival builds (construction or
+  /// reinit, then prime) since construction, metered per worker slot like
+  /// hot_phase_allocs(). Zero at the default dwell range: a session's walk
+  /// only leaves its inline storage for longer dwells.
+  std::uint64_t arrival_build_allocs() const;
+
   /// Sessions a shard currently hosts (tests assert the partition spreads).
   std::size_t shard_session_count(std::size_t shard) const {
     return shards_[shard].sessions.size();
@@ -191,28 +197,28 @@ class CampusSim {
   };
 
   // One worker slot's scratch for arrival builds (parallel_for's dense
-  // slot index; slot 0 is the calling thread, which also primes fresh
-  // sessions at take). Line-aligned: slots are written by different
-  // workers.
+  // slot index; slot 0 is the calling thread). Line-aligned: slots are
+  // written by different workers.
   struct alignas(64) BuildSlot {
     ChannelBatch::Scratch scratch;
     ChannelSample sample;
+    std::uint64_t allocs = 0;  ///< this slot's builds, any epoch
   };
 
   // One arrival of the current epoch, from take (serial, before the phase)
-  // through build (parallel, when stale) to placement (serial).
+  // through build (parallel) to placement (serial).
   struct Arrival {
     SessionPool::Taken taken;
     std::uint64_t id = 0;
     std::uint64_t dwell = 0;
   };
 
-  /// Arrivals per build work item: ~150 us of reinit + prime, far above a
+  /// Arrivals per build work item: ~150 us of build + prime, far above a
   /// parallel_for claim, while the default campus's ~1250 arrivals per
   /// epoch still split into ~40 items that fill shard imbalance.
   static constexpr std::size_t kArrivalChunk = 32;
 
-  void take_arrivals();                // serial, ascending id within epoch
+  void take_arrivals();  // serial: dwell draw + slot claim, ascending id
   SessionPool& arrival_pool(std::size_t dst);  // serial, in take_arrivals
   void phase_shard(std::size_t s);     // fused parallel pass for one shard
   void build_arrivals(std::size_t chunk, BuildSlot& slot);  // parallel

@@ -19,9 +19,16 @@
 // from whichever shard it happens to be on. Every free-list and slab
 // operation — take (and so acquire) and release — runs in the simulator's
 // serial phases (take before the epoch's parallel phase, fold after it), so
-// the pool needs no locking. The parallel phase only dereferences stable
-// pointers: shards step the sessions they host, and arrival builds
-// reinit + prime sessions already taken, which no shard references.
+// the pool needs no locking. The parallel phase touches only slots already
+// taken, which no shard references: an arrival build constructs a fresh
+// slot or reinits a recycled one, then primes it. A fresh slot's one piece
+// of pool state, its construction flag, is a byte of its own.
+//
+// A fresh slot is raw memory until its build runs the constructor: only
+// then is it flagged constructed (so constructed() and ~SessionPool see it)
+// and owned by a SessionPtr (so dropping it recycles it). A build that
+// throws or never runs leaves the slot unflagged and unowned — never on the
+// free list, never destroyed — as a hole at the slab's claimed prefix.
 //
 // Slab addresses never move (slabs are allocated once and kept), so &walk_
 // aliases inside pooled sessions stay valid for the pool's lifetime. A slab
@@ -62,69 +69,102 @@ class SessionPool {
 
   ~SessionPool() {
     for (Slab& slab : slabs_) {
-      for (std::size_t i = slab.constructed; i-- > 0;) slab.data[i].~Session();
+      for (std::size_t i = slab.claimed; i-- > 0;)
+        if (slab.built[i]) slab.data[i].~Session();
       ::operator delete(static_cast<void*>(slab.data),
                         std::align_val_t{alignof(Session)});
     }
   }
 
-  /// A slot taken for one arrival. `stale` is false for a fresh slot,
-  /// constructed by take() and ready; true for a recycled one, which still
-  /// holds its previous occupant until the caller runs
-  /// `session->reinit(id, arrival_epoch, dwell_epochs)`.
-  struct Taken {
-    SessionPtr session;
-    bool stale = false;
+  /// One arrival's slot, from take() (serial) to build() (any thread):
+  /// either a recycled session, still holding its previous occupant, or a
+  /// fresh slab slot that holds no object yet.
+  class Taken {
+   public:
+    /// Makes the slot Session{id, master_seed, map, params, arrival_epoch,
+    /// dwell_epochs}: reinit of a recycled session, placement construction
+    /// in a fresh slot, which only then is flagged constructed and owned.
+    /// If the constructor throws, the slot stays unbuilt. Distinct Takens
+    /// build concurrently; a recycled build and, at the default dwell, a
+    /// fresh one make no heap allocation (take grew the recycled buffers).
+    /// master_seed/map/params must be the same for every slot of one pool.
+    Session& build(std::uint64_t id, std::uint64_t master_seed,
+                   const CampusMap& map, const SessionParams& params,
+                   std::uint64_t arrival_epoch, std::uint64_t dwell_epochs) {
+      if (slot_ == nullptr) {
+        session_->reinit(id, arrival_epoch, dwell_epochs);
+      } else {
+        Session* s = new (slot_) Session(id, master_seed, map, params,
+                                         arrival_epoch, dwell_epochs);
+        *built_ = true;
+        slot_ = nullptr;
+        session_.reset(s);
+      }
+      return *session_;
+    }
+
+    /// The slot's session: a recycled slot's previous occupant until
+    /// build(); null for a fresh slot until build() constructs it.
+    Session* get() const { return session_.get(); }
+
+    /// Hands the built session over; the Taken holds nothing afterwards.
+    SessionPtr release() { return std::move(session_); }
+
+   private:
+    friend class SessionPool;
+    SessionPtr session_;       ///< its deleter names the pool from take() on
+    Session* slot_ = nullptr;  ///< fresh: the unbuilt slot, owned by nobody
+    bool* built_ = nullptr;    ///< fresh: the slot's construction flag
   };
 
-  /// The serial half of acquire(): pops the free list (LIFO) or constructs
-  /// Session{id, master_seed, map, params, arrival_epoch, dwell_epochs} in
-  /// the next slab slot. A recycled session's buffers are grown here for
-  /// `dwell_epochs`, so its reinit + prime can run on any thread without
-  /// touching the heap. master_seed/map/params must be the same on every
-  /// call (one campus).
-  Taken take(std::uint64_t id, std::uint64_t master_seed, const CampusMap& map,
-             const SessionParams& params, std::uint64_t arrival_epoch,
-             std::uint64_t dwell_epochs) {
+  /// The serial half of acquire(): pops the free list (LIFO) or claims the
+  /// next slab slot, constructing nothing. A recycled session's buffers
+  /// are grown here for `dwell_epochs`, so its build can run on any thread
+  /// without touching the heap.
+  Taken take(std::uint64_t dwell_epochs) {
+    Taken t;
+    t.session_ = SessionPtr{nullptr, PoolDeleter{this}};
     if (!free_.empty()) {
-      Session* s = free_.back();
+      t.session_.reset(free_.back());
       free_.pop_back();
-      s->reserve(dwell_epochs);
-      return {SessionPtr{s, PoolDeleter{this}}, true};
+      t.session_->reserve(dwell_epochs);
+      return t;
     }
-    if (slabs_.empty() || slabs_.back().constructed == slab_sessions_) {
+    if (slabs_.empty() || slabs_.back().claimed == slab_sessions_) {
       Slab slab;
       slab.data = static_cast<Session*>(
           ::operator new(sizeof(Session) * slab_sessions_,
                          std::align_val_t{alignof(Session)}));
-      slabs_.push_back(slab);
+      slab.built = std::make_unique<bool[]>(slab_sessions_);
+      slabs_.push_back(std::move(slab));
     }
     Slab& slab = slabs_.back();
-    Session* s = new (slab.data + slab.constructed)
-        Session(id, master_seed, map, params, arrival_epoch, dwell_epochs);
-    ++slab.constructed;
-    return {SessionPtr{s, PoolDeleter{this}}, false};
+    t.slot_ = slab.data + slab.claimed;
+    t.built_ = &slab.built[slab.claimed];
+    ++slab.claimed;
+    return t;
   }
 
   /// Hands out a session initialized exactly as Session{id, master_seed,
-  /// map, params, arrival_epoch, dwell_epochs}: take() plus, for a recycled
-  /// slot, the in-place reinit (allocation-free).
+  /// map, params, arrival_epoch, dwell_epochs}: take() then build().
   SessionPtr acquire(std::uint64_t id, std::uint64_t master_seed,
                      const CampusMap& map, const SessionParams& params,
                      std::uint64_t arrival_epoch, std::uint64_t dwell_epochs) {
-    Taken t = take(id, master_seed, map, params, arrival_epoch, dwell_epochs);
-    if (t.stale) t.session->reinit(id, arrival_epoch, dwell_epochs);
-    return std::move(t.session);
+    Taken t = take(dwell_epochs);
+    t.build(id, master_seed, map, params, arrival_epoch, dwell_epochs);
+    return t.release();
   }
 
   /// Returns a session to the free list. The object stays constructed; its
   /// buffers keep their capacity for the next acquire.
   void release(Session* s) { free_.push_back(s); }
 
-  /// Sessions currently constructed (free or handed out).
+  /// Sessions currently constructed (free or handed out); a taken fresh
+  /// slot counts once its build has run the constructor.
   std::size_t constructed() const {
     std::size_t n = 0;
-    for (const Slab& slab : slabs_) n += slab.constructed;
+    for (const Slab& slab : slabs_)
+      for (std::size_t i = 0; i < slab.claimed; ++i) n += slab.built[i];
     return n;
   }
 
@@ -134,7 +174,8 @@ class SessionPool {
  private:
   struct Slab {
     Session* data = nullptr;
-    std::size_t constructed = 0;  ///< prefix [0, constructed) holds objects
+    std::size_t claimed = 0;  ///< prefix [0, claimed) has been taken fresh
+    std::unique_ptr<bool[]> built;  ///< per slot: holds a constructed object
   };
 
   std::size_t slab_sessions_;

@@ -185,6 +185,45 @@ void fused_mac_lane(const double* base, const double* steer,
                    power);
 }
 
+// Unit-steer fp64 MAC for a single antenna pair: its steering entry is
+// exactly 1+0i, so each element is the path-order sum of the base planes.
+// Bitwise mac_block_lane at nb = 1: with finite planes,
+// fma(1, b, fma(-0, b', acc)) is acc + b, because the accumulator starts
+// at +0 and a sum is -0 only when both addends are; the power reduction
+// keeps the same four positional partials and the same remainder tail.
+void unit_mac_lane(const double* base, std::size_t n_paths, std::size_t n_sc,
+                   cplx* raw, double& power) {
+  power = 0.0;
+  double pow_l[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t sc = 0;
+  for (; sc + 4 <= n_sc; sc += 4) {
+    double acc_re[4] = {0.0, 0.0, 0.0, 0.0};
+    double acc_im[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      const double* bplane = base + p * 2 * n_sc;
+      for (int l = 0; l < 4; ++l) {
+        acc_re[l] += bplane[sc + l];
+        acc_im[l] += bplane[n_sc + sc + l];
+      }
+    }
+    for (int l = 0; l < 4; ++l) {
+      raw[sc + l] = cplx{acc_re[l], acc_im[l]};
+      pow_l[l] = std::fma(acc_re[l], acc_re[l],
+                          std::fma(acc_im[l], acc_im[l], pow_l[l]));
+    }
+  }
+  power += pow_l[0] + pow_l[1] + pow_l[2] + pow_l[3];
+  for (; sc < n_sc; ++sc) {
+    double are = 0.0, aim = 0.0;
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      are += base[p * 2 * n_sc + sc];
+      aim += base[p * 2 * n_sc + n_sc + sc];
+    }
+    raw[sc] = cplx{are, aim};
+    power += are * are + aim * aim;
+  }
+}
+
 // amp_lane — one lane of vamp_n: the log-distance amplitude pipeline with
 // the lane-exact log/exp2 mirrors and the vector's exact expression order.
 double amp_lane(double len, double extra, double base_db, double coef) {
@@ -387,6 +426,45 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void mac_block_
 constexpr MacBlockFn<double> kMacBlocksAvx2[6] = {
     mac_block_avx2<1>, mac_block_avx2<2>, mac_block_avx2<3>,
     mac_block_avx2<4>, mac_block_avx2<5>, mac_block_avx2<6>};
+
+// Unit-steer MAC for a single antenna pair (see unit_mac_lane): one add per
+// path and plane instead of mac_block_avx2<1>'s two steered FMAs, with the
+// same interleaved store, power lanes and remainder tail.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void unit_mac_avx2(
+    const double* base, std::size_t n_paths, std::size_t n_sc, cplx* raw,
+    double& power) {
+  power = 0.0;
+  __m256d vpow = _mm256_setzero_pd();
+  std::size_t sc = 0;
+  for (; sc + 4 <= n_sc; sc += 4) {
+    __m256d acc_re = _mm256_setzero_pd();
+    __m256d acc_im = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      const double* bplane = base + p * 2 * n_sc;
+      acc_re = _mm256_add_pd(acc_re, _mm256_loadu_pd(bplane + sc));
+      acc_im = _mm256_add_pd(acc_im, _mm256_loadu_pd(bplane + n_sc + sc));
+    }
+    const __m256d lo = _mm256_unpacklo_pd(acc_re, acc_im);
+    const __m256d hi = _mm256_unpackhi_pd(acc_re, acc_im);
+    double* dst = reinterpret_cast<double*>(raw + sc);
+    _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+    vpow = _mm256_fmadd_pd(acc_re, acc_re,
+                           _mm256_fmadd_pd(acc_im, acc_im, vpow));
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, vpow);
+  power += lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  for (; sc < n_sc; ++sc) {
+    double are = 0.0, aim = 0.0;
+    for (std::size_t p = 0; p < n_paths; ++p) {
+      are += base[p * 2 * n_sc + sc];
+      aim += base[p * 2 * n_sc + n_sc + sc];
+    }
+    raw[sc] = cplx{are, aim};
+    power += are * are + aim * aim;
+  }
+}
 
 // Staged 4-lane helpers over lane-padded arrays (n a multiple of 4).
 __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vsincos_n(const double* x,
@@ -853,6 +931,11 @@ struct PlaneKernels {
   void (*mac)(const T* base, const T* steer, std::size_t n_paths,
               std::size_t n_pairs, std::size_t n_sc, cplx* raw,
               double& power);
+  /// The MAC for a single antenna pair, whose steering entry is 1+0i, so
+  /// no steering table is read; bitwise `mac` at n_pairs == 1. Null where
+  /// the tier has none (fp32), which then runs `mac`.
+  void (*unit_mac)(const T* base, std::size_t n_paths, std::size_t n_sc,
+                   cplx* raw, double& power);
 };
 
 struct TierKernels {
@@ -864,21 +947,22 @@ struct TierKernels {
 const TierKernels& tier_kernels(simd::Tier tier) {
   static constexpr TierKernels kScalar{
       {1, sincos_n_lane, sqrt_n_lane, amp_n_lane},
-      {1, sincos_n_lane, fill_base_lane, fused_mac_lane},
-      {1, sincos_n_f32, fill_base_scalar_f32, mac_scalar_f32}};
+      {1, sincos_n_lane, fill_base_lane, fused_mac_lane, unit_mac_lane},
+      {1, sincos_n_f32, fill_base_scalar_f32, mac_scalar_f32, nullptr}};
 #if defined(__x86_64__)
   static constexpr GeometryKernels kGeometryAvx2{4, vsincos_n, vsqrt_n,
                                                  vamp_n};
   static constexpr PlaneKernels<double> kF64Avx2{
-      4, vsincos_n, fill_base_avx2, fused_mac<double, kMacBlocksAvx2>};
+      4, vsincos_n, fill_base_avx2, fused_mac<double, kMacBlocksAvx2>,
+      unit_mac_avx2};
   static constexpr TierKernels kAvx2{
       kGeometryAvx2, kF64Avx2,
       {8, vsincos_n_f8, fill_base_avx2_f32,
-       fused_mac<float, kMacBlocksAvx2F32>}};
+       fused_mac<float, kMacBlocksAvx2F32>, nullptr}};
   static constexpr TierKernels kAvx512{
       kGeometryAvx2, kF64Avx2,
       {16, vsincos_n_f16, fill_base_avx512_f32,
-       fused_mac<float, kMacBlocksAvx512F32>}};
+       fused_mac<float, kMacBlocksAvx512F32>, nullptr}};
   if (tier == simd::Tier::kAvx512) return kAvx512;
   if (tier == simd::Tier::kAvx2) return kAvx2;
 #endif
@@ -1079,16 +1163,25 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
   const std::size_t n_sc = cfg.n_subcarriers;
   const std::size_t n_pairs = cfg.n_tx * cfg.n_rx;
   const std::size_t n_paths = scratch.paths.size();
+  // One antenna pair runs the tier's unit-steer MAC if it has one, which
+  // reads no steering table.
+  const bool unit = n_pairs == 1 && k.unit_mac != nullptr;
   out.resize_for_overwrite(cfg.n_tx, cfg.n_rx, n_sc);
   pl.base.resize(n_paths * 2 * n_sc);
-  pl.steer.resize(n_paths * n_pairs * 2);
+  pl.steer.resize(unit ? 0 : n_paths * n_pairs * 2);
   const double half = static_cast<double>(n_sc - 1) / 2.0;
 
-  // Per-path phase set {step, start, tx steering, rx steering}, computed in
-  // double and narrowed into T's sincos domain. step and the steering
-  // phases are small (|x| <= pi + spacing*tau); only the start phase
-  // carries the carrier term, so only it can leave the fastmath range.
-  const std::size_t n_args = 4 * n_paths;
+  // Per-path phase set {step, start[, tx steering][, rx steering]},
+  // computed in double and narrowed into T's sincos domain. A steering
+  // phase is staged only for an array of more than one element: a
+  // one-element array's only steering entry is 1 whatever the phase, so a
+  // 1x1 link takes two sincos arguments per path instead of four. step and
+  // the steering phases are small (|x| <= pi + spacing*tau); only the start
+  // phase carries the carrier term, so only it can leave the fastmath range.
+  const std::size_t tx_lane = 2;
+  const std::size_t rx_lane = cfg.n_tx > 1 ? 3 : 2;
+  const std::size_t stride = rx_lane + (cfg.n_rx > 1 ? 1 : 0);
+  const std::size_t n_args = stride * n_paths;
   pl.arg.resize(pad(n_args, k.lanes));
   pl.sinv.resize(pl.arg.size());
   pl.cosv.resize(pl.arg.size());
@@ -1098,14 +1191,13 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
     const double tau = path.length_m / kSpeedOfLight;
     const double centre_phase =
         -2.0 * kPi * cfg.carrier_hz * tau + path.phase0;
-    pl.arg[4 * p] =
-        narrow_phase<T>(-2.0 * kPi * cfg.subcarrier_spacing_hz * tau);
-    pl.arg[4 * p + 1] = narrow_phase<T>(
+    T* arg = pl.arg.data() + stride * p;
+    arg[0] = narrow_phase<T>(-2.0 * kPi * cfg.subcarrier_spacing_hz * tau);
+    arg[1] = narrow_phase<T>(
         centre_phase + 2.0 * kPi * cfg.subcarrier_spacing_hz * tau * half);
-    pl.arg[4 * p + 2] = narrow_phase<T>(-kPi * path.cos_aod);
-    pl.arg[4 * p + 3] = narrow_phase<T>(-kPi * path.cos_aoa);
-    max_abs =
-        std::max(max_abs, std::abs(static_cast<double>(pl.arg[4 * p + 1])));
+    if (cfg.n_tx > 1) arg[tx_lane] = narrow_phase<T>(-kPi * path.cos_aod);
+    if (cfg.n_rx > 1) arg[rx_lane] = narrow_phase<T>(-kPi * path.cos_aoa);
+    max_abs = std::max(max_abs, std::abs(static_cast<double>(arg[1])));
   }
   for (std::size_t i = n_args; i < pl.arg.size(); ++i) pl.arg[i] = T{0};
   if (max_abs > fastmath::kSincosWideMaxArg) [[unlikely]]
@@ -1114,22 +1206,30 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
   else
     k.sincos(pl.arg.data(), pl.arg.size(), pl.sinv.data(), pl.cosv.data());
 
+  const auto cos_at = [&pl, stride](std::size_t p, std::size_t lane) {
+    return static_cast<double>(pl.cosv[stride * p + lane]);
+  };
+  const auto sin_at = [&pl, stride](std::size_t p, std::size_t lane) {
+    return static_cast<double>(pl.sinv[stride * p + lane]);
+  };
   for (std::size_t p = 0; p < n_paths; ++p) {
     const double amp = scratch.paths[p].amplitude;
-    const cplx step{static_cast<double>(pl.cosv[4 * p]),
-                    static_cast<double>(pl.sinv[4 * p])};
-    const cplx start{amp * static_cast<double>(pl.cosv[4 * p + 1]),
-                     amp * static_cast<double>(pl.sinv[4 * p + 1])};
+    const cplx step{cos_at(p, 0), sin_at(p, 0)};
+    const cplx start{amp * cos_at(p, 1), amp * sin_at(p, 1)};
     T* bplane = pl.base.data() + p * 2 * n_sc;
     k.fill(start, step, bplane, bplane + n_sc, n_sc);
+    if (unit) continue;
 
     // ULA steering phasor power chains in double (O(paths * pairs) —
     // negligible), one row of the steering table per path — identical
-    // chain order on every tier.
-    const cplx w_tx{static_cast<double>(pl.cosv[4 * p + 2]),
-                    static_cast<double>(pl.sinv[4 * p + 2])};
-    const cplx w_rx{static_cast<double>(pl.cosv[4 * p + 3]),
-                    static_cast<double>(pl.sinv[4 * p + 3])};
+    // chain order on every tier. An unstaged side's phasor only steps its
+    // chain past the last entry, so 1+0i stands in for it.
+    const cplx w_tx = cfg.n_tx > 1
+                          ? cplx{cos_at(p, tx_lane), sin_at(p, tx_lane)}
+                          : cplx{1.0, 0.0};
+    const cplx w_rx = cfg.n_rx > 1
+                          ? cplx{cos_at(p, rx_lane), sin_at(p, rx_lane)}
+                          : cplx{1.0, 0.0};
     T* st = pl.steer.data() + p * n_pairs * 2;
     cplx steer_tx{1.0, 0.0};
     for (std::size_t tx = 0; tx < cfg.n_tx; ++tx) {
@@ -1143,8 +1243,11 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
     }
   }
 
-  k.mac(pl.base.data(), pl.steer.data(), n_paths, n_pairs, n_sc,
-        out.raw().data(), power_mw);
+  if (unit)
+    k.unit_mac(pl.base.data(), n_paths, n_sc, out.raw().data(), power_mw);
+  else
+    k.mac(pl.base.data(), pl.steer.data(), n_paths, n_pairs, n_sc,
+          out.raw().data(), power_mw);
 }
 
 // Measurement noise: the ACK is received at the link SNR, but the CSI

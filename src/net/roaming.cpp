@@ -224,6 +224,11 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
 
 std::pair<double, double> oracle_vs_stick(WlanDeployment& wlan,
                                           const RoamingConfig& config) {
+  constexpr const char* kLoop = "oracle vs stick";
+  validate_frame_sim_config(kLoop, config.duration_s,
+                            config.mpdu_payload_bytes, nullptr);
+  require_finite_positive(FrameSimConfigError::Code::kBadSlot, kLoop,
+                          "step_s", config.step_s);
   const std::size_t initial = wlan.strongest_ap(0.0);
   ChannelBatch::Scratch scratch;
   double best_sum = 0.0;

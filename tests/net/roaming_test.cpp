@@ -1,7 +1,11 @@
 // Tests for the three roaming schemes (§3).
 #include "net/roaming.hpp"
 
+#include <limits>
+
 #include <gtest/gtest.h>
+
+#include "mac/frame_sim_config.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -152,6 +156,34 @@ TEST(OracleVsStickTest, WalkingClientGains) {
     gain_sum += oracle / std::max(stick, 1.0) - 1.0;
   }
   EXPECT_GT(gain_sum / 5.0, 0.05);
+}
+
+// oracle_vs_stick steps `for (t = 0; t < duration_s; t += step_s)`, so a
+// zero, negative or NaN step would never end and a NaN duration would
+// silently average nothing: each is refused up front with
+// simulate_roaming's typed error.
+TEST(OracleVsStickTest, RejectsBadStepAndDuration) {
+  using Code = FrameSimConfigError::Code;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_code = [](const RoamingConfig& cfg, Code code) {
+    Rng rng(0);
+    WlanDeployment wlan = walking_deployment(70, rng);
+    try {
+      oracle_vs_stick(wlan, cfg);
+      ADD_FAILURE() << "config accepted; expected FrameSimConfigError";
+    } catch (const FrameSimConfigError& e) {
+      EXPECT_EQ(e.code(), code) << e.what();
+    }
+  };
+  for (const double step : {0.0, -1.0, kNaN}) {
+    RoamingConfig cfg = short_config();
+    cfg.step_s = step;
+    SCOPED_TRACE(step);
+    expect_code(cfg, Code::kBadSlot);
+  }
+  RoamingConfig cfg = short_config();
+  cfg.duration_s = kNaN;
+  expect_code(cfg, Code::kBadDuration);
 }
 
 }  // namespace
