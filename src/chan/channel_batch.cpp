@@ -10,7 +10,7 @@
 #include <type_traits>
 
 #include "util/fastmath.hpp"
-#include "util/lane_math.hpp"
+#include "util/lane4.hpp"
 #include "util/simd.hpp"
 #include "util/simd_math.hpp"
 #include "util/units.hpp"
@@ -65,190 +65,6 @@ PathChains seed_chains(cplx start, cplx step) {
   return pc;
 }
 
-// Scalar fp64 chain fill — bitwise mirror of fill_base_avx2 below: the same
-// four 4-lane block chains stepping by step^16, with every vector fmsub /
-// fmadd restated as an explicit std::fma. A non-AVX2 host therefore writes
-// the exact phasor bits an AVX2 host writes, which is what lets the campus
-// digests stay host-portable while the AVX2 kernels run where available.
-void fill_base_lane(cplx start, cplx step, double* bre, double* bim,
-                    std::size_t n_sc) {
-  const PathChains pc = seed_chains(start, step);
-  double cr[4][4], ci[4][4];
-  for (int l = 0; l < 4; ++l) {
-    cr[0][l] = pc.br[l];
-    ci[0][l] = pc.bi[l];
-  }
-  for (int j = 1; j < 4; ++j) {
-    for (int l = 0; l < 4; ++l) {
-      // fmsub(a, s4r, b*s4i) / fmadd(a, s4i, b*s4r), lane-for-lane.
-      cr[j][l] = std::fma(cr[j - 1][l], pc.s4r, -(ci[j - 1][l] * pc.s4i));
-      ci[j][l] = std::fma(cr[j - 1][l], pc.s4i, ci[j - 1][l] * pc.s4r);
-    }
-  }
-  const double s8r = pc.s4r * pc.s4r - pc.s4i * pc.s4i;
-  const double s8i = 2.0 * pc.s4r * pc.s4i;
-  const double s16r = s8r * s8r - s8i * s8i;
-  const double s16i = 2.0 * s8r * s8i;
-
-  const std::size_t nbt = (n_sc + 3) / 4;  // blocks incl. a partial tail
-  std::size_t b = 0;
-  for (;;) {
-    const std::size_t m = std::min<std::size_t>(4, nbt - b);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t sc = 4 * (b + j);
-      for (std::size_t l = 0; l < 4 && sc + l < n_sc; ++l) {
-        bre[sc + l] = cr[j][l];
-        bim[sc + l] = ci[j][l];
-      }
-    }
-    b += m;
-    if (b >= nbt) break;
-    for (int j = 0; j < 4; ++j) {
-      for (int l = 0; l < 4; ++l) {
-        const double nr = std::fma(cr[j][l], s16r, -(ci[j][l] * s16i));
-        ci[j][l] = std::fma(cr[j][l], s16i, ci[j][l] * s16r);
-        cr[j][l] = nr;
-      }
-    }
-  }
-}
-
-// Scalar fp64 MAC — bitwise mirror of mac_block_avx2 / fused_mac: same
-// 4-subcarrier slices, same register-block pair grouping (nb <= 6), the
-// accumulation restated as std::fma per lane, and the power reduced through
-// four positional partial sums folded in fixed lane order. The remainder
-// tail keeps the plain-multiply expressions the AVX2 kernel's own scalar
-// tail uses.
-void mac_block_lane(const double* base, const double* steer,
-                    std::size_t n_paths, std::size_t n_pairs,
-                    std::size_t pair0, std::size_t nb, std::size_t n_sc,
-                    cplx* raw, double& power) {
-  double pow_l[4] = {0.0, 0.0, 0.0, 0.0};
-  double acc_re[6][4], acc_im[6][4];
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    for (std::size_t k = 0; k < nb; ++k) {
-      for (int l = 0; l < 4; ++l) {
-        acc_re[k][l] = 0.0;
-        acc_im[k][l] = 0.0;
-      }
-    }
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const double* bplane = base + p * 2 * n_sc;
-      const double* st = steer + (p * n_pairs + pair0) * 2;
-      for (std::size_t k = 0; k < nb; ++k) {
-        const double sr = st[2 * k];
-        const double si = st[2 * k + 1];
-        for (int l = 0; l < 4; ++l) {
-          // fmadd(sr, b_re, fnmadd(si, b_im, acc)) lane-for-lane.
-          acc_re[k][l] = std::fma(
-              sr, bplane[sc + l], std::fma(-si, bplane[n_sc + sc + l],
-                                           acc_re[k][l]));
-          acc_im[k][l] = std::fma(
-              sr, bplane[n_sc + sc + l],
-              std::fma(si, bplane[sc + l], acc_im[k][l]));
-        }
-      }
-    }
-    for (std::size_t k = 0; k < nb; ++k) {
-      for (int l = 0; l < 4; ++l) {
-        raw[(pair0 + k) * n_sc + sc + l] = cplx{acc_re[k][l], acc_im[k][l]};
-        pow_l[l] = std::fma(acc_re[k][l], acc_re[k][l],
-                            std::fma(acc_im[k][l], acc_im[k][l], pow_l[l]));
-      }
-    }
-  }
-  power += pow_l[0] + pow_l[1] + pow_l[2] + pow_l[3];
-  for (; sc < n_sc; ++sc) {
-    for (std::size_t k = 0; k < nb; ++k) {
-      double are = 0.0, aim = 0.0;
-      for (std::size_t p = 0; p < n_paths; ++p) {
-        const double* bplane = base + p * 2 * n_sc;
-        const double sr = steer[(p * n_pairs + pair0 + k) * 2];
-        const double si = steer[(p * n_pairs + pair0 + k) * 2 + 1];
-        are += sr * bplane[sc] - si * bplane[n_sc + sc];
-        aim += sr * bplane[n_sc + sc] + si * bplane[sc];
-      }
-      raw[(pair0 + k) * n_sc + sc] = cplx{are, aim};
-      power += are * are + aim * aim;
-    }
-  }
-}
-
-void fused_mac_lane(const double* base, const double* steer,
-                    std::size_t n_paths, std::size_t n_pairs, std::size_t n_sc,
-                    cplx* raw, double& power) {
-  power = 0.0;
-  for (std::size_t pair0 = 0; pair0 < n_pairs; pair0 += 6)
-    mac_block_lane(base, steer, n_paths, n_pairs, pair0,
-                   std::min<std::size_t>(6, n_pairs - pair0), n_sc, raw,
-                   power);
-}
-
-// Unit-steer fp64 MAC for a single antenna pair: its steering entry is
-// exactly 1+0i, so each element is the path-order sum of the base planes.
-// Bitwise mac_block_lane at nb = 1: with finite planes,
-// fma(1, b, fma(-0, b', acc)) is acc + b, because the accumulator starts
-// at +0 and a sum is -0 only when both addends are; the power reduction
-// keeps the same four positional partials and the same remainder tail.
-void unit_mac_lane(const double* base, std::size_t n_paths, std::size_t n_sc,
-                   cplx* raw, double& power) {
-  power = 0.0;
-  double pow_l[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    double acc_re[4] = {0.0, 0.0, 0.0, 0.0};
-    double acc_im[4] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const double* bplane = base + p * 2 * n_sc;
-      for (int l = 0; l < 4; ++l) {
-        acc_re[l] += bplane[sc + l];
-        acc_im[l] += bplane[n_sc + sc + l];
-      }
-    }
-    for (int l = 0; l < 4; ++l) {
-      raw[sc + l] = cplx{acc_re[l], acc_im[l]};
-      pow_l[l] = std::fma(acc_re[l], acc_re[l],
-                          std::fma(acc_im[l], acc_im[l], pow_l[l]));
-    }
-  }
-  power += pow_l[0] + pow_l[1] + pow_l[2] + pow_l[3];
-  for (; sc < n_sc; ++sc) {
-    double are = 0.0, aim = 0.0;
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      are += base[p * 2 * n_sc + sc];
-      aim += base[p * 2 * n_sc + n_sc + sc];
-    }
-    raw[sc] = cplx{are, aim};
-    power += are * are + aim * aim;
-  }
-}
-
-// amp_lane — one lane of vamp_n: the log-distance amplitude pipeline with
-// the lane-exact log/exp2 mirrors and the vector's exact expression order.
-double amp_lane(double len, double extra, double base_db, double coef) {
-  const double l = std::max(len, 1.0);
-  const double lg = lanemath::log_pos(l) * kInvLn10;
-  const double db = (base_db - extra) - coef * lg;
-  return lanemath::exp2(db * kLog2Ten_Over20);
-}
-
-// The scalar tier's staged passes: one lane of vsincos_n / vsqrt_n / vamp_n
-// at a time (std::sqrt and _mm256_sqrt_pd are both correctly rounded).
-void sincos_n_lane(const double* x, std::size_t n, double* s, double* c) {
-  for (std::size_t i = 0; i < n; ++i) lanemath::sincos(x[i], s[i], c[i]);
-}
-
-void sqrt_n_lane(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::sqrt(x[i]);
-}
-
-void amp_n_lane(const double* len, const double* extra, std::size_t n,
-                double base_db, double coef, double* amp) {
-  for (std::size_t i = 0; i < n; ++i)
-    amp[i] = amp_lane(len[i], extra[i], base_db, coef);
-}
-
 // sincos for arguments that may exceed the fastmath range (huge t, client
 // coordinates or path lengths): fastmath::sincos_wide up to
 // kSincosWideMaxArg, libm above it. Every tier runs this one loop when a
@@ -292,218 +108,10 @@ void fused_mac(const T* base, const T* steer, std::size_t n_paths,
         base, steer, n_paths, n_pairs, pair0, n_sc, raw, power);
 }
 
-#if defined(__x86_64__)
-
-// Vector recurrence with four independent 4-lane block chains stepping by
-// step^16: the serial dependency that latency-binds the scalar recurrence is
-// split four ways, so the chain multiplies pipeline. Association differs
-// from the scalar chain by a handful of rounding steps (~1e-15 relative),
-// inside the batch's 1e-12 equivalence budget.
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void fill_base_avx2(cplx start,
-                                                        cplx step,
-                                                        double* bre,
-                                                        double* bim,
-                                                        std::size_t n_sc) {
-  const PathChains pc = seed_chains(start, step);
-  __m256d c_re[4], c_im[4];
-  c_re[0] = _mm256_loadu_pd(pc.br);
-  c_im[0] = _mm256_loadu_pd(pc.bi);
-  const __m256d s4r = _mm256_set1_pd(pc.s4r);
-  const __m256d s4i = _mm256_set1_pd(pc.s4i);
-  for (int j = 1; j < 4; ++j) {
-    c_re[j] =
-        _mm256_fmsub_pd(c_re[j - 1], s4r, _mm256_mul_pd(c_im[j - 1], s4i));
-    c_im[j] =
-        _mm256_fmadd_pd(c_re[j - 1], s4i, _mm256_mul_pd(c_im[j - 1], s4r));
-  }
-  const double s8r = pc.s4r * pc.s4r - pc.s4i * pc.s4i;
-  const double s8i = 2.0 * pc.s4r * pc.s4i;
-  const __m256d s16r = _mm256_set1_pd(s8r * s8r - s8i * s8i);
-  const __m256d s16i = _mm256_set1_pd(2.0 * s8r * s8i);
-
-  const std::size_t nbt = (n_sc + 3) / 4;  // blocks incl. a partial tail
-  std::size_t b = 0;
-  for (;;) {
-    const std::size_t m = std::min<std::size_t>(4, nbt - b);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t sc = 4 * (b + j);
-      if (sc + 4 <= n_sc) {
-        _mm256_storeu_pd(bre + sc, c_re[j]);
-        _mm256_storeu_pd(bim + sc, c_im[j]);
-      } else {
-        alignas(32) double tr[4], ti[4];
-        _mm256_store_pd(tr, c_re[j]);
-        _mm256_store_pd(ti, c_im[j]);
-        for (std::size_t l = 0; sc + l < n_sc; ++l) {
-          bre[sc + l] = tr[l];
-          bim[sc + l] = ti[l];
-        }
-      }
-    }
-    b += m;
-    if (b >= nbt) break;
-    for (int j = 0; j < 4; ++j) {
-      const __m256d nr =
-          _mm256_fmsub_pd(c_re[j], s16r, _mm256_mul_pd(c_im[j], s16i));
-      c_im[j] = _mm256_fmadd_pd(c_re[j], s16i, _mm256_mul_pd(c_im[j], s16r));
-      c_re[j] = nr;
-    }
-  }
-}
-
-// Register-blocked fused MAC for one block of NB antenna pairs: all NB
-// re/im accumulators for a 4-subcarrier slice stay in ymm registers while
-// the path loop runs, and the slice is stored interleaved straight into the
-// CsiMatrix. Per element the accumulation is
-//   acc_re = fmadd(sr, b_re, fnmadd(si, b_im, acc_re))
-//   acc_im = fmadd(sr, b_im, fmadd(si, b_re, acc_im))
-// in path order — one accumulator per element, summed over paths in the
-// same order on every tier. The wideband power accumulates during the store (order differs
-// from CsiMatrix::mean_power; it only feeds the noise variance).
-template <int NB>
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void mac_block_avx2(
-    const double* base, const double* steer, std::size_t n_paths,
-    std::size_t n_pairs, std::size_t pair0, std::size_t n_sc, cplx* raw,
-    double& power) {
-  __m256d vpow = _mm256_setzero_pd();
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    // The NB loops must fully unroll: only then do the accumulator arrays
-    // get register-allocated (12 ymm accumulators + 4 operands fit the 16
-    // AVX registers at NB == 6). Left rolled, GCC keeps them as stack
-    // arrays and every FMA round-trips through memory.
-    __m256d acc_re[NB], acc_im[NB];
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      acc_re[k] = _mm256_setzero_pd();
-      acc_im[k] = _mm256_setzero_pd();
-    }
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const double* bplane = base + p * 2 * n_sc;
-      const __m256d b_re = _mm256_loadu_pd(bplane + sc);
-      const __m256d b_im = _mm256_loadu_pd(bplane + n_sc + sc);
-      const double* st = steer + (p * n_pairs + pair0) * 2;
-#pragma GCC unroll 8
-      for (int k = 0; k < NB; ++k) {
-        const __m256d sr = _mm256_set1_pd(st[2 * k]);
-        const __m256d si = _mm256_set1_pd(st[2 * k + 1]);
-        acc_re[k] =
-            _mm256_fmadd_pd(sr, b_re, _mm256_fnmadd_pd(si, b_im, acc_re[k]));
-        acc_im[k] =
-            _mm256_fmadd_pd(sr, b_im, _mm256_fmadd_pd(si, b_re, acc_im[k]));
-      }
-    }
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      const __m256d lo = _mm256_unpacklo_pd(acc_re[k], acc_im[k]);
-      const __m256d hi = _mm256_unpackhi_pd(acc_re[k], acc_im[k]);
-      double* dst = reinterpret_cast<double*>(raw + (pair0 + k) * n_sc + sc);
-      _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
-      _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
-      vpow = _mm256_fmadd_pd(acc_re[k], acc_re[k],
-                             _mm256_fmadd_pd(acc_im[k], acc_im[k], vpow));
-    }
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, vpow);
-  power += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; sc < n_sc; ++sc) {
-    for (int k = 0; k < NB; ++k) {
-      double are = 0.0, aim = 0.0;
-      for (std::size_t p = 0; p < n_paths; ++p) {
-        const double* bplane = base + p * 2 * n_sc;
-        const double sr = steer[(p * n_pairs + pair0 + k) * 2];
-        const double si = steer[(p * n_pairs + pair0 + k) * 2 + 1];
-        are += sr * bplane[sc] - si * bplane[n_sc + sc];
-        aim += sr * bplane[n_sc + sc] + si * bplane[sc];
-      }
-      raw[(pair0 + k) * n_sc + sc] = cplx{are, aim};
-      power += are * are + aim * aim;
-    }
-  }
-}
-
-constexpr MacBlockFn<double> kMacBlocksAvx2[6] = {
-    mac_block_avx2<1>, mac_block_avx2<2>, mac_block_avx2<3>,
-    mac_block_avx2<4>, mac_block_avx2<5>, mac_block_avx2<6>};
-
-// Unit-steer MAC for a single antenna pair (see unit_mac_lane): one add per
-// path and plane instead of mac_block_avx2<1>'s two steered FMAs, with the
-// same interleaved store, power lanes and remainder tail.
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void unit_mac_avx2(
-    const double* base, std::size_t n_paths, std::size_t n_sc, cplx* raw,
-    double& power) {
-  power = 0.0;
-  __m256d vpow = _mm256_setzero_pd();
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    __m256d acc_re = _mm256_setzero_pd();
-    __m256d acc_im = _mm256_setzero_pd();
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const double* bplane = base + p * 2 * n_sc;
-      acc_re = _mm256_add_pd(acc_re, _mm256_loadu_pd(bplane + sc));
-      acc_im = _mm256_add_pd(acc_im, _mm256_loadu_pd(bplane + n_sc + sc));
-    }
-    const __m256d lo = _mm256_unpacklo_pd(acc_re, acc_im);
-    const __m256d hi = _mm256_unpackhi_pd(acc_re, acc_im);
-    double* dst = reinterpret_cast<double*>(raw + sc);
-    _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
-    _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
-    vpow = _mm256_fmadd_pd(acc_re, acc_re,
-                           _mm256_fmadd_pd(acc_im, acc_im, vpow));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, vpow);
-  power += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; sc < n_sc; ++sc) {
-    double are = 0.0, aim = 0.0;
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      are += base[p * 2 * n_sc + sc];
-      aim += base[p * 2 * n_sc + n_sc + sc];
-    }
-    raw[sc] = cplx{are, aim};
-    power += are * are + aim * aim;
-  }
-}
-
-// Staged 4-lane helpers over lane-padded arrays (n a multiple of 4).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vsincos_n(const double* x,
-                                                   std::size_t n, double* s,
-                                                   double* c) {
-  for (std::size_t i = 0; i < n; i += 4) {
-    __m256d vs, vc;
-    simdmath::vsincos(_mm256_loadu_pd(x + i), vs, vc);
-    _mm256_storeu_pd(s + i, vs);
-    _mm256_storeu_pd(c + i, vc);
-  }
-}
-
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vsqrt_n(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_sqrt_pd(_mm256_loadu_pd(x + i)));
-}
-
-// amp[i] = 10^((base_db - extra[i] - coef*log10(max(len[i], 1))) / 20) — the
-// whole log-distance amplitude pipeline in one pass (via log_pos + exp2).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vamp_n(const double* len,
-                                                const double* extra,
-                                                std::size_t n, double base_db,
-                                                double coef, double* amp) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d l = _mm256_max_pd(_mm256_loadu_pd(len + i), one);
-    const __m256d lg =
-        _mm256_mul_pd(simdmath::vlog_pos(l), _mm256_set1_pd(kInvLn10));
-    const __m256d db = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_set1_pd(base_db), _mm256_loadu_pd(extra + i)),
-        _mm256_mul_pd(_mm256_set1_pd(coef), lg));
-    _mm256_storeu_pd(
-        amp + i,
-        simdmath::vexp2(_mm256_mul_pd(db, _mm256_set1_pd(kLog2Ten_Over20))));
-  }
-}
-
-#endif  // __x86_64__
+// The fp64 stage kernels: one body, compiled as scalar_tier:: and (on
+// x86-64) avx2_tier::.
+#define MOBIWLAN_LANE4_BODY "chan/channel_batch_kernels.inc"
+#include "util/lane4_tiers.inc"
 
 // ---------------------------------------------------------------------------
 // fp32 plane kernels. synthesize<float> runs the same body as fp64, but the
@@ -912,11 +520,14 @@ std::size_t pad(std::size_t n, std::size_t lanes) {
   return (n + lanes - 1) & ~(lanes - 1);
 }
 
+// The fp64 kernels run four lanes on every tier, so their staging planes
+// are padded to a multiple of four.
+constexpr std::size_t kF64Lanes = 4;
+
 // Stage kernels of one SIMD tier. Each stage body below runs whatever its
-// tier's table holds; the scalar kernels are lane-for-lane mirrors of the
-// AVX2 fp64 ones, so fp64 bits do not depend on the tier.
+// tier's table holds; the fp64 kernels of every tier compile one source
+// (chan/channel_batch_kernels.inc), so fp64 bits do not depend on the tier.
 struct GeometryKernels {
-  std::size_t lanes;  ///< staging planes are padded to a multiple of this
   void (*sincos)(const double* x, std::size_t n, double* s, double* c);
   void (*sqrt)(double* x, std::size_t n);
   void (*amp)(const double* len, const double* extra, std::size_t n,
@@ -945,16 +556,19 @@ struct TierKernels {
 };
 
 const TierKernels& tier_kernels(simd::Tier tier) {
+  namespace s = scalar_tier;
   static constexpr TierKernels kScalar{
-      {1, sincos_n_lane, sqrt_n_lane, amp_n_lane},
-      {1, sincos_n_lane, fill_base_lane, fused_mac_lane, unit_mac_lane},
+      {s::sincos_n, s::sqrt_n, s::amp_n},
+      {kF64Lanes, s::sincos_n, s::fill_base,
+       fused_mac<double, s::kMacBlocks>, s::unit_mac},
       {1, sincos_n_f32, fill_base_scalar_f32, mac_scalar_f32, nullptr}};
 #if defined(__x86_64__)
-  static constexpr GeometryKernels kGeometryAvx2{4, vsincos_n, vsqrt_n,
-                                                 vamp_n};
+  namespace v = avx2_tier;
+  static constexpr GeometryKernels kGeometryAvx2{v::sincos_n, v::sqrt_n,
+                                                 v::amp_n};
   static constexpr PlaneKernels<double> kF64Avx2{
-      4, vsincos_n, fill_base_avx2, fused_mac<double, kMacBlocksAvx2>,
-      unit_mac_avx2};
+      kF64Lanes, v::sincos_n, v::fill_base, fused_mac<double, v::kMacBlocks>,
+      v::unit_mac};
   static constexpr TierKernels kAvx2{
       kGeometryAvx2, kF64Avx2,
       {8, vsincos_n_f8, fill_base_avx2_f32,
@@ -1031,7 +645,7 @@ void ChannelBatch::geometries(const WirelessChannel& ch, double t,
   // fastmath range (huge t or client coordinates) the whole stage takes
   // sincos_wide_n instead of the tier's kernel.
   const std::size_t n_osc = n_waves + (movers ? n_scat : 0);
-  s.arg.resize(pad(n_osc, k.lanes));
+  s.arg.resize(pad(n_osc, kF64Lanes));
   double max_abs = 0.0;
   for (std::size_t i = 0; i < n_waves; ++i) {
     s.arg[i] = ch.shadow_waves_[i].k.dot(client) + ch.shadow_waves_[i].phase;
@@ -1069,7 +683,7 @@ void ChannelBatch::geometries(const WirelessChannel& ch, double t,
   // Stage 2: leg vectors and squared lengths (index 0 = LOS, then the
   // out/in legs of each scatterer), then one sqrt pass.
   const std::size_t n_legs = 1 + 2 * n_scat;
-  s.len.resize(pad(n_legs, k.lanes));
+  s.len.resize(pad(n_legs, kF64Lanes));
   s.dxs.resize(s.len.size());
   {
     const double dx = client.x - ch.ap_pos_.x;
@@ -1100,7 +714,7 @@ void ChannelBatch::geometries(const WirelessChannel& ch, double t,
   // pass for every amplitude. arg/cosv are re-carved for the per-path
   // planes (their oscillator contents are fully consumed).
   const std::size_t n_paths = n_scat + 1;
-  s.arg.resize(pad(n_paths, k.lanes));   // per-path total length
+  s.arg.resize(pad(n_paths, kF64Lanes));   // per-path total length
   s.cosv.resize(s.arg.size());           // per-path extra loss (dB)
   const double los_len = s.len[0];
   s.arg[0] = los_len;

@@ -3,11 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/lane4.hpp"
 #include "util/simd.hpp"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace mobiwlan {
 
@@ -39,154 +36,23 @@ double pearson_correlation(std::span<const double> a, std::span<const double> b)
 
 namespace {
 
-#if defined(__x86_64__)
-
-// Fixed-order horizontal sum: lane0 + lane1 + lane2 + lane3. The order is
-// part of the kernel's numerical contract (both Pearson arguments reduce
-// identically, keeping the similarity exactly argument-symmetric).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) double hsum(__m256d v) {
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, v);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
-// Magnitude pass of Eq. (1) for one antenna-pair plane, 4 subcarriers at a
-// time: writes |H_i| into mag[0..n_sc) and returns the mean. Numerics:
-// magnitudes use sqrt(re^2 + im^2) (vs std::abs's overflow-safe hypot —
-// equal to ~1 ulp at CSI magnitudes), and the sum accumulates 4 positional
-// partial lanes reduced in fixed lane order plus a plain-arithmetic sub-4
-// tail.
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) double
-magnitude_pass_avx2(const cplx* p, std::size_t n_sc, double* mag) {
-  __m256d sum = _mm256_setzero_pd();
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    const double* q = reinterpret_cast<const double*>(p + sc);
-    // Deinterleave [re0 im0 re1 im1 | re2 im2 re3 im3] into re/im planes
-    // in subcarrier order.
-    const __m256d v0 = _mm256_loadu_pd(q);
-    const __m256d v1 = _mm256_loadu_pd(q + 4);
-    const __m256d re = _mm256_permute4x64_pd(_mm256_unpacklo_pd(v0, v1), 0xd8);
-    const __m256d im = _mm256_permute4x64_pd(_mm256_unpackhi_pd(v0, v1), 0xd8);
-    const __m256d m =
-        _mm256_sqrt_pd(_mm256_fmadd_pd(re, re, _mm256_mul_pd(im, im)));
-    _mm256_storeu_pd(mag + sc, m);
-    sum = _mm256_add_pd(sum, m);
-  }
-  double tail = 0.0;
-  for (; sc < n_sc; ++sc) {
-    const double re = p[sc].real(), im = p[sc].imag();
-    mag[sc] = std::sqrt(re * re + im * im);
-    tail += mag[sc];
-  }
-  return (hsum(sum) + tail) / static_cast<double>(n_sc);
-}
-
-// Correlation pass of Eq. (1): Pearson of two magnitude planes about their
-// precomputed means. The reductions are positionally fixed, so swapping the
-// arguments performs identical arithmetic — exact symmetry.
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) double
-correlation_pass_avx2(const double* mag_a, double mean_a, const double* mag_b,
-                      double mean_b, std::size_t n_sc) {
-  const __m256d va_mean = _mm256_set1_pd(mean_a);
-  const __m256d vb_mean = _mm256_set1_pd(mean_b);
-  __m256d cov4 = _mm256_setzero_pd();
-  __m256d var_a4 = _mm256_setzero_pd();
-  __m256d var_b4 = _mm256_setzero_pd();
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    const __m256d da = _mm256_sub_pd(_mm256_loadu_pd(mag_a + sc), va_mean);
-    const __m256d db = _mm256_sub_pd(_mm256_loadu_pd(mag_b + sc), vb_mean);
-    cov4 = _mm256_fmadd_pd(da, db, cov4);
-    var_a4 = _mm256_fmadd_pd(da, da, var_a4);
-    var_b4 = _mm256_fmadd_pd(db, db, var_b4);
-  }
-  double cov = hsum(cov4);
-  double var_a = hsum(var_a4);
-  double var_b = hsum(var_b4);
-  for (; sc < n_sc; ++sc) {
-    const double da = mag_a[sc] - mean_a;
-    const double db = mag_b[sc] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a <= 1e-30 || var_b <= 1e-30) return 0.0;
-  return cov / std::sqrt(var_a * var_b);
-}
-
-#endif  // __x86_64__
-
-// Scalar magnitude pass — bitwise mirror of magnitude_pass_avx2: the same
-// sqrt(fma(re, re, im*im)) magnitudes and four positional partial sums
-// folded in fixed lane order plus the plain-arithmetic sub-4 tail. A
-// non-AVX2 host therefore produces the exact bits an AVX2 host produces.
-double magnitude_pass_lane(const cplx* p, std::size_t n_sc, double* mag) {
-  double s[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    for (int l = 0; l < 4; ++l) {
-      const double re = p[sc + l].real(), im = p[sc + l].imag();
-      const double m = std::sqrt(std::fma(re, re, im * im));
-      mag[sc + l] = m;
-      s[l] += m;
-    }
-  }
-  double tail = 0.0;
-  for (; sc < n_sc; ++sc) {
-    const double re = p[sc].real(), im = p[sc].imag();
-    mag[sc] = std::sqrt(re * re + im * im);
-    tail += mag[sc];
-  }
-  return ((s[0] + s[1] + s[2] + s[3]) + tail) / static_cast<double>(n_sc);
-}
-
-// Scalar correlation pass — bitwise mirror of correlation_pass_avx2 (fma
-// accumulation into four positional lanes, fixed-order fold, plain tail).
-double correlation_pass_lane(const double* mag_a, double mean_a,
-                             const double* mag_b, double mean_b,
-                             std::size_t n_sc) {
-  double cov_l[4] = {0.0, 0.0, 0.0, 0.0};
-  double va_l[4] = {0.0, 0.0, 0.0, 0.0};
-  double vb_l[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t sc = 0;
-  for (; sc + 4 <= n_sc; sc += 4) {
-    for (int l = 0; l < 4; ++l) {
-      const double da = mag_a[sc + l] - mean_a;
-      const double db = mag_b[sc + l] - mean_b;
-      cov_l[l] = std::fma(da, db, cov_l[l]);
-      va_l[l] = std::fma(da, da, va_l[l]);
-      vb_l[l] = std::fma(db, db, vb_l[l]);
-    }
-  }
-  double cov = cov_l[0] + cov_l[1] + cov_l[2] + cov_l[3];
-  double var_a = va_l[0] + va_l[1] + va_l[2] + va_l[3];
-  double var_b = vb_l[0] + vb_l[1] + vb_l[2] + vb_l[3];
-  for (; sc < n_sc; ++sc) {
-    const double da = mag_a[sc] - mean_a;
-    const double db = mag_b[sc] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a <= 1e-30 || var_b <= 1e-30) return 0.0;
-  return cov / std::sqrt(var_a * var_b);
-}
+#define MOBIWLAN_LANE4_BODY "core/csi_similarity_kernels.inc"
+#include "util/lane4_tiers.inc"
 
 double magnitude_pass(const cplx* p, std::size_t n_sc, double* mag) {
 #if defined(__x86_64__)
-  if (simd::use_avx2fma()) return magnitude_pass_avx2(p, n_sc, mag);
+  if (simd::use_avx2fma()) return avx2_tier::magnitude_pass(p, n_sc, mag);
 #endif
-  return magnitude_pass_lane(p, n_sc, mag);
+  return scalar_tier::magnitude_pass(p, n_sc, mag);
 }
 
 double correlation_pass(const double* mag_a, double mean_a,
                         const double* mag_b, double mean_b, std::size_t n_sc) {
 #if defined(__x86_64__)
   if (simd::use_avx2fma())
-    return correlation_pass_avx2(mag_a, mean_a, mag_b, mean_b, n_sc);
+    return avx2_tier::correlation_pass(mag_a, mean_a, mag_b, mean_b, n_sc);
 #endif
-  return correlation_pass_lane(mag_a, mean_a, mag_b, mean_b, n_sc);
+  return scalar_tier::correlation_pass(mag_a, mean_a, mag_b, mean_b, n_sc);
 }
 
 }  // namespace

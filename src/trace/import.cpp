@@ -1,5 +1,6 @@
 #include "trace/import.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -53,7 +54,10 @@ double parse_f64(const std::string& field, std::size_t line_no,
 std::uint32_t parse_u32(const std::string& field, std::size_t line_no,
                         const char* what) {
   const double v = parse_f64(field, line_no, what);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint32_t>(v))) {
+  // The range test comes first: converting NaN or a value outside
+  // [0, 2^32) to uint32_t is undefined.
+  if (!(v >= 0.0 && v <= static_cast<double>(UINT32_MAX)) ||
+      v != static_cast<double>(static_cast<std::uint32_t>(v))) {
     throw TraceError(TraceError::Code::kCorruptRecord,
                      "csv line " + std::to_string(line_no) + ": bad " + what);
   }

@@ -158,10 +158,14 @@ void TraceWriter::begin_record(StreamKind kind, std::uint32_t unit, double t,
                      "trace write: unit out of range");
   double& last =
       last_t_[static_cast<std::size_t>(kind) * header_.n_units + unit];
-  if (t < last)
+  if (!(t >= last)) {  // false for a NaN t too, which the reader rejects
+    if (t != t)
+      throw TraceError(TraceError::Code::kCorruptRecord,
+                       "trace write: record with NaN timestamp");
     throw TraceError(TraceError::Code::kNonMonotoneTime,
                      std::string("trace write: time regresses on stream '") +
                          std::string(to_string(kind)) + "'");
+  }
   last = t;
 
   const std::uint8_t k = static_cast<std::uint8_t>(kind);

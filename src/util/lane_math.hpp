@@ -20,10 +20,11 @@
 // on every conforming host. tests/util/lane_exact_test.cpp asserts exactly
 // that across the kernels' documented domains.
 //
-// Callers: the scalar fallbacks of the batched channel engine
-// (chan/channel_batch.cpp), the Box-Muller noise fill (util/rng.cpp) and
-// the Eq.-1 similarity kernel (core/csi_similarity.cpp) — the code paths
-// whose outputs flow into gated digests.
+// Caller: lane4::Scalar (util/lane4.hpp), whose sincos/log/exp2 these are.
+// The fp64 kernel bodies written over it — the batched channel engine
+// (chan/channel_batch_kernels.inc), the Box-Muller noise block
+// (util/rng_kernels.inc) and the Eq.-1 similarity passes
+// (core/csi_similarity_kernels.inc) — feed the gated digests.
 #pragma once
 
 #include <bit>

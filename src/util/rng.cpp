@@ -1,16 +1,11 @@
 #include "util/rng.hpp"
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 #include <cmath>
 #include <numbers>
 
 #include "util/fastmath.hpp"
-#include "util/lane_math.hpp"
+#include "util/lane4.hpp"
 #include "util/simd.hpp"
-#include "util/simd_math.hpp"
 
 namespace mobiwlan {
 
@@ -24,35 +19,8 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-#if defined(__x86_64__)
-
-// The elementwise log/sincos vector kernels live in util/simd_math.hpp
-// (shared with the batched channel engine); the xoshiro draws stay scalar
-// and sequential, so the uniform stream is identical to the scalar path.
-
-// Four Box-Muller transforms: comp[0..7] += per * r_j * {cos, sin}(theta_j).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void box_muller4(const double* u1,
-                                                     const double* u2,
-                                                     double per, double* comp) {
-  const __m256d r = _mm256_sqrt_pd(_mm256_mul_pd(
-      _mm256_set1_pd(-2.0), simdmath::vlog_pos(_mm256_loadu_pd(u1))));
-  const __m256d theta = _mm256_mul_pd(
-      _mm256_set1_pd(2.0 * std::numbers::pi), _mm256_loadu_pd(u2));
-  __m256d s, c;
-  simdmath::vsincos(theta, s, c);
-  const __m256d amp = _mm256_mul_pd(_mm256_set1_pd(per), r);
-  const __m256d vc = _mm256_mul_pd(amp, c);
-  const __m256d vs = _mm256_mul_pd(amp, s);
-  // Interleave (c0,s0,c1,s1 | c2,s2,c3,s3) to match the scalar layout.
-  const __m256d lo = _mm256_unpacklo_pd(vc, vs);
-  const __m256d hi = _mm256_unpackhi_pd(vc, vs);
-  const __m256d p0 = _mm256_permute2f128_pd(lo, hi, 0x20);
-  const __m256d p1 = _mm256_permute2f128_pd(lo, hi, 0x31);
-  _mm256_storeu_pd(comp, _mm256_add_pd(_mm256_loadu_pd(comp), p0));
-  _mm256_storeu_pd(comp + 4, _mm256_add_pd(_mm256_loadu_pd(comp + 4), p1));
-}
-
-#endif  // __x86_64__
+#define MOBIWLAN_LANE4_BODY "util/rng_kernels.inc"
+#include "util/lane4_tiers.inc"
 
 }  // namespace
 
@@ -106,45 +74,26 @@ void Rng::add_complex_gaussian(std::complex<double>* dst, std::size_t n,
     has_cached_gaussian_ = false;
     comp[k++] += per * cached_gaussian_;
   }
-  // The component range splits at the same boundary on every tier: the
-  // 8-aligned prefix is what the AVX2 kernel covers on vector hosts, so a
-  // non-vector host must reproduce it bitwise through the lane-exact
-  // mirrors; the sub-8 remainder runs the same scalar code on every tier
-  // and keeps the original fastmath kernels (those bits are pinned by the
-  // golden fixtures).
+  // The 8-aligned prefix runs the Box-Muller block (util/rng_kernels.inc)
+  // on the active tier, checked per call so MOBIWLAN_SIMD_TIER and the simd
+  // test hook reach it; both tiers compile that one body, so its bits do
+  // not depend on the tier. The uniforms are drawn in the canonical order,
+  // u1 then u2 per transform. The sub-8 remainder keeps the original
+  // fastmath kernels (those bits are pinned by the golden fixtures).
   const std::size_t vec_end = k + 8 * ((total - k) / 8);
 #if defined(__x86_64__)
-  // Four transforms per iteration on AVX2+FMA hosts (checked per call so
-  // MOBIWLAN_SIMD_TIER and the simd test hook reach this path). The
-  // uniforms are drawn scalar in the canonical order (u1 then u2 per
-  // transform), so the stream position after the block matches the scalar
-  // path exactly.
-  if (simd::use_avx2fma()) {
-    double u1[4], u2[4];
-    while (k < vec_end) {
-      for (int j = 0; j < 4; ++j) {
-        u1[j] = 1.0 - uniform();
-        u2[j] = uniform();
-      }
-      box_muller4(u1, u2, per, comp + k);
-      k += 8;
-    }
-  }
+  const auto block = simd::use_avx2fma() ? avx2_tier::box_muller4
+                                         : scalar_tier::box_muller4;
+#else
+  const auto block = scalar_tier::box_muller4;
 #endif
-  // Lane-exact mirror of box_muller4: same log / sincos bit patterns
-  // (lanemath == one lane of the vector kernels), same product order
-  // (amp = per * r, then amp * {c, s}).
-  while (k < vec_end) {
-    const double u1 = 1.0 - uniform();
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * lanemath::log_pos(u1));
-    const double theta = 2.0 * std::numbers::pi * u2;
-    double s, c;
-    lanemath::sincos(theta, s, c);
-    const double amp = per * r;
-    comp[k] += amp * c;
-    comp[k + 1] += amp * s;
-    k += 2;
+  for (; k < vec_end; k += 8) {
+    double u1[4], u2[4];
+    for (int j = 0; j < 4; ++j) {
+      u1[j] = 1.0 - uniform();
+      u2[j] = uniform();
+    }
+    block(u1, u2, per, comp + k);
   }
   // theta = 2*pi*u2 < 2*pi, well inside fastmath::kSincosMaxArg; the inline
   // kernel matches libm to ~2 ulp, orders of magnitude below the 1e-12

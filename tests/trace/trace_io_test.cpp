@@ -1,8 +1,9 @@
 // Tests for the MWTR v2 binary trace format: TraceWriter/TraceReader
 // round-trips, writer misuse, and the typed rejection of every class of
 // malformed input (wrong magic, legacy v1 files, unknown versions,
-// truncation, non-monotone stream timestamps, corrupt records), and the
-// reader's peek and rewind.
+// truncation, non-monotone stream timestamps, corrupt records), the
+// reader's peek and rewind, and the CSV importer's rejection of NaN
+// timestamps and out-of-range integer fields.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "trace/format.hpp"
+#include "trace/import.hpp"
 
 namespace mobiwlan::trace {
 namespace {
@@ -302,6 +305,27 @@ TEST(TraceIoTest, WriterRejectsTimeRegression) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIoTest, WriterRejectsNaNTimestamp) {
+  const std::string path = tmp("io_nan_t.mwtr");
+  TraceWriter writer(path, scalar_header());
+  writer.put_scalar(StreamKind::kRssi, 0, 0.5, -50.0);
+  try {
+    writer.put_scalar(StreamKind::kRssi, 0,
+                      std::numeric_limits<double>::quiet_NaN(), -50.0);
+    FAIL() << "NaN timestamp accepted";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kCorruptRecord);
+  }
+  // The rejected record leaves the stream's last time at 0.5.
+  try {
+    writer.put_scalar(StreamKind::kRssi, 0, 0.1, -50.0);
+    FAIL() << "time regression after a NaN accepted";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.code(), TraceError::Code::kNonMonotoneTime);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceIoTest, WriterRejectsGeometryMismatch) {
   const std::string path = tmp("io_geom.mwtr");
   TraceHeader h;
@@ -452,6 +476,48 @@ TEST(TraceIoTest, CloseIsIdempotentAndFlushes) {
   ASSERT_TRUE(reader.next(rec));
   EXPECT_DOUBLE_EQ(rec.scalar, -42.0);
   std::remove(path.c_str());
+}
+
+// ---- CSV import ------------------------------------------------------------
+
+/// Imports `body` (the lines after the `mwtr-csv,2` directive) and returns
+/// the TraceError code it raises.
+TraceError::Code import_code(const char* name, const std::string& body) {
+  const std::string csv = tmp(name);
+  const std::string out = csv + ".mwtr";
+  {
+    std::ofstream f(csv);
+    f << "mwtr-csv,2\n" << body;
+  }
+  TraceError::Code code = TraceError::Code::kOpenFailed;
+  try {
+    import_csv(csv, out);
+    ADD_FAILURE() << name << " was accepted";
+  } catch (const TraceError& e) {
+    code = e.code();
+  }
+  std::remove(csv.c_str());
+  std::remove(out.c_str());
+  return code;
+}
+
+TEST(TraceIoTest, ImportRejectsNaNTimestamp) {
+  EXPECT_EQ(import_code("imp_nan_t.csv",
+                        "streams,rssi\ndata\n"
+                        "rssi,0,0.5,-50\nrssi,0,nan,-50\nrssi,0,0.1,-50\n"),
+            TraceError::Code::kCorruptRecord);
+}
+
+TEST(TraceIoTest, ImportRejectsOutOfRangeUnsignedFields) {
+  EXPECT_EQ(import_code("imp_units_big.csv",
+                        "streams,rssi\nunits,4294967296\ndata\n"),
+            TraceError::Code::kCorruptRecord);
+  EXPECT_EQ(import_code("imp_units_nan.csv",
+                        "streams,rssi\nunits,nan\ndata\n"),
+            TraceError::Code::kCorruptRecord);
+  EXPECT_EQ(import_code("imp_geom_big.csv",
+                        "streams,csi\ngeometry,1,1,1e20\ndata\n"),
+            TraceError::Code::kCorruptRecord);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // lane_exact_test — the scalar mirrors in util/lane_math.hpp must be
 // *bitwise* equal to one lane of the AVX2 kernels in util/simd_math.hpp,
-// and the dispatch sites built on them (the batched channel engine, the
-// Box-Muller noise fill, the Eq.-1 similarity kernel) must produce
-// bit-identical outputs whether the scalar or the AVX2 tier runs. This is
-// the foundation of the campus determinism contract across hosts: a
-// non-AVX2 machine reproduces an AVX2 machine's digests exactly.
+// and the dispatch sites whose fp64 kernels compile one body for both tiers
+// (util/lane4.hpp: the batched channel engine, the Box-Muller noise fill,
+// the Eq.-1 similarity kernel) must produce bit-identical outputs whether
+// the scalar or the AVX2 tier runs. This is the foundation of the campus
+// determinism contract across hosts: a non-AVX2 machine reproduces an AVX2
+// machine's digests exactly.
 //
 // The lane and tier-pair tests skip on hosts without AVX2+FMA (there is no
-// vector kernel to compare against; the mirrors are then simply the only
-// implementation). The shape sweep runs every tier the host has, so there
-// it still checks the fp32 budget at the scalar tier.
+// vector kernel to compare against; the scalar tier is then simply the
+// only implementation). The shape sweep runs every tier the host has, so
+// there it still checks the fp32 budget at the scalar tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,16 +205,17 @@ std::unique_ptr<WirelessChannel> make_shaped_channel(std::size_t n_tx,
 TEST(TierBitwise, ShapeSweepAcrossTiersAndPrecisions) {
   // Pair counts 1..7 reach every register-block width of every MAC (NB = 1
   // to 6, and a 6 + 1 split); 4, 12 and 16 subcarriers reach the sub-lane
-  // tails of the 4-, 8- and 16-lane kernels. At every tier the host has,
-  // fp64 must equal the scalar tier bitwise and fp32 must stay within the
-  // 1e-4 scale-relative budget of fp64.
+  // tails of the 8- and 16-lane kernels, and 7 and 30 the sub-4 remainder
+  // of the fp64 fill and MAC. At every tier the host has, fp64 must equal
+  // the scalar tier bitwise and fp32 must stay within the 1e-4
+  // scale-relative budget of fp64.
   const int best = static_cast<int>(simd::best_supported_tier());
   const std::size_t shapes[][2] = {{1, 1}, {1, 2}, {1, 3}, {2, 2},
                                    {1, 5}, {2, 3}, {1, 7}};
   ChannelBatch::Scratch scratch;
   CsiMatrix ref, got;
   for (const auto& shape : shapes) {
-    for (const std::size_t n_sc : {4u, 12u, 16u, 52u}) {
+    for (const std::size_t n_sc : {4u, 7u, 12u, 16u, 30u, 52u}) {
       SCOPED_TRACE(::testing::Message() << shape[0] << "x" << shape[1]
                                         << "x" << n_sc);
       auto ch = make_shaped_channel(shape[0], shape[1], n_sc);
@@ -252,14 +254,21 @@ TEST(TierBitwise, ShapeSweepAcrossTiersAndPrecisions) {
 
 TEST(TierBitwise, SimilarityIdenticalAcrossTiers) {
   if (!host_has_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
+  // Adjacent snapshots of each link; the golden cases all have 52
+  // subcarriers, so a 30-subcarrier link reaches the sub-4 tails of the
+  // magnitude and correlation passes.
+  std::vector<std::unique_ptr<WirelessChannel>> links;
+  for (std::size_t idx = 0; idx < goldencase::kNumCases; ++idx)
+    links.push_back(goldencase::make_golden_channel(idx));
+  links.push_back(make_shaped_channel(3, 2, 30));
   std::vector<CsiMatrix> snaps;
-  for (std::size_t idx = 0; idx < goldencase::kNumCases; ++idx) {
-    auto ch = goldencase::make_golden_channel(idx);
+  for (auto& ch : links) {
     snaps.push_back(ch->csi_at(0.0));
     snaps.push_back(ch->csi_at(0.5));
   }
   CsiSimilarityScratch scratch;
   for (std::size_t i = 0; i + 1 < snaps.size(); ++i) {
+    if (snaps[i].n_subcarriers() != snaps[i + 1].n_subcarriers()) continue;
     double sim_s, sim_v;
     {
       TierGuard g(0);
