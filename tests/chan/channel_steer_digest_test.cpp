@@ -10,7 +10,12 @@
 //   - 1x1 (the campus shape, plus a 30- and a 7-subcarrier variant that
 //     reach the MAC's remainder tails), 1x3 and 3x1 — the shapes where one
 //     or both steering lanes are skipped;
-//   - 3x2 — a control that runs the general path on both sides.
+//   - 3x2 — a control that runs the general path on both sides;
+//   - 1x2, 2x2, 1x5 and 1x7 — with 1x3 and 3x2, every width of the MAC's
+//     register blocks (1..6 pairs, and 7 as a 6 + 1 split);
+//   - 2x2 and 1x7 at 4 and 12 subcarriers — multi-pair shapes narrower
+//     than a vector, or with a partial one: at 12 the 8-lane fp32 MAC takes
+//     its overlapped tail and the 16-lane one its scalar fallback.
 //
 // Each digest folds the bits of full noisy samples (CSI, RSSI, SNR, ToF)
 // over two seconds, so the MAC's wideband power, which sets the CSI noise
@@ -66,6 +71,27 @@ constexpr Shape kShapes[] = {
     {"3x2_control", 3, 2, 52,
      0x18d0077f66a1e6ecull,
      {0xc2c43e936894c8c2ull, 0xce5aa8e472ae80c7ull, 0x343bf946d469e795ull}},
+    {"1x2", 1, 2, 30,
+     0xe317aaeac9fa9d62ull,
+     {0x75dda38d5f1e73e3ull, 0x8f2edd6f5c8d3fabull, 0x9de9281b3826912eull}},
+    {"2x2", 2, 2, 30,
+     0xcf5f073ba3838b67ull,
+     {0x0350c3090bc15fc3ull, 0x0d88be60bc6b1d2aull, 0x45d8544c913bdc4cull}},
+    {"1x5", 1, 5, 30,
+     0xf2c01d5d4424b10eull,
+     {0x13f46958b46a6ac5ull, 0x1d959726bf03cb45ull, 0x850c98c5d3f43411ull}},
+    {"1x7", 1, 7, 30,
+     0x4e165d92c2e74239ull,
+     {0x48f0b131137f677cull, 0x0b7f5da3e2da328full, 0x2d79249a08f4d10aull}},
+    {"2x2_sc4", 2, 2, 4,
+     0x63aa62f670d84859ull,
+     {0x582107fb1ac22142ull, 0x0f49d40097762075ull, 0x0f49d40097762075ull}},
+    {"2x2_sc12", 2, 2, 12,
+     0xccb44ab7a2373a1cull,
+     {0xe8ef662cf6ad8096ull, 0xadd38e743f371e7aull, 0x1e83f2c0244f7553ull}},
+    {"1x7_sc12", 1, 7, 12,
+     0x39f030572a7c96baull,
+     {0xad2a6b22209f3928ull, 0x9295509402faeb31ull, 0xc64d2d655e89dc50ull}},
 };
 
 std::uint64_t mix(std::uint64_t h, double x) {
