@@ -285,12 +285,18 @@ int run_perf(const Options& opt) {
   const std::string baseline_path =
       or_default(opt.baseline, "ci/perf_baseline.json");
   const auto baseline = load_flat_json(baseline_path);
-  if (!baseline.empty())
+  if (!baseline.empty()) {
     std::printf("perf: baseline %s (%zu keys)\n", baseline_path.c_str(),
                 baseline.size());
-  else
+  } else if (opt.check) {
+    // A mistyped path must not turn every gate into a skip.
+    std::fprintf(stderr, "mobiwlan-bench: no perf baseline at %s\n",
+                 baseline_path.c_str());
+    return 1;
+  } else {
     std::printf("perf: no baseline at %s (measuring only)\n",
                 baseline_path.c_str());
+  }
   if (!mobiwlan::alloc_hook_active())
     std::printf("perf: warning: alloc hook not linked, allocs/op will read 0\n");
 

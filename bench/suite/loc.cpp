@@ -194,9 +194,7 @@ void loc_err_section(runtime::Experiment& exp, FidelityReport& rep,
                      const loc::FingerprintDb& db) {
   constexpr std::size_t kWalks = 6;
   constexpr int kQueriesPerWalk = 120;
-  const loc::FingerprintDb* dbp = &db;
-  const auto results = exp.map<WalkErrs>(kWalks, [dbp](runtime::Trial& trial) {
-    const loc::FingerprintDb& db = *dbp;
+  const auto results = exp.map<WalkErrs>(kWalks, [&db](runtime::Trial& trial) {
     const auto& cfg = db.config();
     WalkErrs out;
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # ci/check.sh — the full pre-merge gate:
-#   1. plain build + entire ctest suite;
+#   1. plain build with every compiler warning an error + entire ctest
+#      suite;
 #   2. runtime determinism check: every registered bench at --jobs 1 vs
 #      --jobs 8 must produce byte-identical JSON and stdout outside the
 #      "timing" lines and the per-bench wall-time footers;
@@ -33,8 +34,8 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 
-echo "== build (RelWithDebInfo) =="
-cmake -B build -S . >/dev/null
+echo "== build (RelWithDebInfo, warnings are errors) =="
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"${JOBS}"
 
 echo "== ctest =="

@@ -11,8 +11,8 @@
 
 #include "util/fastmath.hpp"
 #include "util/lane4.hpp"
+#include "util/lanef.hpp"
 #include "util/simd.hpp"
-#include "util/simd_math.hpp"
 #include "util/units.hpp"
 
 namespace mobiwlan {
@@ -191,35 +191,41 @@ void sincos_n_f32(const float* x, std::size_t n, float* s, float* c) {
   for (std::size_t i = 0; i < n; ++i) fastmath::sincos_f32(x[i], s[i], c[i]);
 }
 
-// Scalar fp32 MAC: per element, the float sum over paths in path order;
-// the power reduces in double.
+// One element of the fp32 MAC, pair `pair` at subcarrier `sc`: the float
+// sum over paths in path order, stored into the CsiMatrix. Returns the
+// element's power in double. The scalar tier runs it for every element, the
+// vector tiers below W subcarriers.
+double mac_element_f32(const float* base, const float* steer,
+                       std::size_t n_paths, std::size_t n_pairs,
+                       std::size_t pair, std::size_t n_sc, std::size_t sc,
+                       cplx* raw) {
+  float are = 0.0f, aim = 0.0f;
+  for (std::size_t p = 0; p < n_paths; ++p) {
+    const float* bplane = base + p * 2 * n_sc;
+    const float sr = steer[(p * n_pairs + pair) * 2];
+    const float si = steer[(p * n_pairs + pair) * 2 + 1];
+    are += sr * bplane[sc] - si * bplane[n_sc + sc];
+    aim += sr * bplane[n_sc + sc] + si * bplane[sc];
+  }
+  raw[pair * n_sc + sc] = cplx{are, aim};
+  return static_cast<double>(are) * are + static_cast<double>(aim) * aim;
+}
+
 void mac_scalar_f32(const float* base, const float* steer,
                     std::size_t n_paths, std::size_t n_pairs, std::size_t n_sc,
                     cplx* raw, double& power) {
   power = 0.0;
-  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
-    for (std::size_t sc = 0; sc < n_sc; ++sc) {
-      float are = 0.0f, aim = 0.0f;
-      for (std::size_t p = 0; p < n_paths; ++p) {
-        const float* bplane = base + p * 2 * n_sc;
-        const float sr = steer[(p * n_pairs + pair) * 2];
-        const float si = steer[(p * n_pairs + pair) * 2 + 1];
-        are += sr * bplane[sc] - si * bplane[n_sc + sc];
-        aim += sr * bplane[n_sc + sc] + si * bplane[sc];
-      }
-      raw[pair * n_sc + sc] = cplx{are, aim};
-      power += static_cast<double>(are) * are + static_cast<double>(aim) * aim;
-    }
-  }
+  for (std::size_t pair = 0; pair < n_pairs; ++pair)
+    for (std::size_t sc = 0; sc < n_sc; ++sc)
+      power += mac_element_f32(base, steer, n_paths, n_pairs, pair, n_sc, sc,
+                               raw);
 }
 
 #if defined(__x86_64__)
 
-// 8-lane fp32 recurrence: seeds start*step^j for j = 0..3 computed in
-// double (the serial dependency), lanes 4..7 derived with one fp32 vector
-// complex multiply by step^4, one block chain stepping step^8. At most
-// ceil(n_sc/8) - 1 fp32 chain steps, so rounding growth stays at a few
-// ulp_f32.
+// Lanes 0..7 of the vector fp32 recurrence at both widths: seeds
+// start*step^j for j = 0..3 computed in double (the serial dependency),
+// lanes 4..7 derived with one fp32 vector complex multiply by step^4.
 __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void seed_lanes8_f32(cplx start, cplx step,
                                                          __m256& c_re,
                                                          __m256& c_im) {
@@ -242,277 +248,12 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void seed_lanes
   c_im = _mm256_set_m128(b_im, a_im);
 }
 
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void fill_base_avx2_f32(
-    cplx start, cplx step, float* bre, float* bim, std::size_t n_sc) {
-  __m256 c_re, c_im;
-  seed_lanes8_f32(start, step, c_re, c_im);
-  const cplx s2 = step * step;
-  const cplx s8 = (s2 * s2) * (s2 * s2);
-  const __m256 v8r = _mm256_set1_ps(static_cast<float>(s8.real()));
-  const __m256 v8i = _mm256_set1_ps(static_cast<float>(s8.imag()));
-  std::size_t sc = 0;
-  for (;;) {
-    if (sc + 8 <= n_sc) {
-      _mm256_storeu_ps(bre + sc, c_re);
-      _mm256_storeu_ps(bim + sc, c_im);
-    } else {
-      alignas(32) float tr[8], ti[8];
-      _mm256_store_ps(tr, c_re);
-      _mm256_store_ps(ti, c_im);
-      for (std::size_t l = 0; sc + l < n_sc; ++l) {
-        bre[sc + l] = tr[l];
-        bim[sc + l] = ti[l];
-      }
-    }
-    sc += 8;
-    if (sc >= n_sc) break;
-    const __m256 nr = _mm256_fmsub_ps(c_re, v8r, _mm256_mul_ps(c_im, v8i));
-    c_im = _mm256_fmadd_ps(c_re, v8i, _mm256_mul_ps(c_im, v8r));
-    c_re = nr;
-  }
-}
-
-// 16-lane fp32 recurrence (AVX-512): seeds start*step^j (j = 0..15) in
-// double, one block chain stepping step^16.
-__attribute__((target("avx2,fma,avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) void
-fill_base_avx512_f32(cplx start, cplx step, float* bre, float* bim,
-                     std::size_t n_sc) {
-  // Lanes 0..7 seeded like the AVX2 kernel (4 serial double multiplies plus
-  // one 4-lane fp32 complex multiply by step^4); lanes 8..15 are that half
-  // times step^8 — the serial seed chain stays 4 long instead of 16.
-  __m256 lo_re, lo_im;
-  seed_lanes8_f32(start, step, lo_re, lo_im);
-  const cplx s2 = step * step;
-  const cplx s4 = s2 * s2;
-  const cplx s8 = s4 * s4;
-  const cplx s16 = s8 * s8;
-  const __m256 v8r = _mm256_set1_ps(static_cast<float>(s8.real()));
-  const __m256 v8i = _mm256_set1_ps(static_cast<float>(s8.imag()));
-  const __m256 hi_re =
-      _mm256_fmsub_ps(lo_re, v8r, _mm256_mul_ps(lo_im, v8i));
-  const __m256 hi_im =
-      _mm256_fmadd_ps(lo_re, v8i, _mm256_mul_ps(lo_im, v8r));
-  __m512 c_re = _mm512_insertf32x8(_mm512_castps256_ps512(lo_re), hi_re, 1);
-  __m512 c_im = _mm512_insertf32x8(_mm512_castps256_ps512(lo_im), hi_im, 1);
-  const __m512 v16r = _mm512_set1_ps(static_cast<float>(s16.real()));
-  const __m512 v16i = _mm512_set1_ps(static_cast<float>(s16.imag()));
-  std::size_t sc = 0;
-  for (;;) {
-    if (sc + 16 <= n_sc) {
-      _mm512_storeu_ps(bre + sc, c_re);
-      _mm512_storeu_ps(bim + sc, c_im);
-    } else {
-      alignas(64) float tr[16], ti[16];
-      _mm512_store_ps(tr, c_re);
-      _mm512_store_ps(ti, c_im);
-      for (std::size_t l = 0; sc + l < n_sc; ++l) {
-        bre[sc + l] = tr[l];
-        bim[sc + l] = ti[l];
-      }
-    }
-    sc += 16;
-    if (sc >= n_sc) break;
-    const __m512 nr = _mm512_fmsub_ps(c_re, v16r, _mm512_mul_ps(c_im, v16i));
-    c_im = _mm512_fmadd_ps(c_re, v16i, _mm512_mul_ps(c_im, v16r));
-    c_re = nr;
-  }
-}
-
-// fp32 register-blocked MAC, 8 subcarriers per slice. Accumulators are
-// float; the CsiMatrix store widens to double (cvtps_pd) so downstream
-// consumers see the same cplx layout on every tier. Per-lane power partials
-// stay fp32, the horizontal reduction is double.
-template <int NB>
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void mac_block_avx2_f32(
-    const float* base, const float* steer, std::size_t n_paths,
-    std::size_t n_pairs, std::size_t pair0, std::size_t n_sc, cplx* raw,
-    double& power) {
-  __m256 vpow = _mm256_setzero_ps();
-  // Subcarrier counts that are not lane multiples take the remainder as one
-  // *overlapped* full-width slice anchored at n_sc - 8: the overlapped
-  // element stores are idempotent, and a lane mask keeps the overlap out of
-  // the power sum. Only n_sc < 8 falls back to the scalar loop.
-  const std::size_t full = n_sc & ~std::size_t{7};
-  const std::size_t n_slices =
-      (n_sc >= 8) ? full / 8 + (full != n_sc ? 1 : 0) : 0;
-  for (std::size_t slice = 0; slice < n_slices; ++slice) {
-    const std::size_t sc = std::min<std::size_t>(slice * 8, n_sc - 8);
-    __m256 acc_re[NB], acc_im[NB];
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      acc_re[k] = _mm256_setzero_ps();
-      acc_im[k] = _mm256_setzero_ps();
-    }
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const float* bplane = base + p * 2 * n_sc;
-      const __m256 b_re = _mm256_loadu_ps(bplane + sc);
-      const __m256 b_im = _mm256_loadu_ps(bplane + n_sc + sc);
-      const float* st = steer + (p * n_pairs + pair0) * 2;
-#pragma GCC unroll 8
-      for (int k = 0; k < NB; ++k) {
-        const __m256 sr = _mm256_set1_ps(st[2 * k]);
-        const __m256 si = _mm256_set1_ps(st[2 * k + 1]);
-        acc_re[k] =
-            _mm256_fmadd_ps(sr, b_re, _mm256_fnmadd_ps(si, b_im, acc_re[k]));
-        acc_im[k] =
-            _mm256_fmadd_ps(sr, b_im, _mm256_fmadd_ps(si, b_re, acc_im[k]));
-      }
-    }
-    __m256 keep = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-    if (slice * 8 != sc) {  // overlapped tail: mask lanes < overlap
-      const __m256 idx = _mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7);
-      keep = _mm256_cmp_ps(
-          idx, _mm256_set1_ps(static_cast<float>(slice * 8 - sc)),
-          _CMP_GE_OQ);
-    }
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      const __m256 lo = _mm256_unpacklo_ps(acc_re[k], acc_im[k]);
-      const __m256 hi = _mm256_unpackhi_ps(acc_re[k], acc_im[k]);
-      double* dst = reinterpret_cast<double*>(raw + (pair0 + k) * n_sc + sc);
-      _mm256_storeu_pd(dst, _mm256_cvtps_pd(_mm256_castps256_ps128(lo)));
-      _mm256_storeu_pd(dst + 4, _mm256_cvtps_pd(_mm256_castps256_ps128(hi)));
-      _mm256_storeu_pd(dst + 8, _mm256_cvtps_pd(_mm256_extractf128_ps(lo, 1)));
-      _mm256_storeu_pd(dst + 12,
-                       _mm256_cvtps_pd(_mm256_extractf128_ps(hi, 1)));
-      const __m256 pre = _mm256_and_ps(acc_re[k], keep);
-      const __m256 pim = _mm256_and_ps(acc_im[k], keep);
-      vpow = _mm256_fmadd_ps(pre, pre, _mm256_fmadd_ps(pim, pim, vpow));
-    }
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, vpow);
-  for (float lane : lanes) power += static_cast<double>(lane);
-  for (std::size_t sc = n_slices * 8; sc < n_sc; ++sc) {  // only n_sc < 8
-    for (int k = 0; k < NB; ++k) {
-      float are = 0.0f, aim = 0.0f;
-      for (std::size_t p = 0; p < n_paths; ++p) {
-        const float* bplane = base + p * 2 * n_sc;
-        const float sr = steer[(p * n_pairs + pair0 + k) * 2];
-        const float si = steer[(p * n_pairs + pair0 + k) * 2 + 1];
-        are += sr * bplane[sc] - si * bplane[n_sc + sc];
-        aim += sr * bplane[n_sc + sc] + si * bplane[sc];
-      }
-      raw[(pair0 + k) * n_sc + sc] = cplx{are, aim};
-      power += static_cast<double>(are) * are + static_cast<double>(aim) * aim;
-    }
-  }
-}
-
-constexpr MacBlockFn<float> kMacBlocksAvx2F32[6] = {
-    mac_block_avx2_f32<1>, mac_block_avx2_f32<2>, mac_block_avx2_f32<3>,
-    mac_block_avx2_f32<4>, mac_block_avx2_f32<5>, mac_block_avx2_f32<6>};
-
-// fp32 MAC, 16 subcarriers per slice (AVX-512). The interleaved double
-// store uses permutex2var on the widened halves.
-template <int NB>
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) void mac_block_avx512_f32(
-    const float* base, const float* steer, std::size_t n_paths,
-    std::size_t n_pairs, std::size_t pair0, std::size_t n_sc, cplx* raw,
-    double& power) {
-  __m512 vpow = _mm512_setzero_ps();
-  const __m512i idx_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-  const __m512i idx_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-  // Remainder handled as one overlapped full-width slice at n_sc - 16 (see
-  // mac_block_avx2_f32); scalar fallback only below 16 subcarriers.
-  const std::size_t full = n_sc & ~std::size_t{15};
-  const std::size_t n_slices =
-      (n_sc >= 16) ? full / 16 + (full != n_sc ? 1 : 0) : 0;
-  for (std::size_t slice = 0; slice < n_slices; ++slice) {
-    const std::size_t sc = std::min<std::size_t>(slice * 16, n_sc - 16);
-    __m512 acc_re[NB], acc_im[NB];
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      acc_re[k] = _mm512_setzero_ps();
-      acc_im[k] = _mm512_setzero_ps();
-    }
-    for (std::size_t p = 0; p < n_paths; ++p) {
-      const float* bplane = base + p * 2 * n_sc;
-      const __m512 b_re = _mm512_loadu_ps(bplane + sc);
-      const __m512 b_im = _mm512_loadu_ps(bplane + n_sc + sc);
-      const float* st = steer + (p * n_pairs + pair0) * 2;
-#pragma GCC unroll 8
-      for (int k = 0; k < NB; ++k) {
-        const __m512 sr = _mm512_set1_ps(st[2 * k]);
-        const __m512 si = _mm512_set1_ps(st[2 * k + 1]);
-        acc_re[k] =
-            _mm512_fmadd_ps(sr, b_re, _mm512_fnmadd_ps(si, b_im, acc_re[k]));
-        acc_im[k] =
-            _mm512_fmadd_ps(sr, b_im, _mm512_fmadd_ps(si, b_re, acc_im[k]));
-      }
-    }
-    __mmask16 keep = 0xffff;
-    if (slice * 16 != sc)  // overlapped tail: drop lanes < overlap
-      keep = static_cast<__mmask16>(0xffffu << (slice * 16 - sc));
-#pragma GCC unroll 8
-    for (int k = 0; k < NB; ++k) {
-      const __m512d re_lo =
-          _mm512_cvtps_pd(_mm512_castps512_ps256(acc_re[k]));
-      const __m512d im_lo =
-          _mm512_cvtps_pd(_mm512_castps512_ps256(acc_im[k]));
-      const __m512d re_hi =
-          _mm512_cvtps_pd(_mm512_extractf32x8_ps(acc_re[k], 1));
-      const __m512d im_hi =
-          _mm512_cvtps_pd(_mm512_extractf32x8_ps(acc_im[k], 1));
-      double* dst = reinterpret_cast<double*>(raw + (pair0 + k) * n_sc + sc);
-      _mm512_storeu_pd(dst, _mm512_permutex2var_pd(re_lo, idx_lo, im_lo));
-      _mm512_storeu_pd(dst + 8, _mm512_permutex2var_pd(re_lo, idx_hi, im_lo));
-      _mm512_storeu_pd(dst + 16,
-                       _mm512_permutex2var_pd(re_hi, idx_lo, im_hi));
-      _mm512_storeu_pd(dst + 24,
-                       _mm512_permutex2var_pd(re_hi, idx_hi, im_hi));
-      const __m512 pre = _mm512_maskz_mov_ps(keep, acc_re[k]);
-      const __m512 pim = _mm512_maskz_mov_ps(keep, acc_im[k]);
-      vpow = _mm512_fmadd_ps(pre, pre, _mm512_fmadd_ps(pim, pim, vpow));
-    }
-  }
-  alignas(64) float lanes[16];
-  _mm512_store_ps(lanes, vpow);
-  for (float lane : lanes) power += static_cast<double>(lane);
-  for (std::size_t sc = n_slices * 16; sc < n_sc; ++sc) {  // only n_sc < 16
-    for (int k = 0; k < NB; ++k) {
-      float are = 0.0f, aim = 0.0f;
-      for (std::size_t p = 0; p < n_paths; ++p) {
-        const float* bplane = base + p * 2 * n_sc;
-        const float sr = steer[(p * n_pairs + pair0 + k) * 2];
-        const float si = steer[(p * n_pairs + pair0 + k) * 2 + 1];
-        are += sr * bplane[sc] - si * bplane[n_sc + sc];
-        aim += sr * bplane[n_sc + sc] + si * bplane[sc];
-      }
-      raw[(pair0 + k) * n_sc + sc] = cplx{are, aim};
-      power += static_cast<double>(are) * are + static_cast<double>(aim) * aim;
-    }
-  }
-}
-
-constexpr MacBlockFn<float> kMacBlocksAvx512F32[6] = {
-    mac_block_avx512_f32<1>, mac_block_avx512_f32<2>,
-    mac_block_avx512_f32<3>, mac_block_avx512_f32<4>,
-    mac_block_avx512_f32<5>, mac_block_avx512_f32<6>};
-
-// Staged fp32 sincos passes over lane-padded arrays.
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vsincos_n_f8(const float* x,
-                                                      std::size_t n, float* s,
-                                                      float* c) {
-  for (std::size_t i = 0; i < n; i += 8) {
-    __m256 vs, vc;
-    simdmath::vsincos_f8(_mm256_loadu_ps(x + i), vs, vc);
-    _mm256_storeu_ps(s + i, vs);
-    _mm256_storeu_ps(c + i, vc);
-  }
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) void vsincos_n_f16(
-    const float* x, std::size_t n, float* s, float* c) {
-  for (std::size_t i = 0; i < n; i += 16) {
-    __m512 vs, vc;
-    simdmath::vsincos_f16(_mm512_loadu_ps(x + i), vs, vc);
-    _mm512_storeu_ps(s + i, vs);
-    _mm512_storeu_ps(c + i, vc);
-  }
-}
-
 #endif  // __x86_64__
+
+// The vector fp32 stage kernels: one body, compiled as avx2_f32:: (8
+// lanes) and avx512_f32:: (16 lanes) on x86-64.
+#define MOBIWLAN_LANEF_BODY "chan/channel_batch_f32_kernels.inc"
+#include "util/lanef_tiers.inc"
 
 // Pads a plane length to a multiple of `lanes` (a power of two), so the
 // vector kernels never need a tail.
@@ -569,14 +310,16 @@ const TierKernels& tier_kernels(simd::Tier tier) {
   static constexpr PlaneKernels<double> kF64Avx2{
       kF64Lanes, v::sincos_n, v::fill_base, fused_mac<double, v::kMacBlocks>,
       v::unit_mac};
+  namespace f8 = avx2_f32;
+  namespace f16 = avx512_f32;
   static constexpr TierKernels kAvx2{
       kGeometryAvx2, kF64Avx2,
-      {8, vsincos_n_f8, fill_base_avx2_f32,
-       fused_mac<float, kMacBlocksAvx2F32>, nullptr}};
+      {f8::W, f8::sincos_n, f8::fill_base, fused_mac<float, f8::kMacBlocks>,
+       nullptr}};
   static constexpr TierKernels kAvx512{
       kGeometryAvx2, kF64Avx2,
-      {16, vsincos_n_f16, fill_base_avx512_f32,
-       fused_mac<float, kMacBlocksAvx512F32>, nullptr}};
+      {f16::W, f16::sincos_n, f16::fill_base,
+       fused_mac<float, f16::kMacBlocks>, nullptr}};
   if (tier == simd::Tier::kAvx512) return kAvx512;
   if (tier == simd::Tier::kAvx2) return kAvx2;
 #endif

@@ -160,11 +160,11 @@ LocEstimate Locator::locate(Scratch& s) const {
     while (std::gcd(stride, n) != 1) stride += 2;
   }
   s.sel.clear();
-  std::size_t i = 0;
+  std::size_t at = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    const std::pair<double, std::uint32_t> p{s.coarse_acc[i], posting[i]};
-    i += stride;
-    if (i >= n) i -= n;
+    const std::pair<double, std::uint32_t> p{s.coarse_acc[at], posting[at]};
+    at += stride;
+    if (at >= n) at -= n;
     if (s.sel.size() < keep) {
       s.sel.push_back(p);
       if (s.sel.size() == keep) std::make_heap(s.sel.begin(), s.sel.end());

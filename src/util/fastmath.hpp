@@ -161,25 +161,23 @@ inline double log10_pos(double x) {
 }
 
 // ---------------------------------------------------------------------------
-// fp32 kernels — the scalar references for the float32 precision tier.
+// fp32 sincos — the scalar reference for the float32 precision tier.
 //
-// These are single-precision ports of the kernels above, evaluated entirely
-// in float (the vector variants in util/simd_math.hpp perform the same
-// operation sequence 8 or 16 lanes wide). All accuracy bounds below are in
-// *float* ulps (1 ulp_f32 ~ 1.19e-7 relative). The fp32 channel tier calls
-// them only on pre-reduced arguments: phases beyond the float range are
-// reduced in double first (chan/channel_batch.cpp), because a float simply
-// cannot represent a carrier-scale phase to better than ~1e-2 rad.
+// The fp32 tier's one transcendental is sincos: the per-path phases become
+// phasors in float, while amplitudes, noise and similarity stay fp64. This
+// is the single-precision port of sincos above, evaluated entirely in
+// float; lanef::sincos (util/lanef.hpp) performs the same operation
+// sequence 8 or 16 lanes wide. Accuracy bounds are in *float* ulps (1
+// ulp_f32 ~ 1.19e-7 relative). The fp32 channel tier calls it only on
+// pre-reduced arguments: phases beyond the float range are reduced in
+// double first (chan/channel_batch.cpp), because a float simply cannot
+// represent a carrier-scale phase to better than ~1e-2 rad.
 // ---------------------------------------------------------------------------
 
 /// Largest |x| for which sincos_f32 holds its bound: k = round(x * 2/pi)
 /// stays below 2^10, so k * kPio2AF (14 significand bits) is exact in float
 /// and the B/C correction terms carry the tail of pi/2.
 inline constexpr float kSincosF32MaxArg = 1024.0f;
-
-/// Largest |x| for which exp2_f32 holds its bound (result stays normal:
-/// 2^-126 .. 2^127, with the reduction margin).
-inline constexpr float kExp2F32MaxArg = 126.0f;
 
 namespace detail {
 
@@ -211,14 +209,6 @@ inline float poly_cos_f32(float r) {
   return (1.0f - 0.5f * z) + p;
 }
 
-// fdlibm e_logf: ln2 split plus the float atanh-series coefficients.
-inline constexpr float kLn2HiF = 6.9313812256e-01f;
-inline constexpr float kLn2LoF = 9.0580006145e-06f;
-inline constexpr float kLgF1 = 6.6666662693e-01f;
-inline constexpr float kLgF2 = 4.0000972152e-01f;
-inline constexpr float kLgF3 = 2.8498786688e-01f;
-inline constexpr float kLgF4 = 2.4279078841e-01f;
-
 }  // namespace detail
 
 /// sin(x) and cos(x) in float for |x| <= kSincosF32MaxArg, accurate to
@@ -239,59 +229,6 @@ inline void sincos_f32(float x, float& sin_out, float& cos_out) {
     case 2: sin_out = -s; cos_out = -c; break;
     default: sin_out = -c; cos_out = s; break;
   }
-}
-
-/// log(x) in float for finite normal float x > 0, accurate to ~1 ulp_f32
-/// (fdlibm e_logf kernel; subnormals, zero, negatives and non-finite
-/// inputs are the caller's responsibility, same contract as log_pos).
-inline float log_pos_f32(float x) {
-  std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
-  int k = static_cast<int>(bits >> 23) - 127;
-  bits &= 0x007fffffu;
-  // Normalize the significand into [sqrt(2)/2, sqrt(2)).
-  const std::uint32_t i = (bits + 0x4afb20u) & 0x800000u;
-  k += static_cast<int>(i >> 23);
-  const float m = std::bit_cast<float>(bits | (i ^ 0x3f800000u));
-  const float f = m - 1.0f;
-  const float s = f / (2.0f + f);
-  const float z = s * s;
-  const float w = z * z;
-  const float t1 = w * (detail::kLgF2 + w * detail::kLgF4);
-  const float t2 = z * (detail::kLgF1 + w * detail::kLgF3);
-  const float r = t2 + t1;
-  const float hfsq = 0.5f * f * f;
-  const float dk = static_cast<float>(k);
-  return dk * detail::kLn2HiF -
-         ((hfsq - (s * (hfsq + r) + dk * detail::kLn2LoF)) - f);
-}
-
-/// 2^x in float for |x| <= kExp2F32MaxArg, accurate to ~2 ulp_f32.
-/// Reduction x = k + f with k integral and |f| <= 1/2 is exact; 2^f =
-/// exp(f ln2) by a degree-7 Horner chain (truncation < 1 ulp_f32 at
-/// |f ln2| <= 0.347); the 2^k scale is an exact exponent-field multiply.
-inline float exp2_f32(float x) {
-  const float kd = std::nearbyintf(x);
-  const float t = (x - kd) * 0.69314718056f;  // ln 2
-  float p = 1.0f / 5040.0f;
-  p = std::fmaf(t, p, 1.0f / 720.0f);
-  p = std::fmaf(t, p, 1.0f / 120.0f);
-  p = std::fmaf(t, p, 1.0f / 24.0f);
-  p = std::fmaf(t, p, 1.0f / 6.0f);
-  p = std::fmaf(t, p, 0.5f);
-  p = std::fmaf(t, p, 1.0f);
-  p = std::fmaf(t, p, 1.0f);
-  const std::int32_t k = static_cast<std::int32_t>(kd);
-  const float scale = std::bit_cast<float>((k + 127) << 23);
-  return p * scale;
-}
-
-/// 10^(db/20) in float — the fp32 amplitude form of dB. The float product
-/// rounds the *exponent* to ~|x| * 2^-24, so the relative error grows with
-/// |db|: ~3 ulp_f32 near 0 dB, ~0.12 * |db| ulp_f32 beyond (~25 ulp_f32,
-/// 3e-6 relative, at the -200 dB extreme) — still far inside the fp32
-/// tier's 1e-4 budget over the whole dB range the channel code uses.
-inline float db_to_amplitude_f32(float db) {
-  return exp2_f32(db * 0.166096404744368f);  // log2(10)/20
 }
 
 }  // namespace mobiwlan::fastmath

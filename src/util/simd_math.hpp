@@ -7,9 +7,10 @@
 // path to ~1 ulp — vastly inside the 1e-12 numerical-equivalence budget the
 // channel code is held to.
 //
-// Everything here carries the avx2,fma target attribute; callers must gate
-// on simd::use_avx2fma() (a baseline-ISA caller cannot inline these, so a
-// guarded call is safe on any x86-64 host).
+// Everything here is fp64 and carries the avx2,fma target attribute;
+// callers must gate on simd::use_avx2fma() (a baseline-ISA caller cannot
+// inline these, so a guarded call is safe on any x86-64 host). The fp32
+// vector sincos, at 8 and 16 lanes, is util/lanef.hpp's.
 #pragma once
 
 #if defined(__x86_64__)
@@ -40,30 +41,10 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline void ass
   for (double lane : lanes) assert(lane >= lo && lane <= hi);
 }
 
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline void assert_range_ps(
-    __m256 v, float lo, float hi) {
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, v);
-  for (float lane : lanes) assert(lane >= lo && lane <= hi);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) inline void
-assert_range_ps16(__m512 v, float lo, float hi) {
-  alignas(64) float lanes[16];
-  _mm512_store_ps(lanes, v);
-  for (float lane : lanes) assert(lane >= lo && lane <= hi);
-}
-
 #define MOBIWLAN_ASSERT_LANES_PD(v, lo, hi) \
   ::mobiwlan::simdmath::detail::assert_range_pd((v), (lo), (hi))
-#define MOBIWLAN_ASSERT_LANES_PS(v, lo, hi) \
-  ::mobiwlan::simdmath::detail::assert_range_ps((v), (lo), (hi))
-#define MOBIWLAN_ASSERT_LANES_PS16(v, lo, hi) \
-  ::mobiwlan::simdmath::detail::assert_range_ps16((v), (lo), (hi))
 #else
 #define MOBIWLAN_ASSERT_LANES_PD(v, lo, hi) ((void)0)
-#define MOBIWLAN_ASSERT_LANES_PS(v, lo, hi) ((void)0)
-#define MOBIWLAN_ASSERT_LANES_PS16(v, lo, hi) ((void)0)
 #endif
 
 }  // namespace detail
@@ -197,218 +178,6 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline __m256d 
   const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
       _mm256_add_epi64(k64, _mm256_set1_epi64x(1023)), 52));
   return _mm256_mul_pd(p, scale);
-}
-
-// ---------------------------------------------------------------------------
-// fp32 kernels — 8-lane AVX2 and 16-lane AVX-512 ports of the scalar
-// *_f32 kernels in fastmath.hpp. Same constants and evaluation order, so
-// every lane agrees with the scalar fp32 path to ~1 ulp_f32 (the only
-// divergence is FMA contraction the scalar path also uses via std::fmaf).
-// AVX-512 kernels carry the f/dq/vl target set that simd::avx512_supported()
-// gates on.
-// ---------------------------------------------------------------------------
-
-/// sin and cos of 8 float lanes, |x| <= fastmath::kSincosF32MaxArg,
-/// ~2 ulp_f32 (see sincos_f32).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline void vsincos_f8(__m256 x,
-                                                           __m256& s_out,
-                                                           __m256& c_out) {
-  namespace fm = fastmath::detail;
-  MOBIWLAN_ASSERT_LANES_PS(x, -fastmath::kSincosF32MaxArg,
-                           fastmath::kSincosF32MaxArg);
-  const __m256 kd = _mm256_round_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(fm::kTwoOverPiF)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256 r = _mm256_fnmadd_ps(kd, _mm256_set1_ps(fm::kPio2AF), x);
-  r = _mm256_fnmadd_ps(kd, _mm256_set1_ps(fm::kPio2BF), r);
-  r = _mm256_fnmadd_ps(kd, _mm256_set1_ps(fm::kPio2CF), r);
-  const __m256 z = _mm256_mul_ps(r, r);
-  __m256 ps =
-      _mm256_fmadd_ps(z, _mm256_set1_ps(fm::kSF3), _mm256_set1_ps(fm::kSF2));
-  ps = _mm256_fmadd_ps(z, ps, _mm256_set1_ps(fm::kSF1));
-  const __m256 psin = _mm256_fmadd_ps(_mm256_mul_ps(z, r), ps, r);
-  __m256 pc =
-      _mm256_fmadd_ps(z, _mm256_set1_ps(fm::kCF3), _mm256_set1_ps(fm::kCF2));
-  pc = _mm256_fmadd_ps(z, pc, _mm256_set1_ps(fm::kCF1));
-  const __m256 w = _mm256_fnmadd_ps(_mm256_set1_ps(0.5f), z,
-                                    _mm256_set1_ps(1.0f));
-  const __m256 pcos = _mm256_fmadd_ps(_mm256_mul_ps(z, z), pc, w);
-  // Quadrant: sin = {s, c, -s, -c}[n & 3], cos = {c, -s, -c, s}[n & 3].
-  const __m256i n = _mm256_cvtps_epi32(kd);
-  const __m256 odd = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-      _mm256_and_si256(n, _mm256_set1_epi32(1)), _mm256_set1_epi32(1)));
-  const __m256 s_base = _mm256_blendv_ps(psin, pcos, odd);
-  const __m256 c_base = _mm256_blendv_ps(pcos, psin, odd);
-  const __m256 s_sign = _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_and_si256(n, _mm256_set1_epi32(2)), 30));
-  const __m256 c_sign = _mm256_castsi256_ps(_mm256_slli_epi32(
-      _mm256_and_si256(_mm256_add_epi32(n, _mm256_set1_epi32(1)),
-                       _mm256_set1_epi32(2)),
-      30));
-  s_out = _mm256_xor_ps(s_base, s_sign);
-  c_out = _mm256_xor_ps(c_base, c_sign);
-}
-
-/// log(x) for 8 finite normal positive float lanes, ~1 ulp_f32
-/// (see log_pos_f32).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline __m256 vlog_pos_f8(__m256 x) {
-  namespace fm = fastmath::detail;
-  MOBIWLAN_ASSERT_LANES_PS(x, FLT_MIN, FLT_MAX);  // positive, normal, finite
-  const __m256i bits = _mm256_castps_si256(x);
-  __m256i k = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23),
-                               _mm256_set1_epi32(127));
-  const __m256i mant =
-      _mm256_and_si256(bits, _mm256_set1_epi32(0x007fffff));
-  const __m256i i = _mm256_and_si256(
-      _mm256_add_epi32(mant, _mm256_set1_epi32(0x4afb20)),
-      _mm256_set1_epi32(0x800000));
-  k = _mm256_add_epi32(k, _mm256_srli_epi32(i, 23));
-  const __m256 m = _mm256_castsi256_ps(_mm256_or_si256(
-      mant, _mm256_xor_si256(i, _mm256_set1_epi32(0x3f800000))));
-  const __m256 dk = _mm256_cvtepi32_ps(k);
-  const __m256 f = _mm256_sub_ps(m, _mm256_set1_ps(1.0f));
-  const __m256 s =
-      _mm256_div_ps(f, _mm256_add_ps(_mm256_set1_ps(2.0f), f));
-  const __m256 z = _mm256_mul_ps(s, s);
-  const __m256 w = _mm256_mul_ps(z, z);
-  const __m256 t1 = _mm256_mul_ps(
-      w, _mm256_fmadd_ps(w, _mm256_set1_ps(fm::kLgF4),
-                         _mm256_set1_ps(fm::kLgF2)));
-  const __m256 t2 = _mm256_mul_ps(
-      z, _mm256_fmadd_ps(w, _mm256_set1_ps(fm::kLgF3),
-                         _mm256_set1_ps(fm::kLgF1)));
-  const __m256 r = _mm256_add_ps(t2, t1);
-  const __m256 hfsq =
-      _mm256_mul_ps(_mm256_set1_ps(0.5f), _mm256_mul_ps(f, f));
-  // dk*ln2_hi - ((hfsq - (s*(hfsq+r) + dk*ln2_lo)) - f)
-  const __m256 inner =
-      _mm256_fmadd_ps(dk, _mm256_set1_ps(fm::kLn2LoF),
-                      _mm256_mul_ps(s, _mm256_add_ps(hfsq, r)));
-  return _mm256_fmadd_ps(dk, _mm256_set1_ps(fm::kLn2HiF),
-                         _mm256_sub_ps(f, _mm256_sub_ps(hfsq, inner)));
-}
-
-/// 2^x for 8 float lanes, |x| <= fastmath::kExp2F32MaxArg, ~2 ulp_f32
-/// (see exp2_f32).
-__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline __m256 vexp2_f8(__m256 x) {
-  MOBIWLAN_ASSERT_LANES_PS(x, -fastmath::kExp2F32MaxArg,
-                           fastmath::kExp2F32MaxArg);
-  const __m256 kd = _mm256_round_ps(
-      x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256 t = _mm256_mul_ps(_mm256_sub_ps(x, kd),
-                                 _mm256_set1_ps(0.69314718056f));
-  __m256 p = _mm256_set1_ps(1.0f / 5040.0f);
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f / 720.0f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f / 120.0f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f / 24.0f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f / 6.0f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(0.5f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f));
-  p = _mm256_fmadd_ps(t, p, _mm256_set1_ps(1.0f));
-  const __m256i k = _mm256_cvtps_epi32(kd);
-  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
-      _mm256_add_epi32(k, _mm256_set1_epi32(127)), 23));
-  return _mm256_mul_ps(p, scale);
-}
-
-/// sin and cos of 16 float lanes (AVX-512 port of vsincos_f8).
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) inline void vsincos_f16(
-    __m512 x, __m512& s_out, __m512& c_out) {
-  namespace fm = fastmath::detail;
-  MOBIWLAN_ASSERT_LANES_PS16(x, -fastmath::kSincosF32MaxArg,
-                             fastmath::kSincosF32MaxArg);
-  const __m512 kd = _mm512_roundscale_ps(
-      _mm512_mul_ps(x, _mm512_set1_ps(fm::kTwoOverPiF)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m512 r = _mm512_fnmadd_ps(kd, _mm512_set1_ps(fm::kPio2AF), x);
-  r = _mm512_fnmadd_ps(kd, _mm512_set1_ps(fm::kPio2BF), r);
-  r = _mm512_fnmadd_ps(kd, _mm512_set1_ps(fm::kPio2CF), r);
-  const __m512 z = _mm512_mul_ps(r, r);
-  __m512 ps =
-      _mm512_fmadd_ps(z, _mm512_set1_ps(fm::kSF3), _mm512_set1_ps(fm::kSF2));
-  ps = _mm512_fmadd_ps(z, ps, _mm512_set1_ps(fm::kSF1));
-  const __m512 psin = _mm512_fmadd_ps(_mm512_mul_ps(z, r), ps, r);
-  __m512 pc =
-      _mm512_fmadd_ps(z, _mm512_set1_ps(fm::kCF3), _mm512_set1_ps(fm::kCF2));
-  pc = _mm512_fmadd_ps(z, pc, _mm512_set1_ps(fm::kCF1));
-  const __m512 w = _mm512_fnmadd_ps(_mm512_set1_ps(0.5f), z,
-                                    _mm512_set1_ps(1.0f));
-  const __m512 pcos = _mm512_fmadd_ps(_mm512_mul_ps(z, z), pc, w);
-  const __m512i n = _mm512_cvtps_epi32(kd);
-  const __mmask16 odd =
-      _mm512_test_epi32_mask(n, _mm512_set1_epi32(1));
-  const __m512 s_base = _mm512_mask_blend_ps(odd, psin, pcos);
-  const __m512 c_base = _mm512_mask_blend_ps(odd, pcos, psin);
-  const __m512 s_sign = _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_and_epi32(n, _mm512_set1_epi32(2)), 30));
-  const __m512 c_sign = _mm512_castsi512_ps(_mm512_slli_epi32(
-      _mm512_and_epi32(_mm512_add_epi32(n, _mm512_set1_epi32(1)),
-                       _mm512_set1_epi32(2)),
-      30));
-  s_out = _mm512_xor_ps(s_base, s_sign);
-  c_out = _mm512_xor_ps(c_base, c_sign);
-}
-
-/// log(x) for 16 finite normal positive float lanes (AVX-512 port of
-/// vlog_pos_f8).
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) inline __m512
-vlog_pos_f16(__m512 x) {
-  namespace fm = fastmath::detail;
-  MOBIWLAN_ASSERT_LANES_PS16(x, FLT_MIN, FLT_MAX);
-  const __m512i bits = _mm512_castps_si512(x);
-  __m512i k = _mm512_sub_epi32(_mm512_srli_epi32(bits, 23),
-                               _mm512_set1_epi32(127));
-  const __m512i mant =
-      _mm512_and_epi32(bits, _mm512_set1_epi32(0x007fffff));
-  const __m512i i = _mm512_and_epi32(
-      _mm512_add_epi32(mant, _mm512_set1_epi32(0x4afb20)),
-      _mm512_set1_epi32(0x800000));
-  k = _mm512_add_epi32(k, _mm512_srli_epi32(i, 23));
-  const __m512 m = _mm512_castsi512_ps(_mm512_or_epi32(
-      mant, _mm512_xor_epi32(i, _mm512_set1_epi32(0x3f800000))));
-  const __m512 dk = _mm512_cvtepi32_ps(k);
-  const __m512 f = _mm512_sub_ps(m, _mm512_set1_ps(1.0f));
-  const __m512 s =
-      _mm512_div_ps(f, _mm512_add_ps(_mm512_set1_ps(2.0f), f));
-  const __m512 z = _mm512_mul_ps(s, s);
-  const __m512 w = _mm512_mul_ps(z, z);
-  const __m512 t1 = _mm512_mul_ps(
-      w, _mm512_fmadd_ps(w, _mm512_set1_ps(fm::kLgF4),
-                         _mm512_set1_ps(fm::kLgF2)));
-  const __m512 t2 = _mm512_mul_ps(
-      z, _mm512_fmadd_ps(w, _mm512_set1_ps(fm::kLgF3),
-                         _mm512_set1_ps(fm::kLgF1)));
-  const __m512 r = _mm512_add_ps(t2, t1);
-  const __m512 hfsq =
-      _mm512_mul_ps(_mm512_set1_ps(0.5f), _mm512_mul_ps(f, f));
-  const __m512 inner =
-      _mm512_fmadd_ps(dk, _mm512_set1_ps(fm::kLn2LoF),
-                      _mm512_mul_ps(s, _mm512_add_ps(hfsq, r)));
-  return _mm512_fmadd_ps(dk, _mm512_set1_ps(fm::kLn2HiF),
-                         _mm512_sub_ps(f, _mm512_sub_ps(hfsq, inner)));
-}
-
-/// 2^x for 16 float lanes (AVX-512 port of vexp2_f8).
-__attribute__((target("avx512f,avx512dq,avx512vl"), optimize("fp-contract=off"))) inline __m512 vexp2_f16(
-    __m512 x) {
-  MOBIWLAN_ASSERT_LANES_PS16(x, -fastmath::kExp2F32MaxArg,
-                             fastmath::kExp2F32MaxArg);
-  const __m512 kd = _mm512_roundscale_ps(
-      x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m512 t = _mm512_mul_ps(_mm512_sub_ps(x, kd),
-                                 _mm512_set1_ps(0.69314718056f));
-  __m512 p = _mm512_set1_ps(1.0f / 5040.0f);
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f / 720.0f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f / 120.0f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f / 24.0f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f / 6.0f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(0.5f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f));
-  p = _mm512_fmadd_ps(t, p, _mm512_set1_ps(1.0f));
-  const __m512i k = _mm512_cvtps_epi32(kd);
-  const __m512 scale = _mm512_castsi512_ps(_mm512_slli_epi32(
-      _mm512_add_epi32(k, _mm512_set1_epi32(127)), 23));
-  return _mm512_mul_ps(p, scale);
 }
 
 }  // namespace mobiwlan::simdmath

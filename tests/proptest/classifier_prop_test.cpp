@@ -64,7 +64,9 @@ void expect_invariant_decisions(
     const auto s0 = original.similarity();
     const auto s1 = transformed.similarity();
     ASSERT_EQ(s0.has_value(), s1.has_value()) << "at frame " << k;
-    if (s0) EXPECT_NEAR(*s0, *s1, 1e-9) << "at frame " << k;
+    if (s0) {
+      EXPECT_NEAR(*s0, *s1, 1e-9) << "at frame " << k;
+    }
   }
 }
 

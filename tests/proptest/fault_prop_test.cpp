@@ -109,11 +109,15 @@ TEST(FaultProperty, SamePlanIsReproducibleAcrossObservers) {
       const auto ta = oa.tof_cycles(unit, t);
       const auto tb = ob.tof_cycles(unit, t);
       ASSERT_EQ(ta.has_value(), tb.has_value());
-      if (ta) ASSERT_EQ(*ta, *tb);
+      if (ta) {
+        ASSERT_EQ(*ta, *tb);
+      }
       const auto ra = oa.rssi_dbm(unit, t);
       const auto rb = ob.rssi_dbm(unit, t);
       ASSERT_EQ(ra.has_value(), rb.has_value());
-      if (ra) ASSERT_EQ(*ra, *rb);
+      if (ra) {
+        ASSERT_EQ(*ra, *rb);
+      }
       ASSERT_EQ(oa.feedback_delivered(unit, t), ob.feedback_delivered(unit, t));
     }
     // drop_prob <= 0.6 over >= 20 samples: statistically impossible to lose

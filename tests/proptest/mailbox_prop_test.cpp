@@ -91,7 +91,9 @@ TEST(MailboxProp, ConservesAndOrdersUnderRandomInterleavings) {
       for (std::size_t d = 0; d < shards; ++d)
         EXPECT_EQ(next_expected[s][d], next_seq[s][d]);
     // Back-pressure only ever happens against a bounded lane.
-    if (rejected > 0) EXPECT_LE(capacity, mb.lane_capacity());
+    if (rejected > 0) {
+      EXPECT_LE(capacity, mb.lane_capacity());
+    }
   });
 }
 

@@ -159,9 +159,10 @@ TEST(TraceProp, TraceSourceReplaysEveryStreamInOrder) {
       if (is_matrix_kind(want.kind)) {
         const bool got = src.csi(want.unit, want.t, csi);
         EXPECT_EQ(got, want.present);
-        if (got)
+        if (got) {
           for (std::size_t v = 0; v < csi.raw().size(); ++v)
             EXPECT_EQ(csi.raw()[v], want.csi.raw()[v]);
+        }
       } else {
         std::optional<double> got;
         switch (want.kind) {
@@ -183,7 +184,9 @@ TEST(TraceProp, TraceSourceReplaysEveryStreamInOrder) {
           default: FAIL() << "unexpected kind"; continue;
         }
         EXPECT_EQ(got.has_value(), want.present);
-        if (got) EXPECT_EQ(*got, want.scalar);
+        if (got) {
+          EXPECT_EQ(*got, want.scalar);
+        }
       }
     }
     expect_lockstep();  // after the last query

@@ -16,9 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "util/lanef.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/simd_math.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -136,7 +136,7 @@ TEST(FastmathTest, LogDomainEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// fp32 kernels — same shape as the fp64 suites above, with the bounds in
+// fp32 sincos — same shape as the fp64 suites above, with the bounds in
 // float ulps (1 ulp_f32 ~ 1.19e-7 relative) against the double-precision
 // libm evaluation rounded to float.
 // ---------------------------------------------------------------------------
@@ -166,22 +166,6 @@ void expect_sincos_f32_close(float x) {
   EXPECT_TRUE(ulp_distance_f32(c, rc) <= 4 || std::abs(c - rc) <= 4e-7f)
       << "sincos_f32 cos(" << x << "): got " << c << " want " << rc << " ("
       << ulp_distance_f32(c, rc) << " ulp_f32)";
-}
-
-void expect_log_f32_close(float x) {
-  const float got = fastmath::log_pos_f32(x);
-  const float want = static_cast<float>(std::log(static_cast<double>(x)));
-  EXPECT_TRUE(ulp_distance_f32(got, want) <= 2 || std::abs(got - want) <= 1e-9f)
-      << "log_pos_f32(" << x << "): got " << got << " want " << want << " ("
-      << ulp_distance_f32(got, want) << " ulp_f32)";
-}
-
-void expect_exp2_f32_close(float x) {
-  const float got = fastmath::exp2_f32(x);
-  const float want = static_cast<float>(std::exp2(static_cast<double>(x)));
-  EXPECT_TRUE(ulp_distance_f32(got, want) <= 4)
-      << "exp2_f32(" << x << "): got " << got << " want " << want << " ("
-      << ulp_distance_f32(got, want) << " ulp_f32)";
 }
 
 TEST(FastmathF32Test, SincosGridAcrossDomain) {
@@ -244,134 +228,42 @@ TEST(FastmathF32Test, SincosDomainEdges) {
   }
 }
 
-TEST(FastmathF32Test, LogAcrossMagnitudes) {
-  for (float x = FLT_MIN; x < 1e37f; x *= 1.7f) expect_log_f32_close(x);
-  for (int i = -1000; i <= 1000; ++i)
-    expect_log_f32_close(1.0f + static_cast<float>(i) * 1e-5f);
-  Rng rng(20140204);
-  for (int i = 0; i < 100000; ++i) {
-    expect_log_f32_close(
-        static_cast<float>(std::exp(rng.uniform(-87.0, 88.0))));
-    if (::testing::Test::HasFailure()) break;
-  }
-}
-
-TEST(FastmathF32Test, LogDomainEdges) {
-  EXPECT_EQ(fastmath::log_pos_f32(1.0f), 0.0f);  // exact (k=0, f=0)
-  expect_log_f32_close(FLT_MIN);                 // smallest normal
-  expect_log_f32_close(FLT_MAX);                 // largest finite
-  expect_log_f32_close(std::nextafterf(1.0f, 0.0f));
-  expect_log_f32_close(std::nextafterf(1.0f, 2.0f));
-  expect_log_f32_close(2.0f);
-  expect_log_f32_close(0.5f);
-  // sqrt(2)/2 boundary of the significand normalization, both sides.
-  const float sqrt1_2 = static_cast<float>(M_SQRT1_2);
-  expect_log_f32_close(std::nextafterf(sqrt1_2, 0.0f));
-  expect_log_f32_close(std::nextafterf(sqrt1_2, 1.0f));
-}
-
-TEST(FastmathF32Test, Exp2AcrossDomain) {
-  const float lim = fastmath::kExp2F32MaxArg;
-  for (int i = -126000; i <= 126000; i += 7)
-    expect_exp2_f32_close(static_cast<float>(i) * 1e-3f);
-  Rng rng(20140204);
-  for (int i = 0; i < 100000; ++i) {
-    expect_exp2_f32_close(static_cast<float>(rng.uniform(-lim, lim)));
-    if (::testing::Test::HasFailure()) break;
-  }
-}
-
-TEST(FastmathF32Test, Exp2DomainEdges) {
-  EXPECT_EQ(fastmath::exp2_f32(0.0f), 1.0f);
-  // Integer arguments scale exactly (the polynomial evaluates at t=0).
-  for (int k = -126; k <= 126; k += 3)
-    EXPECT_EQ(fastmath::exp2_f32(static_cast<float>(k)),
-              std::exp2(static_cast<float>(k)))
-        << "k=" << k;
-  // Half-integers sit exactly on the round-to-even reduction boundary.
-  expect_exp2_f32_close(0.5f);
-  expect_exp2_f32_close(-0.5f);
-  expect_exp2_f32_close(125.5f);
-  expect_exp2_f32_close(-125.5f);
-  // At and one ulp inside the documented range limit; results stay normal.
-  expect_exp2_f32_close(fastmath::kExp2F32MaxArg);
-  expect_exp2_f32_close(-fastmath::kExp2F32MaxArg);
-  expect_exp2_f32_close(std::nextafterf(fastmath::kExp2F32MaxArg, 0.0f));
-  expect_exp2_f32_close(std::nextafterf(-fastmath::kExp2F32MaxArg, 0.0f));
-  EXPECT_GE(fastmath::exp2_f32(-fastmath::kExp2F32MaxArg), FLT_MIN);
-  EXPECT_TRUE(std::isfinite(fastmath::exp2_f32(fastmath::kExp2F32MaxArg)));
-}
-
-TEST(FastmathF32Test, DbToAmplitude) {
-  // The documented bound grows with |db| (the float exponent product
-  // rounds to ~|x| * 2^-24): ~3 ulp_f32 near 0 dB, ~0.12 * |db| ulp_f32
-  // beyond. Check against the double-precision pow chain over the dB range
-  // the channel code uses (path gains, noise floors).
-  Rng rng(20140204);
-  for (int i = 0; i < 50000; ++i) {
-    const float db = static_cast<float>(rng.uniform(-200.0, 60.0));
-    const float got = fastmath::db_to_amplitude_f32(db);
-    const float want = static_cast<float>(
-        std::pow(10.0, static_cast<double>(db) / 20.0));
-    const std::uint32_t bound =
-        4u + static_cast<std::uint32_t>(0.15 * std::abs(db));
-    EXPECT_TRUE(ulp_distance_f32(got, want) <= bound)
-        << "db_to_amplitude_f32(" << db << "): got " << got << " want "
-        << want << " (" << ulp_distance_f32(got, want) << " ulp_f32, bound "
-        << bound << ")";
-    if (::testing::Test::HasFailure()) break;
-  }
-  EXPECT_EQ(fastmath::db_to_amplitude_f32(0.0f), 1.0f);
-}
-
 #if defined(__x86_64__)
 
 // ---------------------------------------------------------------------------
-// Tier agreement sweep: the vector fp32 kernels promise lane-for-lane
+// Tier agreement sweep: the vector fp32 sincos promises lane-for-lane
 // agreement with the scalar fp32 path to ~1 ulp_f32 (same constants, same
-// evaluation order — the only slack is scalar fmaf vs vector FMA rounding,
-// which is none, and the compiler's freedom over non-fused ops). The sweep
-// drives all three tiers over the same random batches and pins
-// scalar-vs-avx2 to <= 1 ulp_f32 and avx2-vs-avx512 to bitwise equality
-// (the f16 kernels are lane-widened ports with identical operations).
-// Each wider tier is gated on host support — a loud GTEST_SKIP, not a
-// silent pass, when the ISA is absent.
+// evaluation order — the only slack is the compiler's freedom over non-fused
+// scalar ops). The sweep drives all three tiers over the same random
+// batches and pins scalar-vs-avx2 to <= 1 ulp_f32 and avx2-vs-avx512 to
+// bitwise equality (one polynomial, compiled at both widths). Each wider
+// tier is gated on host support — a loud GTEST_SKIP, not a silent pass,
+// when the ISA is absent.
 // ---------------------------------------------------------------------------
 
-/// One 16-lane batch of every kernel at every supported tier.
+/// One 16-lane batch of sincos at every supported tier.
 struct TierSweepOut {
-  float scalar_sin[16], scalar_cos[16], scalar_log[16], scalar_exp[16];
-  float avx2_sin[16], avx2_cos[16], avx2_log[16], avx2_exp[16];
-  float avx512_sin[16], avx512_cos[16], avx512_log[16], avx512_exp[16];
+  float scalar_sin[16], scalar_cos[16];
+  float avx2_sin[16], avx2_cos[16];
+  float avx512_sin[16], avx512_cos[16];
 };
 
-__attribute__((target("avx2,fma"))) void run_avx2_batch(
-    const float* x_trig, const float* x_log, const float* x_exp,
-    TierSweepOut& out) {
+__attribute__((target("avx2,fma"))) void run_avx2_batch(const float* x_trig,
+                                                        TierSweepOut& out) {
   for (int half = 0; half < 2; ++half) {
-    const __m256 xt = _mm256_loadu_ps(x_trig + 8 * half);
     __m256 s, c;
-    simdmath::vsincos_f8(xt, s, c);
+    lanef::sincos(_mm256_loadu_ps(x_trig + 8 * half), s, c);
     _mm256_storeu_ps(out.avx2_sin + 8 * half, s);
     _mm256_storeu_ps(out.avx2_cos + 8 * half, c);
-    _mm256_storeu_ps(out.avx2_log + 8 * half,
-                     simdmath::vlog_pos_f8(_mm256_loadu_ps(x_log + 8 * half)));
-    _mm256_storeu_ps(out.avx2_exp + 8 * half,
-                     simdmath::vexp2_f8(_mm256_loadu_ps(x_exp + 8 * half)));
   }
 }
 
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void run_avx512_batch(
-    const float* x_trig, const float* x_log, const float* x_exp,
-    TierSweepOut& out) {
+__attribute__((target("avx2,fma,avx512f,avx512dq,avx512vl"))) void
+run_avx512_batch(const float* x_trig, TierSweepOut& out) {
   __m512 s, c;
-  simdmath::vsincos_f16(_mm512_loadu_ps(x_trig), s, c);
+  lanef::sincos(_mm512_loadu_ps(x_trig), s, c);
   _mm512_storeu_ps(out.avx512_sin, s);
   _mm512_storeu_ps(out.avx512_cos, c);
-  _mm512_storeu_ps(out.avx512_log,
-                   simdmath::vlog_pos_f16(_mm512_loadu_ps(x_log)));
-  _mm512_storeu_ps(out.avx512_exp,
-                   simdmath::vexp2_f16(_mm512_loadu_ps(x_exp)));
 }
 
 TEST(FastmathF32Test, TierAgreementSweep) {
@@ -386,29 +278,20 @@ TEST(FastmathF32Test, TierAgreementSweep) {
         stderr);
   Rng rng(20140204);
   TierSweepOut out;
-  float x_trig[16], x_log[16], x_exp[16];
+  float x_trig[16];
   for (int batch = 0; batch < 2000; ++batch) {
     for (int i = 0; i < 16; ++i) {
       x_trig[i] = static_cast<float>(rng.uniform(
           -fastmath::kSincosF32MaxArg, fastmath::kSincosF32MaxArg));
-      x_log[i] = static_cast<float>(std::exp(rng.uniform(-87.0, 88.0)));
-      x_exp[i] = static_cast<float>(rng.uniform(
-          -fastmath::kExp2F32MaxArg, fastmath::kExp2F32MaxArg));
       fastmath::sincos_f32(x_trig[i], out.scalar_sin[i], out.scalar_cos[i]);
-      out.scalar_log[i] = fastmath::log_pos_f32(x_log[i]);
-      out.scalar_exp[i] = fastmath::exp2_f32(x_exp[i]);
     }
-    run_avx2_batch(x_trig, x_log, x_exp, out);
-    if (avx512) run_avx512_batch(x_trig, x_log, x_exp, out);
+    run_avx2_batch(x_trig, out);
+    if (avx512) run_avx512_batch(x_trig, out);
     for (int i = 0; i < 16; ++i) {
       EXPECT_LE(ulp_distance_f32(out.scalar_sin[i], out.avx2_sin[i]), 1u)
           << "sin lane " << i << " x=" << x_trig[i];
       EXPECT_LE(ulp_distance_f32(out.scalar_cos[i], out.avx2_cos[i]), 1u)
           << "cos lane " << i << " x=" << x_trig[i];
-      EXPECT_LE(ulp_distance_f32(out.scalar_log[i], out.avx2_log[i]), 1u)
-          << "log lane " << i << " x=" << x_log[i];
-      EXPECT_LE(ulp_distance_f32(out.scalar_exp[i], out.avx2_exp[i]), 1u)
-          << "exp2 lane " << i << " x=" << x_exp[i];
       if (avx512) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(out.avx2_sin[i]),
                   std::bit_cast<std::uint32_t>(out.avx512_sin[i]))
@@ -416,12 +299,6 @@ TEST(FastmathF32Test, TierAgreementSweep) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(out.avx2_cos[i]),
                   std::bit_cast<std::uint32_t>(out.avx512_cos[i]))
             << "cos lane " << i << " x=" << x_trig[i];
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(out.avx2_log[i]),
-                  std::bit_cast<std::uint32_t>(out.avx512_log[i]))
-            << "log lane " << i << " x=" << x_log[i];
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(out.avx2_exp[i]),
-                  std::bit_cast<std::uint32_t>(out.avx512_exp[i]))
-            << "exp2 lane " << i << " x=" << x_exp[i];
       }
     }
     if (::testing::Test::HasFailure()) break;

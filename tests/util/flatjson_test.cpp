@@ -130,7 +130,7 @@ TEST(FlatJsonTest, LoadsEveryCommittedDocumentUnchanged) {
   namespace fs = std::filesystem;
   const fs::path root = MOBIWLAN_SOURCE_DIR;
   std::vector<fs::path> files;
-  for (const fs::path dir : {root / "ci", root}) {
+  for (const fs::path& dir : {root / "ci", root}) {
     for (const auto& entry : fs::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
       if (entry.path().extension() != ".json") continue;

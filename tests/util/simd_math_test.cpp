@@ -1,7 +1,7 @@
 // simd_math domain edges: every vector transcendental documents an input
 // domain (|x| <= kSincosWideMaxArg for vsincos, |x| <= 256 for vexp2,
-// positive normal finite for vlog_pos, and the fp32 analogues). This suite
-// pins two things:
+// positive normal finite for vlog_pos, |x| <= kSincosF32MaxArg for the
+// 8- and 16-lane fp32 lanef::sincos). This suite pins two things:
 //   1. the extreme *valid* inputs — exactly at the documented edges —
 //      produce finite results that agree with the scalar reference (a
 //      regression net for the reduction constants, whose failure mode is
@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "util/fastmath.hpp"
+#include "util/lanef.hpp"
 #include "util/simd.hpp"
 
 #if defined(__x86_64__)
@@ -75,33 +76,15 @@ __attribute__((target("avx2,fma"))) void exp24(const double* x, double* out) {
 __attribute__((target("avx2,fma"))) void sincos8_f32(const float* x, float* s,
                                                      float* c) {
   __m256 vs, vc;
-  simdmath::vsincos_f8(_mm256_loadu_ps(x), vs, vc);
+  lanef::sincos(_mm256_loadu_ps(x), vs, vc);
   _mm256_storeu_ps(s, vs);
   _mm256_storeu_ps(c, vc);
 }
 
-__attribute__((target("avx2,fma"))) void log8_f32(const float* x, float* out) {
-  _mm256_storeu_ps(out, simdmath::vlog_pos_f8(_mm256_loadu_ps(x)));
-}
-
-__attribute__((target("avx2,fma"))) void exp28_f32(const float* x, float* out) {
-  _mm256_storeu_ps(out, simdmath::vexp2_f8(_mm256_loadu_ps(x)));
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void exp216_f32(
-    const float* x, float* out) {
-  _mm512_storeu_ps(out, simdmath::vexp2_f16(_mm512_loadu_ps(x)));
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void log16_f32(
-    const float* x, float* out) {
-  _mm512_storeu_ps(out, simdmath::vlog_pos_f16(_mm512_loadu_ps(x)));
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) void sincos16_f32(
-    const float* x, float* s, float* c) {
+__attribute__((target("avx2,fma,avx512f,avx512dq,avx512vl"))) void
+sincos16_f32(const float* x, float* s, float* c) {
   __m512 vs, vc;
-  simdmath::vsincos_f16(_mm512_loadu_ps(x), vs, vc);
+  lanef::sincos(_mm512_loadu_ps(x), vs, vc);
   _mm512_storeu_ps(s, vs);
   _mm512_storeu_ps(c, vc);
 }
@@ -166,48 +149,10 @@ TEST(SimdMathTest, Fp32DomainEdgesMatchScalar) {
     EXPECT_LE(ulp_distance_f32(c[i], rc), 1u) << "cos x=" << xt[i];
   }
 
-  const float xl[8] = {FLT_MIN, FLT_MAX, std::nextafterf(FLT_MIN, 1.0f),
-                       std::nextafterf(FLT_MAX, 0.0f), 1.0f,
-                       std::nextafterf(1.0f, 0.0f),
-                       std::nextafterf(1.0f, 2.0f), 2.0f};
-  float l[16];
-  log8_f32(xl, l);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(std::isfinite(l[i])) << "x=" << xl[i];
-    EXPECT_LE(ulp_distance_f32(l[i], fastmath::log_pos_f32(xl[i])), 1u)
-        << "log x=" << xl[i];
-  }
-
-  const float elim = fastmath::kExp2F32MaxArg;
-  const float xe[8] = {elim, -elim, std::nextafterf(elim, 0.0f),
-                       std::nextafterf(-elim, 0.0f), 0.0f, 0.5f, -0.5f, 1.0f};
-  float e[16];
-  exp28_f32(xe, e);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(std::isfinite(e[i]) && e[i] > 0.0f) << "x=" << xe[i];
-    // The -126 edge must stay a *normal* float (the documented guarantee).
-    EXPECT_GE(e[i], FLT_MIN) << "x=" << xe[i];
-    EXPECT_LE(ulp_distance_f32(e[i], fastmath::exp2_f32(xe[i])), 1u)
-        << "exp2 x=" << xe[i];
-  }
-
   if (simd::avx512_supported()) {
-    // Same edges through the 16-lane ports: bitwise-equal to the 8-lane
-    // results (identical operations, twice the width).
-    float x16[16], got[16];
-    for (int i = 0; i < 16; ++i) x16[i] = xe[i % 8];
-    exp216_f32(x16, got);
-    for (int i = 0; i < 16; ++i)
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(e[i % 8]))
-          << "exp2 lane " << i;
-    for (int i = 0; i < 16; ++i) x16[i] = xl[i % 8];
-    log16_f32(x16, got);
-    for (int i = 0; i < 16; ++i)
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(l[i % 8]))
-          << "log lane " << i;
-    float s16[16], c16[16];
+    // The same edges through the 16-lane instantiation: bitwise-equal to
+    // the 8-lane results (one polynomial, twice the width).
+    float x16[16], s16[16], c16[16];
     for (int i = 0; i < 16; ++i) x16[i] = xt[i % 8];
     sincos16_f32(x16, s16, c16);
     for (int i = 0; i < 16; ++i) {
@@ -250,16 +195,15 @@ TEST(SimdMathDeathTest, Fp64OutOfDomainTrips) {
 TEST(SimdMathDeathTest, Fp32OutOfDomainTrips) {
   if (!simd::avx2fma_supported())
     GTEST_SKIP() << "host lacks AVX2+FMA: vector kernels unavailable";
-  float out[8], s[8], c[8];
-  const float bad_exp[8] = {0.0f, 0.0f, 0.0f, 0.0f,
-                            0.0f, 200.0f, 0.0f, 0.0f};
-  EXPECT_DEATH(exp28_f32(bad_exp, out), "");
-  const float bad_log[8] = {1.0f, 1.0f, 1.0f, 0.0f,  // zero lane
-                            1.0f, 1.0f, 1.0f, 1.0f};
-  EXPECT_DEATH(log8_f32(bad_log, out), "");
-  const float bad_trig[8] = {0.0f, 0.0f, 0.0f, 0.0f,
-                             2048.0f, 0.0f, 0.0f, 0.0f};
+  float s[16], c[16];
+  float bad_trig[16] = {};
+  bad_trig[4] = 2048.0f;
   EXPECT_DEATH(sincos8_f32(bad_trig, s, c), "");
+  if (simd::avx512_supported()) {
+    bad_trig[4] = 0.0f;
+    bad_trig[13] = -2048.0f;  // a lane only the 16-lane width reads
+    EXPECT_DEATH(sincos16_f32(bad_trig, s, c), "");
+  }
 }
 
 #endif  // MOBIWLAN_SIMD_MATH_CHECKS
