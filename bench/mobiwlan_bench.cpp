@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -435,14 +436,10 @@ int run_perf(const Options& opt) {
 /// Checks a suite report against a baseline and prints the verdict table.
 /// Returns the process exit code.
 int check_suite(const std::string& name, const fidelity::FidelityReport& rep,
-                std::uint64_t run_seed, const std::string& baseline_path,
+                std::uint64_t run_seed,
+                const std::map<std::string, double>& baseline,
+                const std::string& baseline_path,
                 fidelity::CheckResult& check) {
-  const auto baseline = load_flat_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "mobiwlan-bench: no %s baseline at %s\n", name.c_str(),
-                 baseline_path.c_str());
-    return 1;
-  }
   check = rep.check(baseline, run_seed);
   std::printf("\n%s-check against %s (seed %llu):\n", name.c_str(),
               baseline_path.c_str(),
@@ -458,10 +455,22 @@ int check_suite(const std::string& name, const fidelity::FidelityReport& rep,
 }
 
 /// `--suite NAME`: run the suite, write BENCH_<NAME>.json, optionally gate.
-/// `--check-only REPORT` skips the run and re-checks an existing report.
+/// `--check` vets the baseline before the run, as `--perf --check` does
+/// before measuring. `--check-only REPORT` re-checks an existing report.
 int run_suite(const GatedSuiteDef& def, const Options& opt) {
-  const std::string baseline =
+  const std::string baseline_path =
       or_default(opt.baseline, "ci/" + def.name + "_baseline.json");
+  const bool gated = opt.check || !opt.check_only.empty();
+  std::map<std::string, double> baseline;
+  if (gated) {
+    // A mistyped path must not turn the gate into a pass.
+    baseline = load_flat_json(baseline_path);
+    if (baseline.empty()) {
+      std::fprintf(stderr, "mobiwlan-bench: no %s baseline at %s\n",
+                   def.name.c_str(), baseline_path.c_str());
+      return 1;
+    }
+  }
   if (!opt.check_only.empty()) {
     const auto doc = load_flat_json(opt.check_only);
     if (doc.empty()) {
@@ -473,10 +482,17 @@ int run_suite(const GatedSuiteDef& def, const Options& opt) {
     const fidelity::FidelityReport rep =
         fidelity::report_from_flat_json(doc, seed);
     fidelity::CheckResult check;
-    return check_suite(def.name, rep, seed, baseline, check);
+    return check_suite(def.name, rep, seed, baseline, baseline_path, check);
   }
 
   const std::uint64_t seed = opt.seed.value_or(runtime::kMasterSeed);
+  // Refuse a seed the baseline's seed policy rejects before the run.
+  if (gated && !fidelity::FidelityReport().check(baseline, seed).seed_ok) {
+    std::fprintf(stderr, "mobiwlan-bench: %s baseline %s refuses seed %llu\n",
+                 def.name.c_str(), baseline_path.c_str(),
+                 static_cast<unsigned long long>(seed));
+    return 1;
+  }
   runtime::ThreadPool pool(resolve_jobs(opt));
   runtime::BenchReport bench_report;
   bench_report.name = def.name;
@@ -502,7 +518,8 @@ int run_suite(const GatedSuiteDef& def, const Options& opt) {
 
   fidelity::CheckResult check;
   int rc = ok ? 0 : 1;
-  if (opt.check) rc = check_suite(def.name, rep, seed, baseline, check);
+  if (opt.check)
+    rc = check_suite(def.name, rep, seed, baseline, baseline_path, check);
 
   const std::string out_path =
       or_default(opt.out, "BENCH_" + def.name + ".json");

@@ -21,15 +21,15 @@
 // are deterministic for a fixed seed at any worker count — handovers are
 // staged into per-(src,dst) SPSC lanes and drained at an epoch barrier — so
 // they are exact-gated too, and the whole report survives the jobs-1-vs-8
-// byte diff in `ci/gate.sh campus`. Keys matching `"timing` carry wall-clock
-// rates and are quarantined by the usual convention.
+// byte diff (ctest `campus_jobs_diff`). Keys matching `"timing` carry
+// wall-clock rates and are quarantined by the usual convention.
 //
 // Precision is pinned to fp64 for the whole matrix; the SIMD *tier* is not:
 // the anchored classifier pass and the elementwise batched kernels make the
 // campus digests bitwise tier-invariant (gated by the campus tier-invariance
 // test), so the committed baseline is host-portable while the throughput
 // numbers reflect the host's real tier — which is what the campus
-// throughput gate in ci/perf_gate.sh measures.
+// throughput gate (the `campus_matrix` case of `--perf --check`) measures.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -327,8 +327,8 @@ FidelityReport run_campus_report(runtime::Experiment& exp) {
   for (int i = 0; i < 4; ++i)
     rep.add("timing.run" + std::to_string(i) + "_wall_s", runs[i].wall_s);
   {
-    // Median run wall: the noise-robust basis for the throughput gate in
-    // ci/perf_gate.sh (each run executes the same campus.steps workload).
+    // Median run wall: the noise-robust basis for the `campus_matrix` perf
+    // case (each run executes the same campus.steps workload).
     double w[4];
     for (int i = 0; i < 4; ++i) w[i] = runs[i].wall_s;
     std::sort(w, w + 4);

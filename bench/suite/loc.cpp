@@ -18,9 +18,9 @@
 // Metrics land in a fidelity::FidelityReport gated against
 // ci/loc_baseline.json with the usual flat-JSON schema and seed policy.
 // Everything outside keys starting with "timing" is byte-identical for a
-// fixed --seed at any --jobs; `ci/gate.sh loc` diffs jobs 1 vs 8, and
-// ci/perf_gate.sh holds the lookup-rate floor (gate_loc_lookups_per_s in
-// ci/perf_baseline.json, 0.85 grace like the campus throughput floor).
+// fixed --seed at any --jobs; ctest `loc_jobs_diff` diffs jobs 1 vs 8, and
+// the `loc_lookup` case of `--perf --check` holds the lookup-rate floor
+// (gate_loc_lookup_ns in ci/perf_baseline.json, the usual 25% band).
 #include <algorithm>
 #include <bit>
 #include <chrono>

@@ -9,12 +9,15 @@
 // scratch-buffer (zero-allocation) API that the steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
 // contract whenever the counting hook is linked (it is, in mobiwlan-bench).
+// Two more cases add no measurement of their own: they run the campus and
+// loc gated suites once and read ns/op off the suites' timing keys (the
+// campus session-step rate and the loc lookup rate).
 //
 // The workload construction is deliberately simple and self-contained so
 // the numbers stay comparable across refactors: a strong-activity channel
 // with a walking client, sampled at 1 kHz. ci/perf_baseline.json stores the
-// gate values; `mobiwlan-bench --perf --check` (run by ci/perf_gate.sh)
-// fails when a case regresses past the tolerance band.
+// gate values; `mobiwlan-bench --perf --check` (the last step of
+// ci/check.sh) fails when a case regresses past the tolerance band.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -27,6 +30,7 @@
 #include <numbers>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -38,6 +42,7 @@
 #include "chan/trajectory.hpp"
 #include "core/csi_similarity.hpp"
 #include "core/mobility_classifier.hpp"
+#include "fidelity/fidelity.hpp"
 #include "mac/aggregation.hpp"
 #include "mac/atheros_ra.hpp"
 #include "mac/link_sim.hpp"
@@ -424,6 +429,43 @@ PerfResult run_f32_wideband_synthesis(double min_time_s) {
   return r;
 }
 
+/// A case read off one run of a gated suite body, at the master seed on one
+/// worker per hardware thread, as `--suite NAME` runs it: the suite runs
+/// once, whatever `min_time_s`, and ns/op is `ns_per_op` of its report (a
+/// missing key reads NaN, which no ns gate passes). allocs/op reads 0.
+PerfResult suite_case(
+    const char* name,
+    fidelity::FidelityReport (*suite)(runtime::Experiment&),
+    double (*ns_per_op)(const fidelity::FidelityReport&)) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  runtime::ThreadPool pool(hw ? hw : 1);
+  runtime::Experiment exp(pool, runtime::kMasterSeed);
+  PerfResult r;
+  r.name = name;
+  r.ns_per_op = ns_per_op(suite(exp));
+  r.ops_per_sec = 1e9 / r.ns_per_op;
+  return r;
+}
+
+double key(const fidelity::FidelityReport& rep, const char* id) {
+  return rep.value(id).value_or(std::nan(""));
+}
+
+PerfResult run_campus_matrix(double) {
+  // Per session-step at the median wall of the four matrix runs, each the
+  // same campus.steps workload: one descheduled run cannot flip the verdict.
+  return suite_case("campus_matrix", run_campus_report, [](const auto& rep) {
+    return 1e9 * key(rep, "timing.median_wall_s") / key(rep, "campus.steps");
+  });
+}
+
+PerfResult run_loc_lookup(double) {
+  // Per single-thread lookup against the 10^4-cell database.
+  return suite_case("loc_lookup", run_loc_report, [](const auto& rep) {
+    return 1e9 / key(rep, "timing_loc_lookups_per_s");
+  });
+}
+
 }  // namespace
 
 const std::vector<PerfCaseDef>& perf_registry() {
@@ -459,6 +501,12 @@ const std::vector<PerfCaseDef>& perf_registry() {
       {"f32_wideband_synthesis",
        "paired fp64/fp32 242-subcarrier synthesis (speedup = f64/f32 time)",
        run_f32_wideband_synthesis},
+      {"campus_matrix",
+       "one campus suite run: ns per session-step at its median run wall",
+       run_campus_matrix},
+      {"loc_lookup",
+       "one loc suite run: ns per single-thread fingerprint lookup",
+       run_loc_lookup},
   };
   return cases;
 }

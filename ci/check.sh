@@ -1,34 +1,32 @@
 #!/usr/bin/env bash
-# ci/check.sh — the full pre-merge gate:
+# ci/check.sh — the full pre-merge gate, and the only gate script:
 #   1. plain build with every compiler warning an error + entire ctest
-#      suite;
+#      suite, which carries every gated-suite verdict (`ctest -L NAME` for
+#      fidelity, fault, trace, campus and loc: the check against
+#      ci/NAME_baseline.json at --jobs 8 and --jobs 1, the untimed diff of
+#      the two reports, the negative baseline that must fail and the wrong
+#      seed that must be refused);
 #   2. runtime determinism check: every registered bench at --jobs 1 vs
 #      --jobs 8 must produce byte-identical JSON and stdout outside the
 #      "timing" lines and the per-bench wall-time footers;
-#   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
-#      budget and the baseline's 25% tolerance band (the --perf cases with
-#      their zero-allocation and fp32 speedup gates, the campus throughput
-#      floor and the loc lookup-rate floor);
-#   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
-#      statistics), fault (graceful degradation under export loss), trace
-#      (bitwise record/replay), campus (shard invariance across 1/4/16
-#      partitionings) and loc (fingerprint localization + mobility-gated
-#      refresh). Each checks its report against ci/NAME_baseline.json, diffs
-#      the --jobs 1 vs --jobs 8 reports, and proves its negative baseline
-#      still fails;
-#   5. AddressSanitizer + UndefinedBehaviorSanitizer build
+#   3. AddressSanitizer + UndefinedBehaviorSanitizer build
 #      (-DMOBIWLAN_SANITIZE=address,undefined) running every non-soak ctest
 #      test with halt_on_error=1;
-#   6. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
+#   4. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
 #      runtime thread-pool, experiment, and parallel_for tests, the
 #      campus mailbox stress test (concurrent SPSC producers against a
 #      live consumer), the campus worker-count invariance cases (shard
 #      passes running beside the parallel arrival builds) and the pool
 #      churn test (fresh sessions constructed in slab slots on pool
-#      workers).
-#   7. the benchmark's own correctness checks (`perfbench/run.py --test`):
+#      workers); both sanitizer trees also build with warnings as errors;
+#   5. the benchmark's own correctness checks (`perfbench/run.py --test`):
 #      every BENCHMARK.json workload at a tiny size must report correct,
-#      including the pinned default-seed link-trace record/frame counts.
+#      including the pinned default-seed link-trace record/frame counts;
+#   6. wall-clock perf gate, last because its ns bounds are pinned to one
+#      reference host: `mobiwlan-bench --perf --check` holds every case
+#      (among them the campus session-step rate, campus_matrix, and the loc
+#      lookup rate, loc_lookup) to ci/perf_baseline.json in one loop, at
+#      PERF_MIN_TIME seconds per case (default 0.2).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,17 +55,10 @@ if ! diff /tmp/mobiwlan_j8.json /tmp/mobiwlan_j1.json ||
 fi
 echo "ok: results byte-identical modulo timing"
 
-echo "== perf gate: channel hot loops =="
-PERF_MIN_TIME="${PERF_MIN_TIME:-0.2}" ./ci/perf_gate.sh
-
-for suite in fidelity fault trace campus loc; do
-  echo "== ${suite} gate =="
-  ./ci/gate.sh "${suite}"
-done
-
 echo "== AddressSanitizer + UBSan: non-soak ctest suite =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
+  >/dev/null
 cmake --build build-asan -j"${JOBS}"
 ASAN_OPTIONS="halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -75,7 +66,8 @@ ASAN_OPTIONS="halt_on_error=1" \
 
 echo "== ThreadSanitizer: runtime tests =="
 cmake -B build-tsan -S . -DMOBIWLAN_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
+  >/dev/null
 cmake --build build-tsan -j"${JOBS}" \
   --target thread_pool_test experiment_test parallel_for_test \
            mailbox_stress_test shard_invariance_test pool_churn_test
@@ -89,5 +81,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/pool_churn_test
 
 echo "== benchmark self-test: perfbench/run.py --test =="
 python3 perfbench/run.py --test
+
+echo "== perf gate: --perf --check against ci/perf_baseline.json =="
+./build/bench/mobiwlan-bench --perf --check \
+  --perf-min-time "${PERF_MIN_TIME:-0.2}" --out build/BENCH_perf_check.json
 
 echo "== all checks passed =="

@@ -3,7 +3,7 @@
 // produces bitwise-identical aggregates — including sessions handed across
 // shard boundaries mid-classifier-window, whose hold-then-decay state must
 // travel with them. The 1024-AP / 100k-session version of this contract is
-// gated by `mobiwlan-bench --suite campus` (`ci/gate.sh campus`); this file
+// gated by `mobiwlan-bench --suite campus` (`ctest -L campus`); this file
 // keeps the property cheap to run and easy to bisect.
 #include <cstdint>
 #include <string>

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <regex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fidelity/fidelity.hpp"
@@ -123,6 +126,28 @@ TEST(FlatJsonTest, LoadPrefixesPathAndMissingFileIsEmpty) {
   std::filesystem::remove(path);
 }
 
+/// {key, number text} of a `"key": number` line (one optional trailing
+/// comma), as the flat-JSON writers emit them; nullopt for any other line.
+std::optional<std::pair<std::string, std::string>> number_line(
+    std::string line) {
+  const char* ws = " \t\n\v\f\r";
+  line.erase(line.find_last_not_of(ws) + 1);
+  if (!line.empty() && line.back() == ',') line.pop_back();
+  const std::size_t open = line.find_first_not_of(ws);
+  const std::size_t close = line.find('"', open + 1);
+  if (open == std::string::npos || line[open] != '"' || close == open + 1 ||
+      close == std::string::npos || line.compare(close + 1, 1, ":") != 0)
+    return std::nullopt;
+  const std::string value = line.substr(
+      std::min(line.find_first_not_of(ws, close + 2), line.size()));
+  const std::size_t sign = value.rfind('-', 0) == 0 ? 1 : 0;
+  if (value.size() <= sign ||
+      !std::isdigit(static_cast<unsigned char>(value[sign])) ||
+      value.find_first_not_of("0123456789.eE+-") != std::string::npos)
+    return std::nullopt;
+  return std::make_pair(line.substr(open + 1, close - open - 1), value);
+}
+
 /// Every committed baseline and BENCH report loads, and yields exactly the
 /// `"key": number` lines its writer emitted — nothing dropped, and nothing
 /// from the `"timing"` object leaked in.
@@ -140,8 +165,6 @@ TEST(FlatJsonTest, LoadsEveryCommittedDocumentUnchanged) {
   }
   ASSERT_GE(files.size(), 14u);  // 11 ci/*.json + at least 3 BENCH_*.json
 
-  const std::regex number_line(
-      R"re(^\s*"([^"]+)":\s*(-?[0-9][0-9.eE+-]*),?\s*$)re");
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());
     std::map<std::string, double> loaded;
@@ -150,11 +173,11 @@ TEST(FlatJsonTest, LoadsEveryCommittedDocumentUnchanged) {
     std::string line;
     std::size_t expected = 0;
     while (std::getline(in, line)) {
-      std::smatch m;
-      if (!std::regex_match(line, m, number_line)) continue;
+      const auto m = number_line(line);
+      if (!m) continue;
       ++expected;
-      ASSERT_EQ(loaded.count(m[1]), 1u) << m[1];
-      EXPECT_EQ(loaded.at(m[1]), std::strtod(m[2].str().c_str(), nullptr));
+      ASSERT_EQ(loaded.count(m->first), 1u) << m->first;
+      EXPECT_EQ(loaded.at(m->first), std::strtod(m->second.c_str(), nullptr));
     }
     EXPECT_EQ(loaded.size(), expected);
     EXPECT_EQ(loaded.count("wall_s"), 0u);
