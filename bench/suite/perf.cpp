@@ -4,8 +4,9 @@
 // millions of times per study — full channel sampling, bare CSI synthesis
 // (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step, the
 // A-MPDU loss kernel — plus pool dispatch, one campus epoch, the strict
-// replay of a recorded link, one batched pass over a 512-link floor and the
-// paired fp32-vs-fp64 wideband synthesis ratio. Each case exercises the
+// replay of a recorded link, one batched pass over a 512-link floor, the
+// paired fp32-vs-fp64 wideband synthesis ratio and the paired per-link vs
+// tiled campus sampling ratio. Each case exercises the
 // scratch-buffer (zero-allocation) API that the steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
 // contract whenever the counting hook is linked (it is, in mobiwlan-bench).
@@ -429,6 +430,76 @@ PerfResult run_f32_wideband_synthesis(double min_time_s) {
   return r;
 }
 
+PerfResult run_campus_tile(double min_time_s) {
+  // The campus shard pass's sampling stage: 512 campus-config channels
+  // (1x1, 16 subcarriers, 4 structural paths, walking clients on a 30 m AP
+  // grid), read one link per sample_link call vs in ChannelBatch::kTile-
+  // link tiles through sample_links, the way CampusSim::phase_shard reads
+  // them. The two sides run interleaved in 16-pass blocks, each after an
+  // untimed 2-pass block, and the ratio comes from the summed times, as in
+  // f32_wideband_synthesis: background-load drift hits both sides. One op
+  // is one 512-link pass; ns/op and allocs/op are the tiled side's.
+  constexpr std::size_t kLinks = 512;
+  const ChannelConfig cfg = campus::campus_channel_config();
+  const Rng master(runtime::kMasterSeed);
+  std::vector<std::unique_ptr<WirelessChannel>> channels;
+  std::vector<WirelessChannel*> links;
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    Rng rng = master.stream(9001 + i);
+    const Vec2 ap{static_cast<double>(i % 8) * 30.0,
+                  static_cast<double>(i / 8 % 8) * 30.0};
+    const Vec2 start{ap.x + rng.uniform(-12.0, 12.0),
+                     ap.y + rng.uniform(-12.0, 12.0)};
+    const double heading = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    auto traj = std::make_shared<LinearTrajectory>(
+        start, Vec2{std::cos(heading), std::sin(heading)}, 1.2);
+    channels.push_back(std::make_unique<WirelessChannel>(
+        cfg, ap, std::move(traj), rng.split()));
+    links.push_back(channels.back().get());
+  }
+  ChannelBatch::Scratch scratch;
+  scratch.reserve(cfg);
+  std::vector<ChannelSample> out(kLinks);
+  double t = 1.0;
+  const auto block = [&](bool tiled, int passes) {
+    for (int i = 0; i < passes; ++i) {
+      if (tiled) {
+        ChannelBatch::sample_links(links.data(), kLinks, t, out.data(),
+                                   scratch);
+      } else {
+        for (std::size_t k = 0; k < kLinks; ++k)
+          ChannelBatch::sample_link(*links[k], t, out[k], scratch);
+      }
+      t += 0.1;
+      asm volatile("" : : "r"(out.data()) : "memory");
+    }
+  };
+  double t_link = 0.0, t_tile = 0.0;
+  std::uint64_t ops = 0, allocs_tile = 0;
+  do {
+    for (const bool tiled : {false, true}) {
+      block(tiled, 2);
+      const std::uint64_t allocs0 = alloc_count();
+      const auto t0 = clock_type::now();
+      block(tiled, 16);
+      const double dt =
+          std::chrono::duration<double>(clock_type::now() - t0).count();
+      (tiled ? t_tile : t_link) += dt;
+      if (tiled) allocs_tile += alloc_count() - allocs0;
+    }
+    ops += 16;
+  } while (t_link + t_tile < min_time_s);
+
+  PerfResult r;
+  r.name = "campus_tile";
+  r.ns_per_op = 1e9 * t_tile / static_cast<double>(ops);
+  r.ops_per_sec = static_cast<double>(ops) / t_tile;
+  r.allocs_per_op =
+      static_cast<double>(allocs_tile) / static_cast<double>(ops);
+  r.speedup = t_link / t_tile;
+  return r;
+}
+
 /// A case read off one run of a gated suite body, at the master seed on one
 /// worker per hardware thread, as `--suite NAME` runs it: the suite runs
 /// once, whatever `min_time_s`, and ns/op is `ns_per_op` of its report (a
@@ -501,6 +572,10 @@ const std::vector<PerfCaseDef>& perf_registry() {
       {"f32_wideband_synthesis",
        "paired fp64/fp32 242-subcarrier synthesis (speedup = f64/f32 time)",
        run_f32_wideband_synthesis},
+      {"campus_tile",
+       "paired 512-link campus sampling, per link vs in tiles (speedup = "
+       "per-link/tiled time)",
+       run_campus_tile},
       {"campus_matrix",
        "one campus suite run: ns per session-step at its median run wall",
        run_campus_matrix},

@@ -39,7 +39,7 @@ struct PerfResult {
   double ns_per_op = 0.0;
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;  ///< 0 unless the counting hook is linked
-  double speedup = 0.0;        ///< paired cases: fp64 / fp32 time; else 0
+  double speedup = 0.0;  ///< paired cases: reference / measured time; else 0
 };
 
 /// One hot-path microbenchmark run by `mobiwlan-bench --perf`.

@@ -46,6 +46,13 @@ const CampusConfig& validated(const CampusConfig& cfg) {
         CampusConfigError::Code::kBadTick,
         "campus: session.tick_s " + std::to_string(cfg.session.tick_s) +
             " must be finite and > 0");
+  const ChannelConfig& ch = cfg.session.channel;
+  if (ch.n_tx == 0 || ch.n_rx == 0 || ch.n_subcarriers == 0)
+    throw CampusConfigError(
+        CampusConfigError::Code::kBadChannelShape,
+        "campus: session.channel is " + std::to_string(ch.n_tx) + "x" +
+            std::to_string(ch.n_rx) + "x" + std::to_string(ch.n_subcarriers) +
+            " (n_tx x n_rx x n_subcarriers); each must be >= 1");
   if (cfg.arrival_window_epochs >
       static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
     throw CampusConfigError(
@@ -109,14 +116,24 @@ CampusSim::CampusSim(const CampusConfig& config)
     max_bucket = std::max(max_bucket, bucket.size());
   pending_.reserve(max_bucket);
 
-  // Warm every shard's and build slot's scratch and sample here, on the
-  // constructing thread, with a throwaway session's association burst, and
-  // build the lazily initialized MCS table with one MAC step: neither a
+  // Size every shard's and build slot's scratch and samples here, on the
+  // constructing thread, from the channel config, and build the lazily
+  // initialized MCS table with a throwaway session's MAC step: neither a
   // shard pass nor an arrival build then ever touches the heap.
+  const ChannelConfig& ch = config_.session.channel;
+  const auto size_sample = [&ch](ChannelSample& sample) {
+    sample.csi.resize_for_overwrite(ch.n_tx, ch.n_rx, ch.n_subcarriers);
+  };
   build_slots_.resize(pool_ ? pool_->size() + 1 : 1);
+  for (BuildSlot& b : build_slots_) {
+    b.scratch.reserve(ch);
+    size_sample(b.sample);
+  }
+  for (Shard& sh : shards_) {
+    sh.scratch.reserve(ch);
+    for (ChannelSample& sample : sh.samples) size_sample(sample);
+  }
   Session warm(0, config_.master_seed, map_, config_.session, 1, 2);
-  for (BuildSlot& b : build_slots_) warm.prime(b.scratch, b.sample);
-  for (Shard& sh : shards_) warm.prime(sh.scratch, sh.sample);
   warm.mac_step(1, build_slots_[0].sample);
 }
 
@@ -212,13 +229,28 @@ void CampusSim::phase_shard(std::size_t s) {
   // epoch d-1 instead of the start of epoch d is a uniform one-epoch shift
   // for *every* session — the per-epoch id-sorted fold batches concatenate
   // to the identical sequence, so the aggregate folds the same bits.
+  //
+  // Sampling runs one tile of kTile sessions at a time (one staged
+  // geometry / synthesis / noise pass per tile, ChannelBatch::sample_links),
+  // then each of the tile's sessions is observed, MAC-stepped and roamed in
+  // order. Also bitwise neutral: sampling draws only from the session's own
+  // channel RNG, and no session's step reads another session's channel.
   const std::uint64_t allocs_before = thread_alloc_count();
+  const std::size_t n = sh.sessions.size();
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < sh.sessions.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = i % ChannelBatch::kTile;
+    if (j == 0) {
+      const std::size_t m = std::min(ChannelBatch::kTile, n - i);
+      WirelessChannel* tile[ChannelBatch::kTile];
+      for (std::size_t l = 0; l < m; ++l)
+        tile[l] = sh.sessions[i + l]->channel();
+      ChannelBatch::sample_links(tile, m, t, sh.samples.data(), sh.scratch);
+    }
     SessionPtr& sp = sh.sessions[i];
-    ChannelBatch::sample_link(*sp->channel(), t, sh.sample, sh.scratch);
-    sp->observe_step(epoch_, sh.sample);
-    sp->mac_step(epoch_, sh.sample);
+    const ChannelSample& sample = sh.samples[j];
+    sp->observe_step(epoch_, sample);
+    sp->mac_step(epoch_, sample);
     sp->maybe_roam(t);
     if (sp->depart_epoch() <= epoch_ + 1) {
       // Dwell ends next epoch: this was the session's last step in every

@@ -51,6 +51,7 @@
 //      the same observables the destination would have.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -113,6 +114,8 @@ class CampusConfigError : public std::invalid_argument {
     kDwellRangeInverted,  ///< min_dwell_epochs > max_dwell_epochs
     kBadPitch,           ///< pitch_m not finite and > 0
     kBadTick,            ///< session.tick_s not finite and > 0
+    kBadChannelShape,    ///< session.channel n_tx, n_rx or n_subcarriers
+                         ///< is 0: the sessions would report empty CSI
   };
 
   CampusConfigError(Code code, const std::string& what)
@@ -184,13 +187,13 @@ class CampusSim {
   struct Shard {
     // Hosted sessions in ascending address order, so the fused pass walks
     // this shard's slabs forward and the hardware prefetchers stream them.
-    // One ChannelSample serves the whole shard: the fused pass consumes
-    // each sample before taking the next, so nothing per-session is
-    // retained.
+    // One tile of ChannelSamples serves the whole shard: the fused pass
+    // consumes a tile's samples before sampling the next tile, so nothing
+    // per-session is retained.
     std::vector<SessionPtr> sessions;
     std::vector<SessionPtr> incoming;   ///< placed this tail, merged at its end
     std::vector<SessionPtr> departing;  ///< staged this epoch, folded serially
-    ChannelSample sample;           ///< reused session to session
+    std::array<ChannelSample, ChannelBatch::kTile> samples;  ///< tile to tile
     ChannelBatch::Scratch scratch;  ///< one worker per shard per phase
     std::uint64_t deferred = 0;     ///< back-pressure deferrals (this shard)
     std::uint64_t hot_allocs = 0;   ///< this shard's passes, any worker

@@ -35,6 +35,10 @@ struct Scalar {
 
   static Scalar load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
   static Scalar set1(double x) { return {{x, x, x, x}}; }
+  /// Lanes 0..3 = l0..l3.
+  static Scalar setr(double l0, double l1, double l2, double l3) {
+    return {{l0, l1, l2, l3}};
+  }
   void store(double* p) const {
     for (int l = 0; l < 4; ++l) p[l] = v[l];
   }
@@ -127,6 +131,10 @@ struct Avx2 {
   }
   MOBIWLAN_LANE4_AVX2 static Avx2 set1(double x) {
     return {_mm256_set1_pd(x)};
+  }
+  MOBIWLAN_LANE4_AVX2 static Avx2 setr(double l0, double l1, double l2,
+                                      double l3) {
+    return {_mm256_setr_pd(l0, l1, l2, l3)};
   }
   MOBIWLAN_LANE4_AVX2 void store(double* p) const { _mm256_storeu_pd(p, v); }
 };

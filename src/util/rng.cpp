@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -61,43 +62,85 @@ std::complex<double> Rng::complex_gaussian(double variance) {
 
 void Rng::add_complex_gaussian(std::complex<double>* dst, std::size_t n,
                                double variance) {
-  if (n == 0) return;
-  const double per = std::sqrt(variance / 2.0);
-  // std::complex<double> is array-layout-compatible with double[2].
-  double* comp = reinterpret_cast<double*>(dst);
-  const std::size_t total = 2 * n;
-  std::size_t k = 0;
-  // A pending cached deviate feeds the first component, exactly as a
-  // gaussian() call would consume it; the pairing below then stays shifted
-  // by one for the rest of the block.
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    comp[k++] += per * cached_gaussian_;
-  }
-  // The 8-aligned prefix runs the Box-Muller block (util/rng_kernels.inc)
-  // on the active tier, checked per call so MOBIWLAN_SIMD_TIER and the simd
-  // test hook reach it; both tiers compile that one body, so its bits do
-  // not depend on the tier. The uniforms are drawn in the canonical order,
-  // u1 then u2 per transform. The sub-8 remainder keeps the original
-  // fastmath kernels (those bits are pinned by the golden fixtures).
-  const std::size_t vec_end = k + 8 * ((total - k) / 8);
+  Rng* self = this;
+  add_complex_gaussian_tile(&self, &dst, &n, &variance, 1);
+}
+
+void Rng::add_complex_gaussian_tile(Rng* const* gens,
+                                    std::complex<double>* const* dst,
+                                    const std::size_t* n,
+                                    const double* variance, std::size_t m) {
+  // The Box-Muller rounds run on the active tier, checked per call so
+  // MOBIWLAN_SIMD_TIER and the simd test hook reach them; both tiers
+  // compile that one body (util/rng_kernels.inc), so its bits do not depend
+  // on the tier.
 #if defined(__x86_64__)
-  const auto block = simd::use_avx2fma() ? avx2_tier::box_muller4
-                                         : scalar_tier::box_muller4;
+  const auto round = simd::use_avx2fma() ? avx2_tier::box_muller_round
+                                         : scalar_tier::box_muller_round;
 #else
-  const auto block = scalar_tier::box_muller4;
+  const auto round = scalar_tier::box_muller_round;
 #endif
-  for (; k < vec_end; k += 8) {
-    double u1[4], u2[4];
-    for (int j = 0; j < 4; ++j) {
-      u1[j] = 1.0 - uniform();
-      u2[j] = uniform();
+  constexpr std::size_t kGroup = 16;  // generators per round
+  for (std::size_t g0 = 0; g0 < m; g0 += kGroup) {
+    const std::size_t gm = std::min(kGroup, m - g0);
+    double per[kGroup];
+    double* comp[kGroup];
+    std::size_t k[kGroup], vec_end[kGroup], total[kGroup];
+    std::size_t rounds = 0;
+    for (std::size_t j = 0; j < gm; ++j) {
+      Rng& r = *gens[g0 + j];
+      // std::complex<double> is array-layout-compatible with double[2].
+      comp[j] = reinterpret_cast<double*>(dst[g0 + j]);
+      total[j] = 2 * n[g0 + j];
+      per[j] = std::sqrt(variance[g0 + j] / 2.0);
+      k[j] = 0;
+      vec_end[j] = 0;
+      if (total[j] == 0) continue;  // no draw: the cache stays pending
+      // A pending cached deviate feeds the first component, exactly as a
+      // gaussian() call would consume it; the pairing below then stays
+      // shifted by one for the rest of the draw.
+      if (r.has_cached_gaussian_) {
+        r.has_cached_gaussian_ = false;
+        comp[j][k[j]++] += per[j] * r.cached_gaussian_;
+      }
+      vec_end[j] = k[j] + 8 * ((total[j] - k[j]) / 8);
+      rounds = std::max(rounds, (vec_end[j] - k[j]) / 8);
     }
-    block(u1, u2, per, comp + k);
+    // The 8-aligned prefix: one Box-Muller block per generator per round,
+    // each from its generator's next uniforms in the canonical order, u1
+    // then u2 per transform.
+    for (std::size_t b = 0; b < rounds; ++b) {
+      double u[kGroup][8];
+      double block_per[kGroup];
+      double* block_comp[kGroup];
+      std::size_t nb = 0;
+      for (std::size_t j = 0; j < gm; ++j) {
+        if (k[j] == vec_end[j]) continue;
+        Rng& r = *gens[g0 + j];
+        for (int l = 0; l < 4; ++l) {
+          u[nb][l] = 1.0 - r.uniform();
+          u[nb][4 + l] = r.uniform();
+        }
+        block_per[nb] = per[j];
+        block_comp[nb] = comp[j] + k[j];
+        k[j] += 8;
+        ++nb;
+      }
+      round(u, block_per, block_comp, nb);
+    }
+    for (std::size_t j = 0; j < gm; ++j)
+      if (total[j] != 0)
+        gens[g0 + j]->add_gaussian_tail(comp[j], k[j], total[j], per[j]);
   }
-  // theta = 2*pi*u2 < 2*pi, well inside fastmath::kSincosMaxArg; the inline
-  // kernel matches libm to ~2 ulp, orders of magnitude below the 1e-12
-  // equivalence budget on noise components (~1e-5 in magnitude).
+}
+
+void Rng::add_gaussian_tail(double* comp, std::size_t k, std::size_t total,
+                            double per) {
+  // The sub-8 remainder keeps the original fastmath kernels (those bits are
+  // pinned by the golden fixtures). theta = 2*pi*u2 < 2*pi, well inside
+  // fastmath::kSincosMaxArg; the inline kernel matches libm to ~2 ulp,
+  // orders of magnitude below the 1e-12 equivalence budget on noise
+  // components (~1e-5 in magnitude).
   while (total - k >= 2) {
     const double u1 = 1.0 - uniform();
     const double u2 = uniform();

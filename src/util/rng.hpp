@@ -74,6 +74,20 @@ class Rng {
   void add_complex_gaussian(std::complex<double>* dst, std::size_t n,
                             double variance = 1.0);
 
+  /// add_complex_gaussian for m distinct generators in one draw: gens[j]
+  /// adds to dst[j][0..n[j]) at variance[j] exactly what
+  /// gens[j]->add_complex_gaussian(dst[j], n[j], variance[j]) would, with
+  /// the same draws from that generator and the same cached-deviate
+  /// handling. Each generator's uniforms keep their canonical order; the
+  /// Box-Muller blocks run in rounds over the generators that still have
+  /// one (so the generators' state chains interleave), then each
+  /// generator's sub-8 remainder. add_complex_gaussian is the m = 1 case.
+  static void add_complex_gaussian_tile(Rng* const* gens,
+                                        std::complex<double>* const* dst,
+                                        const std::size_t* n,
+                                        const double* variance,
+                                        std::size_t m);
+
   /// Complex sample with Rician statistics: a deterministic (LOS) component of
   /// power k/(k+1) plus scattered power 1/(k+1), unit total mean power.
   /// `k_factor` is linear (not dB).
@@ -105,6 +119,12 @@ class Rng {
   static std::uint64_t rotl_(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  // The sub-8 remainder of one generator's noise draw: components
+  // comp[k..total) after its Box-Muller blocks, with `per` the component
+  // standard deviation.
+  void add_gaussian_tail(double* comp, std::size_t k, std::size_t total,
+                         double per);
 
   std::uint64_t seed_;
   std::uint64_t s_[4];

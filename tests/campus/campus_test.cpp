@@ -220,5 +220,21 @@ TEST(CampusConfigValidation, RejectsNonPositiveOrNonFiniteTick) {
   }
 }
 
+TEST(CampusConfigValidation, RejectsZeroChannelDimension) {
+  // The channel engine sizes its planes from these: a zero n_tx ran
+  // silently over empty CSI, and zero subcarriers threw an untyped
+  // dimension mismatch from inside the classifier.
+  using Code = campus::CampusConfigError::Code;
+  campus::CampusConfig cfg = small_config();
+  cfg.session.channel.n_tx = 0;
+  expect_rejected(cfg, Code::kBadChannelShape);
+  cfg = small_config();
+  cfg.session.channel.n_rx = 0;
+  expect_rejected(cfg, Code::kBadChannelShape);
+  cfg = small_config();
+  cfg.session.channel.n_subcarriers = 0;
+  expect_rejected(cfg, Code::kBadChannelShape);
+}
+
 }  // namespace
 }  // namespace mobiwlan

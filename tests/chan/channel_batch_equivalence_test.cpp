@@ -7,7 +7,8 @@
 // must agree bitwise: every CSI element, every RSSI / SNR / ToF reading.
 // CMake re-runs this binary under each forced SIMD tier (scalar, avx2,
 // avx512); both sides resolve the same tier, so the contract holds on
-// every one.
+// every one. The tile sweep below also walks every tier and both
+// precisions itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +17,10 @@
 
 #include "chan/channel.hpp"
 #include "chan/channel_batch.hpp"
+#include "chan/trajectory.hpp"
 #include "channel_golden_cases.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -219,6 +223,114 @@ TEST(ChannelBatchEquivalence, WideArgumentGeometryPinned) {
           << "re[" << kEntries[e] << "] " << z.real() << " vs " << pin.re[e];
       EXPECT_TRUE(near_rel(z.imag(), pin.im[e]))
           << "im[" << kEntries[e] << "] " << z.imag() << " vs " << pin.im[e];
+    }
+  }
+}
+
+/// Link k of the tile sweep's mixed set, built the same way on every call
+/// so two calls give identical realizations: 1x1 links at 16, 7 and 30
+/// subcarriers, a 3x2x52 link, no / weak / strong activity (movers and
+/// blockage), a link with shadow_sigma_db = 0, static, micro and walking
+/// clients, and a client 1e10 m out, whose carrier and shadow-field phases
+/// leave the fastmath range at any t (its LOS obstruction is off, so its
+/// amplitudes stay in the dB kernels' domain).
+std::unique_ptr<WirelessChannel> make_tile_link(std::size_t k) {
+  Rng rng = Rng(20140204).stream(5000 + k);
+  ChannelConfig cfg;
+  cfg.n_tx = 1;
+  cfg.n_rx = 1;
+  cfg.n_paths = 4;
+  cfg.n_subcarriers = 16;
+  switch (k % 7) {
+    case 1:
+      cfg.n_subcarriers = 7;
+      cfg.activity = EnvironmentalActivity::kWeak;
+      break;
+    case 2:
+      cfg.n_subcarriers = 30;
+      cfg.activity = EnvironmentalActivity::kStrong;
+      break;
+    case 3:
+      cfg = ChannelConfig{};  // 3x2x52, 10 structural paths
+      cfg.activity = EnvironmentalActivity::kStrong;
+      break;
+    case 4: cfg.shadow_sigma_db = 0.0; break;
+    case 5: cfg.activity = EnvironmentalActivity::kWeak; break;
+    case 6: cfg.los_obstruction_db_per_m = 0.0; break;
+    default: break;
+  }
+  const Vec2 ap{0.0, 0.0};
+  const Vec2 start{8.0 + static_cast<double>(k), 3.0 - static_cast<double>(k % 4)};
+  std::shared_ptr<const Trajectory> traj;
+  if (k % 7 == 6) {
+    traj = std::make_shared<StaticTrajectory>(Vec2{1e10, 0.0});
+  } else if (k % 3 == 0) {
+    traj = std::make_shared<StaticTrajectory>(start);
+  } else if (k % 3 == 1) {
+    traj = std::make_shared<MicroTrajectory>(start, rng, 0.5);
+  } else {
+    traj = std::make_shared<RadialBounceTrajectory>(ap, start, 4.0, 20.0, 1.2);
+  }
+  return std::make_unique<WirelessChannel>(cfg, ap, std::move(traj),
+                                           rng.split());
+}
+
+/// Forces a SIMD tier and a precision for one scope, restoring the
+/// environment's choice on exit.
+struct TierGuard {
+  TierGuard(int tier, int precision) {
+    simd::set_forced_tier(tier);
+    simd::set_forced_precision(precision);
+  }
+  ~TierGuard() {
+    simd::set_forced_tier(-1);
+    simd::set_forced_precision(-1);
+  }
+};
+
+TEST(ChannelBatchEquivalence, TilesMatchSequentialLinkReads) {
+  // sample_links samples its links in tiles of ChannelBatch::kTile, each
+  // stage once over the tile. Every link's sample, and every later draw
+  // from its RNG, must be bitwise what sequential sample_link calls on an
+  // identical clone give: for a lone link, a partial tile, a full tile and
+  // a full tile plus one, at an ordinary read time and at t = 3e6 s, where
+  // the movers' pacing phases leave the fastmath range too. So tiles mix
+  // links that take the wide-argument sincos in geometry or synthesis with
+  // links that do not. Link 5 enters each read with a cached gaussian
+  // pending in its RNG.
+  for (const int tier : {0, 1, 2}) {
+    for (const int precision : {0, 1}) {
+      TierGuard guard(tier, precision);
+      for (const std::size_t n : {1u, 3u, 16u, 17u}) {
+        std::vector<std::unique_ptr<WirelessChannel>> tile_links, ref_links;
+        std::vector<WirelessChannel*> tile;
+        for (std::size_t k = 0; k < n; ++k) {
+          tile_links.push_back(make_tile_link(k));
+          ref_links.push_back(make_tile_link(k));
+          tile.push_back(tile_links.back().get());
+        }
+        ChannelBatch::Scratch scratch, ref_scratch;
+        std::vector<ChannelSample> out(n);
+        ChannelSample ref;
+        for (const double t : {0.5, 3e6}) {
+          if (n > 5) {
+            EXPECT_EQ(tile_links[5]->rssi_dbm(t), ref_links[5]->rssi_dbm(t));
+          }
+          ChannelBatch::sample_links(tile.data(), n, t, out.data(), scratch);
+          for (std::size_t k = 0; k < n; ++k) {
+            SCOPED_TRACE(::testing::Message()
+                         << "tier " << tier << " precision " << precision
+                         << " tile of " << n << " link " << k << " t=" << t);
+            ChannelBatch::sample_link(*ref_links[k], t, ref, ref_scratch);
+            expect_sample_equal(out[k], ref, k);
+            // The next two draws: a cached deviate first, if any, then a
+            // fresh pair.
+            for (int draw = 0; draw < 2; ++draw)
+              EXPECT_EQ(tile_links[k]->tof_cycles(t),
+                        ref_links[k]->tof_cycles(t));
+          }
+        }
+      }
     }
   }
 }
