@@ -225,6 +225,15 @@ void mac_scalar_f32(const float* base, const float* steer,
 
 #if defined(__x86_64__)
 
+// z*z as {re*re - im*im, 2*re*im}: the bits of std::complex's product for
+// finite z, without the alternating a*b - c*d / a*e + c*f pair that GCC may
+// fuse into vfmaddsub despite fp-contract=off.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline cplx
+square(cplx z) {
+  return {z.real() * z.real() - z.imag() * z.imag(),
+          2.0 * z.real() * z.imag()};
+}
+
 // Lanes 0..7 of the vector fp32 recurrence at both widths: seeds
 // start*step^j for j = 0..3 computed in double (the serial dependency),
 // lanes 4..7 derived with one fp32 vector complex multiply by step^4.
@@ -238,8 +247,8 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void seed_lanes
     si[j] = static_cast<float>(c.imag());
     c *= step;
   }
-  const cplx s2 = step * step;
-  const cplx s4 = s2 * s2;
+  const cplx s2 = square(step);
+  const cplx s4 = square(s2);
   const __m128 a_re = _mm_load_ps(sr);
   const __m128 a_im = _mm_load_ps(si);
   const __m128 v4r = _mm_set1_ps(static_cast<float>(s4.real()));

@@ -1,17 +1,19 @@
-// fastmath.hpp — inline trigonometry for the simulator's hot loops.
+// fastmath.hpp — inline scalar transcendentals and their constants.
 //
-// glibc's sincos costs ~20 ns/call on typical hosts, and the channel
-// sampler needs one per CSI noise draw (hundreds per sample) plus several
-// per path in synthesis. This header provides the classic fdlibm kernel
-// (argument reduction by pi/2 plus minimax polynomials on [-pi/4, pi/4]),
-// which inlines to ~25 flops and agrees with libm to within ~2 ulp — far
-// inside the 1e-12 numerical-equivalence budget the channel refactor is
-// held to (tests/chan/channel_equivalence_test.cpp).
+// glibc's sincos costs ~20 ns/call on typical hosts (more at carrier-scale
+// arguments, which need its large-argument reduction), and the channel
+// sampler needs one per CSI noise draw plus several per path in synthesis.
+// This header holds the classic fdlibm kernels — argument reduction by pi/2
+// plus minimax polynomials on [-pi/4, pi/4] for sincos_wide, the atanh
+// series for log_pos — which inline to ~25 flops and agree with libm to
+// within ~2 ulp, far inside the 1e-12 numerical-equivalence budget the
+// channel is held to (tests/chan/channel_equivalence_test.cpp). They are the
+// scalar reference of the 4-lane fp64 kernels (util/lane4_math.inc), which
+// share these constants, and of the fp32 sincos (util/lanef_sincos.inc).
 //
-// Only valid for |x| <= kSincosMaxArg: the two-term Cody-Waite reduction
-// loses accuracy once k = round(x * 2/pi) stops being a small integer.
-// Callers with unbounded phases (e.g. carrier-scale path delays) must keep
-// using std::sin/std::cos.
+// sincos_wide covers |x| <= kSincosWideMaxArg, the whole carrier-scale
+// phase range; only a phase beyond it falls back to libm
+// (chan/channel_batch.cpp's wide-argument path).
 #pragma once
 
 #include <bit>
@@ -20,9 +22,6 @@
 #include <cstdlib>
 
 namespace mobiwlan::fastmath {
-
-/// Largest |x| for which sincos() keeps full accuracy (|k| <= 16).
-inline constexpr double kSincosMaxArg = 25.0;
 
 namespace detail {
 
@@ -102,8 +101,22 @@ inline double log_pos(double x) {
   return dk * detail::kLn2Hi - ((hfsq - (s * (hfsq + r) + dk * detail::kLn2Lo)) - f);
 }
 
-/// Computes sin(x) and cos(x) for |x| <= kSincosMaxArg, accurate to ~2 ulp.
-inline void sincos(double x, double& sin_out, double& cos_out) {
+/// Largest |x| for which sincos_wide() holds its accuracy bound. k = round(x *
+/// 2/pi) stays below 2^20, so k * pio2_hi (33 significant bits) is exact and
+/// the k * pio2_lo correction still carries the full tail of pi/2.
+inline constexpr double kSincosWideMaxArg = 1.0e6;
+
+/// sin(x) and cos(x) for |x| <= kSincosWideMaxArg, accurate to ~2 ulp over
+/// the carrier-scale phase range (-2*pi*f_c*tau is tens of thousands of
+/// radians for indoor path delays). Two-term Cody-Waite reduction:
+/// x - k*pio2_hi is exact by Sterbenz (the two agree to within pi/4), and
+/// the neglected tail of pi/2 beyond pio2_hi + pio2_lo contributes
+/// < k * 1e-26 ~ 1e-20 rad of phase error — orders of magnitude inside the
+/// 1e-12 equivalence budget, where libm's sincos costs ~16 ns at these
+/// magnitudes (large-argument reduction).
+inline void sincos_wide(double x, double& sin_out, double& cos_out) {
+  // lrint rounds like nearbyint (to nearest, ties to even, in the default
+  // rounding mode) but compiles to one conversion at the baseline ISA.
   const long k = std::lrint(x * detail::kTwoOverPi);
   const double kd = static_cast<double>(k);
   const double r = (x - kd * detail::kPio2Hi) - kd * detail::kPio2Lo;
@@ -117,44 +130,6 @@ inline void sincos(double x, double& sin_out, double& cos_out) {
   }
 }
 
-/// Largest |x| for which sincos_wide() holds its accuracy bound. k = round(x *
-/// 2/pi) stays below 2^20, so k * pio2_hi (33 significant bits) is exact and
-/// the k * pio2_lo correction still carries the full tail of pi/2.
-inline constexpr double kSincosWideMaxArg = 1.0e6;
-
-/// sin(x) and cos(x) for |x| <= kSincosWideMaxArg — the carrier-scale phase
-/// range (-2*pi*f_c*tau is tens of thousands of radians for indoor path
-/// delays). Same Cody-Waite reduction as sincos(): x - k*pio2_hi is exact by
-/// Sterbenz (the two agree to within pi/4), and the neglected tail of pi/2
-/// beyond pio2_hi + pio2_lo contributes < k * 1e-26 ~ 1e-20 rad of phase
-/// error — orders of magnitude inside the 1e-12 equivalence budget, where
-/// libm's sincos costs ~16 ns at these magnitudes (large-argument reduction).
-inline void sincos_wide(double x, double& sin_out, double& cos_out) {
-  const double kd = std::nearbyint(x * detail::kTwoOverPi);
-  const double r = (x - kd * detail::kPio2Hi) - kd * detail::kPio2Lo;
-  const double s = detail::poly_sin(r);
-  const double c = detail::poly_cos(r);
-  switch (static_cast<long>(kd) & 3) {
-    case 0: sin_out = s; cos_out = c; break;
-    case 1: sin_out = c; cos_out = -s; break;
-    case 2: sin_out = -s; cos_out = -c; break;
-    default: sin_out = -c; cos_out = s; break;
-  }
-}
-
-/// sin(x) alone over the wide range (spatial shadowing field, mover pacing).
-inline double sin_wide(double x) {
-  double s, c;
-  sincos_wide(x, s, c);
-  return s;
-}
-
-/// 10^(db/20) — amplitude form of dB, via exp2 (one exp2 instead of a full
-/// pow): 10^(x/20) = 2^(x * log2(10)/20). Relative error ~2 ulp.
-inline double db_to_amplitude(double db) {
-  return std::exp2(db * 0.16609640474436813);  // log2(10)/20
-}
-
 /// log10(x) for finite normal x > 0, via log_pos. Relative error ~2 ulp.
 inline double log10_pos(double x) {
   return log_pos(x) * 0.43429448190325176;  // 1/ln(10)
@@ -165,7 +140,7 @@ inline double log10_pos(double x) {
 //
 // The fp32 tier's one transcendental is sincos: the per-path phases become
 // phasors in float, while amplitudes, noise and similarity stay fp64. This
-// is the single-precision port of sincos above, evaluated entirely in
+// is the single-precision port of sincos_wide above, evaluated entirely in
 // float; lanef::sincos (util/lanef.hpp) performs the same operation
 // sequence 8 or 16 lanes wide. Accuracy bounds are in *float* ulps (1
 // ulp_f32 ~ 1.19e-7 relative). The fp32 channel tier calls it only on

@@ -1,31 +1,36 @@
 // lane4.hpp — the two 4-lane fp64 types the tier-invariant kernels are
-// written over.
+// written over, and the fp64 transcendentals.
 //
 // The fp64 kernels whose outputs flow into gated digests (the batched
 // channel engine's geometry, fill and MAC passes, the Eq.-1 similarity
-// passes, the Box-Muller noise block) are each written once, over a type
-// `D4` holding four doubles, and compiled twice by util/lane4_tiers.inc:
+// passes, the Box-Muller noise block) and the sincos / log_pos / exp2 they
+// call (util/lane4_math.inc) are each written once, over a type `D4`
+// holding four doubles, and compiled twice by util/lane4_tiers.inc:
 //
 //   * lane4::Scalar — four plain doubles. Fused ops are std::fma (correctly
-//     rounded on every conforming host), plain ops stay plain, and the
-//     transcendentals call lanemath:: per lane;
+//     rounded on every conforming host) and plain ops stay plain;
 //   * lane4::Avx2   — one __m256d. Every op is an always-inline AVX2+FMA
-//     intrinsic and the transcendentals call simdmath::.
+//     intrinsic.
 //
 // An op means the same rounding on both types — a fused op rounds once, a
-// plain op once per operation, reductions keep lane order — and
-// lanemath::f is bitwise one lane of simdmath::vf (tests/util/
-// lane_exact_test.cpp), so one body yields the same bits on both tiers.
+// plain op once per operation, reductions keep lane order — so one body
+// yields the same bits on both tiers. The types hold only what the two
+// tiers spell differently: memory, arithmetic and the few steps of the
+// transcendentals that are bit manipulation (round-to-nearest-even, the
+// sincos quadrant fix-up, the log exponent split and the exact 2^k scale).
 #pragma once
 
+#include <bit>
+#include <cassert>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 
-#include "util/lane_math.hpp"
+#include "util/fastmath.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
-
-#include "util/simd_math.hpp"
 #endif
 
 namespace mobiwlan::lane4 {
@@ -45,9 +50,12 @@ struct Scalar {
 };
 
 namespace detail {
+// Unrolled, so an op whose lanes call out (std::fma, std::nearbyint) is
+// four straight-line calls rather than a loop around one.
 template <typename F>
 Scalar lanewise(F f) {
   Scalar r;
+#pragma GCC unroll 4
   for (int l = 0; l < 4; ++l) r.v[l] = f(l);
   return r;
 }
@@ -61,6 +69,9 @@ inline Scalar operator-(Scalar a, Scalar b) {
 }
 inline Scalar operator*(Scalar a, Scalar b) {
   return detail::lanewise([&](int l) { return a.v[l] * b.v[l]; });
+}
+inline Scalar operator/(Scalar a, Scalar b) {
+  return detail::lanewise([&](int l) { return a.v[l] / b.v[l]; });
 }
 /// a > b ? a : b lane by lane (b on a NaN), as _mm256_max_pd.
 inline Scalar max(Scalar a, Scalar b) {
@@ -102,14 +113,42 @@ inline void store2(double* p, Scalar re, Scalar im) {
   }
 }
 
-inline void sincos(Scalar x, Scalar& s, Scalar& c) {
-  for (int l = 0; l < 4; ++l) lanemath::sincos(x.v[l], s.v[l], c.v[l]);
+/// Round to nearest, ties to even (nearbyint in the default rounding mode).
+inline Scalar round(Scalar a) {
+  return detail::lanewise([&](int l) { return std::nearbyint(a.v[l]); });
 }
-inline Scalar log_pos(Scalar x) {
-  return detail::lanewise([&](int l) { return lanemath::log_pos(x.v[l]); });
+/// sin = {ps, pc, -ps, -pc}[n & 3] and cos = {pc, -ps, -pc, ps}[n & 3] for
+/// the integral quadrant kd = n; the sign flips are exact.
+inline void quadrant(Scalar kd, Scalar ps, Scalar pc, Scalar& s, Scalar& c) {
+  for (int l = 0; l < 4; ++l) {
+    const auto n = static_cast<std::int64_t>(kd.v[l]);
+    const bool odd = (n & 1) != 0;
+    s.v[l] = odd ? pc.v[l] : ps.v[l];
+    c.v[l] = odd ? ps.v[l] : pc.v[l];
+    if ((n & 2) != 0) s.v[l] = -s.v[l];
+    if (((n + 1) & 2) != 0) c.v[l] = -c.v[l];
+  }
 }
-inline Scalar exp2(Scalar x) {
-  return detail::lanewise([&](int l) { return lanemath::exp2(x.v[l]); });
+/// fdlibm's log split of a positive normal x = 2^k * m with m in
+/// [sqrt(2)/2, sqrt(2)); k is returned as a double. The 64-bit arithmetic
+/// wraps like the vector's epi64 lanes.
+inline void log_split(Scalar x, Scalar& m, Scalar& k) {
+  for (int l = 0; l < 4; ++l) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x.v[l]);
+    const std::uint64_t i20 = (((bits >> 32) & 0xfffff) + 0x95f64) & 0x100000;
+    const std::uint64_t e = (bits >> 52) - 1023 + (i20 >> 20);
+    m.v[l] = std::bit_cast<double>((bits & 0x000fffffffffffffULL) |
+                                   ((i20 ^ 0x3ff00000ULL) << 32));
+    k.v[l] = static_cast<double>(static_cast<std::int64_t>(e));
+  }
+}
+/// p * 2^kd, exactly, for integral |kd| <= 256.
+inline Scalar mul_pow2(Scalar p, Scalar kd) {
+  return detail::lanewise([&](int l) {
+    const auto k = static_cast<std::int64_t>(kd.v[l]);
+    return p.v[l] *
+           std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+  });
 }
 
 #if defined(__x86_64__)
@@ -148,6 +187,9 @@ MOBIWLAN_LANE4_AVX2 Avx2 operator-(Avx2 a, Avx2 b) {
 MOBIWLAN_LANE4_AVX2 Avx2 operator*(Avx2 a, Avx2 b) {
   return {_mm256_mul_pd(a.v, b.v)};
 }
+MOBIWLAN_LANE4_AVX2 Avx2 operator/(Avx2 a, Avx2 b) {
+  return {_mm256_div_pd(a.v, b.v)};
+}
 MOBIWLAN_LANE4_AVX2 Avx2 max(Avx2 a, Avx2 b) {
   return {_mm256_max_pd(a.v, b.v)};
 }
@@ -180,15 +222,63 @@ MOBIWLAN_LANE4_AVX2 void store2(double* p, Avx2 re, Avx2 im) {
   _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
 }
 
-MOBIWLAN_LANE4_AVX2 void sincos(Avx2 x, Avx2& s, Avx2& c) {
-  simdmath::vsincos(x.v, s.v, c.v);
+MOBIWLAN_LANE4_AVX2 Avx2 round(Avx2 a) {
+  return {_mm256_round_pd(a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
 }
-MOBIWLAN_LANE4_AVX2 Avx2 log_pos(Avx2 x) { return {simdmath::vlog_pos(x.v)}; }
-MOBIWLAN_LANE4_AVX2 Avx2 exp2(Avx2 x) { return {simdmath::vexp2(x.v)}; }
+MOBIWLAN_LANE4_AVX2 void quadrant(Avx2 kd, Avx2 ps, Avx2 pc, Avx2& s,
+                                  Avx2& c) {
+  const __m256i n = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(kd.v));
+  const __m256i one = _mm256_set1_epi64x(1), two = _mm256_set1_epi64x(2);
+  const __m256d odd =
+      _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n, one), one));
+  const __m256d s_sign =
+      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(n, two), 62));
+  const __m256d c_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(n, one), two), 62));
+  s.v = _mm256_xor_pd(_mm256_blendv_pd(ps.v, pc.v, odd), s_sign);
+  c.v = _mm256_xor_pd(_mm256_blendv_pd(pc.v, ps.v, odd), c_sign);
+}
+MOBIWLAN_LANE4_AVX2 void log_split(Avx2 x, Avx2& m, Avx2& k) {
+  const __m256i bits = _mm256_castpd_si256(x.v);
+  const __m256i i20 = _mm256_and_si256(
+      _mm256_add_epi64(_mm256_and_si256(_mm256_srli_epi64(bits, 32),
+                                        _mm256_set1_epi64x(0xfffff)),
+                       _mm256_set1_epi64x(0x95f64)),
+      _mm256_set1_epi64x(0x100000));
+  const __m256i e = _mm256_add_epi64(
+      _mm256_sub_epi64(_mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(1023)),
+      _mm256_srli_epi64(i20, 20));
+  m.v = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL)),
+      _mm256_slli_epi64(_mm256_xor_si256(i20, _mm256_set1_epi64x(0x3ff00000)),
+                        32)));
+  // e fits in int32 (|e| <= 1075): compress the 64-bit lanes and convert.
+  const __m256i perm = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  k.v = _mm256_cvtepi32_pd(
+      _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(e, perm)));
+}
+MOBIWLAN_LANE4_AVX2 Avx2 mul_pow2(Avx2 p, Avx2 kd) {
+  const __m256i k = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(kd.v));
+  return {_mm256_mul_pd(p.v, _mm256_castsi256_pd(_mm256_slli_epi64(
+                                 _mm256_add_epi64(k, _mm256_set1_epi64x(1023)),
+                                 52)))};
+}
 
 #undef MOBIWLAN_LANE4_AVX2
 #pragma GCC pop_options
 
 #endif  // __x86_64__
+
+// lane4::sincos / log_pos / exp2 on both types: one body per kernel.
+#define MOBIWLAN_LANE4_BODY "util/lane4_math.inc"
+#include "util/lane4_tiers.inc"
+using scalar_tier::exp2;
+using scalar_tier::log_pos;
+using scalar_tier::sincos;
+#if defined(__x86_64__)
+using avx2_tier::exp2;
+using avx2_tier::log_pos;
+using avx2_tier::sincos;
+#endif
 
 }  // namespace mobiwlan::lane4

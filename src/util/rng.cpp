@@ -138,7 +138,7 @@ void Rng::add_gaussian_tail(double* comp, std::size_t k, std::size_t total,
                             double per) {
   // The sub-8 remainder keeps the original fastmath kernels (those bits are
   // pinned by the golden fixtures). theta = 2*pi*u2 < 2*pi, well inside
-  // fastmath::kSincosMaxArg; the inline kernel matches libm to ~2 ulp,
+  // fastmath::kSincosWideMaxArg; the inline kernel matches libm to ~2 ulp,
   // orders of magnitude below the 1e-12 equivalence budget on noise
   // components (~1e-5 in magnitude).
   while (total - k >= 2) {
@@ -147,7 +147,7 @@ void Rng::add_gaussian_tail(double* comp, std::size_t k, std::size_t total,
     const double r = std::sqrt(-2.0 * std::log(u1));
     const double theta = 2.0 * std::numbers::pi * u2;
     double s, c;
-    fastmath::sincos(theta, s, c);
+    fastmath::sincos_wide(theta, s, c);
     comp[k] += per * (r * c);
     comp[k + 1] += per * (r * s);
     k += 2;
@@ -158,7 +158,7 @@ void Rng::add_gaussian_tail(double* comp, std::size_t k, std::size_t total,
     const double r = std::sqrt(-2.0 * std::log(u1));
     const double theta = 2.0 * std::numbers::pi * u2;
     double s, c;
-    fastmath::sincos(theta, s, c);
+    fastmath::sincos_wide(theta, s, c);
     comp[k] += per * (r * c);
     cached_gaussian_ = r * s;
     has_cached_gaussian_ = true;

@@ -1,11 +1,13 @@
-// fastmath accuracy: sincos and log_pos against libm, in ulps, across the
-// documented domain, plus exact pinning of the domain edges.
+// fastmath accuracy: sincos_wide and log_pos against libm, in ulps, across
+// the phase range the noise and synthesis draw from, plus exact pinning of
+// the grid edges.
 //
-// The header promises ~2 ulp for sincos on |x| <= kSincosMaxArg and ~1 ulp
-// for log_pos on finite normal positives. Near the trig zeros (x ~ k*pi) a
-// relative (ulp) bound is meaningless — the reduction's ~1e-17 absolute
-// error is astronomically many ulps of a ~1e-17 result — so the check there
-// falls back to an absolute budget derived from the reduction error.
+// The header promises ~2 ulp for sincos_wide (checked on |x| <= 25) and
+// ~1 ulp for log_pos on finite normal positives. Near the trig zeros
+// (x ~ k*pi) a relative (ulp) bound is meaningless — the reduction's ~1e-17
+// absolute error is astronomically many ulps of a ~1e-17 result — so the
+// check there falls back to an absolute budget derived from the reduction
+// error.
 #include "util/fastmath.hpp"
 
 #include <bit>
@@ -34,11 +36,14 @@ std::uint64_t ulp_distance(double a, double b) {
   return static_cast<std::uint64_t>(da > db ? da - db : db - da);
 }
 
+/// The sincos_wide grids span |x| <= 25: |k| <= 16 quadrants either side.
+constexpr double kGridMaxArg = 25.0;
+
 /// sincos bound: <= 4 ulp, or <= 1e-16 absolute near the zeros where the
 /// result underflows the relative scale.
 void expect_sincos_close(double x) {
   double s = 0.0, c = 0.0;
-  fastmath::sincos(x, s, c);
+  fastmath::sincos_wide(x, s, c);
   const double rs = std::sin(x);
   const double rc = std::cos(x);
   EXPECT_TRUE(ulp_distance(s, rs) <= 4 || std::abs(s - rs) <= 1e-16)
@@ -58,8 +63,8 @@ void expect_log_close(double x) {
 }
 
 TEST(FastmathTest, SincosGridAcrossDomain) {
-  // Dense uniform grid over the full valid domain, hitting both halves.
-  const double lim = fastmath::kSincosMaxArg;
+  // Dense uniform grid over the whole grid range, hitting both halves.
+  const double lim = kGridMaxArg;
   const int n = 200001;
   for (int i = 0; i < n; ++i) {
     const double x = -lim + (2.0 * lim) * static_cast<double>(i) /
@@ -75,11 +80,11 @@ TEST(FastmathTest, SincosNearReductionBoundaries) {
   // cancellation and an off-by-one k.
   for (int k = -16; k <= 16; ++k) {
     const double boundary = static_cast<double>(k) * (M_PI / 2.0);
-    if (std::abs(boundary) > fastmath::kSincosMaxArg) continue;
+    if (std::abs(boundary) > kGridMaxArg) continue;
     for (const double eps :
          {0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4}) {
       const double x = boundary + eps;
-      if (std::abs(x) > fastmath::kSincosMaxArg) continue;
+      if (std::abs(x) > kGridMaxArg) continue;
       expect_sincos_close(x);
     }
   }
@@ -88,25 +93,25 @@ TEST(FastmathTest, SincosNearReductionBoundaries) {
 TEST(FastmathTest, SincosRandomPoints) {
   Rng rng(20140204);
   for (int i = 0; i < 100000; ++i) {
-    expect_sincos_close(rng.uniform(-fastmath::kSincosMaxArg,
-                                    fastmath::kSincosMaxArg));
+    expect_sincos_close(rng.uniform(-kGridMaxArg,
+                                    kGridMaxArg));
     if (::testing::Test::HasFailure()) break;
   }
 }
 
 TEST(FastmathTest, SincosDomainEdges) {
-  // Exact identities at 0 and sanity exactly at the documented limits.
+  // Exact identities at 0 and sanity exactly at the grid limits.
   double s = 0.0, c = 0.0;
-  fastmath::sincos(0.0, s, c);
+  fastmath::sincos_wide(0.0, s, c);
   EXPECT_EQ(s, 0.0);
   EXPECT_EQ(c, 1.0);
-  fastmath::sincos(-0.0, s, c);
+  fastmath::sincos_wide(-0.0, s, c);
   EXPECT_EQ(s, -0.0);
   EXPECT_EQ(c, 1.0);
-  expect_sincos_close(fastmath::kSincosMaxArg);
-  expect_sincos_close(-fastmath::kSincosMaxArg);
-  expect_sincos_close(std::nextafter(fastmath::kSincosMaxArg, 0.0));
-  expect_sincos_close(std::nextafter(-fastmath::kSincosMaxArg, 0.0));
+  expect_sincos_close(kGridMaxArg);
+  expect_sincos_close(-kGridMaxArg);
+  expect_sincos_close(std::nextafter(kGridMaxArg, 0.0));
+  expect_sincos_close(std::nextafter(-kGridMaxArg, 0.0));
 }
 
 TEST(FastmathTest, LogAcrossMagnitudes) {

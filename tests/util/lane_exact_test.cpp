@@ -1,14 +1,13 @@
-// lane_exact_test — the scalar mirrors in util/lane_math.hpp must be
-// *bitwise* equal to one lane of the AVX2 kernels in util/simd_math.hpp,
-// and the dispatch sites whose fp64 kernels compile one body for both tiers
+// lane_exact_test — the fp64 transcendentals (util/lane4_math.inc) and the
+// dispatch sites whose fp64 kernels compile one body for both tiers
 // (util/lane4.hpp: the batched channel engine, the Box-Muller noise fill,
 // the Eq.-1 similarity kernel) must produce bit-identical outputs whether
 // the scalar or the AVX2 tier runs. This is the foundation of the campus
 // determinism contract across hosts: a non-AVX2 machine reproduces an AVX2
 // machine's digests exactly.
 //
-// The lane and tier-pair tests skip on hosts without AVX2+FMA (there is no
-// vector kernel to compare against; the scalar tier is then simply the
+// The kernel and tier-pair tests skip on hosts without AVX2+FMA (there is
+// no vector tier to compare against; the scalar tier is then simply the
 // only implementation). The shape sweep runs every tier the host has, so
 // there it still checks the fp32 budget at the scalar tier.
 #include <gtest/gtest.h>
@@ -23,50 +22,19 @@
 #include "chan/channel.hpp"
 #include "chan/channel_batch.hpp"
 #include "core/csi_similarity.hpp"
-#include "util/lane_math.hpp"
+#include "util/lane4.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "../chan/channel_golden_cases.hpp"
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-
-#include "util/simd_math.hpp"
-#endif
-
 namespace mobiwlan {
 namespace {
 
+// scalar_tier:: and avx2_tier:: sincos4 / log_pos4 / exp2_4.
+#define MOBIWLAN_LANE4_BODY "util/lane4_calls.inc"
+#include "util/lane4_tiers.inc"
+
 bool host_has_avx2() { return simd::avx2fma_supported(); }
-
-#if defined(__x86_64__)
-
-// Broadcast-one-lane wrappers: everything touching __m256d needs the
-// target attribute, so the comparisons live here.
-__attribute__((target("avx2,fma"))) void vsincos1(double x, double& s,
-                                                  double& c) {
-  __m256d vs, vc;
-  simdmath::vsincos(_mm256_set1_pd(x), vs, vc);
-  alignas(32) double ls[4], lc[4];
-  _mm256_store_pd(ls, vs);
-  _mm256_store_pd(lc, vc);
-  s = ls[0];
-  c = lc[0];
-}
-
-__attribute__((target("avx2,fma"))) double vlog_pos1(double x) {
-  alignas(32) double l[4];
-  _mm256_store_pd(l, simdmath::vlog_pos(_mm256_set1_pd(x)));
-  return l[0];
-}
-
-__attribute__((target("avx2,fma"))) double vexp21(double x) {
-  alignas(32) double l[4];
-  _mm256_store_pd(l, simdmath::vexp2(_mm256_set1_pd(x)));
-  return l[0];
-}
-
-#endif  // __x86_64__
 
 std::uint64_t dbits(double x) {
   std::uint64_t u;
@@ -74,54 +42,71 @@ std::uint64_t dbits(double x) {
   return u;
 }
 
-TEST(LaneExact, SincosMirrorsVsincosBitwise) {
+// Each kernel test draws 200000 arguments, four per call, and compares
+// every lane of the scalar tier with the same lane of the AVX2 tier.
+
+TEST(LaneExact, SincosTiersBitwise) {
 #if defined(__x86_64__)
   if (!host_has_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
   Rng rng(0xabcdef12345ULL);
-  for (int i = 0; i < 200000; ++i) {
+  for (int i = 0; i < 200000; i += 4) {
     // Sweep the full wide-argument domain plus a dense small-angle band.
-    const double x = (i % 2 == 0)
-                         ? rng.uniform(-fastmath::kSincosWideMaxArg,
-                                       fastmath::kSincosWideMaxArg)
-                         : rng.uniform(-8.0, 8.0);
-    double s_lane, c_lane, s_vec, c_vec;
-    lanemath::sincos(x, s_lane, c_lane);
-    vsincos1(x, s_vec, c_vec);
-    ASSERT_EQ(dbits(s_lane), dbits(s_vec)) << "sin(" << x << ")";
-    ASSERT_EQ(dbits(c_lane), dbits(c_vec)) << "cos(" << x << ")";
+    double x[4];
+    for (int l = 0; l < 4; ++l)
+      x[l] = ((i + l) % 2 == 0)
+                 ? rng.uniform(-fastmath::kSincosWideMaxArg,
+                               fastmath::kSincosWideMaxArg)
+                 : rng.uniform(-8.0, 8.0);
+    double s_scalar[4], c_scalar[4], s_avx2[4], c_avx2[4];
+    scalar_tier::sincos4(x, s_scalar, c_scalar);
+    avx2_tier::sincos4(x, s_avx2, c_avx2);
+    for (int l = 0; l < 4; ++l) {
+      ASSERT_EQ(dbits(s_scalar[l]), dbits(s_avx2[l])) << "sin(" << x[l] << ")";
+      ASSERT_EQ(dbits(c_scalar[l]), dbits(c_avx2[l])) << "cos(" << x[l] << ")";
+    }
   }
 #else
   GTEST_SKIP() << "x86-64 only";
 #endif
 }
 
-TEST(LaneExact, LogPosMirrorsVlogPosBitwise) {
+TEST(LaneExact, LogPosTiersBitwise) {
 #if defined(__x86_64__)
   if (!host_has_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
   Rng rng(0x5151515151ULL);
-  for (int i = 0; i < 200000; ++i) {
+  for (int i = 0; i < 200000; i += 4) {
     // Positive normals across a wide exponent range, including the
     // Box-Muller domain (0, 1].
-    const double mant = rng.uniform(0.5, 2.0);
-    const int expo = rng.uniform_int(-60, 60);
-    const double x = (i % 2 == 0) ? std::ldexp(mant, expo)
-                                  : 1.0 - rng.uniform();
-    ASSERT_EQ(dbits(lanemath::log_pos(x)), dbits(vlog_pos1(x)))
-        << "log(" << x << ")";
+    double x[4];
+    for (int l = 0; l < 4; ++l) {
+      const double mant = rng.uniform(0.5, 2.0);
+      const int expo = rng.uniform_int(-60, 60);
+      x[l] = ((i + l) % 2 == 0) ? std::ldexp(mant, expo)
+                                : 1.0 - rng.uniform();
+    }
+    double scalar[4], avx2[4];
+    scalar_tier::log_pos4(x, scalar);
+    avx2_tier::log_pos4(x, avx2);
+    for (int l = 0; l < 4; ++l)
+      ASSERT_EQ(dbits(scalar[l]), dbits(avx2[l])) << "log(" << x[l] << ")";
   }
 #else
   GTEST_SKIP() << "x86-64 only";
 #endif
 }
 
-TEST(LaneExact, Exp2MirrorsVexp2Bitwise) {
+TEST(LaneExact, Exp2TiersBitwise) {
 #if defined(__x86_64__)
   if (!host_has_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
   Rng rng(0x77aa77aa77ULL);
-  for (int i = 0; i < 200000; ++i) {
-    const double x = rng.uniform(-250.0, 250.0);
-    ASSERT_EQ(dbits(lanemath::exp2(x)), dbits(vexp21(x)))
-        << "exp2(" << x << ")";
+  for (int i = 0; i < 200000; i += 4) {
+    double x[4];
+    for (int l = 0; l < 4; ++l) x[l] = rng.uniform(-250.0, 250.0);
+    double scalar[4], avx2[4];
+    scalar_tier::exp2_4(x, scalar);
+    avx2_tier::exp2_4(x, avx2);
+    for (int l = 0; l < 4; ++l)
+      ASSERT_EQ(dbits(scalar[l]), dbits(avx2[l])) << "exp2(" << x[l] << ")";
   }
 #else
   GTEST_SKIP() << "x86-64 only";

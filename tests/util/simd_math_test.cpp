@@ -1,26 +1,29 @@
 // simd_math domain edges: every vector transcendental documents an input
-// domain (|x| <= kSincosWideMaxArg for vsincos, |x| <= 256 for vexp2,
-// positive normal finite for vlog_pos, |x| <= kSincosF32MaxArg for the
-// 8- and 16-lane fp32 lanef::sincos). This suite pins two things:
+// domain (|x| <= kSincosWideMaxArg for lane4::sincos, |x| <= 256 for
+// lane4::exp2, positive normal finite for lane4::log_pos, |x| <=
+// kSincosF32MaxArg for the 8- and 16-lane fp32 lanef::sincos). This suite
+// pins two things:
 //   1. the extreme *valid* inputs — exactly at the documented edges —
 //      produce finite results that agree with the scalar reference (a
 //      regression net for the reduction constants, whose failure mode is
 //      precisely "fine in the middle, garbage at the edge");
-//   2. in debug builds (MOBIWLAN_SIMD_MATH_CHECKS), an out-of-domain lane
-//      trips the range assertion instead of silently returning garbage —
-//      death tests, compiled out of NDEBUG builds where the assertions are
-//      no-ops by design.
-#include "util/simd_math.hpp"
-
+//   2. in debug builds (no NDEBUG), an out-of-domain lane trips the range
+//      assertion instead of silently returning garbage — death tests,
+//      compiled out of NDEBUG builds where the assertions are no-ops by
+//      design.
+// The fp64 kernels run at the scalar tier on every host and at the AVX2
+// tier where the host has it.
 #include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/fastmath.hpp"
+#include "util/lane4.hpp"
 #include "util/lanef.hpp"
 #include "util/simd.hpp"
 
@@ -28,6 +31,10 @@
 
 namespace mobiwlan {
 namespace {
+
+// scalar_tier:: and avx2_tier:: sincos4 / log_pos4 / exp2_4.
+#define MOBIWLAN_LANE4_BODY "util/lane4_calls.inc"
+#include "util/lane4_tiers.inc"
 
 std::uint64_t ulp_distance(double a, double b) {
   auto ordered = [](double x) -> std::int64_t {
@@ -49,29 +56,31 @@ std::uint32_t ulp_distance_f32(float a, float b) {
   return static_cast<std::uint32_t>(da > db ? da - db : db - da);
 }
 
-// The vexp2 kernel documents |x| <= 256 (see the assertion in
-// simd_math.hpp); the fp64 result stays finite through the whole range.
-constexpr double kVexp2MaxArg = 256.0;
+// The exp2 kernel documents |x| <= 256 (see the assertion in
+// lane4_math.inc); the fp64 result stays finite through the whole range.
+constexpr double kExp2MaxArg = 256.0;
+
+/// One fp64 tier's kernels on four arguments.
+struct Fp64Tier {
+  const char* name;
+  void (*sincos4)(const double*, double*, double*);
+  void (*log_pos4)(const double*, double*);
+  void (*exp2_4)(const double*, double*);
+};
+
+/// The scalar tier, and the AVX2 tier where the host runs it.
+std::vector<Fp64Tier> fp64_tiers() {
+  std::vector<Fp64Tier> tiers{{"scalar", scalar_tier::sincos4,
+                               scalar_tier::log_pos4, scalar_tier::exp2_4}};
+  if (simd::avx2fma_supported())
+    tiers.push_back({"avx2", avx2_tier::sincos4, avx2_tier::log_pos4,
+                     avx2_tier::exp2_4});
+  return tiers;
+}
 
 // Wrappers with the matching target attribute: a baseline-ISA function
-// cannot inline the always_inline kernels. Each takes 4/8/16 scalar inputs
+// cannot inline the always_inline kernels. Each takes 8/16 scalar inputs
 // and returns the lanes so the checks below run in plain code.
-
-__attribute__((target("avx2,fma"))) void sincos4(const double* x, double* s,
-                                                 double* c) {
-  __m256d vs, vc;
-  simdmath::vsincos(_mm256_loadu_pd(x), vs, vc);
-  _mm256_storeu_pd(s, vs);
-  _mm256_storeu_pd(c, vc);
-}
-
-__attribute__((target("avx2,fma"))) void log4(const double* x, double* out) {
-  _mm256_storeu_pd(out, simdmath::vlog_pos(_mm256_loadu_pd(x)));
-}
-
-__attribute__((target("avx2,fma"))) void exp24(const double* x, double* out) {
-  _mm256_storeu_pd(out, simdmath::vexp2(_mm256_loadu_pd(x)));
-}
 
 __attribute__((target("avx2,fma"))) void sincos8_f32(const float* x, float* s,
                                                      float* c) {
@@ -90,44 +99,47 @@ sincos16_f32(const float* x, float* s, float* c) {
 }
 
 TEST(SimdMathTest, Fp64DomainEdgesMatchScalar) {
-  if (!simd::avx2fma_supported())
-    GTEST_SKIP() << "host lacks AVX2+FMA: vector kernels unavailable";
+  for (const Fp64Tier& tier : fp64_tiers()) {
+    SCOPED_TRACE(tier.name);
 
-  // vsincos at the wide-reduction limit, both signs, plus one ulp inside.
-  const double lim = fastmath::kSincosWideMaxArg;
-  const double xs[4] = {lim, -lim, std::nextafter(lim, 0.0),
-                        std::nextafter(-lim, 0.0)};
-  double s[4], c[4];
-  sincos4(xs, s, c);
-  for (int i = 0; i < 4; ++i) {
-    double rs, rc;
-    fastmath::sincos_wide(xs[i], rs, rc);
-    EXPECT_TRUE(std::isfinite(s[i]) && std::isfinite(c[i])) << "x=" << xs[i];
-    EXPECT_LE(ulp_distance(s[i], rs), 1u) << "sin x=" << xs[i];
-    EXPECT_LE(ulp_distance(c[i], rc), 1u) << "cos x=" << xs[i];
-  }
+    // sincos at the wide-reduction limit, both signs, plus one ulp inside.
+    const double lim = fastmath::kSincosWideMaxArg;
+    const double xs[4] = {lim, -lim, std::nextafter(lim, 0.0),
+                          std::nextafter(-lim, 0.0)};
+    double s[4], c[4];
+    tier.sincos4(xs, s, c);
+    for (int i = 0; i < 4; ++i) {
+      double rs, rc;
+      fastmath::sincos_wide(xs[i], rs, rc);
+      EXPECT_TRUE(std::isfinite(s[i]) && std::isfinite(c[i]))
+          << "x=" << xs[i];
+      EXPECT_LE(ulp_distance(s[i], rs), 1u) << "sin x=" << xs[i];
+      EXPECT_LE(ulp_distance(c[i], rc), 1u) << "cos x=" << xs[i];
+    }
 
-  // vlog_pos at the extremes of the positive normal range.
-  const double xl[4] = {DBL_MIN, DBL_MAX, std::nextafter(DBL_MIN, 1.0),
-                        std::nextafter(DBL_MAX, 0.0)};
-  double l[4];
-  log4(xl, l);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(std::isfinite(l[i])) << "x=" << xl[i];
-    EXPECT_LE(ulp_distance(l[i], fastmath::log_pos(xl[i])), 1u)
-        << "log x=" << xl[i];
-  }
+    // log_pos at the extremes of the positive normal range.
+    const double xl[4] = {DBL_MIN, DBL_MAX, std::nextafter(DBL_MIN, 1.0),
+                          std::nextafter(DBL_MAX, 0.0)};
+    double l[4];
+    tier.log_pos4(xl, l);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(std::isfinite(l[i])) << "x=" << xl[i];
+      EXPECT_LE(ulp_distance(l[i], fastmath::log_pos(xl[i])), 1u)
+          << "log x=" << xl[i];
+    }
 
-  // vexp2 at its documented +/-256 edge: finite (2^256 ~ 1.2e77, and
-  // 2^-256 is a normal double) and within the scalar budget of std::exp2.
-  const double xe[4] = {kVexp2MaxArg, -kVexp2MaxArg,
-                        std::nextafter(kVexp2MaxArg, 0.0),
-                        std::nextafter(-kVexp2MaxArg, 0.0)};
-  double e[4];
-  exp24(xe, e);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(std::isfinite(e[i]) && e[i] > 0.0) << "x=" << xe[i];
-    EXPECT_LE(ulp_distance(e[i], std::exp2(xe[i])), 4u) << "exp2 x=" << xe[i];
+    // exp2 at its documented +/-256 edge: finite (2^256 ~ 1.2e77, and
+    // 2^-256 is a normal double) and within the scalar budget of std::exp2.
+    const double xe[4] = {kExp2MaxArg, -kExp2MaxArg,
+                          std::nextafter(kExp2MaxArg, 0.0),
+                          std::nextafter(-kExp2MaxArg, 0.0)};
+    double e[4];
+    tier.exp2_4(xe, e);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(std::isfinite(e[i]) && e[i] > 0.0) << "x=" << xe[i];
+      EXPECT_LE(ulp_distance(e[i], std::exp2(xe[i])), 4u)
+          << "exp2 x=" << xe[i];
+    }
   }
 }
 
@@ -171,7 +183,7 @@ TEST(SimdMathTest, Fp32DomainEdgesMatchScalar) {
   }
 }
 
-#if defined(MOBIWLAN_SIMD_MATH_CHECKS)
+#if !defined(NDEBUG)
 
 // Debug builds only: one out-of-domain lane must trip the range assertion.
 // NDEBUG builds compile the assertions to no-ops, so these tests vanish
@@ -179,17 +191,25 @@ TEST(SimdMathTest, Fp32DomainEdgesMatchScalar) {
 
 using SimdMathDeathTest = ::testing::Test;
 
-TEST(SimdMathDeathTest, Fp64OutOfDomainTrips) {
-  if (!simd::avx2fma_supported())
-    GTEST_SKIP() << "host lacks AVX2+FMA: vector kernels unavailable";
+void expect_fp64_out_of_domain_trips(const Fp64Tier& tier) {
   double out[4], s[4], c[4];
-  const double bad_exp[4] = {0.0, 0.0, kVexp2MaxArg * 2.0, 0.0};
-  EXPECT_DEATH(exp24(bad_exp, out), "");
+  const double bad_exp[4] = {0.0, 0.0, kExp2MaxArg * 2.0, 0.0};
+  EXPECT_DEATH(tier.exp2_4(bad_exp, out), "");
   const double bad_log[4] = {1.0, -1.0, 1.0, 1.0};  // negative lane
-  EXPECT_DEATH(log4(bad_log, out), "");
+  EXPECT_DEATH(tier.log_pos4(bad_log, out), "");
   const double bad_trig[4] = {0.0, fastmath::kSincosWideMaxArg * 2.0, 0.0,
                               0.0};
-  EXPECT_DEATH(sincos4(bad_trig, s, c), "");
+  EXPECT_DEATH(tier.sincos4(bad_trig, s, c), "");
+}
+
+TEST(SimdMathDeathTest, Fp64ScalarOutOfDomainTrips) {
+  expect_fp64_out_of_domain_trips(fp64_tiers()[0]);
+}
+
+TEST(SimdMathDeathTest, Fp64Avx2OutOfDomainTrips) {
+  if (!simd::avx2fma_supported())
+    GTEST_SKIP() << "host lacks AVX2+FMA: vector kernels unavailable";
+  expect_fp64_out_of_domain_trips(fp64_tiers()[1]);
 }
 
 TEST(SimdMathDeathTest, Fp32OutOfDomainTrips) {
@@ -206,7 +226,7 @@ TEST(SimdMathDeathTest, Fp32OutOfDomainTrips) {
   }
 }
 
-#endif  // MOBIWLAN_SIMD_MATH_CHECKS
+#endif  // !NDEBUG
 
 }  // namespace
 }  // namespace mobiwlan
