@@ -369,9 +369,9 @@ int run_perf(const Options& opt) {
   // gate_<case>_ns; must not allocate more than gate_<case>_allocs (a gate
   // of 0 is exact, a nonzero one gets +0.5 slack for amortized one-off
   // growth); and a paired case must reach gate_<case>_min_speedup, except
-  // on the scalar tier, which the ratio floor does not describe. Missing
-  // gate keys are reported, not fatal, so new cases can land before the
-  // baseline is refreshed.
+  // that a ratio of SIMD kernels skips its floor on the scalar tier, which
+  // the floor does not describe. Missing gate keys are reported, not
+  // fatal, so new cases can land before the baseline is refreshed.
   const auto tol_it = baseline.find("tolerance");
   const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;
   const auto gate = [&](const PerfResult& r,
@@ -407,7 +407,8 @@ int run_perf(const Options& opt) {
         case_ok = case_ok && r.allocs_per_op <= limit;
       note(strf("%.6g allocs/op vs limit %g", r.allocs_per_op, limit));
     }
-    if (gate_speedup && tier == mobiwlan::simd::Tier::kScalar) {
+    if (gate_speedup && r.simd_ratio &&
+        tier == mobiwlan::simd::Tier::kScalar) {
       std::fprintf(stderr,
                    "perf-check: %s speedup gate SKIPPED — the active SIMD "
                    "tier is scalar; the %.2fx floor does not apply to it\n",

@@ -5,8 +5,9 @@
 // (fp64 and fp32 tiers), AoA, CSI similarity, one classifier CSI step, the
 // A-MPDU loss kernel — plus pool dispatch, one campus epoch, the strict
 // replay of a recorded link, one batched pass over a 512-link floor, the
-// paired fp32-vs-fp64 wideband synthesis ratio and the paired per-link vs
-// tiled campus sampling ratio. Each case exercises the
+// paired fp32-vs-fp64 wideband synthesis ratio, the paired per-link vs
+// tiled campus sampling ratio and the paired priced vs bracketed A-MPDU
+// loss draw. Each case exercises the
 // scratch-buffer (zero-allocation) API that the steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
 // contract whenever the counting hook is linked (it is, in mobiwlan-bench).
@@ -203,6 +204,72 @@ PerfResult run_ampdu_errors(double min_time_s) {
     ampdu_mpdu_errors(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {}, out);
     asm volatile("" : : "r"(&out) : "memory");
   });
+}
+
+PerfResult run_ampdu_losses(double min_time_s) {
+  // The loss decision of ampdu_errors' frames (64 MPDUs at MCS 12, 2 %
+  // decorrelation, 15-30 dB): every MPDU priced through ampdu_mpdu_errors
+  // and drawn with chance(per[i]) vs the ampdu_mpdu_losses bracket kernel.
+  // The two sides run interleaved in 256-frame blocks from the same
+  // generator state, each after an untimed 32-frame block, and the ratio
+  // comes from the summed times, as in f32_wideband_synthesis. Every
+  // frame's loss masks must agree; a disagreement zeroes the speedup, so
+  // the floor fails. ns/op and allocs/op are the kernel side's, per frame.
+  constexpr int kBlock = 256;
+  const McsEntry& entry = mcs(12);
+  MpduErrors errors;
+  std::vector<std::uint64_t> masks[2] = {std::vector<std::uint64_t>(kBlock),
+                                         std::vector<std::uint64_t>(kBlock)};
+  Rng block_rng(runtime::kMasterSeed);
+  const auto block = [&](bool decided, int frames, Rng rng) {
+    for (int k = 0; k < frames; ++k) {
+      const double snr_db = 15.0 + static_cast<double>(k % 16);
+      std::uint64_t lost = 0;
+      if (decided) {
+        lost = ampdu_mpdu_losses(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {},
+                                 rng);
+      } else {
+        ampdu_mpdu_errors(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {},
+                          errors);
+        for (int i = 0; i < kMaxAmpduMpdus; ++i)
+          if (rng.chance(errors.per[static_cast<std::size_t>(i)]))
+            lost |= std::uint64_t{1} << i;
+      }
+      masks[decided][static_cast<std::size_t>(k)] = lost;
+    }
+    asm volatile("" : : "r"(masks[decided].data()) : "memory");
+  };
+  double t_priced = 0.0, t_decided = 0.0;
+  std::uint64_t ops = 0, allocs_decided = 0;
+  bool agree = true;
+  do {
+    const Rng start = block_rng.split();
+    for (const bool decided : {false, true}) {
+      block(decided, 32, start);
+      const std::uint64_t allocs0 = alloc_count();
+      const auto t0 = clock_type::now();
+      block(decided, kBlock, start);
+      const double dt =
+          std::chrono::duration<double>(clock_type::now() - t0).count();
+      (decided ? t_decided : t_priced) += dt;
+      if (decided) allocs_decided += alloc_count() - allocs0;
+    }
+    agree = agree && masks[0] == masks[1];
+    ops += kBlock;
+  } while (t_priced + t_decided < min_time_s);
+
+  PerfResult r;
+  r.name = "ampdu_losses";
+  r.ns_per_op = 1e9 * t_decided / static_cast<double>(ops);
+  r.ops_per_sec = static_cast<double>(ops) / t_decided;
+  r.allocs_per_op =
+      static_cast<double>(allocs_decided) / static_cast<double>(ops);
+  r.speedup = agree ? t_priced / t_decided : 0.0;
+  if (!agree)
+    std::fprintf(stderr,
+                 "perf: ampdu_losses: the kernel's loss masks differ from "
+                 "the per-MPDU draws\n");
+  return r;
 }
 
 PerfResult run_pool_post_many(double min_time_s) {
@@ -427,6 +494,7 @@ PerfResult run_f32_wideband_synthesis(double min_time_s) {
   r.allocs_per_op =
       static_cast<double>(allocs32) / static_cast<double>(ops);
   r.speedup = t64 / t32;
+  r.simd_ratio = true;
   return r;
 }
 
@@ -497,6 +565,7 @@ PerfResult run_campus_tile(double min_time_s) {
   r.allocs_per_op =
       static_cast<double>(allocs_tile) / static_cast<double>(ops);
   r.speedup = t_link / t_tile;
+  r.simd_ratio = true;
   return r;
 }
 
@@ -559,6 +628,10 @@ const std::vector<PerfCaseDef>& perf_registry() {
       {"ampdu_errors",
        "A-MPDU loss kernel: one aged 64-MPDU frame priced per MPDU",
        run_ampdu_errors},
+      {"ampdu_losses",
+       "paired A-MPDU loss draw, every MPDU priced vs bracketed (speedup = "
+       "priced/bracketed time)",
+       run_ampdu_losses},
       {"pool_post_many", "64-task batched enqueue + drain on a 1-worker pool",
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",

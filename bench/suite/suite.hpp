@@ -40,6 +40,8 @@ struct PerfResult {
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;  ///< 0 unless the counting hook is linked
   double speedup = 0.0;  ///< paired cases: reference / measured time; else 0
+  /// The speedup compares SIMD kernels, so the scalar tier skips its floor.
+  bool simd_ratio = false;
 };
 
 /// One hot-path microbenchmark run by `mobiwlan-bench --perf`.

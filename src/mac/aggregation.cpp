@@ -1,6 +1,8 @@
 #include "mac/aggregation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -20,30 +22,129 @@ double AmpduPlan::mpdu_age_fraction(int i) const {
   return (static_cast<double>(i) + 0.5) / static_cast<double>(n_mpdus);
 }
 
+namespace {
+
+void require_mpdu_count(const char* kernel, int n_mpdus) {
+  if (n_mpdus < 1 || n_mpdus > kMaxAmpduMpdus)
+    throw std::out_of_range(std::string(kernel) + ": n_mpdus " +
+                            std::to_string(n_mpdus) + " outside [1, " +
+                            std::to_string(kMaxAmpduMpdus) + "]");
+}
+
+std::uint64_t mpdu_bit(int i) { return std::uint64_t{1} << i; }
+
+/// The SNR -> BER -> PER chain of one frame, with its per-frame invariants
+/// (1/snr, the ErrorChain constants) computed once. Both loss kernels price
+/// MPDU i through it, so their prices are the same bits.
+class FramePricer {
+ public:
+  FramePricer(const McsEntry& mcs_entry, double snr_db, double decorr_end,
+              int n_mpdus, int payload_bytes, const ErrorModelConfig& config)
+      : chain_(mcs_entry, payload_bytes, config),
+        inv_snr_(1.0 / db_to_linear(snr_db)),
+        decorr_end_(decorr_end),
+        plan_{n_mpdus, 0.0} {}
+
+  /// Every MPDU's aging decorr_end * fraction is <= 0 (or -0.0), which
+  /// aged_snr_db clamps to the same fresh SINR: one price for the frame.
+  bool flat() const { return decorr_end_ <= 0.0; }
+
+  double ber(int i) const {
+    const double d = flat() ? 0.0 : decorr_end_ * plan_.mpdu_age_fraction(i);
+    return chain_.ber(aged_snr_db_from_inverse(inv_snr_, d));
+  }
+  double per_of_ber(double ber) const { return chain_.per(ber); }
+  double per(int i) const { return chain_.per(ber(i)); }
+
+ private:
+  ErrorChain chain_;
+  double inv_snr_;
+  double decorr_end_;
+  AmpduPlan plan_;
+};
+
+/// Decides MPDUs [first, last] of an aged frame, all of which lie strictly
+/// between two exactly priced MPDUs with PERs per_lo (below) and per_hi
+/// (above), and ORs the lost ones into `lost`. PER is non-decreasing in i
+/// within ampdu_bracket_margin, so u < per_lo - margin means lost and
+/// u >= per_hi + margin means delivered; the rest are split at the middle
+/// undecided MPDU, which is priced exactly.
+void decide_span(const FramePricer& pricer, const double* u, int first,
+                 int last, double per_lo, double per_hi, std::uint64_t& lost) {
+  const double lost_below = per_lo - ampdu_bracket_margin(per_lo);
+  const double kept_from = per_hi + ampdu_bracket_margin(per_hi);
+  int lo = last + 1, hi = first - 1;  // extent of the undecided MPDUs
+  for (int i = first; i <= last; ++i) {
+    if (u[i] < lost_below) {
+      lost |= mpdu_bit(i);
+    } else if (!(u[i] >= kept_from)) {
+      lo = std::min(lo, i);
+      hi = i;
+    }
+  }
+  if (lo > hi) return;
+  const int mid = lo + (hi - lo) / 2;
+  const double per_mid = pricer.per(mid);
+  if (u[mid] < per_mid) lost |= mpdu_bit(mid);
+  decide_span(pricer, u, lo, mid - 1, per_lo, per_mid, lost);
+  decide_span(pricer, u, mid + 1, hi, per_mid, per_hi, lost);
+}
+
+}  // namespace
+
 void ampdu_mpdu_errors(const McsEntry& mcs_entry, double snr_db,
                        double decorr_end, int n_mpdus, int payload_bytes,
                        const ErrorModelConfig& config, MpduErrors& out) {
-  if (n_mpdus < 1 || n_mpdus > kMaxAmpduMpdus)
-    throw std::out_of_range("ampdu_mpdu_errors: n_mpdus " +
-                            std::to_string(n_mpdus) + " outside [1, " +
-                            std::to_string(kMaxAmpduMpdus) + "]");
-  const ErrorChain chain(mcs_entry, payload_bytes, config);
-  const double inv_snr = 1.0 / db_to_linear(snr_db);
-  if (decorr_end <= 0.0) {
-    // Every MPDU's aging decorr_end * fraction is <= 0 (or -0.0), which
-    // aged_snr_db clamps to the same fresh SINR: one price for the frame.
-    const double ber = chain.ber(aged_snr_db_from_inverse(inv_snr, 0.0));
-    std::fill_n(out.ber.begin(), n_mpdus, ber);
-    std::fill_n(out.per.begin(), n_mpdus, chain.per(ber));
-    return;
-  }
-  const AmpduPlan plan{n_mpdus, 0.0};
-  for (int i = 0; i < n_mpdus; ++i) {
+  require_mpdu_count("ampdu_mpdu_errors", n_mpdus);
+  const FramePricer pricer(mcs_entry, snr_db, decorr_end, n_mpdus,
+                           payload_bytes, config);
+  const int n_priced = pricer.flat() ? 1 : n_mpdus;
+  for (int i = 0; i < n_priced; ++i) {
     const auto k = static_cast<std::size_t>(i);
-    out.ber[k] = chain.ber(aged_snr_db_from_inverse(
-        inv_snr, decorr_end * plan.mpdu_age_fraction(i)));
-    out.per[k] = chain.per(out.ber[k]);
+    out.ber[k] = pricer.ber(i);
+    out.per[k] = pricer.per_of_ber(out.ber[k]);
   }
+  std::fill_n(out.ber.begin() + n_priced, n_mpdus - n_priced, out.ber[0]);
+  std::fill_n(out.per.begin() + n_priced, n_mpdus - n_priced, out.per[0]);
+}
+
+std::uint64_t ampdu_mpdu_losses(const McsEntry& mcs_entry, double snr_db,
+                                double decorr_end, int n_mpdus,
+                                int payload_bytes,
+                                const ErrorModelConfig& config, Rng& rng,
+                                MpduErrors* priced) {
+  static_assert(kMaxAmpduMpdus <= 64, "the loss mask holds one bit per MPDU");
+  require_mpdu_count("ampdu_mpdu_losses", n_mpdus);
+  std::uint64_t lost = 0;
+  if (priced) {
+    ampdu_mpdu_errors(mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes,
+                      config, *priced);
+    for (int i = 0; i < n_mpdus; ++i)
+      if (rng.chance(priced->per[static_cast<std::size_t>(i)]))
+        lost |= mpdu_bit(i);
+    return lost;
+  }
+  const FramePricer pricer(mcs_entry, snr_db, decorr_end, n_mpdus,
+                           payload_bytes, config);
+  if (pricer.flat()) {
+    const double per = pricer.per(0);
+    for (int i = 0; i < n_mpdus; ++i)
+      if (rng.chance(per)) lost |= mpdu_bit(i);
+    return lost;
+  }
+  // The callers draw a frame's n uniforms back to back, so drawing them all
+  // before pricing leaves the stream unchanged.
+  std::array<double, kMaxAmpduMpdus> u;
+  for (int i = 0; i < n_mpdus; ++i)
+    u[static_cast<std::size_t>(i)] = rng.uniform();
+  const double per_first = pricer.per(0);
+  if (u[0] < per_first) lost |= mpdu_bit(0);
+  if (n_mpdus == 1) return lost;
+  const int last = n_mpdus - 1;
+  const double per_last = pricer.per(last);
+  if (u[static_cast<std::size_t>(last)] < per_last) lost |= mpdu_bit(last);
+  decide_span(pricer, u.data(), 1, last - 1, per_first, per_last, lost);
+  return lost;
 }
 
 AmpduPlan plan_ampdu(const McsEntry& mcs_entry, double limit_s,

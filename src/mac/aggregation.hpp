@@ -9,12 +9,14 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 
 #include "core/mobility_mode.hpp"
 #include "phy/airtime.hpp"
 #include "phy/error_model.hpp"
 #include "phy/mcs.hpp"
+#include "util/rng.hpp"
 
 namespace mobiwlan {
 
@@ -46,18 +48,48 @@ struct MpduErrors {
   std::array<double, kMaxAmpduMpdus> ber{};  ///< coded BER of MPDU i (SoftPHY)
 };
 
-/// The A-MPDU loss kernel: prices every MPDU of a frame sent at `snr_db`
+/// The exact A-MPDU prices: prices every MPDU of a frame sent at `snr_db`
 /// whose channel decorrelated by `decorr_end` between the preamble estimate
 /// and the frame end. MPDU i ages by decorr_end * mpdu_age_fraction(i), so
 ///   per[i] == per_with_aging(mcs_entry, snr_db, payload_bytes, that aging)
 /// and ber[i] is the coded BER behind that PER, bitwise. Per-frame
 /// invariants (1/snr, stream split, payload bits) are computed once, and a
 /// flat frame (decorr_end <= 0: every MPDU's aging clamps to 0) is priced
-/// once for all its MPDUs. Requires 1 <= n_mpdus <= kMaxAmpduMpdus; draws
-/// no randomness and never allocates.
+/// once for all its MPDUs. The reference ampdu_mpdu_losses decides
+/// against. Requires 1 <= n_mpdus <= kMaxAmpduMpdus; draws no randomness
+/// and never allocates.
 void ampdu_mpdu_errors(const McsEntry& mcs_entry, double snr_db,
                        double decorr_end, int n_mpdus, int payload_bytes,
                        const ErrorModelConfig& config, MpduErrors& out);
+
+/// Slack of the bracket rule in ampdu_mpdu_losses around an exactly priced
+/// PER p. The exact per[i] of an aged frame is non-decreasing in i up to
+/// libm rounding (~1e-13 relative, 2^-52 absolute where 1 - exp(x)
+/// cancels); the margin is over 1000x that.
+constexpr double ampdu_bracket_margin(double per) {
+  return 0x1p-40 + 0x1p-30 * per;
+}
+
+/// The A-MPDU loss draw: decides which MPDUs of a frame are lost. Bit i of
+/// the result is set iff MPDU i was lost, and the draws are exactly those
+/// of rng.chance(per[i]) for i = 0..n_mpdus-1 over ampdu_mpdu_errors' per:
+/// one rng.uniform() per MPDU, in MPDU order, each compared with its PER.
+///
+/// A flat frame (decorr_end <= 0) is priced once. An aged frame draws its
+/// n uniforms first, prices MPDUs 0 and n-1, and decides each MPDU i
+/// between two priced MPDUs a < i < b by the bracket rule: lost if
+/// u_i < per_a - margin(per_a), delivered if u_i >= per_b + margin(per_b).
+/// The undecided span is split at its middle MPDU, which is priced
+/// exactly, until every MPDU is decided. A NaN price decides nothing, so
+/// a NaN frame ends up priced exactly. With `priced`, every MPDU is priced
+/// into it through ampdu_mpdu_errors first (the SoftPHY path, which sums
+/// every BER) and the draws compare against those prices. Requires
+/// 1 <= n_mpdus <= kMaxAmpduMpdus; never allocates.
+std::uint64_t ampdu_mpdu_losses(const McsEntry& mcs_entry, double snr_db,
+                                double decorr_end, int n_mpdus,
+                                int payload_bytes,
+                                const ErrorModelConfig& config, Rng& rng,
+                                MpduErrors* priced = nullptr);
 
 /// Plan an A-MPDU at the given MCS under an aggregation-time limit.
 AmpduPlan plan_ampdu(const McsEntry& mcs_entry, double limit_s,

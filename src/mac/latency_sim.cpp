@@ -1,5 +1,8 @@
 #include "mac/latency_sim.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "mac/frame_sim_config.hpp"
 #include "phy/mcs.hpp"
 
@@ -9,16 +12,12 @@ int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
                           double decorr_end, int n_mpdus, int payload_bytes,
                           const ErrorModelConfig& config, Rng& rng,
                           std::vector<bool>& delivered) {
-  MpduErrors errors;
-  ampdu_mpdu_errors(mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes,
-                    config, errors);
+  const std::uint64_t lost = ampdu_mpdu_losses(
+      mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes, config, rng);
   delivered.resize(static_cast<std::size_t>(n_mpdus));
-  int n_failed = 0;
-  for (std::size_t i = 0; i < delivered.size(); ++i) {
-    delivered[i] = !rng.chance(errors.per[i]);
-    if (!delivered[i]) ++n_failed;
-  }
-  return n_failed;
+  for (std::size_t i = 0; i < delivered.size(); ++i)
+    delivered[i] = (lost >> i & 1) == 0;
+  return std::popcount(lost);
 }
 
 LatencySimResult simulate_latency(Scenario& scenario, RateAdapter& ra,

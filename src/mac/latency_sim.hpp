@@ -54,11 +54,12 @@ struct LatencySimResult {
   double goodput_mbps = 0.0;
 };
 
-/// The loss draw of one simulate_latency frame: prices its n_mpdus MPDUs
-/// with ampdu_mpdu_errors, then draws each MPDU's delivery from `rng` in
-/// MPDU order into `delivered` (resized to n_mpdus). Returns the number
-/// lost. Allocation-free once `delivered` has capacity for n_mpdus;
-/// simulate_latency reserves kMaxAmpduMpdus once and reuses it every frame.
+/// The loss draw of one simulate_latency frame: ampdu_mpdu_losses decides
+/// its n_mpdus MPDUs from `rng`, and the loss mask is written out as each
+/// MPDU's delivery, in MPDU order, into `delivered` (resized to n_mpdus)
+/// for the Block ACK window. Returns the number lost. Allocation-free once
+/// `delivered` has capacity for n_mpdus; simulate_latency reserves
+/// kMaxAmpduMpdus once and reuses it every frame.
 int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
                           double decorr_end, int n_mpdus, int payload_bytes,
                           const ErrorModelConfig& config, Rng& rng,

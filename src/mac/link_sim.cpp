@@ -1,6 +1,7 @@
 #include "mac/link_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/csi_similarity.hpp"
 #include "core/policy.hpp"
@@ -137,12 +138,13 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
       n_failed = plan.n_mpdus;
       frame_ber_sum = 0.5 * plan.n_mpdus;
     } else {
-      ampdu_mpdu_errors(entry, eff_snr, decorr_end, plan.n_mpdus,
-                        config.mpdu_payload_bytes, config.error_model, errors);
-      for (int i = 0; i < plan.n_mpdus; ++i)
-        if (rng.chance(errors.per[static_cast<std::size_t>(i)])) ++n_failed;
-      // SoftPHY sees the whole frame: sum the per-MPDU BER the receiver
-      // would measure, aged tail included, in MPDU order.
+      // SoftPHY sees the whole frame, so it needs every MPDU priced.
+      n_failed = std::popcount(ampdu_mpdu_losses(
+          entry, eff_snr, decorr_end, plan.n_mpdus, config.mpdu_payload_bytes,
+          config.error_model, rng,
+          config.provide_phy_feedback ? &errors : nullptr));
+      // Sum the per-MPDU BER the receiver would measure, aged tail
+      // included, in MPDU order.
       if (config.provide_phy_feedback)
         for (int i = 0; i < plan.n_mpdus; ++i)
           frame_ber_sum += errors.ber[static_cast<std::size_t>(i)];

@@ -1,6 +1,7 @@
 #include "sim/overall_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "core/policy.hpp"
@@ -52,7 +53,6 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
                                   TofTracker(config.classifier.tof));
 
   CsiMatrix meas_csi, h_start, h_end;
-  MpduErrors errors;
   std::vector<std::optional<double>> sweep(src.n_units());
 
   const double fb_airtime = feedback_exchange_airtime_s(config.feedback);
@@ -184,11 +184,9 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
                       kLoop, "h_end");
     const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
 
-    ampdu_mpdu_errors(entry, snr, decorr_end, plan.n_mpdus,
-                      config.mpdu_payload_bytes, config.error_model, errors);
-    int n_failed = 0;
-    for (int i = 0; i < plan.n_mpdus; ++i)
-      if (rng.chance(errors.per[static_cast<std::size_t>(i)])) ++n_failed;
+    const int n_failed = std::popcount(
+        ampdu_mpdu_losses(entry, snr, decorr_end, plan.n_mpdus,
+                          config.mpdu_payload_bytes, config.error_model, rng));
 
     FrameResult frame;
     frame.t = t;

@@ -1,5 +1,6 @@
 #include "trace/import.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -47,6 +48,19 @@ double parse_f64(const std::string& field, std::size_t line_no,
     throw TraceError(TraceError::Code::kCorruptRecord,
                      "csv line " + std::to_string(line_no) + ": bad " + what +
                          " '" + s + "'");
+  }
+  return v;
+}
+
+/// parse_f64 for a recorded value: strtod also reads nan, inf and -inf,
+/// which a replay would hand to the simulators as a channel reading.
+double parse_finite(const std::string& field, std::size_t line_no,
+                    const char* what) {
+  const double v = parse_f64(field, line_no, what);
+  if (!std::isfinite(v)) {
+    throw TraceError(TraceError::Code::kCorruptRecord,
+                     "csv line " + std::to_string(line_no) + ": non-finite " +
+                         what + " '" + strip(field) + "'");
   }
   return v;
 }
@@ -172,8 +186,8 @@ std::uint64_t import_csv(const std::string& csv_path,
       csi.resize_for_overwrite(header.n_tx, header.n_rx, header.n_sc);
       auto& raw = csi.raw();
       for (std::size_t i = 0; i < header.csi_values(); ++i) {
-        raw[i] = {parse_f64(f[3 + 2 * i], line_no, "re"),
-                  parse_f64(f[4 + 2 * i], line_no, "im")};
+        raw[i] = {parse_finite(f[3 + 2 * i], line_no, "re"),
+                  parse_finite(f[4 + 2 * i], line_no, "im")};
       }
       writer->put_csi(*kind, unit, t, csi);
     } else {
@@ -182,7 +196,7 @@ std::uint64_t import_csv(const std::string& csv_path,
                          "csv line " + std::to_string(line_no) +
                              ": scalar row carries more than one value");
       }
-      writer->put_scalar(*kind, unit, t, parse_f64(f[3], line_no, "value"));
+      writer->put_scalar(*kind, unit, t, parse_finite(f[3], line_no, "value"));
     }
   }
 

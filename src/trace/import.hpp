@@ -17,7 +17,9 @@
 //                                     (re, im) pairs row-major
 //   rssi,0,0.00,-41.5              <- scalar kinds carry one value
 //
-// Rows must be grouped so timestamps are non-decreasing per (kind, unit).
+// Rows must be grouped so timestamps are non-decreasing per (kind, unit),
+// and every scalar value and CSI re/im entry must be finite (strtod would
+// read nan, inf and -inf).
 // Every malformed input raises TraceError with the matching code — the same
 // hardening contract as the binary reader.
 #pragma once

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -138,11 +140,103 @@ TEST(AmpduErrorsTest, BitwiseEqualToPerMpduChain) {
 
 TEST(AmpduErrorsTest, RejectsMpduCountOutsideBlockAckWindow) {
   MpduErrors out;
-  EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, 0, 1500, {}, out),
-               std::out_of_range);
-  EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, kMaxAmpduMpdus + 1, 1500,
-                                 {}, out),
-               std::out_of_range);
+  Rng rng(1);
+  for (int n : {0, kMaxAmpduMpdus + 1}) {
+    EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, n, 1500, {}, out),
+                 std::out_of_range);
+    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, 1500, {}, rng),
+                 std::out_of_range);
+    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, 1500, {}, rng, &out),
+                 std::out_of_range);
+  }
+}
+
+/// The loss-kernel grid: BitwiseEqualToPerMpduChain's MCS and SNR sweep and
+/// decorrelations, plus a NaN decorrelation and more frame sizes.
+template <typename Visit>
+void for_each_loss_case(Visit visit) {
+  const double decorrs[] = {-1e-16, -0.0, 0.0, 1e-9, 0.01, 0.3,
+                            1.0 - 1e-10, 1.0, 1.5, std::nan("")};
+  for (const McsEntry& e : mcs_table())
+    for (int step = 0; step <= 280; ++step)
+      for (double decorr_end : decorrs)
+        for (int n : {1, 2, 3, 17, 45, 63, 64})
+          visit(e, -10.0 + 0.25 * step, decorr_end, n);
+}
+
+std::string loss_case(const McsEntry& e, double snr, double decorr_end,
+                      int n) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "mcs %d snr %.2f decorr_end %.17g n %d",
+                e.index, snr, decorr_end, n);
+  return buf;
+}
+
+TEST(AmpduLossesTest, DecisionsEqualPerMpduDraws) {
+  // The loss mask must be bit for bit the outcomes of chance(per[i]) over
+  // ampdu_mpdu_errors, and leave the generator where that loop does, on
+  // both the bracket path and the SoftPHY path that prices every MPDU.
+  const ErrorModelConfig config;
+  const int payload = 1500;
+  MpduErrors want_errors, priced;
+  Rng seeds(20141104);
+  long mismatches = 0;
+  std::string first;
+  for_each_loss_case([&](const McsEntry& e, double snr, double decorr_end,
+                         int n) {
+    ampdu_mpdu_errors(e, snr, decorr_end, n, payload, config, want_errors);
+    for (int s = 0; s < 4; ++s) {
+      Rng rng(seeds.next_u64());
+      Rng ref = rng;
+      std::uint64_t want = 0;
+      for (int i = 0; i < n; ++i)
+        if (ref.chance(want_errors.per[static_cast<std::size_t>(i)]))
+          want |= std::uint64_t{1} << i;
+      const bool softphy = s == 0;
+      const std::uint64_t got = ampdu_mpdu_losses(
+          e, snr, decorr_end, n, payload, config, rng,
+          softphy ? &priced : nullptr);
+      bool same = got == want && rng.next_u64() == ref.next_u64();
+      for (int i = 0; softphy && i < n; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        same = same && same_bits(priced.per[k], want_errors.per[k]) &&
+               same_bits(priced.ber[k], want_errors.ber[k]);
+      }
+      if (!same && mismatches++ == 0)
+        first = loss_case(e, snr, decorr_end, n) + " draw " + std::to_string(s);
+    }
+  });
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
+}
+
+TEST(AmpduLossesTest, PerNonDecreasingWithinBracketMargin) {
+  // The bracket rule rests on per[i] >= per[a] - margin(per[a]) for every
+  // a < i (and the mirror image for the upper bracket): the largest
+  // backward step of the exact per[i] below the running maximum must stay
+  // under 1/1000 of the margin at per[i]. NaN prices decide nothing.
+  const ErrorModelConfig config;
+  MpduErrors out;
+  double worst = 0.0;
+  long steps = 0;
+  std::string where = "none";
+  for_each_loss_case([&](const McsEntry& e, double snr, double decorr_end,
+                         int n) {
+    ampdu_mpdu_errors(e, snr, decorr_end, n, 1500, config, out);
+    double running_max = out.per[0];
+    for (int i = 1; i < n; ++i) {
+      const double p = out.per[static_cast<std::size_t>(i)];
+      if (std::isnan(p) || std::isnan(running_max)) continue;
+      ++steps;
+      const double step = (running_max - p) / ampdu_bracket_margin(p);
+      if (step > worst) {
+        worst = step;
+        where = loss_case(e, snr, decorr_end, n) + " i " + std::to_string(i);
+      }
+      running_max = std::max(running_max, p);
+    }
+  });
+  EXPECT_GT(steps, 0);
+  EXPECT_LT(worst, 1e-3) << "worst backward step at " << where;
 }
 
 }  // namespace

@@ -508,6 +508,34 @@ TEST(TraceIoTest, ImportRejectsNaNTimestamp) {
             TraceError::Code::kCorruptRecord);
 }
 
+TEST(TraceIoTest, ImportRejectsNonFiniteValues) {
+  // A NaN SNR would price every MPDU at NaN, which no loss draw is below:
+  // the replay would silently deliver everything.
+  const auto rows = [](const std::string& v) {
+    return std::vector<std::string>{
+        "streams,snr\ndata\nsnr,0,0.0," + v + "\n",
+        "streams,csi\ngeometry,1,1,2\ndata\ncsi,0,0.0," + v + ",0,1,0\n",
+        "streams,csi\ngeometry,1,1,2\ndata\ncsi,0,0.0,1,0,1," + v + "\n"};
+  };
+  // The same rows with a finite value import: only the value is at fault.
+  for (const std::string& body : rows("0.5")) {
+    const std::string csv = tmp("imp_finite.csv");
+    const std::string out = csv + ".mwtr";
+    {
+      std::ofstream f(csv);
+      f << "mwtr-csv,2\n" << body;
+    }
+    EXPECT_EQ(import_csv(csv, out), 1u) << body;
+    std::remove(csv.c_str());
+    std::remove(out.c_str());
+  }
+  for (const char* v : {"nan", "inf", "-inf"})
+    for (const std::string& body : rows(v))
+      EXPECT_EQ(import_code("imp_nonfinite.csv", body),
+                TraceError::Code::kCorruptRecord)
+          << body;
+}
+
 TEST(TraceIoTest, ImportRejectsOutOfRangeUnsignedFields) {
   EXPECT_EQ(import_code("imp_units_big.csv",
                         "streams,rssi\nunits,4294967296\ndata\n"),
