@@ -883,28 +883,4 @@ void ChannelBatch::sample_slot(double t, std::size_t slot, ChannelSample& out,
   sample_link(*links_[slot], t, out, scratch);
 }
 
-void ChannelBatch::rssi_all(double t, Scratch& scratch) {
-  scratch.rssi.resize(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    scratch.rssi[i] = rssi_link(*links_[i], t, scratch);
-}
-
-void ChannelBatch::tof_all(double t, double* out) {
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    out[i] = links_[i]->tof_cycles(t);
-}
-
-std::size_t ChannelBatch::strongest_link(double t, Scratch& scratch) {
-  rssi_all(t, scratch);
-  std::size_t best = 0;
-  double best_rssi = -1e9;
-  for (std::size_t i = 0; i < scratch.rssi.size(); ++i) {
-    if (scratch.rssi[i] > best_rssi) {
-      best_rssi = scratch.rssi[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace mobiwlan

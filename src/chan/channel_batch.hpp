@@ -12,9 +12,9 @@
 //     of sessions per call), the live trace sources (and so every loop that
 //     reads through an ObservableSource) and the by-value WirelessChannel
 //     reads all use them;
-//   * slot-indexed calls (sample_range, sample_slot, rssi_all, tof_all,
-//     strongest_link) run over the links registered with a batch — the
-//     deployment scan and the scale_sample perf case.
+//   * slot-indexed calls (sample_range, sample_slot) run over the links
+//     registered with a batch — the scale_sample perf case and the
+//     campus workload's per-slot probe.
 //     Both run the same stage kernels, so a link's output does not depend
 //     on which way it was read.
 //
@@ -116,11 +116,9 @@ class ChannelBatch {
     /// per scatterer): link i's are [tile_paths[i], tile_paths[i + 1]).
     std::vector<PathGeometry> paths;
     std::array<std::size_t, kTile + 1> tile_paths{};
-    std::vector<double> rssi;   ///< per-link RSSI plane for scans
     // Geometry staging planes over the tile (oscillator arguments, squared
     // lengths, per-path gains and loss coefficients), padded to lane
-    // multiples. Geometry and the RSSI plane stay double on every
-    // precision tier.
+    // multiples. Geometry stays double on every precision tier.
     std::vector<double> arg, sinv, cosv, len, dxs, amp, coef;
     /// Wider-than-16-subcarrier accumulators of the fused one-pair MAC.
     std::vector<double> acc;
@@ -193,18 +191,6 @@ class ChannelBatch {
   /// sample_slot so the link's realization lines stream in under the
   /// current slot's synthesis.
   void prefetch_slot(std::size_t slot) const { links_[slot]->prefetch(); }
-
-  /// rssi_link for every link at time t into scratch.rssi, in slot order —
-  /// the roaming scan as one pass.
-  void rssi_all(double t, Scratch& scratch);
-
-  /// One noisy ToF reading per link at time t into out[0..size()) — the
-  /// neighbor-AP ToF sweep as one pass.
-  void tof_all(double t, double* out);
-
-  /// Link index with the strongest RSSI at time t (draws one RSSI reading
-  /// per link, in link order, first wins on ties).
-  std::size_t strongest_link(double t, Scratch& scratch);
 
  private:
   struct SynthSpec;  // the stage kernels one call runs

@@ -5,11 +5,12 @@
 // (runtime::run_classifier).
 //
 // Each of them advances time frame by frame (or tick by tick) and catches
-// the classifier up on its CSI/ToF cadences with `while (next_t <= t)
-// next_t += period` loops. A zero, negative or NaN period or slot spins
-// those loops forever, an infinite duration never ends, and a negative
-// payload makes airtime (and so time itself) run backwards. They reject
-// such configs before the first frame instead.
+// the classifier up on its CSI/ToF cadences (MobilityObserver::advance,
+// mac/observer.hpp; the trial loop steps at the ToF period). A zero,
+// negative or NaN period or slot never lets time or a cadence move on, an
+// infinite duration never ends, and a negative payload makes airtime (and
+// so time itself) run backwards. They reject such configs before the first
+// frame instead.
 #pragma once
 
 #include <stdexcept>

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "mac/frame_sim_config.hpp"
+#include "mac/observer.hpp"
 #include "phy/mcs.hpp"
 
 namespace mobiwlan {
@@ -41,18 +42,16 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
     src.require({StreamKind::kCsi, StreamKind::kTof},
                 "latency sim classifier");
 
-  MobilityClassifier classifier(config.classifier);
+  MobilityObserver observer(config.classifier, 1);
   BlockAckWindow window(config.blockack);
 
   LatencySimResult result;
   double t = 0.0;
   double next_arrival_t = 0.0;
   const double inter_arrival = 1.0 / config.offered_pps;
-  double next_csi_t = 0.0;
-  double next_tof_t = 0.0;
   long delivered_bytes = 0;
 
-  CsiMatrix meas_csi, h_start, h_end;
+  FrameChannel ch;
   std::vector<bool> delivered;
   delivered.reserve(kMaxAmpduMpdus);
 
@@ -65,24 +64,14 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
       next_arrival_t += inter_arrival;
     }
 
-    if (config.run_classifier) {
-      while (next_csi_t <= t) {
-        if (src.csi(0, next_csi_t, meas_csi))
-          classifier.on_csi(next_csi_t, meas_csi);
-        next_csi_t += config.classifier.csi_period_s;
-      }
-      while (next_tof_t <= t) {
-        if (auto tof = src.tof_cycles(0, next_tof_t))
-          classifier.on_tof(next_tof_t, *tof);
-        next_tof_t += config.classifier.tof_period_s;
-      }
-    }
+    if (config.run_classifier) observer.advance(src, 0, t);
 
     TxContext ctx;
     ctx.t = t;
     ctx.mpdu_payload_bytes = config.mpdu_payload_bytes;
     // Hold-then-decay: no mobility hint once the CSI stream goes stale.
-    if (config.run_classifier) ctx.mobility = classifier.decision(t);
+    if (config.run_classifier)
+      ctx.mobility = observer.classifier().decision(t);
 
     if (window.queued() == 0 && window.in_flight() == 0 &&
         !window.window_stalled()) {
@@ -118,15 +107,10 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
       // unresolved and its MPDUs land in `leftover`.
       break;
     }
-    trace::ground_csi(src.csi_true(0, t, h_start), kLoop, "h_start");
-    const double eff_snr = effective_snr_db(
-        h_start, trace::ground(src.snr_db(0, t), kLoop, "snr"));
-    trace::ground_csi(src.csi_true(0, t + frame_airtime, h_end), kLoop,
-                      "h_end");
-    const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
+    ch.read(src, 0, t, frame_airtime, kLoop);
 
     const int n_failed =
-        draw_ampdu_deliveries(entry, eff_snr, decorr_end, n,
+        draw_ampdu_deliveries(entry, ch.eff_snr_db, ch.decorr_end, n,
                               config.mpdu_payload_bytes, config.error_model,
                               rng, delivered);
 

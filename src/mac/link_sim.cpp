@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/csi_similarity.hpp"
-#include "core/policy.hpp"
 #include "mac/frame_sim_config.hpp"
+#include "mac/observer.hpp"
 
 namespace mobiwlan {
 
@@ -28,15 +27,13 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof}, "link sim classifier");
 
-  MobilityClassifier classifier(config.classifier);
+  MobilityObserver observer(config.classifier, 1);
 
   LinkSimResult result;
   double t = 0.0;
-  double next_classifier_csi_t = 0.0;
-  double next_tof_t = 0.0;
   long delivered_bytes = 0;
 
-  CsiMatrix meas_csi, h_start, h_end;
+  FrameChannel ch;
   MpduErrors errors;
 
   // Client PHY feedback (SoftRate / ESNR) carries the previous frame's view.
@@ -59,21 +56,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
 
   while (t < config.duration_s) {
     // --- classifier inputs arrive on their own cadence -----------------
-    // A reading the source cannot serve (fault-dropped export, trace gap)
-    // simply never reaches the classifier; the classifier's own
-    // hold-then-decay covers the resulting gaps.
-    if (config.run_classifier) {
-      while (next_classifier_csi_t <= t) {
-        if (src.csi(0, next_classifier_csi_t, meas_csi))
-          classifier.on_csi(next_classifier_csi_t, meas_csi);
-        next_classifier_csi_t += config.classifier.csi_period_s;
-      }
-      while (next_tof_t <= t) {
-        if (auto tof = src.tof_cycles(0, next_tof_t))
-          classifier.on_tof(next_tof_t, *tof);
-        next_tof_t += config.classifier.tof_period_s;
-      }
-    }
+    if (config.run_classifier) observer.advance(src, 0, t);
 
     // --- build the transmit context ------------------------------------
     TxContext ctx;
@@ -83,7 +66,8 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
       // decision(t) decays to nullopt when the CSI stream has gone silent;
       // the rate adapter then falls back to its mobility-oblivious path
       // instead of acting on a stale mode.
-      const std::optional<MobilityMode> decided = classifier.decision(t);
+      const std::optional<MobilityMode> decided =
+          observer.classifier().decision(t);
       if (config.mobility_hint_latency_s <= 0.0) {
         ctx.mobility = decided;
       } else if (decided) {
@@ -114,14 +98,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
                         config.airtime);
     }
 
-    trace::ground_csi(src.csi_true(0, t, h_start), kLoop, "h_start");
-    const double snr0 = trace::ground(src.snr_db(0, t), kLoop, "snr");
-    const double eff_snr = effective_snr_db(h_start, snr0);
-    // Channel aging across the frame: correlation between the channel at the
-    // preamble (where it is estimated) and at the end of the frame.
-    trace::ground_csi(src.csi_true(0, t + plan.frame_airtime_s, h_end), kLoop,
-                      "h_end");
-    const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
+    ch.read(src, 0, t, plan.frame_airtime_s, kLoop);
 
     // Advance the interference process past stale bursts.
     while (burst_end < t && config.interference_burst_rate_hz > 0.0) {
@@ -140,8 +117,8 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
     } else {
       // SoftPHY sees the whole frame, so it needs every MPDU priced.
       n_failed = std::popcount(ampdu_mpdu_losses(
-          entry, eff_snr, decorr_end, plan.n_mpdus, config.mpdu_payload_bytes,
-          config.error_model, rng,
+          entry, ch.eff_snr_db, ch.decorr_end, plan.n_mpdus,
+          config.mpdu_payload_bytes, config.error_model, rng,
           config.provide_phy_feedback ? &errors : nullptr));
       // Sum the per-MPDU BER the receiver would measure, aged tail
       // included, in MPDU order.
@@ -178,7 +155,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
     // which case the RA keeps the previous frame's view.
     if (config.provide_phy_feedback && frame.block_ack_received &&
         src.feedback_delivered(0, t)) {
-      feedback_esnr = eff_snr;
+      feedback_esnr = ch.eff_snr_db;
       feedback_ber = frame_ber_sum / plan.n_mpdus;
     }
 

@@ -7,17 +7,9 @@ WlanDeployment::WlanDeployment(std::vector<Vec2> ap_positions,
                                const ChannelConfig& config, Rng& rng)
     : positions_(std::move(ap_positions)), client_(std::move(client)) {
   channels_.reserve(positions_.size());
-  for (const Vec2 pos : positions_) {
+  for (const Vec2 pos : positions_)
     channels_.push_back(
         std::make_unique<WirelessChannel>(config, pos, client_, rng.split()));
-    batch_.add_link(channels_.back().get());
-  }
-}
-
-std::size_t WlanDeployment::strongest_ap(double t) {
-  // Batched scan: one RSSI draw per AP in AP order, first-wins argmax —
-  // the same draws and bits as an rssi_dbm loop over the APs.
-  return batch_.strongest_link(t, scratch_);
 }
 
 std::vector<Vec2> WlanDeployment::corridor_layout(std::size_t n_aps,

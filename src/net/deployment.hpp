@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chan/channel.hpp"
-#include "chan/channel_batch.hpp"
 #include "chan/trajectory.hpp"
 #include "util/rng.hpp"
 
@@ -27,19 +26,6 @@ class WlanDeployment {
   Vec2 ap_position(std::size_t ap) const { return positions_[ap]; }
   WirelessChannel& channel(std::size_t ap) { return *channels_[ap]; }
   const Trajectory& client() const { return *client_; }
-
-  /// AP with the strongest instantaneous RSSI at time t. Runs the scan as
-  /// one batched pass over every AP channel (same draws and bits as calling
-  /// rssi_dbm per AP).
-  std::size_t strongest_ap(double t);
-
-  /// One noisy ToF reading per AP at time t — the controller's neighbor
-  /// sweep as a single batched pass. `out` must hold n_aps() entries.
-  void tof_sweep(double t, double* out) { batch_.tof_all(t, out); }
-
-  /// The batched view over every AP channel, for callers that advance all
-  /// links per tick (one pass per tick instead of n_aps() per-link calls).
-  ChannelBatch& batch() { return batch_; }
 
   /// The standard 6-AP corridor used by the §3 and §7 experiments:
   /// APs every `spacing` metres along a hallway.
@@ -61,8 +47,6 @@ class WlanDeployment {
   std::vector<Vec2> positions_;
   std::shared_ptr<const Trajectory> client_;
   std::vector<std::unique_ptr<WirelessChannel>> channels_;
-  ChannelBatch batch_;              // non-owning view over channels_
-  ChannelBatch::Scratch scratch_;   // scan workspace (single-threaded use)
 };
 
 }  // namespace mobiwlan

@@ -3,9 +3,7 @@
 // Wraps a WlanDeployment as a trace::ObservableSource (unit = AP index) so
 // the roaming and end-to-end loops run source-driven. Every CSI, RSSI and
 // SNR read goes through the ChannelBatch link entry points on the AP's
-// channel with one retained scratch (allocation-free in steady state), and
-// the scan/sweep overrides keep the one-pass batched paths the deployment
-// already provides.
+// channel with one retained scratch (allocation-free in steady state).
 #pragma once
 
 #include "net/deployment.hpp"
@@ -16,7 +14,7 @@ namespace mobiwlan {
 class LiveDeploymentSource : public trace::ObservableSource {
  public:
   explicit LiveDeploymentSource(WlanDeployment& wlan)
-      : wlan_(wlan), sweep_(wlan.n_aps()) {}
+      : wlan_(wlan) {}
 
   std::size_t n_units() const override { return wlan_.n_aps(); }
   bool has(trace::StreamKind) const override { return true; }
@@ -48,23 +46,10 @@ class LiveDeploymentSource : public trace::ObservableSource {
     return wlan_.channel(unit).true_distance(t);
   }
 
-  /// Controller neighbor sweep: one batched pass (same per-link draw order
-  /// as per-unit tof_cycles calls).
-  void tof_sweep(double t, std::optional<double>* out) override {
-    wlan_.tof_sweep(t, sweep_.data());
-    for (std::size_t ap = 0; ap < sweep_.size(); ++ap) out[ap] = sweep_[ap];
-  }
-
-  /// Batched scan, first-wins argmax — same draws as per-unit scan reads.
-  std::optional<std::size_t> strongest_unit(double t) override {
-    return wlan_.strongest_ap(t);
-  }
-
   WlanDeployment& deployment() { return wlan_; }
 
  private:
   WlanDeployment& wlan_;
-  std::vector<double> sweep_;
   ChannelBatch::Scratch scratch_;
 };
 

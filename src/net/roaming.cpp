@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/tof_tracker.hpp"
 #include "mac/frame_sim_config.hpp"
+#include "mac/observer.hpp"
 #include "net/deployment_source.hpp"
 #include "phy/mcs.hpp"
 
@@ -60,20 +60,12 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
   std::size_t assoc = src.strongest_unit(0.0).value_or(0);
   result.associations.emplace_back(0.0, assoc);
 
-  // Motion-aware state: classifier on the serving AP, ToF trackers at every
-  // AP (neighbors measure via periodic NULL frames, §3.1). Export loss and
-  // staleness live in the source (FaultedSource / a replayed trace): a read
-  // that returns absence simply never reaches the classifier or trackers.
-  MobilityClassifier classifier(config.classifier);
-  std::vector<TofTracker> heading(src.n_units(),
-                                  TofTracker(config.classifier.tof));
-
-  CsiMatrix meas_csi;
+  // Motion-aware state: classifier on the serving AP, heading trackers at
+  // every neighbour (§3.1).
+  MobilityObserver observer(config.classifier, src.n_units());
 
   double delivered_mbit = 0.0;
   double outage_until = 0.0;
-  double next_csi_t = 0.0;
-  double next_tof_t = 0.0;
   double next_scan_t = config.scan_interval_s;
   double steer_ok_t = 0.0;
   double threshold_scan_ok_t = 0.0;
@@ -98,29 +90,11 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
     add_outage(t, outage);
     ++result.handoffs;
     result.associations.emplace_back(t, target);
-    classifier = MobilityClassifier(config.classifier);
+    observer.reassociate();
   };
 
   for (double t = 0.0; t < config.duration_s; t += config.step_s) {
-    if (aware) {
-      while (next_csi_t <= t) {
-        if (src.csi(assoc, next_csi_t, meas_csi))
-          classifier.on_csi(next_csi_t, meas_csi);
-        next_csi_t += config.classifier.csi_period_s;
-      }
-      while (next_tof_t <= t) {
-        for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-          const auto tof =
-              src.tof_cycles(static_cast<std::uint32_t>(ap), next_tof_t);
-          if (!tof) continue;
-          if (ap == assoc)
-            classifier.on_tof(next_tof_t, *tof);
-          else
-            heading[ap].add(next_tof_t, *tof);
-        }
-        next_tof_t += config.classifier.tof_period_s;
-      }
-    }
+    if (aware) observer.advance(src, assoc, t);
 
     if (t < outage_until) continue;  // scanning/associating: no goodput
 
@@ -191,26 +165,14 @@ RoamingResult simulate_roaming(trace::ObservableSource& src,
         // the heading trackers reset their trend windows across ToF gaps, so
         // under heavy export loss this scheme falls back to the stock
         // weak-signal behaviour above rather than steering on stale state.
-        const std::optional<MobilityMode> decided = classifier.decision(t);
+        const std::optional<MobilityMode> decided =
+            observer.classifier().decision(t);
         if (!decided || *decided != MobilityMode::kMacroAway) break;
         if (!current_rssi) break;  // no serving baseline to compare against
-        // Candidate set: APs the client is heading toward (their ToF trend
-        // decreases) with similar-or-stronger signal.
-        std::size_t best_candidate = assoc;
-        double best_rssi = *current_rssi - 1.0;  // "similar or higher"
-        for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-          if (ap == assoc) continue;
-          if (heading[ap].trend() != TofTrend::kDecreasing) continue;
-          const auto rssi =
-              src.scan_rssi_dbm(static_cast<std::uint32_t>(ap), t);
-          if (rssi && *rssi >= best_rssi) {
-            best_rssi = *rssi;
-            best_candidate = ap;
-          }
-        }
-        if (best_candidate != assoc) {
+        if (const auto target =
+                observer.steer_target(src, assoc, *current_rssi, t)) {
           // Forced disassociation -> client rescans -> candidate APs answer.
-          begin_handoff(t, best_candidate, config.handoff_outage_s);
+          begin_handoff(t, *target, config.handoff_outage_s);
           steer_ok_t = t + config.steer_cooldown_s;
         }
         break;
@@ -229,17 +191,15 @@ std::pair<double, double> oracle_vs_stick(WlanDeployment& wlan,
                             config.mpdu_payload_bytes, nullptr);
   require_finite_positive(FrameSimConfigError::Code::kBadSlot, kLoop,
                           "step_s", config.step_s);
-  const std::size_t initial = wlan.strongest_ap(0.0);
-  ChannelBatch::Scratch scratch;
+  LiveDeploymentSource src(wlan);
+  const auto initial = static_cast<std::uint32_t>(*src.strongest_unit(0.0));
   double best_sum = 0.0;
   double stick_sum = 0.0;
   int steps = 0;
   for (double t = 0.0; t < config.duration_s; t += config.step_s) {
-    const std::size_t best = wlan.strongest_ap(t);
-    best_sum += link_rate_mbps(
-        ChannelBatch::snr_link(wlan.channel(best), t, scratch), config);
-    stick_sum += link_rate_mbps(
-        ChannelBatch::snr_link(wlan.channel(initial), t, scratch), config);
+    const auto best = static_cast<std::uint32_t>(*src.strongest_unit(t));
+    best_sum += link_rate_mbps(*src.snr_db(best, t), config);
+    stick_sum += link_rate_mbps(*src.snr_db(initial, t), config);
     ++steps;
   }
   if (steps == 0) return {0.0, 0.0};

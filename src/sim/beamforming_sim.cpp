@@ -6,6 +6,7 @@
 
 #include "core/policy.hpp"
 #include "mac/frame_sim_config.hpp"
+#include "mac/observer.hpp"
 #include "phy/beamforming.hpp"
 #include "phy/mcs.hpp"
 #include "util/stats.hpp"
@@ -28,22 +29,14 @@ class FeedbackLoop {
       : src_(src),
         config_(config),
         column_(column),
-        classifier_(config.classifier) {}
+        observer_(config.classifier, 1) {}
 
   /// Advance measurement processes to time t; run a sounding exchange when
   /// the feedback period elapses. Returns true if an exchange happened in
   /// this call (its airtime is charged by the caller, whether or not its
   /// report was served).
   bool advance(double t) {
-    while (next_csi_t_ <= t) {
-      if (src_.csi(0, next_csi_t_, csi_)) classifier_.on_csi(next_csi_t_, csi_);
-      next_csi_t_ += config_.classifier.csi_period_s;
-    }
-    while (next_tof_t_ <= t) {
-      if (const auto tof = src_.tof_cycles(0, next_tof_t_))
-        classifier_.on_tof(next_tof_t_, *tof);
-      next_tof_t_ += config_.classifier.tof_period_s;
-    }
+    observer_.advance(src_, 0, t);
     const bool due = !have_feedback_ || t - last_feedback_t_ >= period();
     if (!due) return false;
     last_feedback_t_ = t;
@@ -54,9 +47,10 @@ class FeedbackLoop {
   /// Current feedback period: the fixed one until the classifier has a
   /// similarity, then the Table-2 period of its mode in this loop's column.
   double period() const {
-    if (!config_.adaptive_period || !classifier_.similarity())
+    const MobilityClassifier& classifier = observer_.classifier();
+    if (!config_.adaptive_period || !classifier.similarity())
       return config_.fixed_period_s;
-    return mobility_params(classifier_.mode()).*column_;
+    return mobility_params(classifier.mode()).*column_;
   }
 
   const CsiMatrix& feedback_csi() const { return feedback_csi_; }
@@ -66,13 +60,10 @@ class FeedbackLoop {
   trace::ObservableSource& src_;
   const BeamformingSimConfig& config_;
   PeriodColumn column_;
-  MobilityClassifier classifier_;
-  CsiMatrix csi_;
+  MobilityObserver observer_;
   CsiMatrix feedback_csi_;
   bool have_feedback_ = false;
   double last_feedback_t_ = 0.0;
-  double next_csi_t_ = 0.0;
-  double next_tof_t_ = 0.0;
 };
 
 /// Rejects a config the slot and cadence loops cannot finish, and a source

@@ -5,10 +5,10 @@
 #include <memory>
 
 #include "core/policy.hpp"
-#include "core/tof_tracker.hpp"
 #include "mac/aggregation.hpp"
 #include "mac/atheros_ra.hpp"
 #include "mac/frame_sim_config.hpp"
+#include "mac/observer.hpp"
 #include "net/deployment_source.hpp"
 #include "phy/beamforming.hpp"
 #include "phy/mcs.hpp"
@@ -48,19 +48,13 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
   };
   std::unique_ptr<AtherosRa> ra = make_ra();
 
-  MobilityClassifier classifier(config.classifier);
-  std::vector<TofTracker> heading(src.n_units(),
-                                  TofTracker(config.classifier.tof));
-
-  CsiMatrix meas_csi, h_start, h_end;
-  std::vector<std::optional<double>> sweep(src.n_units());
+  MobilityObserver observer(config.classifier, src.n_units());
+  FrameChannel ch;
 
   const double fb_airtime = feedback_exchange_airtime_s(config.feedback);
   const ProtocolParams stock = default_params();
 
   double t = 0.0;
-  double next_csi_t = 0.0;
-  double next_tof_t = 0.0;
   double next_fb_t = 0.0;
   double next_roam_check_t = 0.0;
   double steer_ok_t = 0.0;
@@ -74,7 +68,7 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
   // under export loss instead of acting on an outdated classification.
   auto current_mode = [&](double now) -> std::optional<MobilityMode> {
     if (!config.mobility_aware) return std::nullopt;
-    return classifier.decision(now);
+    return observer.classifier().decision(now);
   };
 
   auto begin_handoff = [&](std::size_t target) {
@@ -84,31 +78,14 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
     ++result.handoffs;
     result.associations.emplace_back(t, target);
     ra = make_ra();
-    classifier = MobilityClassifier(config.classifier);
+    observer.reassociate();
     have_fb = false;
     next_fb_t = t;
   };
 
   while (t < config.duration_s) {
     // --- measurement processes -----------------------------------------
-    if (config.mobility_aware) {
-      while (next_csi_t <= t) {
-        if (src.csi(static_cast<std::uint32_t>(assoc), next_csi_t, meas_csi))
-          classifier.on_csi(next_csi_t, meas_csi);
-        next_csi_t += config.classifier.csi_period_s;
-      }
-      while (next_tof_t <= t) {
-        src.tof_sweep(next_tof_t, sweep.data());
-        for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-          if (!sweep[ap]) continue;  // export lost or never recorded
-          if (ap == assoc)
-            classifier.on_tof(next_tof_t, *sweep[ap]);
-          else
-            heading[ap].add(next_tof_t, *sweep[ap]);
-        }
-        next_tof_t += config.classifier.tof_period_s;
-      }
-    }
+    if (config.mobility_aware) observer.advance(src, assoc, t);
 
     const std::optional<MobilityMode> mode = current_mode(t);
     const ProtocolParams params = mode ? mobility_params(*mode) : stock;
@@ -141,20 +118,9 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
       }
       if (config.mobility_aware && t >= steer_ok_t && mode &&
           *mode == MobilityMode::kMacroAway && current_rssi) {
-        std::size_t best_candidate = assoc;
-        double best_rssi = *current_rssi - 1.0;
-        for (std::size_t ap = 0; ap < src.n_units(); ++ap) {
-          if (ap == assoc) continue;
-          if (heading[ap].trend() != TofTrend::kDecreasing) continue;
-          const auto rssi =
-              src.scan_rssi_dbm(static_cast<std::uint32_t>(ap), t);
-          if (rssi && *rssi >= best_rssi) {
-            best_rssi = *rssi;
-            best_candidate = ap;
-          }
-        }
-        if (best_candidate != assoc) {
-          begin_handoff(best_candidate);
+        if (const auto target =
+                observer.steer_target(src, assoc, *current_rssi, t)) {
+          begin_handoff(*target);
           steer_ok_t = t + config.steer_cooldown_s;
           continue;
         }
@@ -174,18 +140,14 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
     const AmpduPlan plan =
         plan_ampdu(entry, agg_limit, config.mpdu_payload_bytes, config.airtime);
 
-    const auto unit = static_cast<std::uint32_t>(assoc);
-    trace::ground_csi(src.csi_true(unit, t, h_start), kLoop, "h_start");
-    double snr = effective_snr_db(
-        h_start, trace::ground(src.snr_db(unit, t), kLoop, "serving snr"));
-    if (have_fb) snr += std::max(0.0, su_beamforming_gain_db(h_start, fb_csi));
-
-    trace::ground_csi(src.csi_true(unit, t + plan.frame_airtime_s, h_end),
-                      kLoop, "h_end");
-    const double decorr_end = 1.0 - complex_correlation(h_start, h_end);
+    ch.read(src, static_cast<std::uint32_t>(assoc), t, plan.frame_airtime_s,
+            kLoop);
+    double snr = ch.eff_snr_db;
+    if (have_fb)
+      snr += std::max(0.0, su_beamforming_gain_db(ch.h_start, fb_csi));
 
     const int n_failed = std::popcount(
-        ampdu_mpdu_losses(entry, snr, decorr_end, plan.n_mpdus,
+        ampdu_mpdu_losses(entry, snr, ch.decorr_end, plan.n_mpdus,
                           config.mpdu_payload_bytes, config.error_model, rng));
 
     FrameResult frame;

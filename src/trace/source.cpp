@@ -4,13 +4,6 @@
 
 namespace mobiwlan::trace {
 
-void ObservableSource::tof_sweep(double t, std::optional<double>* out) {
-  const std::size_t n = n_units();
-  for (std::size_t u = 0; u < n; ++u) {
-    out[u] = tof_cycles(static_cast<std::uint32_t>(u), t);
-  }
-}
-
 std::optional<std::size_t> ObservableSource::strongest_unit(double t) {
   std::optional<std::size_t> best;
   double best_rssi = 0.0;
@@ -117,21 +110,6 @@ std::optional<double> RecordingSource::true_distance(std::uint32_t unit,
                     inner_.true_distance(unit, t));
 }
 
-void RecordingSource::tof_sweep(double t, std::optional<double>* out) {
-  // Forward to the inner (possibly batched) sweep so the channel draw order
-  // is untouched, then log every present reading in unit order.
-  inner_.tof_sweep(t, out);
-  const std::size_t n = n_units();
-  for (std::size_t u = 0; u < n; ++u) {
-    if (out[u]) {
-      writer_.put_scalar(StreamKind::kTof, static_cast<std::uint32_t>(u), t,
-                         *out[u]);
-    } else {
-      writer_.put_absent(StreamKind::kTof, static_cast<std::uint32_t>(u), t);
-    }
-  }
-}
-
 TraceHeader RecordingSource::header_for(const ObservableSource& src,
                                         const ChannelConfig& config) {
   TraceHeader h;
@@ -184,15 +162,6 @@ bool FaultedSource::feedback_delivered(std::uint32_t unit, double t) {
   if (plan_.rssi_only) return false;
   if (!feedback_fault_[unit].deliver(t)) return false;
   return inner_.feedback_delivered(unit, t);
-}
-
-void FaultedSource::tof_sweep(double t, std::optional<double>* out) {
-  // plan.tof.delay_s is shared by every unit, so unit 0's stream gives the
-  // one delayed instant the whole sweep samples at.
-  const std::size_t n = n_units();
-  inner_.tof_sweep(n ? tof_fault_[0].measured_t(t) : t, out);
-  for (std::size_t u = 0; u < n; ++u)
-    if (plan_.rssi_only || !tof_fault_[u].deliver(t)) out[u] = std::nullopt;
 }
 
 }  // namespace mobiwlan::trace

@@ -77,17 +77,10 @@ class ObservableSource {
     return true;
   }
 
-  /// The controller's neighbor ToF sweep: one reading per unit at time t
-  /// into out[0..n_units). Default: per-unit tof_cycles in unit order.
-  /// LiveDeploymentSource overrides with the batched sweep (same per-link
-  /// draw order, so both paths are bitwise-equal).
-  virtual void tof_sweep(double t, std::optional<double>* out);
-
-  /// Unit with the strongest scan RSSI at t (first wins on ties), or nullopt
-  /// when no scan reading is available. Default: per-unit scan_rssi_dbm in
-  /// unit order — the draw sequence WlanDeployment::strongest_ap's batched
-  /// scan is bitwise-equal to.
-  virtual std::optional<std::size_t> strongest_unit(double t);
+  /// The client's full scan: the unit with the strongest scan RSSI at t
+  /// (first wins on ties), or nullopt when no scan reading is available.
+  /// Reads scan_rssi_dbm once per unit, in unit order.
+  std::optional<std::size_t> strongest_unit(double t);
 
   /// The missing-feedback check (arXiv 2002.03905): refuses to run a
   /// consumer over a source lacking a stream it requires, instead of letting
@@ -162,11 +155,8 @@ class LiveChannelSource : public ObservableSource {
 /// Tee: forwards every read to `inner` and logs each one to the writer at
 /// its query time — present reads with their value, absent reads as absence
 /// records, feedback-delivery checks as the kFeedbackOk stream — so a
-/// degraded run replays with its exact absence pattern. strongest_unit()
-/// deliberately uses the base per-unit sweep so every scan reading is
-/// individually recorded (bitwise equal to the batched scan); tof_sweep()
-/// forwards to the inner (batched) sweep to preserve its draw lockstep, then
-/// records the per-unit readings.
+/// degraded run replays with its exact absence pattern. A scan
+/// (strongest_unit) is its per-unit scan reads, so each is recorded.
 class RecordingSource : public ObservableSource {
  public:
   RecordingSource(ObservableSource& inner, TraceWriter& writer)
@@ -184,7 +174,6 @@ class RecordingSource : public ObservableSource {
   std::optional<double> snr_db(std::uint32_t unit, double t) override;
   std::optional<double> true_distance(std::uint32_t unit, double t) override;
   bool feedback_delivered(std::uint32_t unit, double t) override;
-  void tof_sweep(double t, std::optional<double>* out) override;
 
   /// The header a recording over `src` should carry: geometry from the
   /// channel config, all streams the source can serve.
@@ -200,13 +189,9 @@ class RecordingSource : public ObservableSource {
 };
 
 /// Fault-composed view over any source: a FaultPlan applied per unit, each
-/// unit's fault processes keyed by its index. Dropped reads skip the inner
-/// source entirely (the link's generator is left untouched); delayed reads
-/// query it at measured_t. The neighbour ToF sweep is the one read a drop
-/// does not skip: it is one batched pass over every unit, so it always runs
-/// (at the ToF stream's delayed instant, which every unit shares) and drops
-/// then blank single units' exports after the fact, keeping the sweep's
-/// draw order whatever is lost. Over a live source an all-zero plan
+/// unit's fault processes keyed by its index. A dropped read never touches
+/// the inner source (the link's generator is left untouched); a delayed
+/// read queries it at measured_t. Over a live source an all-zero plan
 /// reproduces the raw channel call for call; over a TraceSource it injects
 /// drops and staleness into replay deterministically.
 class FaultedSource : public ObservableSource {
@@ -235,13 +220,6 @@ class FaultedSource : public ObservableSource {
     return inner_.true_distance(unit, t);
   }
   bool feedback_delivered(std::uint32_t unit, double t) override;
-  void tof_sweep(double t, std::optional<double>* out) override;
-
-  /// Scans are client-side fresh measurements: pass through so a batched
-  /// inner scan (LiveDeploymentSource) keeps its fast path.
-  std::optional<std::size_t> strongest_unit(double t) override {
-    return inner_.strongest_unit(t);
-  }
 
   const FaultPlan& plan() const { return plan_; }
 

@@ -1,6 +1,7 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -410,6 +411,10 @@ bool TraceReader::next(TraceRecord& out) {
     need(8);
     std::memcpy(&out.scalar, chunk_.data() + pos_, 8);
     pos_ += 8;
+    // A NaN SNR would price every MPDU at NaN, which no loss draw is below.
+    if (!std::isfinite(out.scalar))
+      throw TraceError(TraceError::Code::kCorruptRecord,
+                       "record with a non-finite scalar: " + path_);
   }
   --chunk_left_;
   ++n_records_;

@@ -122,53 +122,6 @@ TEST(ChannelBatchEquivalence, MeasuredAndTrueCsiMatch) {
   }
 }
 
-TEST(ChannelBatchEquivalence, TofSweepMatchesPerLinkReadings) {
-  GoldenPair g;
-  std::vector<double> sweep(kNumCases);
-  for (const double t : {0.5, 1.5}) {
-    g.batch.tof_all(t, sweep.data());
-    for (std::size_t i = 0; i < kNumCases; ++i) {
-      SCOPED_TRACE(goldencase::case_name(i));
-      EXPECT_EQ(sweep[i], g.ref_links[i]->tof_cycles(t));
-    }
-  }
-}
-
-TEST(ChannelBatchEquivalence, RssiAllMatchesLinkReads) {
-  GoldenPair g;
-  ChannelBatch::Scratch scratch;
-  ChannelBatch::Scratch ref_scratch;
-  for (const double t : {0.0, 1.0, 4.0}) {
-    g.batch.rssi_all(t, scratch);
-    ASSERT_EQ(scratch.rssi.size(), kNumCases);
-    for (std::size_t i = 0; i < kNumCases; ++i) {
-      SCOPED_TRACE(goldencase::case_name(i));
-      EXPECT_EQ(scratch.rssi[i],
-                ChannelBatch::rssi_link(*g.ref_links[i], t, ref_scratch));
-    }
-  }
-}
-
-TEST(ChannelBatchEquivalence, StrongestLinkMatchesArgmaxScan) {
-  GoldenPair g;
-  ChannelBatch::Scratch scratch;
-  ChannelBatch::Scratch ref_scratch;
-  for (const double t : {0.0, 1.0, 4.0}) {
-    const std::size_t got = g.batch.strongest_link(t, scratch);
-    std::size_t want = 0;
-    double best = -1e9;
-    for (std::size_t i = 0; i < kNumCases; ++i) {
-      const double rssi =
-          ChannelBatch::rssi_link(*g.ref_links[i], t, ref_scratch);
-      if (rssi > best) {
-        best = rssi;
-        want = i;
-      }
-    }
-    EXPECT_EQ(got, want) << "t=" << t;
-  }
-}
-
 TEST(ChannelBatchEquivalence, WideArgumentGeometryPinned) {
   // At t = 3e6 s and 1e7 s the strong-activity movers' pacing phases
   // 2*pi*f*t (f >= 0.06 Hz) exceed fastmath::kSincosWideMaxArg, so the

@@ -193,15 +193,5 @@ TEST_F(BatchFixture, SingleLinkCsiSteadyStateIsAllocationFree) {
             0u);
 }
 
-TEST_F(BatchFixture, SweepAndScanSteadyStateAreAllocationFree) {
-  std::vector<double> sweep(kNumCases);
-  EXPECT_EQ(steady_allocs(32,
-                          [&](double t) {
-                            batch.tof_all(t, sweep.data());
-                            (void)batch.strongest_link(t, scratch);
-                          }),
-            0u);
-}
-
 }  // namespace
 }  // namespace mobiwlan

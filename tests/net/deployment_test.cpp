@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/deployment_source.hpp"
+
 namespace mobiwlan {
 namespace {
 
@@ -34,9 +36,38 @@ TEST(DeploymentTest, StrongestApIsNearbyOne) {
     auto traj = std::make_shared<StaticTrajectory>(Vec2{2.0, 1.0});
     WlanDeployment wlan(WlanDeployment::corridor_layout(6, 30.0), traj,
                         ChannelConfig{}, rng);
-    if (wlan.strongest_ap(0.0) <= 1) ++near_wins;
+    LiveDeploymentSource src(wlan);
+    if (src.strongest_unit(0.0) <= 1u) ++near_wins;
   }
   EXPECT_GE(near_wins, 8);
+}
+
+TEST(DeploymentTest, StrongestUnitMatchesArgmaxScan) {
+  // The scan over a live deployment is one RSSI draw per AP in AP order and
+  // a first-wins argmax (RSSI is quantized, so ties happen): a twin
+  // deployment read link by link must pick the same AP at every scan.
+  auto make = [] {
+    Rng rng(9);
+    auto traj = WlanDeployment::corridor_walk(rng);
+    return WlanDeployment(WlanDeployment::corridor_layout(), traj,
+                          ChannelConfig{}, rng);
+  };
+  WlanDeployment wlan = make();
+  WlanDeployment twin = make();
+  LiveDeploymentSource src(wlan);
+  ChannelBatch::Scratch scratch;
+  for (double t = 0.0; t < 60.0; t += 0.5) {
+    std::size_t want = 0;
+    double best = 0.0;
+    for (std::size_t ap = 0; ap < twin.n_aps(); ++ap) {
+      const double rssi = ChannelBatch::rssi_link(twin.channel(ap), t, scratch);
+      if (ap == 0 || rssi > best) {
+        best = rssi;
+        want = ap;
+      }
+    }
+    EXPECT_EQ(src.strongest_unit(t), want) << "t=" << t;
+  }
 }
 
 TEST(DeploymentTest, ChannelsSeeTheSameClient) {

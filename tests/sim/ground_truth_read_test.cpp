@@ -157,7 +157,7 @@ TEST(GroundTruthReadTest, OverallSimStopsWithoutTrueCsiOrSnr) {
                  "h_end");
   starve_overall(StreamKind::kSnr, 3,
                  "overall sim: ground-truth observable unavailable from "
-                 "source: serving snr");
+                 "source: snr");
 }
 
 TEST(GroundTruthReadTest, RoamingSimStopsWithoutSnr) {

@@ -326,6 +326,33 @@ TEST(TraceIoTest, WriterRejectsNaNTimestamp) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIoTest, ReaderRejectsNonFiniteScalar) {
+  // The writer records whatever a source returned; the reader is the
+  // boundary that must refuse a non-finite observable before it is replayed.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::string path = tmp("io_nonfinite.mwtr");
+    {
+      TraceWriter writer(path, scalar_header());
+      writer.put_scalar(StreamKind::kRssi, 0, 0.1, -50.0);
+      writer.put_scalar(StreamKind::kRssi, 0, 0.2, bad);
+      writer.close();
+    }
+    TraceReader reader(path);
+    TraceRecord rec;
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(rec.scalar, -50.0);
+    try {
+      reader.next(rec);
+      FAIL() << "non-finite scalar " << bad << " replayed";
+    } catch (const TraceError& e) {
+      EXPECT_EQ(e.code(), TraceError::Code::kCorruptRecord) << e.what();
+    }
+    std::remove(path.c_str());
+  }
+}
+
 TEST(TraceIoTest, WriterRejectsGeometryMismatch) {
   const std::string path = tmp("io_geom.mwtr");
   TraceHeader h;

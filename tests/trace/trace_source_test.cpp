@@ -2,7 +2,7 @@
 // (strict skew detection, relaxed hold-then-decay, recorded-absence replay,
 // counters, stream gating, lockstep decoding, config validation, rewind),
 // RecordingSource tee behaviour, FaultedSource composition over a replayed
-// trace, and FaultedSource's neighbour ToF sweep.
+// trace, and FaultedSource's absence rule for ToF exports.
 #include "trace/trace_source.hpp"
 
 #include <gtest/gtest.h>
@@ -473,9 +473,9 @@ TEST(FaultedSourceTest, CompositionOverReplayIsDeterministic) {
   std::remove(path.c_str());
 }
 
-/// Three-unit source that only sweeps: unit u reads 100 + u + t, and every
-/// sweep is counted with the instant it was taken at.
-class CountingSweepSource : public ObservableSource {
+/// Three-unit source that serves only ToF: unit u reads 100 + u + t, and
+/// every read is counted with the instant it was taken at.
+class CountingTofSource : public ObservableSource {
  public:
   std::size_t n_units() const override { return 3; }
   bool has(StreamKind) const override { return true; }
@@ -490,8 +490,10 @@ class CountingSweepSource : public ObservableSource {
   std::optional<double> scan_rssi_dbm(std::uint32_t, double) override {
     return std::nullopt;
   }
-  std::optional<double> tof_cycles(std::uint32_t, double) override {
-    return std::nullopt;
+  std::optional<double> tof_cycles(std::uint32_t u, double t) override {
+    ++reads[u];
+    last_t = t;
+    return 100.0 + u + t;
   }
   std::optional<double> snr_db(std::uint32_t, double) override {
     return std::nullopt;
@@ -499,42 +501,39 @@ class CountingSweepSource : public ObservableSource {
   std::optional<double> true_distance(std::uint32_t, double) override {
     return std::nullopt;
   }
-  void tof_sweep(double t, std::optional<double>* out) override {
-    ++sweeps;
-    last_t = t;
-    for (std::size_t u = 0; u < 3; ++u) out[u] = 100.0 + u + t;
-  }
 
-  int sweeps = 0;
+  int reads[3] = {0, 0, 0};
   double last_t = -1.0;
 };
 
-TEST(FaultedSourceTest, TofSweepDrawsEveryUnitThenDrops) {
+TEST(FaultedSourceTest, DroppedTofNeverTouchesInner) {
+  // Every unit's ToF export follows the one absence rule: a dropped reading
+  // is never taken, a served one is taken at the delayed instant.
   FaultPlan plan;
   plan.tof.drop_prob = 0.5;
   plan.tof.delay_s = 0.1;
   plan.seed = 5;
-  CountingSweepSource inner;
+  CountingTofSource inner;
   FaultedSource faulted(inner, plan);
   std::vector<FaultStream> tof_fault;
   for (std::uint64_t u = 0; u < 3; ++u)
     tof_fault.push_back(make_stream(plan, FaultStreamKind::kTof, u));
-  std::optional<double> out[3];
   int served = 0;
   int dropped = 0;
   for (int i = 0; i < 40; ++i) {
     const double t = 0.025 * i;
-    faulted.tof_sweep(t, out);
-    // One inner sweep per call, at the delayed instant, whatever is lost.
     const double measured = std::max(0.0, t - 0.1);
-    EXPECT_EQ(inner.sweeps, i + 1);
-    EXPECT_EQ(inner.last_t, measured);
-    for (std::size_t u = 0; u < 3; ++u) {
+    for (std::uint32_t u = 0; u < 3; ++u) {
+      const int before = inner.reads[u];
+      const auto v = faulted.tof_cycles(u, t);
       if (tof_fault[u].deliver(t)) {
-        EXPECT_EQ(out[u], 100.0 + u + measured) << "i=" << i << " u=" << u;
+        EXPECT_EQ(v, 100.0 + u + measured) << "i=" << i << " u=" << u;
+        EXPECT_EQ(inner.reads[u], before + 1);
+        EXPECT_EQ(inner.last_t, measured);
         ++served;
       } else {
-        EXPECT_FALSE(out[u]) << "i=" << i << " u=" << u;
+        EXPECT_FALSE(v) << "i=" << i << " u=" << u;
+        EXPECT_EQ(inner.reads[u], before) << "dropped read reached inner";
         ++dropped;
       }
     }
@@ -542,31 +541,26 @@ TEST(FaultedSourceTest, TofSweepDrawsEveryUnitThenDrops) {
   EXPECT_GT(served, 0);
   EXPECT_GT(dropped, 0);
 
-  // Stock firmware: the sweep still runs, and no unit exports a reading.
+  // Stock firmware: no unit exports a reading, and none is taken.
   FaultPlan stock;
   stock.rssi_only = true;
-  CountingSweepSource stock_inner;
+  CountingTofSource stock_inner;
   FaultedSource stock_faulted(stock_inner, stock);
-  stock_faulted.tof_sweep(0.5, out);
-  EXPECT_EQ(stock_inner.sweeps, 1);
-  EXPECT_EQ(stock_inner.last_t, 0.5);
-  for (const auto& v : out) EXPECT_FALSE(v);
+  for (std::uint32_t u = 0; u < 3; ++u)
+    EXPECT_FALSE(stock_faulted.tof_cycles(u, 0.5));
+  for (int n : stock_inner.reads) EXPECT_EQ(n, 0);
 
-  // An all-zero plan is the inner sweep, bit for bit.
-  CountingSweepSource zero_inner;
-  CountingSweepSource reference;
+  // An all-zero plan is the inner read, bit for bit.
+  CountingTofSource zero_inner;
+  CountingTofSource reference;
   FaultedSource zero(zero_inner, FaultPlan{});
-  std::optional<double> raw[3];
-  for (double t : {0.0, 0.3, 1.7}) {
-    zero.tof_sweep(t, out);
-    reference.tof_sweep(t, raw);
-    EXPECT_EQ(zero_inner.last_t, t);
-    for (std::size_t u = 0; u < 3; ++u) {
-      ASSERT_TRUE(out[u] && raw[u]);
-      EXPECT_EQ(std::memcmp(&*out[u], &*raw[u], sizeof(double)), 0);
+  for (double t : {0.0, 0.3, 1.7})
+    for (std::uint32_t u = 0; u < 3; ++u) {
+      const auto got = zero.tof_cycles(u, t);
+      const auto want = reference.tof_cycles(u, t);
+      ASSERT_TRUE(got && want);
+      EXPECT_EQ(std::memcmp(&*got, &*want, sizeof(double)), 0);
     }
-  }
-  EXPECT_EQ(zero_inner.sweeps, 3);
 }
 
 }  // namespace
