@@ -6,9 +6,10 @@
 // A-MPDU loss kernel — plus pool dispatch, one campus epoch, the strict
 // replay of a recorded link, one batched pass over a 512-link floor, the
 // paired fp32-vs-fp64 wideband synthesis ratio, the paired per-link vs
-// tiled campus sampling ratio and the paired priced vs bracketed A-MPDU
-// loss draw. Each case exercises the
-// scratch-buffer (zero-allocation) API that the steady-state loops use, so
+// tiled campus sampling ratio, the paired priced vs bracketed A-MPDU
+// loss draw and the paired priced vs gridded campus MAC loss draw. Each
+// case exercises the scratch-buffer (zero-allocation) API that the
+// steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
 // contract whenever the counting hook is linked (it is, in mobiwlan-bench).
 // Two more cases add no measurement of their own: they run the campus and
@@ -49,6 +50,8 @@
 #include "mac/atheros_ra.hpp"
 #include "mac/link_sim.hpp"
 #include "phy/aoa.hpp"
+#include "phy/error_model.hpp"
+#include "phy/mcs.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
@@ -269,6 +272,92 @@ PerfResult run_ampdu_losses(double min_time_s) {
     std::fprintf(stderr,
                  "perf: ampdu_losses: the kernel's loss masks differ from "
                  "the per-MPDU draws\n");
+  return r;
+}
+
+PerfResult run_campus_mac_losses(double min_time_s) {
+  // The campus MAC step's loss draw: per_from_snr plus n chance() draws vs
+  // PerGrid::losses, over a campus-like mix of exchanges. Each SNR is
+  // uniform in 5-40 dB and sent at the Atheros ladder rate of the best
+  // expected throughput (16 MPDUs), or one rung above it, as a probe
+  // (4 MPDUs), one time in four. The two sides run interleaved in
+  // 256-exchange blocks from the same generator state, each after an
+  // untimed 32-exchange block; the grid's rows are built before timing.
+  // Every exchange's loss count must agree; a disagreement zeroes the
+  // speedup, so the floor fails. ns/op and allocs/op are the grid side's,
+  // per exchange.
+  constexpr int kBlock = 256;
+  constexpr int kPayload = 1500;
+  struct Exchange {
+    const McsEntry* entry;
+    double snr_db;
+    int n;
+  };
+  const std::vector<int>& ladder = atheros_rate_ladder(2);
+  std::vector<Exchange> mix(kBlock);
+  Rng mix_rng(Rng(runtime::kMasterSeed).stream(2033));
+  for (Exchange& x : mix) {
+    x.snr_db = mix_rng.uniform(5.0, 40.0);
+    std::size_t best = 0;
+    for (std::size_t r = 1; r < ladder.size(); ++r)
+      if (expected_throughput_mbps(mcs(ladder[r]), x.snr_db, kPayload) >
+          expected_throughput_mbps(mcs(ladder[best]), x.snr_db, kPayload))
+        best = r;
+    const bool probe = mix_rng.chance(0.25) && best + 1 < ladder.size();
+    x.entry = &mcs(ladder[best + (probe ? 1 : 0)]);
+    x.n = probe ? 4 : 16;
+  }
+  const PerGrid grid(kPayload);
+  for (const int index : ladder) (void)grid.per_at(mcs(index), 0);
+
+  std::vector<int> lost[2] = {std::vector<int>(kBlock),
+                              std::vector<int>(kBlock)};
+  Rng block_rng(runtime::kMasterSeed);
+  const auto block = [&](bool gridded, int exchanges, Rng rng) {
+    for (int k = 0; k < exchanges; ++k) {
+      const Exchange& x = mix[static_cast<std::size_t>(k)];
+      int failed = 0;
+      if (gridded) {
+        failed = grid.losses(*x.entry, x.snr_db, x.n, rng);
+      } else {
+        const double per = per_from_snr(*x.entry, x.snr_db, kPayload);
+        for (int i = 0; i < x.n; ++i)
+          if (rng.chance(per)) ++failed;
+      }
+      lost[gridded][static_cast<std::size_t>(k)] = failed;
+    }
+    asm volatile("" : : "r"(lost[gridded].data()) : "memory");
+  };
+  double t_priced = 0.0, t_grid = 0.0;
+  std::uint64_t ops = 0, allocs_grid = 0;
+  bool agree = true;
+  do {
+    const Rng start = block_rng.split();
+    for (const bool gridded : {false, true}) {
+      block(gridded, 32, start);
+      const std::uint64_t allocs0 = alloc_count();
+      const auto t0 = clock_type::now();
+      block(gridded, kBlock, start);
+      const double dt =
+          std::chrono::duration<double>(clock_type::now() - t0).count();
+      (gridded ? t_grid : t_priced) += dt;
+      if (gridded) allocs_grid += alloc_count() - allocs0;
+    }
+    agree = agree && lost[0] == lost[1];
+    ops += kBlock;
+  } while (t_priced + t_grid < min_time_s);
+
+  PerfResult r;
+  r.name = "campus_mac_losses";
+  r.ns_per_op = 1e9 * t_grid / static_cast<double>(ops);
+  r.ops_per_sec = static_cast<double>(ops) / t_grid;
+  r.allocs_per_op =
+      static_cast<double>(allocs_grid) / static_cast<double>(ops);
+  r.speedup = agree ? t_priced / t_grid : 0.0;
+  if (!agree)
+    std::fprintf(stderr,
+                 "perf: campus_mac_losses: the grid's loss counts differ "
+                 "from the chance(per_from_snr) draws\n");
   return r;
 }
 
@@ -632,6 +721,10 @@ const std::vector<PerfCaseDef>& perf_registry() {
        "paired A-MPDU loss draw, every MPDU priced vs bracketed (speedup = "
        "priced/bracketed time)",
        run_ampdu_losses},
+      {"campus_mac_losses",
+       "paired campus MAC loss draw, per_from_snr + chance vs PerGrid "
+       "(speedup = priced/grid time)",
+       run_campus_mac_losses},
       {"pool_post_many", "64-task batched enqueue + drain on a 1-worker pool",
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",

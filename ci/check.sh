@@ -18,7 +18,8 @@
 #      live consumer), the campus worker-count invariance cases (shard
 #      passes running beside the parallel arrival builds) and the pool
 #      churn test (fresh sessions constructed in slab slots on pool
-#      workers); both sanitizer trees also build with warnings as errors;
+#      workers) and the PER grid's concurrent first use of a cold row;
+#      both sanitizer trees also build with warnings as errors;
 #   5. the benchmark's own correctness checks (`perfbench/run.py --test`):
 #      every BENCHMARK.json workload at a tiny size must report correct,
 #      including the pinned default-seed link-trace record/frame counts;
@@ -70,7 +71,8 @@ cmake -B build-tsan -S . -DMOBIWLAN_SANITIZE=thread \
   >/dev/null
 cmake --build build-tsan -j"${JOBS}" \
   --target thread_pool_test experiment_test parallel_for_test \
-           mailbox_stress_test shard_invariance_test pool_churn_test
+           mailbox_stress_test shard_invariance_test pool_churn_test \
+           per_grid_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
@@ -78,6 +80,8 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_invariance_test \
   --gtest_filter='ShardInvariance.*WorkerCounts'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/pool_churn_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/per_grid_test \
+  --gtest_filter='PerGridTest.ConcurrentFirstUseIsRaceFree'
 
 echo "== benchmark self-test: perfbench/run.py --test =="
 python3 perfbench/run.py --test

@@ -64,6 +64,7 @@
 #include "campus/session_pool.hpp"
 #include "campus/stats_stream.hpp"
 #include "chan/channel_batch.hpp"
+#include "mac/aggregation.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace mobiwlan::campus {
@@ -116,6 +117,10 @@ class CampusConfigError : public std::invalid_argument {
     kBadTick,            ///< session.tick_s not finite and > 0
     kBadChannelShape,    ///< session.channel n_tx, n_rx or n_subcarriers
                          ///< is 0: the sessions would report empty CSI
+    kBadMacExchange,     ///< session.mpdus_per_exchange,
+                         ///< mpdus_while_probing or mpdu_payload_bytes < 1:
+                         ///< an empty exchange's goodput is 0/0, and an
+                         ///< empty payload never loses an MPDU
   };
 
   CampusConfigError(Code code, const std::string& what)
@@ -146,6 +151,11 @@ class CampusSim {
 
   const CampusConfig& config() const { return config_; }
   const CampusMap& map() const { return map_; }
+
+  /// The PER grid every session's MAC step decides its losses against
+  /// (session.mpdu_payload_bytes, default error model); rows are built by
+  /// the shard passes on first use.
+  const PerGrid& per_grid() const { return per_grid_; }
   std::uint64_t epoch() const { return epoch_; }
 
   /// The streamed campus rollup over every departed session.
@@ -233,6 +243,7 @@ class CampusSim {
 
   CampusConfig config_;
   CampusMap map_;
+  PerGrid per_grid_;  ///< read-only to every shard pass
   // One pool per shard. The pools outlive shards_, mailbox_ and pending_
   // (declared first, destroyed last): their SessionPtrs release into them
   // on teardown. Never resized, so PoolDeleter's pool pointers stay valid.
