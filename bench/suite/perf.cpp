@@ -7,7 +7,8 @@
 // replay of a recorded link, one batched pass over a 512-link floor, the
 // paired fp32-vs-fp64 wideband synthesis ratio, the paired per-link vs
 // tiled campus sampling ratio, the paired priced vs bracketed A-MPDU
-// loss draw and the paired priced vs gridded campus MAC loss draw. Each
+// loss draw, the paired priced vs gridded campus MAC loss draw and the
+// paired two-sweep vs one-pass per-frame channel measure. Each
 // case exercises the scratch-buffer (zero-allocation) API that the
 // steady-state loops use, so
 // allocs_per_op doubles as a regression check on the allocation-free
@@ -22,6 +23,7 @@
 // gate values; `mobiwlan-bench --perf --check` (the last step of
 // ci/check.sh) fails when a case regresses past the tolerance band.
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -49,6 +51,7 @@
 #include "mac/aggregation.hpp"
 #include "mac/atheros_ra.hpp"
 #include "mac/link_sim.hpp"
+#include "mac/observer.hpp"
 #include "phy/aoa.hpp"
 #include "phy/error_model.hpp"
 #include "phy/mcs.hpp"
@@ -61,6 +64,7 @@
 #include "util/alloc_count.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/units.hpp"
 
 namespace mobiwlan::benchsuite {
 namespace {
@@ -358,6 +362,119 @@ PerfResult run_campus_mac_losses(double min_time_s) {
     std::fprintf(stderr,
                  "perf: campus_mac_losses: the grid's loss counts differ "
                  "from the chance(per_from_snr) draws\n");
+  return r;
+}
+
+/// The two sweeps FrameChannel::measure replaced, kept as the reference
+/// of the frame_channel case: effective_snr_db's per-subcarrier loop over
+/// mean_power(), and the normalized complex correlation of two snapshots.
+double two_sweep_effective_snr_db(const CsiMatrix& csi,
+                                  double wideband_snr_db) {
+  if (csi.empty()) return wideband_snr_db;
+  const double mean_pow = csi.mean_power();
+  if (mean_pow <= 0.0) return wideband_snr_db;
+  const double wideband_lin = db_to_linear(wideband_snr_db);
+  double cap_sum = 0.0;
+  const std::size_t n_sc = csi.n_subcarriers();
+  const std::size_t n_pairs = csi.n_tx() * csi.n_rx();
+  for (std::size_t sc = 0; sc < n_sc; ++sc) {
+    double pow_sc = 0.0;
+    for (std::size_t tx = 0; tx < csi.n_tx(); ++tx)
+      for (std::size_t rx = 0; rx < csi.n_rx(); ++rx)
+        pow_sc += std::norm(csi.at(tx, rx, sc));
+    pow_sc /= static_cast<double>(n_pairs);
+    const double snr_sc = wideband_lin * pow_sc / mean_pow;
+    cap_sum += std::log2(1.0 + snr_sc);
+  }
+  const double mean_cap = cap_sum / static_cast<double>(n_sc);
+  const double eff_lin = std::pow(2.0, mean_cap) - 1.0;
+  return linear_to_db(eff_lin);
+}
+
+double two_sweep_correlation(const CsiMatrix& a, const CsiMatrix& b) {
+  const auto& ra = a.raw();
+  const auto& rb = b.raw();
+  if (ra.size() != rb.size() || ra.empty()) return 0.0;
+  cplx dot{};
+  double na = 0.0;
+  double nb = 0.0;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    dot += std::conj(ra[i]) * rb[i];
+    na += std::norm(ra[i]);
+    nb += std::norm(rb[i]);
+  }
+  if (na <= 0.0 || nb <= 0.0) return 0.0;
+  return std::abs(dot) / std::sqrt(na * nb);
+}
+
+PerfResult run_frame_channel(double min_time_s) {
+  // The per-frame channel measure of the frame loops: the two sweeps
+  // (effective SNR, then the start/end correlation) vs FrameChannel's one
+  // pass, on 64 link-shaped 3x2x52 frames of the shared walking-client
+  // channel, each a preamble and a 4 ms-later snapshot at the link SNR.
+  // The two sides run interleaved in 256-frame blocks, each after an
+  // untimed pass over the 64 frames (which also grows every frame's
+  // scratch), and the ratio comes from the summed times, as in
+  // ampdu_losses. Every frame's effective SNR and aging must agree bit for
+  // bit; a disagreement zeroes the speedup, so the floor fails. ns/op and
+  // allocs/op are the one-pass side's, per frame.
+  constexpr int kBlock = 256;
+  constexpr std::size_t kFrames = 64;
+  auto channel = perf_channel();
+  std::vector<FrameChannel> frames(kFrames);
+  std::vector<double> snr_db(kFrames);
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    const double t = 0.05 * static_cast<double>(k);
+    frames[k].h_start = channel->csi_true(t);
+    frames[k].h_end = channel->csi_true(t + 4e-3);
+    snr_db[k] = channel->snr_db(t);
+  }
+  std::vector<double> ref_snr(kFrames), ref_decorr(kFrames);
+  const auto block = [&](bool fused, int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i) % kFrames;
+      FrameChannel& f = frames[k];
+      if (fused) {
+        f.measure(snr_db[k]);
+      } else {
+        ref_snr[k] = two_sweep_effective_snr_db(f.h_start, snr_db[k]);
+        ref_decorr[k] = 1.0 - two_sweep_correlation(f.h_start, f.h_end);
+      }
+    }
+    asm volatile("" : : "r"(frames.data()), "r"(ref_snr.data()) : "memory");
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  double t_two = 0.0, t_fused = 0.0;
+  std::uint64_t ops = 0, allocs_fused = 0;
+  do {
+    for (const bool fused : {false, true}) {
+      block(fused, static_cast<int>(kFrames));
+      const std::uint64_t allocs0 = alloc_count();
+      const auto t0 = clock_type::now();
+      block(fused, kBlock);
+      const double dt =
+          std::chrono::duration<double>(clock_type::now() - t0).count();
+      (fused ? t_fused : t_two) += dt;
+      if (fused) allocs_fused += alloc_count() - allocs0;
+    }
+    ops += kBlock;
+  } while (t_two + t_fused < min_time_s);
+  bool agree = true;
+  for (std::size_t k = 0; k < kFrames; ++k)
+    agree = agree && bits(frames[k].eff_snr_db) == bits(ref_snr[k]) &&
+            bits(frames[k].decorr_end) == bits(ref_decorr[k]);
+
+  PerfResult r;
+  r.name = "frame_channel";
+  r.ns_per_op = 1e9 * t_fused / static_cast<double>(ops);
+  r.ops_per_sec = static_cast<double>(ops) / t_fused;
+  r.allocs_per_op =
+      static_cast<double>(allocs_fused) / static_cast<double>(ops);
+  r.speedup = agree ? t_two / t_fused : 0.0;
+  if (!agree)
+    std::fprintf(stderr,
+                 "perf: frame_channel: the one-pass measure differs from "
+                 "the two sweeps\n");
   return r;
 }
 
@@ -725,6 +842,10 @@ const std::vector<PerfCaseDef>& perf_registry() {
        "paired campus MAC loss draw, per_from_snr + chance vs PerGrid "
        "(speedup = priced/grid time)",
        run_campus_mac_losses},
+      {"frame_channel",
+       "paired per-frame channel measure on 3x2x52 frames, two sweeps vs "
+       "FrameChannel's one pass (speedup = two-sweep/one-pass time)",
+       run_frame_channel},
       {"pool_post_many", "64-task batched enqueue + drain on a 1-worker pool",
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",

@@ -29,4 +29,29 @@ void validate_frame_sim_config(const char* who, double duration_s,
                           "classifier.tof_period_s", classifier->tof_period_s);
 }
 
+void validate_link_disturbances(const char* who, double burst_rate_hz,
+                                double burst_min_s, double burst_max_s,
+                                double tcp_stall_s) {
+  using Code = FrameSimConfigError::Code;
+  if (!(std::isfinite(burst_rate_hz) && burst_rate_hz >= 0.0))
+    throw FrameSimConfigError(Code::kBadInterference,
+                              std::string(who) +
+                                  ": interference_burst_rate_hz " +
+                                  std::to_string(burst_rate_hz) +
+                                  " must be finite and >= 0");
+  if (burst_rate_hz > 0.0 &&
+      !(std::isfinite(burst_min_s) && std::isfinite(burst_max_s) &&
+        0.0 <= burst_min_s && burst_min_s <= burst_max_s))
+    throw FrameSimConfigError(
+        Code::kBadInterference,
+        std::string(who) + ": interference burst bounds [" +
+            std::to_string(burst_min_s) + ", " + std::to_string(burst_max_s) +
+            "] s must be finite with 0 <= min <= max");
+  if (!(std::isfinite(tcp_stall_s) && tcp_stall_s >= 0.0))
+    throw FrameSimConfigError(Code::kBadTcpStall,
+                              std::string(who) + ": tcp_stall_s " +
+                                  std::to_string(tcp_stall_s) +
+                                  " must be finite and >= 0");
+}
+
 }  // namespace mobiwlan

@@ -9,8 +9,9 @@
 // mac/observer.hpp; the trial loop steps at the ToF period). A zero,
 // negative or NaN period or slot never lets time or a cadence move on, an
 // infinite duration never ends, and a negative payload makes airtime (and
-// so time itself) run backwards. They reject such configs before the first
-// frame instead.
+// so time itself) run backwards. simulate_link's interference bursts and
+// TCP stall have the same failure modes. They reject such configs before
+// the first frame instead.
 #pragma once
 
 #include <stdexcept>
@@ -32,6 +33,10 @@ class FrameSimConfigError : public std::invalid_argument {
     kBadOfferedLoad,  ///< simulate_latency: offered_pps not finite and > 0
     kBadSlot,         ///< a fixed time step not finite and > 0: the
                       ///< beamforming emulators' slot_s, roaming's step_s
+    kBadInterference,  ///< simulate_link: burst rate not finite and >= 0,
+                       ///< or a rate > 0 with burst bounds not finite and
+                       ///< 0 <= min <= max
+    kBadTcpStall,      ///< simulate_link: tcp_stall_s not finite and >= 0
   };
 
   FrameSimConfigError(Code code, const std::string& what)
@@ -54,5 +59,15 @@ void require_finite_positive(FrameSimConfigError::Code code, const char* who,
 void validate_frame_sim_config(const char* who, double duration_s,
                                int mpdu_payload_bytes,
                                const MobilityClassifier::Config* classifier);
+
+/// Throws FrameSimConfigError (message prefixed with `who`) for
+/// simulate_link's disturbances. A NaN or negative burst rate would run
+/// with no bursts at all; a burst of negative length can move the burst
+/// process backwards faster than it advances, so its catch-up loop never
+/// ends; and a negative TCP stall runs time backwards. The burst bounds are
+/// only read at a rate > 0.
+void validate_link_disturbances(const char* who, double burst_rate_hz,
+                                double burst_min_s, double burst_max_s,
+                                double tcp_stall_s);
 
 }  // namespace mobiwlan

@@ -23,6 +23,10 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
   validate_frame_sim_config(
       kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.run_classifier ? &config.classifier : nullptr);
+  validate_link_disturbances(kLoop, config.interference_burst_rate_hz,
+                             config.interference_burst_min_s,
+                             config.interference_burst_max_s,
+                             config.tcp_stall_s);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, kLoop);
   if (config.run_classifier)
     src.require({StreamKind::kCsi, StreamKind::kTof}, "link sim classifier");

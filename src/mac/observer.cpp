@@ -1,5 +1,7 @@
 #include "mac/observer.hpp"
 
+#include <cmath>
+
 #include "phy/error_model.hpp"
 
 namespace mobiwlan {
@@ -51,10 +53,52 @@ std::optional<std::size_t> MobilityObserver::steer_target(
 void FrameChannel::read(trace::ObservableSource& src, std::uint32_t unit,
                         double t, double airtime_s, const char* loop) {
   trace::ground_csi(src.csi_true(unit, t, h_start), loop, "h_start");
-  eff_snr_db = effective_snr_db(
-      h_start, trace::ground(src.snr_db(unit, t), loop, "snr"));
+  const double snr_db = trace::ground(src.snr_db(unit, t), loop, "snr");
   trace::ground_csi(src.csi_true(unit, t + airtime_s, h_end), loop, "h_end");
-  decorr_end = 1.0 - complex_correlation(h_start, h_end);
+  measure(snr_db);
+}
+
+void FrameChannel::measure(double wideband_snr_db) {
+  const std::vector<cplx>& start = h_start.raw();
+  const bool paired = start.size() == h_end.raw().size();
+  // An h_end of another size has no correlation with h_start; the pass
+  // then reads h_start in its place and the h_end sums go unused.
+  const cplx* a = start.data();
+  const cplx* b = paired ? h_end.raw().data() : a;
+  const std::size_t n_sc = h_start.n_subcarriers();
+  const std::size_t n_pairs = h_start.n_tx() * h_start.n_rx();
+  // Data order (tx * n_rx + rx) * n_sc + sc: na adds |h_start|^2 as
+  // mean_power() does, and each subcarrier's sum gets its pairs in the
+  // (tx, rx) order effective_snr_db adds them in.
+  pow_sc_.clear();
+  pow_sc_.resize(n_sc, 0.0);
+  double* pow_sc = pow_sc_.data();
+  double na = 0.0;
+  double nb = 0.0;
+  cplx dot{};
+  for (std::size_t i = 0, p = 0; p < n_pairs; ++p) {
+    for (std::size_t sc = 0; sc < n_sc; ++sc, ++i) {
+      const cplx ai = a[i];
+      const cplx bi = b[i];
+      const double pa = std::norm(ai);
+      na += pa;
+      pow_sc[sc] += pa;
+      nb += std::norm(bi);
+      dot += std::conj(ai) * bi;
+    }
+  }
+
+  const double mean_pow =
+      start.empty() ? 0.0 : na / static_cast<double>(start.size());
+  eff_snr_db = mean_pow <= 0.0
+                   ? wideband_snr_db
+                   : effective_snr_db_from_powers(
+                         wideband_snr_db, mean_pow, n_pairs, n_sc,
+                         [pow_sc](std::size_t sc) { return pow_sc[sc]; });
+  // A NaN norm is not <= 0 and carries into the correlation.
+  const bool uncorrelated = !paired || start.empty() || na <= 0.0 || nb <= 0.0;
+  decorr_end =
+      1.0 - (uncorrelated ? 0.0 : std::abs(dot) / std::sqrt(na * nb));
 }
 
 }  // namespace mobiwlan

@@ -21,6 +21,7 @@
 #include "core/mobility_classifier.hpp"
 #include "core/tof_tracker.hpp"
 #include "trace/source.hpp"
+#include "util/inline_vec.hpp"
 
 namespace mobiwlan {
 
@@ -68,10 +69,25 @@ struct FrameChannel {
   double decorr_end = 0.0;   ///< 1 - correlation(h_start, h_end): aging
 
   /// Reads true CSI at t, the SNR at t and true CSI at t + airtime_s, in
-  /// that order. A source that cannot serve one stops the loop `loop` with
-  /// TraceError::kMissingStream naming the read ("h_start", "snr", "h_end").
+  /// that order, then measure()s them. A source that cannot serve one stops
+  /// the loop `loop` with TraceError::kMissingStream naming the read
+  /// ("h_start", "snr", "h_end").
   void read(trace::ObservableSource& src, std::uint32_t unit, double t,
             double airtime_s, const char* loop);
+
+  /// Sets eff_snr_db to effective_snr_db(h_start, wideband_snr_db) and
+  /// decorr_end to 1 - |<h_start, h_end>| / (||h_start|| ||h_end||) (1
+  /// when the two differ in size, are empty or either has no power), both
+  /// from one pass over h_start and h_end in data order. Every sum adds
+  /// the same terms in the same order as a sweep of its own would, so the
+  /// results are bit for bit those of separate sweeps. Allocation-free
+  /// up to 52 subcarriers, and beyond once the scratch has grown.
+  void measure(double wideband_snr_db);
+
+ private:
+  /// Per-subcarrier |h_start|^2 sums. A 20 MHz link's 52 fit inline, so
+  /// the frame loops make no allocation for them.
+  InlineVec<double, kDefaultSubcarriers> pow_sc_;
 };
 
 }  // namespace mobiwlan

@@ -55,20 +55,4 @@ std::vector<cplx> CsiMatrix::subcarrier_gains(std::size_t sc) const {
   return out;
 }
 
-double complex_correlation(const CsiMatrix& a, const CsiMatrix& b) {
-  const auto& ra = a.raw();
-  const auto& rb = b.raw();
-  if (ra.size() != rb.size() || ra.empty()) return 0.0;
-  cplx dot{};
-  double na = 0.0;
-  double nb = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    dot += std::conj(ra[i]) * rb[i];
-    na += std::norm(ra[i]);
-    nb += std::norm(rb[i]);
-  }
-  if (na <= 0.0 || nb <= 0.0) return 0.0;
-  return std::abs(dot) / std::sqrt(na * nb);
-}
-
 }  // namespace mobiwlan

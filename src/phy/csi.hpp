@@ -79,9 +79,4 @@ class CsiMatrix {
   std::vector<cplx> data_;
 };
 
-/// Normalized complex correlation |<a, b>| / (||a|| ||b||) over all entries:
-/// 1 when the channels are identical up to a scalar, ~0 when independent.
-/// Drives the intra-frame channel-aging model (§5).
-double complex_correlation(const CsiMatrix& a, const CsiMatrix& b);
-
 }  // namespace mobiwlan

@@ -120,22 +120,15 @@ double effective_snr_db(const CsiMatrix& csi, double wideband_snr_db) {
   // Shannon capacity per subcarrier and inverted.
   const double mean_pow = csi.mean_power();
   if (mean_pow <= 0.0) return wideband_snr_db;
-  const double wideband_lin = db_to_linear(wideband_snr_db);
-  double cap_sum = 0.0;
-  const std::size_t n_sc = csi.n_subcarriers();
-  const std::size_t n_pairs = csi.n_tx() * csi.n_rx();
-  for (std::size_t sc = 0; sc < n_sc; ++sc) {
-    double pow_sc = 0.0;
-    for (std::size_t tx = 0; tx < csi.n_tx(); ++tx)
-      for (std::size_t rx = 0; rx < csi.n_rx(); ++rx)
-        pow_sc += std::norm(csi.at(tx, rx, sc));
-    pow_sc /= static_cast<double>(n_pairs);
-    const double snr_sc = wideband_lin * pow_sc / mean_pow;
-    cap_sum += std::log2(1.0 + snr_sc);
-  }
-  const double mean_cap = cap_sum / static_cast<double>(n_sc);
-  const double eff_lin = std::pow(2.0, mean_cap) - 1.0;
-  return linear_to_db(eff_lin);
+  return effective_snr_db_from_powers(
+      wideband_snr_db, mean_pow, csi.n_tx() * csi.n_rx(), csi.n_subcarriers(),
+      [&](std::size_t sc) {
+        double pow_sc = 0.0;
+        for (std::size_t tx = 0; tx < csi.n_tx(); ++tx)
+          for (std::size_t rx = 0; rx < csi.n_rx(); ++rx)
+            pow_sc += std::norm(csi.at(tx, rx, sc));
+        return pow_sc;
+      });
 }
 
 double aged_snr_db(double snr_db, double decorrelation) {

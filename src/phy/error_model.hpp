@@ -8,8 +8,12 @@
 // which the paper compares against).
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+
 #include "phy/csi.hpp"
 #include "phy/mcs.hpp"
+#include "util/units.hpp"
 
 namespace mobiwlan {
 
@@ -44,6 +48,26 @@ double per_stream_snr_db(const McsEntry& mcs_entry, double link_snr_db,
 /// through Shannon capacity, averages, and inverts. Equal or lower than the
 /// wideband (mean-power) SNR; equality on a flat channel.
 double effective_snr_db(const CsiMatrix& csi, double wideband_snr_db);
+
+/// The capacity mapping of effective_snr_db over the sums a pass of the CSI
+/// made: mean_pow, the mean |H|^2 of all entries (> 0), and pow_sum(sc),
+/// subcarrier sc's |H|^2 summed over its n_pairs antenna pairs in (tx, rx)
+/// order. Subcarrier sc's SNR is wideband * (pow_sum(sc) / n_pairs) /
+/// mean_pow. effective_snr_db and FrameChannel's one-pass read
+/// (mac/observer.hpp) both end here, so equal sums give equal bits.
+template <class PowSum>
+double effective_snr_db_from_powers(double wideband_snr_db, double mean_pow,
+                                    std::size_t n_pairs, std::size_t n_sc,
+                                    PowSum&& pow_sum) {
+  const double wideband_lin = db_to_linear(wideband_snr_db);
+  double cap_sum = 0.0;
+  for (std::size_t sc = 0; sc < n_sc; ++sc) {
+    const double pow_sc = pow_sum(sc) / static_cast<double>(n_pairs);
+    cap_sum += std::log2(1.0 + wideband_lin * pow_sc / mean_pow);
+  }
+  const double mean_cap = cap_sum / static_cast<double>(n_sc);
+  return linear_to_db(std::pow(2.0, mean_cap) - 1.0);
+}
 
 /// PER after the channel aged for `decorrelation` in [0,1] since the
 /// preamble estimate (0 = fresh, 1 = fully decorrelated). The receiver

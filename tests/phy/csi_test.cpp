@@ -1,8 +1,10 @@
-// Tests for the CsiMatrix container and complex correlation.
+// Tests for the CsiMatrix container and the complex correlation of two
+// CSI snapshots, which FrameChannel::measure turns into a frame's aging.
 #include "phy/csi.hpp"
 
 #include <gtest/gtest.h>
 
+#include "mac/observer.hpp"
 #include "util/rng.hpp"
 
 namespace mobiwlan {
@@ -68,6 +70,15 @@ TEST(CsiMatrixTest, SubcarrierGainsFlattenTxMajor) {
   const auto gains = m.subcarrier_gains(0);
   ASSERT_EQ(gains.size(), 4u);
   EXPECT_EQ(gains[2], cplx(7.0, 0.0));  // tx=1, rx=0
+}
+
+/// |<a, b>| / (||a|| ||b||) as FrameChannel measures it: 1 - decorr_end.
+double complex_correlation(const CsiMatrix& a, const CsiMatrix& b) {
+  FrameChannel ch;
+  ch.h_start = a;
+  ch.h_end = b;
+  ch.measure(20.0);
+  return 1.0 - ch.decorr_end;
 }
 
 TEST(ComplexCorrelationTest, IdenticalIsOne) {

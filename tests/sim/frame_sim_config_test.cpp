@@ -29,7 +29,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 void expect_code(const std::function<void()>& run, Code code) {
   try {
     run();
-    ADD_FAILURE() << "config accepted; expected FrameSimConfigError";
+    ADD_FAILURE() << "config was accepted; expected FrameSimConfigError";
   } catch (const FrameSimConfigError& e) {
     EXPECT_EQ(e.code(), code) << e.what();
   }
@@ -342,6 +342,54 @@ TEST(FrameSimConfigTest, BadOfferedLoadRejectedByLatencySim) {
         [&] { run_latency([&](LatencySimConfig& c) { c.offered_pps = pps; }); },
         Code::kBadOfferedLoad);
   }
+}
+
+TEST(FrameSimConfigTest, BadInterferenceRejectedByLinkSim) {
+  // A NaN or negative rate used to run with no bursts at all; +inf
+  // jams the whole run.
+  for (double rate : {kNaN, -0.4, kInf}) {
+    expect_code(
+        [&] {
+          run_link(
+              [&](LinkSimConfig& c) { c.interference_burst_rate_hz = rate; });
+        },
+        Code::kBadInterference);
+  }
+  // At a rate > 0 the burst bounds must be finite with 0 <= min <= max.
+  // (Negative lengths at a high rate spin the burst catch-up loop forever;
+  // these bounds fail the same check and end at any version.)
+  const double bounds[][2] = {{-1e-3, 1e-3}, {2e-2, 1e-2}, {kNaN, 25e-3},
+                              {5e-3, kNaN},  {5e-3, kInf}, {-kInf, 25e-3}};
+  for (const auto& b : bounds) {
+    expect_code(
+        [&] {
+          run_link([&](LinkSimConfig& c) {
+            c.interference_burst_min_s = b[0];
+            c.interference_burst_max_s = b[1];
+          });
+        },
+        Code::kBadInterference);
+  }
+  // Zero-length bursts are bursts; at rate 0 the bounds are never read.
+  EXPECT_NO_THROW(run_link([](LinkSimConfig& c) {
+    c.interference_burst_rate_hz = 100.0;
+    c.interference_burst_min_s = c.interference_burst_max_s = 0.0;
+  }));
+  EXPECT_NO_THROW(run_link([](LinkSimConfig& c) {
+    c.interference_burst_rate_hz = 0.0;
+    c.interference_burst_min_s = c.interference_burst_max_s = -1.0;
+  }));
+}
+
+TEST(FrameSimConfigTest, BadTcpStallRejectedByLinkSim) {
+  // A negative stall runs time backwards; NaN and +inf end the run at the
+  // first stall.
+  for (double stall : {-1e-3, kNaN, kInf}) {
+    expect_code(
+        [&] { run_link([&](LinkSimConfig& c) { c.tcp_stall_s = stall; }); },
+        Code::kBadTcpStall);
+  }
+  EXPECT_NO_THROW(run_link([](LinkSimConfig& c) { c.tcp_stall_s = 0.025; }));
 }
 
 }  // namespace
