@@ -216,7 +216,8 @@ PerfResult run_ampdu_errors(double min_time_s) {
 PerfResult run_ampdu_losses(double min_time_s) {
   // The loss decision of ampdu_errors' frames (64 MPDUs at MCS 12, 2 %
   // decorrelation, 15-30 dB): every MPDU priced through ampdu_mpdu_errors
-  // and drawn with chance(per[i]) vs the ampdu_mpdu_losses bracket kernel.
+  // and drawn with chance(per[i]) vs the ampdu_mpdu_losses bracket kernel
+  // over the shared 1500 B grid, whose row the first untimed block builds.
   // The two sides run interleaved in 256-frame blocks from the same
   // generator state, each after an untimed 32-frame block, and the ratio
   // comes from the summed times, as in f32_wideband_synthesis. Every
@@ -224,6 +225,7 @@ PerfResult run_ampdu_losses(double min_time_s) {
   // the floor fails. ns/op and allocs/op are the kernel side's, per frame.
   constexpr int kBlock = 256;
   const McsEntry& entry = mcs(12);
+  const PerGrid& grid = PerGrid::shared(1500, {});
   MpduErrors errors;
   std::vector<std::uint64_t> masks[2] = {std::vector<std::uint64_t>(kBlock),
                                          std::vector<std::uint64_t>(kBlock)};
@@ -233,8 +235,8 @@ PerfResult run_ampdu_losses(double min_time_s) {
       const double snr_db = 15.0 + static_cast<double>(k % 16);
       std::uint64_t lost = 0;
       if (decided) {
-        lost = ampdu_mpdu_losses(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {},
-                                 rng);
+        lost =
+            ampdu_mpdu_losses(entry, snr_db, 0.02, kMaxAmpduMpdus, grid, rng);
       } else {
         ampdu_mpdu_errors(entry, snr_db, 0.02, kMaxAmpduMpdus, 1500, {},
                           errors);

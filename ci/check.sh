@@ -81,7 +81,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_invariance_test \
   --gtest_filter='ShardInvariance.*WorkerCounts'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/pool_churn_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/per_grid_test \
-  --gtest_filter='PerGridTest.ConcurrentFirstUseIsRaceFree'
+  --gtest_filter='PerGridTest.ConcurrentFirstUseIsRaceFree:PerGridTest.SharedLookupConcurrentFirstUse'
 
 echo "== benchmark self-test: perfbench/run.py --test =="
 python3 perfbench/run.py --test

@@ -98,7 +98,7 @@ const CampusConfig& validated(const CampusConfig& cfg) {
 CampusSim::CampusSim(const CampusConfig& config)
     : config_(validated(config)),
       map_(config.cols, config.rows, config.pitch_m),
-      per_grid_(config.session.mpdu_payload_bytes),
+      per_grid_(PerGrid::shared(config_.session.mpdu_payload_bytes, {})),
       pools_(config.shards == 0 ? 1 : config.shards),
       shards_(pools_.size()),
       mailbox_(shards_.size(), config.mailbox_lane_capacity),

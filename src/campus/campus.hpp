@@ -152,9 +152,10 @@ class CampusSim {
   const CampusConfig& config() const { return config_; }
   const CampusMap& map() const { return map_; }
 
-  /// The PER grid every session's MAC step decides its losses against
-  /// (session.mpdu_payload_bytes, default error model); rows are built by
-  /// the shard passes on first use.
+  /// The PER grid every session's MAC step decides its losses against:
+  /// PerGrid::shared of session.mpdu_payload_bytes and the default error
+  /// model. Rows are built by the shard passes on first use and outlive
+  /// the campus.
   const PerGrid& per_grid() const { return per_grid_; }
   std::uint64_t epoch() const { return epoch_; }
 
@@ -243,7 +244,7 @@ class CampusSim {
 
   CampusConfig config_;
   CampusMap map_;
-  PerGrid per_grid_;  ///< read-only to every shard pass
+  const PerGrid& per_grid_;  ///< read-only to every shard pass
   // One pool per shard. The pools outlive shards_, mailbox_ and pending_
   // (declared first, destroyed last): their SessionPtrs release into them
   // on teardown. Never resized, so PoolDeleter's pool pointers stay valid.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-#include <string>
 
 #include "mac/aggregation.hpp"
 #include "phy/mcs.hpp"
@@ -193,14 +191,7 @@ void Session::observe_step(std::uint64_t epoch, const ChannelSample& sample) {
 }
 
 void Session::mac_step(std::uint64_t epoch, const ChannelSample& sample) {
-  static const PerGrid grid(SessionParams{}.mpdu_payload_bytes);
-  if (params_.mpdu_payload_bytes != grid.payload_bytes())
-    throw std::invalid_argument(
-        "Session::mac_step: payload " +
-        std::to_string(params_.mpdu_payload_bytes) +
-        " needs its own PerGrid; the shared grid is " +
-        std::to_string(grid.payload_bytes()) + " bytes");
-  mac_step(epoch, sample, grid);
+  mac_step(epoch, sample, PerGrid::shared(params_.mpdu_payload_bytes, {}));
 }
 
 void Session::mac_step(std::uint64_t epoch, const ChannelSample& sample,

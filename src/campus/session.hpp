@@ -219,13 +219,14 @@ class Session {
 
   /// MAC half of the step: rate adaptation plus the per-tick A-MPDU exchange
   /// at the sample's true SNR, its MPDU losses decided against `per_grid`,
-  /// which must be built for params.mpdu_payload_bytes (CampusSim owns one).
+  /// which must be built for params.mpdu_payload_bytes under the default
+  /// error model (a CampusSim passes PerGrid::shared's).
   void mac_step(std::uint64_t epoch, const ChannelSample& sample,
                 const PerGrid& per_grid);
 
   /// mac_step for a session stepped outside a CampusSim: decides against
-  /// one process-wide grid of the default SessionParams payload. Throws
-  /// std::invalid_argument for any other payload.
+  /// PerGrid::shared(params.mpdu_payload_bytes, {}), the grid a CampusSim
+  /// of the same payload uses.
   void mac_step(std::uint64_t epoch, const ChannelSample& sample);
 
   /// Cache-hint for the whole per-step working set: the object, which

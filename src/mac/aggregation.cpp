@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -55,12 +56,16 @@ class FramePricer {
   /// aged_snr_db clamps to the same fresh SINR: one price for the frame.
   bool flat() const { return decorr_end_ <= 0.0; }
 
-  double ber(int i) const {
+  /// MPDU i's aged SINR (dB), the SNR its price runs through.
+  double sinr_db(int i) const {
     const double d = flat() ? 0.0 : decorr_end_ * plan_.mpdu_age_fraction(i);
-    return chain_.ber(aged_snr_db_from_inverse(inv_snr_, d));
+    return aged_snr_db_from_inverse(inv_snr_, d);
   }
+  double ber(int i) const { return chain_.ber(sinr_db(i)); }
   double per_of_ber(double ber) const { return chain_.per(ber); }
-  double per(int i) const { return chain_.per(ber(i)); }
+  double per_at(double sinr_db) const {
+    return chain_.per(chain_.ber(sinr_db));
+  }
 
  private:
   ErrorChain chain_;
@@ -69,32 +74,110 @@ class FramePricer {
   AmpduPlan plan_;
 };
 
-/// Decides MPDUs [first, last] of an aged frame, all of which lie strictly
-/// between two exactly priced MPDUs with PERs per_lo (below) and per_hi
-/// (above), and ORs the lost ones into `lost`. PER is non-decreasing in i
-/// within ampdu_bracket_margin, so u < per_lo - margin means lost and
-/// u >= per_hi + margin means delivered; the rest are split at the middle
-/// undecided MPDU, which is priced exactly.
-void decide_span(const FramePricer& pricer, const double* u, int first,
-                 int last, double per_lo, double per_hi, std::uint64_t& lost) {
-  const double lost_below = per_lo - ampdu_bracket_margin(per_lo);
-  const double kept_from = per_hi + ampdu_bracket_margin(per_hi);
-  int lo = last + 1, hi = first - 1;  // extent of the undecided MPDUs
-  for (int i = first; i <= last; ++i) {
-    if (u[i] < lost_below) {
-      lost |= mpdu_bit(i);
-    } else if (!(u[i] >= kept_from)) {
-      lo = std::min(lo, i);
-      hi = i;
-    }
-  }
-  if (lo > hi) return;
-  const int mid = lo + (hi - lo) / 2;
-  const double per_mid = pricer.per(mid);
-  if (u[mid] < per_mid) lost |= mpdu_bit(mid);
-  decide_span(pricer, u, lo, mid - 1, per_lo, per_mid, lost);
-  decide_span(pricer, u, mid + 1, hi, per_mid, per_hi, lost);
+/// Decides draw u against bracket b; `price()` is called only when u falls
+/// inside it. A NaN bracket leaves every draw to the price.
+template <class Price>
+bool lost_by(const PerBracket& b, double u, Price&& price) {
+  if (u < b.lost_below) return true;
+  if (u >= b.kept_from) return false;
+  return u < price();
 }
+
+/// Draws n uniforms in order, each decided against one bracket, and calls
+/// on_lost(i) for each lost draw i. `price()` is called at most once, for
+/// the first draw inside the bracket.
+template <class Price, class OnLost>
+void draw_against(const PerBracket& b, int n, Rng& rng, Price&& price,
+                  OnLost&& on_lost) {
+  double per = 0.0;
+  bool priced = false;
+  const auto once = [&] {
+    if (!priced) {
+      per = price();
+      priced = true;
+    }
+    return per;
+  };
+  for (int i = 0; i < n; ++i)
+    if (lost_by(b, rng.uniform(), once)) on_lost(i);
+}
+
+/// The MPDUs of one aged frame whose uniforms u are drawn: each decided
+/// MPDU is bracketed by the grid cell of its own aged SINR, and the loss
+/// mask collects the lost ones.
+class AgedFrameDraw {
+ public:
+  AgedFrameDraw(const PerGrid& grid, const McsEntry& entry,
+                const FramePricer& pricer, const double* u)
+      : grid_(grid), entry_(entry), pricer_(pricer), u_(u) {}
+
+  /// Decides MPDU i by its own bracket, pricing it exactly only when u_i
+  /// falls inside, and returns the bracket.
+  PerBracket decide(int i) {
+    const double sinr = pricer_.sinr_db(i);
+    const PerBracket b = grid_.bracket(entry_, sinr);
+    if (lost_by(b, u_[i], [&] { return pricer_.per_at(sinr); }))
+      lost_ |= mpdu_bit(i);
+    return b;
+  }
+
+  /// Decides MPDUs [first, last], all of which lie strictly between a
+  /// decided MPDU below, whose bracket gives `lost_below`, and one above,
+  /// whose bracket gives `kept_from`. per[i] is non-decreasing in i within
+  /// ampdu_bracket_margin, so those outer bracket ends bound every price
+  /// between them; the draws they leave undecided are split at the middle
+  /// one, which is decided by its own bracket.
+  void decide_span(int first, int last, double lost_below, double kept_from) {
+    int lo = last + 1, hi = first - 1;  // extent of the undecided MPDUs
+    for (int i = first; i <= last; ++i) {
+      if (u_[i] < lost_below) {
+        lost_ |= mpdu_bit(i);
+      } else if (!(u_[i] >= kept_from)) {
+        lo = std::min(lo, i);
+        hi = i;
+      }
+    }
+    if (lo > hi) return;
+    const int mid = lo + (hi - lo) / 2;
+    const PerBracket b = decide(mid);
+    decide_span(lo, mid - 1, lost_below, b.kept_from);
+    decide_span(mid + 1, hi, b.lost_below, kept_from);
+  }
+
+  std::uint64_t lost() const { return lost_; }
+
+ private:
+  const PerGrid& grid_;
+  const McsEntry& entry_;
+  const FramePricer& pricer_;
+  const double* u_;
+  std::uint64_t lost_ = 0;
+};
+
+/// One process-lifetime grid of PerGrid::shared, keyed by its payload and
+/// the bits of its error model. The grids form a list that only grows at
+/// its head and are never freed.
+struct SharedGrid {
+  struct Key {
+    int payload_bytes;
+    std::uint64_t stream_penalty_bits;
+    std::uint64_t implementation_loss_bits;
+    bool operator==(const Key&) const = default;
+  };
+  static_assert(sizeof(ErrorModelConfig) == 2 * sizeof(double),
+                "the registry key holds every ErrorModelConfig field");
+
+  SharedGrid(const Key& k, const ErrorModelConfig& config,
+             const SharedGrid* rest)
+      : key(k), grid(k.payload_bytes, config), next(rest) {}
+
+  Key key;
+  PerGrid grid;
+  const SharedGrid* next;
+};
+
+constinit std::mutex shared_grids_mutex;
+constinit const SharedGrid* shared_grids = nullptr;  // guarded by the mutex
 
 }  // namespace
 
@@ -116,48 +199,49 @@ void ampdu_mpdu_errors(const McsEntry& mcs_entry, double snr_db,
 
 std::uint64_t ampdu_mpdu_losses(const McsEntry& mcs_entry, double snr_db,
                                 double decorr_end, int n_mpdus,
-                                int payload_bytes,
-                                const ErrorModelConfig& config, Rng& rng,
+                                const PerGrid& grid, Rng& rng,
                                 MpduErrors* priced) {
   static_assert(kMaxAmpduMpdus <= 64, "the loss mask holds one bit per MPDU");
   require_mpdu_count("ampdu_mpdu_losses", n_mpdus);
   std::uint64_t lost = 0;
   if (priced) {
-    ampdu_mpdu_errors(mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes,
-                      config, *priced);
+    ampdu_mpdu_errors(mcs_entry, snr_db, decorr_end, n_mpdus,
+                      grid.payload_bytes(), grid.config(), *priced);
     for (int i = 0; i < n_mpdus; ++i)
       if (rng.chance(priced->per[static_cast<std::size_t>(i)]))
         lost |= mpdu_bit(i);
     return lost;
   }
   const FramePricer pricer(mcs_entry, snr_db, decorr_end, n_mpdus,
-                           payload_bytes, config);
+                           grid.payload_bytes(), grid.config());
   if (pricer.flat()) {
-    const double per = pricer.per(0);
-    for (int i = 0; i < n_mpdus; ++i)
-      if (rng.chance(per)) lost |= mpdu_bit(i);
+    const double sinr = pricer.sinr_db(0);
+    draw_against(
+        grid.bracket(mcs_entry, sinr), n_mpdus, rng,
+        [&] { return pricer.per_at(sinr); },
+        [&](int i) { lost |= mpdu_bit(i); });
     return lost;
   }
   // The callers draw a frame's n uniforms back to back, so drawing them all
-  // before pricing leaves the stream unchanged.
+  // before deciding leaves the stream unchanged.
   std::array<double, kMaxAmpduMpdus> u;
   for (int i = 0; i < n_mpdus; ++i)
     u[static_cast<std::size_t>(i)] = rng.uniform();
-  const double per_first = pricer.per(0);
-  if (u[0] < per_first) lost |= mpdu_bit(0);
-  if (n_mpdus == 1) return lost;
-  const int last = n_mpdus - 1;
-  const double per_last = pricer.per(last);
-  if (u[static_cast<std::size_t>(last)] < per_last) lost |= mpdu_bit(last);
-  decide_span(pricer, u.data(), 1, last - 1, per_first, per_last, lost);
-  return lost;
+  AgedFrameDraw frame(grid, mcs_entry, pricer, u.data());
+  const PerBracket first = frame.decide(0);
+  if (n_mpdus > 1) {
+    const PerBracket last = frame.decide(n_mpdus - 1);
+    frame.decide_span(1, n_mpdus - 2, first.lost_below, last.kept_from);
+  }
+  return frame.lost();
 }
 
 void PerGrid::Unmap::operator()(double* per) const {
   munmap(per, kBytes);
 }
 
-PerGrid::PerGrid(int payload_bytes) : payload_bytes_(payload_bytes) {
+PerGrid::PerGrid(int payload_bytes, const ErrorModelConfig& config)
+    : payload_bytes_(payload_bytes), config_(config) {
   if (payload_bytes < 1)
     throw std::invalid_argument("PerGrid: payload_bytes " +
                                 std::to_string(payload_bytes) +
@@ -169,6 +253,19 @@ PerGrid::PerGrid(int payload_bytes) : payload_bytes_(payload_bytes) {
   per_.reset(static_cast<double*>(per));
 }
 
+const PerGrid& PerGrid::shared(int payload_bytes,
+                               const ErrorModelConfig& config) {
+  const SharedGrid::Key key{
+      payload_bytes, std::bit_cast<std::uint64_t>(config.stream_penalty_db),
+      std::bit_cast<std::uint64_t>(config.implementation_loss_db)};
+  const std::lock_guard<std::mutex> lock(shared_grids_mutex);
+  for (const SharedGrid* node = shared_grids; node != nullptr;
+       node = node->next)
+    if (node->key == key) return node->grid;
+  shared_grids = new SharedGrid(key, config, shared_grids);
+  return shared_grids->grid;
+}
+
 const double* PerGrid::row(const McsEntry& entry) const {
   if (entry.index < 0 || entry.index >= kRows)
     throw std::out_of_range("PerGrid: MCS index " +
@@ -178,7 +275,7 @@ const double* PerGrid::row(const McsEntry& entry) const {
   RowState& state = state_[r];
   if (!state.built.load()) {
     std::call_once(state.once, [&] {
-      const ErrorChain chain(mcs(entry.index), payload_bytes_);
+      const ErrorChain chain(mcs(entry.index), payload_bytes_, config_);
       for (int k = 0; k < kPoints; ++k)
         values[k] = chain.per(chain.ber(grid_db(k)));
       state.built.store(true);
@@ -193,11 +290,9 @@ int PerGrid::rows_built() const {
   return n;
 }
 
-int PerGrid::losses(const McsEntry& entry, double snr_db, int n,
-                    Rng& rng) const {
+PerBracket PerGrid::bracket(const McsEntry& entry, double snr_db) const {
   // The price lies in [floor_per, ceil_per]: the PERs at the upper and
-  // lower SNR end of snr_db's cell. A NaN bracket (a NaN SNR) decides
-  // nothing.
+  // lower SNR end of snr_db's cell. A NaN SNR matches no branch.
   double floor_per = std::numeric_limits<double>::quiet_NaN();
   double ceil_per = floor_per;
   if (snr_db >= kHiDb) {
@@ -215,23 +310,17 @@ int PerGrid::losses(const McsEntry& entry, double snr_db, int n,
     floor_per = row(entry)[0];
     ceil_per = 1.0;
   }
-  const double lost_below = floor_per - ampdu_bracket_margin(floor_per);
-  const double kept_from = ceil_per + ampdu_bracket_margin(ceil_per);
-  double per = 0.0;
-  bool priced = false;
+  return {floor_per - ampdu_bracket_margin(floor_per),
+          ceil_per + ampdu_bracket_margin(ceil_per)};
+}
+
+int PerGrid::losses(const McsEntry& entry, double snr_db, int n,
+                    Rng& rng) const {
   int lost = 0;
-  for (int i = 0; i < n; ++i) {
-    const double u = rng.uniform();
-    if (u < lost_below) {
-      ++lost;
-    } else if (!(u >= kept_from)) {
-      if (!priced) {
-        per = per_from_snr(entry, snr_db, payload_bytes_);
-        priced = true;
-      }
-      if (u < per) ++lost;
-    }
-  }
+  draw_against(
+      bracket(entry, snr_db), n, rng,
+      [&] { return per_from_snr(entry, snr_db, payload_bytes_, config_); },
+      [&lost](int) { ++lost; });
   return lost;
 }
 

@@ -66,42 +66,29 @@ void ampdu_mpdu_errors(const McsEntry& mcs_entry, double snr_db,
                        double decorr_end, int n_mpdus, int payload_bytes,
                        const ErrorModelConfig& config, MpduErrors& out);
 
-/// Slack of the bracket rule in ampdu_mpdu_losses around an exactly priced
-/// PER p. The exact per[i] of an aged frame is non-decreasing in i up to
-/// libm rounding (~1e-13 relative, 2^-52 absolute where 1 - exp(x)
-/// cancels); the margin is over 1000x that.
+/// Slack of the bracket rules around a PER p. The exact per[i] of an aged
+/// frame is non-decreasing in i, and a price lies between the grid PERs at
+/// its SNR cell's ends, each up to libm rounding (~1e-13 relative, 2^-52
+/// absolute where 1 - exp(x) cancels); the margin is over 1000x that.
 constexpr double ampdu_bracket_margin(double per) {
   return 0x1p-40 + 0x1p-30 * per;
 }
 
-/// The A-MPDU loss draw: decides which MPDUs of a frame are lost. Bit i of
-/// the result is set iff MPDU i was lost, and the draws are exactly those
-/// of rng.chance(per[i]) for i = 0..n_mpdus-1 over ampdu_mpdu_errors' per:
-/// one rng.uniform() per MPDU, in MPDU order, each compared with its PER.
-///
-/// A flat frame (decorr_end <= 0) is priced once. An aged frame draws its
-/// n uniforms first, prices MPDUs 0 and n-1, and decides each MPDU i
-/// between two priced MPDUs a < i < b by the bracket rule: lost if
-/// u_i < per_a - margin(per_a), delivered if u_i >= per_b + margin(per_b).
-/// The undecided span is split at its middle MPDU, which is priced
-/// exactly, until every MPDU is decided. A NaN price decides nothing, so
-/// a NaN frame ends up priced exactly. With `priced`, every MPDU is priced
-/// into it through ampdu_mpdu_errors first (the SoftPHY path, which sums
-/// every BER) and the draws compare against those prices. Requires
-/// 1 <= n_mpdus <= kMaxAmpduMpdus; never allocates.
-std::uint64_t ampdu_mpdu_losses(const McsEntry& mcs_entry, double snr_db,
-                                double decorr_end, int n_mpdus,
-                                int payload_bytes,
-                                const ErrorModelConfig& config, Rng& rng,
-                                MpduErrors* priced = nullptr);
+/// The decision bounds of one SNR's PER bracket: a draw u is lost if
+/// u < lost_below, delivered if u >= kept_from, and otherwise undecided
+/// until it is compared with the exact price. The margins of
+/// ampdu_bracket_margin are already applied; a NaN bracket decides nothing.
+struct PerBracket {
+  double lost_below;
+  double kept_from;
+};
 
-/// The PER of one payload size under the default error model, tabulated
-/// per MCS at a fixed 1/32 dB grid over [kLoDb, kHiDb], and the loss draw
-/// of a fresh-channel exchange decided against it. Storage for every row is
-/// mapped once, at construction, and left unfilled; a row is built on its
-/// first use (std::call_once), so rows no caller reaches cost nothing and
-/// no use after construction allocates. Shared read-only by any number of
-/// threads.
+/// The PER of one payload size under one error model, tabulated per MCS at
+/// a fixed 1/32 dB grid over [kLoDb, kHiDb], and the loss draws decided
+/// against it. Storage for every row is mapped once, at construction, and
+/// left unfilled; a row is built on its first use (std::call_once), so rows
+/// no caller reaches cost nothing and no use after construction allocates.
+/// Shared read-only by any number of threads.
 class PerGrid {
  public:
   static constexpr double kLoDb = -20.0;
@@ -111,18 +98,28 @@ class PerGrid {
       static_cast<int>((kHiDb - kLoDb) * kPointsPerDb) + 1;
 
   /// Throws std::invalid_argument for payload_bytes < 1.
-  explicit PerGrid(int payload_bytes);
+  explicit PerGrid(int payload_bytes, const ErrorModelConfig& config = {});
   PerGrid(const PerGrid&) = delete;
   PerGrid& operator=(const PerGrid&) = delete;
 
+  /// The process-lifetime grid of (payload_bytes, config): the first lookup
+  /// of a key makes its grid, every later one returns that same object, and
+  /// no grid is ever freed, so its rows are built once per process however
+  /// many runs use it. Configs are keyed by their bits. Lookups take one
+  /// registry mutex, safe from any thread; only a key's first lookup
+  /// allocates. Throws std::invalid_argument for payload_bytes < 1.
+  static const PerGrid& shared(int payload_bytes,
+                               const ErrorModelConfig& config);
+
   int payload_bytes() const { return payload_bytes_; }
+  const ErrorModelConfig& config() const { return config_; }
 
   /// The SNR of grid point k in [0, kPoints), exactly.
   static constexpr double grid_db(int k) {
     return kLoDb + static_cast<double>(k) * (1.0 / kPointsPerDb);
   }
 
-  /// per_from_snr(entry, grid_db(k), payload_bytes()), bitwise.
+  /// per_from_snr(entry, grid_db(k), payload_bytes(), config()), bitwise.
   /// Builds entry's row on first use.
   double per_at(const McsEntry& entry, int k) const {
     return row(entry)[k];
@@ -131,16 +128,20 @@ class PerGrid {
   /// Rows built so far.
   int rows_built() const;
 
+  /// The bracket of the price at `snr_db` (a link SNR, dB):
+  /// per_from_snr(entry, snr_db, payload_bytes(), config()) lies in the
+  /// SNR's cell [g_k, g_k+1] between per(g_k+1) and per(g_k), since PER
+  /// does not increase with SNR, up to libm rounding far inside
+  /// ampdu_bracket_margin. Below the grid the cell is [per(g_0), 1], above
+  /// it [0, per(g_last)]; a NaN SNR gives a NaN bracket and builds no row.
+  /// `entry` must be a row of mcs_table().
+  PerBracket bracket(const McsEntry& entry, double snr_db) const;
+
   /// The losses among n MPDUs sent at `entry` and `snr_db`: exactly the
-  /// count of rng.chance(per_from_snr(entry, snr_db, payload_bytes())) over
-  /// n draws, leaving rng where that loop does. PER does not
-  /// increase with SNR, so the price lies in the SNR's cell [g_k, g_k+1]
-  /// between per(g_k+1) and per(g_k), up to libm rounding far inside
-  /// ampdu_bracket_margin: draw u is lost if u < per(g_k+1) - margin,
-  /// delivered if u >= per(g_k) + margin, and otherwise compared with the
-  /// exact price, computed once per call. Below the grid the bracket is
-  /// [per(g_0), 1], above it [0, per(g_last)]; a NaN SNR decides nothing
-  /// and is priced exactly. `entry` must be a row of mcs_table().
+  /// count of rng.chance(per_from_snr(entry, snr_db, payload_bytes(),
+  /// config())) over n draws, leaving rng where that loop does. Each draw
+  /// is decided by bracket(entry, snr_db), and the exact price is computed
+  /// at most once per call, only for a draw inside the bracket.
   int losses(const McsEntry& entry, double snr_db, int n, Rng& rng) const;
 
  private:
@@ -159,13 +160,41 @@ class PerGrid {
   const double* row(const McsEntry& entry) const;
 
   int payload_bytes_;
-  // An anonymous mapping rather than a heap block: a campus frees its grid
-  // with every run, and a heap block of this size changed the heap layout
-  // of the runs after it, so peak RSS over repeated campus runs grew by
-  // 0.4-2.2 %; with the mapping it does not move.
+  ErrorModelConfig config_;
+  // An anonymous mapping rather than a heap block: its pages stay unbacked
+  // until a row is built, and it leaves the heap's layout alone (a heap
+  // block of this size, freed with every campus run, grew peak RSS over
+  // repeated campus runs by 0.4-2.2 %).
   std::unique_ptr<double[], Unmap> per_;  ///< kRows x kPoints, row-major
   mutable std::array<RowState, kRows> state_;
 };
+
+/// The A-MPDU loss draw: decides which MPDUs of a frame are lost, under the
+/// grid's payload size and error model. Bit i of the result is set iff
+/// MPDU i was lost, and the draws are exactly those of rng.chance(per[i])
+/// for i = 0..n_mpdus-1 over ampdu_mpdu_errors' per: one rng.uniform() per
+/// MPDU, in MPDU order, each compared with its PER.
+///
+/// Each decided MPDU i is bracketed by the grid cell of its aged SINR
+/// aged_snr_db_from_inverse(1/snr, decorr_end * mpdu_age_fraction(i)), the
+/// SINR its exact price runs through, and priced exactly only when its
+/// uniform falls inside that bracket. A flat frame (decorr_end <= 0) has
+/// one SINR: one bracket, and at most one exact price. An aged frame draws
+/// its n uniforms first and decides MPDUs 0 and n-1 by their brackets;
+/// since per[i] is non-decreasing in i within ampdu_bracket_margin, an
+/// MPDU i between two decided MPDUs a < i < b is lost if u_i is below a's
+/// lost_below and delivered if u_i reaches b's kept_from. The undecided
+/// span is split at its middle MPDU, which is decided by its own bracket,
+/// until every MPDU is decided. A NaN SINR decides nothing, so a NaN frame
+/// ends up priced exactly. With `priced`, every MPDU is priced into it
+/// through ampdu_mpdu_errors first (the SoftPHY path, which sums every BER)
+/// and the draws compare against those prices. Requires
+/// 1 <= n_mpdus <= kMaxAmpduMpdus; never allocates once the grid rows it
+/// reaches are built (building one does not allocate either).
+std::uint64_t ampdu_mpdu_losses(const McsEntry& mcs_entry, double snr_db,
+                                double decorr_end, int n_mpdus,
+                                const PerGrid& grid, Rng& rng,
+                                MpduErrors* priced = nullptr);
 
 /// Plan an A-MPDU at the given MCS under an aggregation-time limit.
 AmpduPlan plan_ampdu(const McsEntry& mcs_entry, double limit_s,

@@ -29,6 +29,14 @@ void validate_frame_sim_config(const char* who, double duration_s,
                           "classifier.tof_period_s", classifier->tof_period_s);
 }
 
+void require_loss_payload(const char* who, int mpdu_payload_bytes) {
+  if (mpdu_payload_bytes < 1)
+    throw FrameSimConfigError(FrameSimConfigError::Code::kBadPayload,
+                              std::string(who) + ": mpdu_payload_bytes " +
+                                  std::to_string(mpdu_payload_bytes) +
+                                  " must be >= 1");
+}
+
 void validate_link_disturbances(const char* who, double burst_rate_hz,
                                 double burst_min_s, double burst_max_s,
                                 double tcp_stall_s) {

@@ -27,7 +27,7 @@ class FrameSimConfigError : public std::invalid_argument {
  public:
   enum class Code {
     kBadDuration,     ///< duration_s not finite and > 0
-    kBadPayload,      ///< mpdu_payload_bytes < 0
+    kBadPayload,      ///< mpdu_payload_bytes < 0 (< 1 where losses are drawn)
     kBadCsiPeriod,    ///< classifier on and csi_period_s not finite and > 0
     kBadTofPeriod,    ///< classifier on and tof_period_s not finite and > 0
     kBadOfferedLoad,  ///< simulate_latency: offered_pps not finite and > 0
@@ -69,5 +69,11 @@ void validate_frame_sim_config(const char* who, double duration_s,
 void validate_link_disturbances(const char* who, double burst_rate_hz,
                                 double burst_min_s, double burst_max_s,
                                 double tcp_stall_s);
+
+/// Throws FrameSimConfigError(kBadPayload) unless mpdu_payload_bytes >= 1.
+/// The loops that draw A-MPDU losses (simulate_link, simulate_latency,
+/// simulate_overall) decide them against a PER grid, which an empty
+/// payload has none of; an empty MPDU is lost at no SNR anyway.
+void require_loss_payload(const char* who, int mpdu_payload_bytes);
 
 }  // namespace mobiwlan

@@ -10,11 +10,10 @@
 namespace mobiwlan {
 
 int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
-                          double decorr_end, int n_mpdus, int payload_bytes,
-                          const ErrorModelConfig& config, Rng& rng,
-                          std::vector<bool>& delivered) {
-  const std::uint64_t lost = ampdu_mpdu_losses(
-      mcs_entry, snr_db, decorr_end, n_mpdus, payload_bytes, config, rng);
+                          double decorr_end, int n_mpdus, const PerGrid& grid,
+                          Rng& rng, std::vector<bool>& delivered) {
+  const std::uint64_t lost =
+      ampdu_mpdu_losses(mcs_entry, snr_db, decorr_end, n_mpdus, grid, rng);
   delivered.resize(static_cast<std::size_t>(n_mpdus));
   for (std::size_t i = 0; i < delivered.size(); ++i)
     delivered[i] = (lost >> i & 1) == 0;
@@ -35,6 +34,7 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
   validate_frame_sim_config(
       kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.run_classifier ? &config.classifier : nullptr);
+  require_loss_payload(kLoop, config.mpdu_payload_bytes);
   require_finite_positive(FrameSimConfigError::Code::kBadOfferedLoad, kLoop,
                           "offered_pps", config.offered_pps);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr}, kLoop);
@@ -44,6 +44,8 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
 
   MobilityObserver observer(config.classifier, 1);
   BlockAckWindow window(config.blockack);
+  const PerGrid& per_grid =
+      PerGrid::shared(config.mpdu_payload_bytes, config.error_model);
 
   LatencySimResult result;
   double t = 0.0;
@@ -111,8 +113,7 @@ LatencySimResult simulate_latency(trace::ObservableSource& src, RateAdapter& ra,
 
     const int n_failed =
         draw_ampdu_deliveries(entry, ch.eff_snr_db, ch.decorr_end, n,
-                              config.mpdu_payload_bytes, config.error_model,
-                              rng, delivered);
+                              per_grid, rng, delivered);
 
     const auto outcome = window.on_block_ack(frame, delivered);
     for (const TrackedMpdu& m : outcome.delivered) {

@@ -55,15 +55,15 @@ struct LatencySimResult {
 };
 
 /// The loss draw of one simulate_latency frame: ampdu_mpdu_losses decides
-/// its n_mpdus MPDUs from `rng`, and the loss mask is written out as each
-/// MPDU's delivery, in MPDU order, into `delivered` (resized to n_mpdus)
-/// for the Block ACK window. Returns the number lost. Allocation-free once
-/// `delivered` has capacity for n_mpdus; simulate_latency reserves
-/// kMaxAmpduMpdus once and reuses it every frame.
+/// its n_mpdus MPDUs from `rng` against `grid`, and the loss mask is
+/// written out as each MPDU's delivery, in MPDU order, into `delivered`
+/// (resized to n_mpdus) for the Block ACK window. Returns the number lost.
+/// Allocation-free once `delivered` has capacity for n_mpdus;
+/// simulate_latency reserves kMaxAmpduMpdus once and reuses it every
+/// frame.
 int draw_ampdu_deliveries(const McsEntry& mcs_entry, double snr_db,
-                          double decorr_end, int n_mpdus, int payload_bytes,
-                          const ErrorModelConfig& config, Rng& rng,
-                          std::vector<bool>& delivered);
+                          double decorr_end, int n_mpdus, const PerGrid& grid,
+                          Rng& rng, std::vector<bool>& delivered);
 
 /// Run a CBR downlink through the Block ACK machinery. Applies config.fault
 /// via a FaultedSource and delegates to the source-driven overload.

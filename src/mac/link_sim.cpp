@@ -23,6 +23,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
   validate_frame_sim_config(
       kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.run_classifier ? &config.classifier : nullptr);
+  require_loss_payload(kLoop, config.mpdu_payload_bytes);
   validate_link_disturbances(kLoop, config.interference_burst_rate_hz,
                              config.interference_burst_min_s,
                              config.interference_burst_max_s,
@@ -32,6 +33,8 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
     src.require({StreamKind::kCsi, StreamKind::kTof}, "link sim classifier");
 
   MobilityObserver observer(config.classifier, 1);
+  const PerGrid& per_grid =
+      PerGrid::shared(config.mpdu_payload_bytes, config.error_model);
 
   LinkSimResult result;
   double t = 0.0;
@@ -121,8 +124,7 @@ LinkSimResult simulate_link(trace::ObservableSource& src, RateAdapter& ra,
     } else {
       // SoftPHY sees the whole frame, so it needs every MPDU priced.
       n_failed = std::popcount(ampdu_mpdu_losses(
-          entry, ch.eff_snr_db, ch.decorr_end, plan.n_mpdus,
-          config.mpdu_payload_bytes, config.error_model, rng,
+          entry, ch.eff_snr_db, ch.decorr_end, plan.n_mpdus, per_grid, rng,
           config.provide_phy_feedback ? &errors : nullptr));
       // Sum the per-MPDU BER the receiver would measure, aged tail
       // included, in MPDU order.

@@ -29,6 +29,7 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
   validate_frame_sim_config(
       kLoop, config.duration_s, config.mpdu_payload_bytes,
       config.mobility_aware ? &config.classifier : nullptr);
+  require_loss_payload(kLoop, config.mpdu_payload_bytes);
   src.require({StreamKind::kTrueCsi, StreamKind::kSnr, StreamKind::kRssi,
                StreamKind::kScanRssi, StreamKind::kCsiFeedback},
               kLoop);
@@ -50,6 +51,8 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
 
   MobilityObserver observer(config.classifier, src.n_units());
   FrameChannel ch;
+  const PerGrid& per_grid =
+      PerGrid::shared(config.mpdu_payload_bytes, config.error_model);
 
   const double fb_airtime = feedback_exchange_airtime_s(config.feedback);
   const ProtocolParams stock = default_params();
@@ -147,8 +150,8 @@ OverallSimResult simulate_overall(trace::ObservableSource& src,
       snr += std::max(0.0, su_beamforming_gain_db(ch.h_start, fb_csi));
 
     const int n_failed = std::popcount(
-        ampdu_mpdu_losses(entry, snr, ch.decorr_end, plan.n_mpdus,
-                          config.mpdu_payload_bytes, config.error_model, rng));
+        ampdu_mpdu_losses(entry, snr, ch.decorr_end, plan.n_mpdus, per_grid,
+                          rng));
 
     FrameResult frame;
     frame.t = t;

@@ -55,11 +55,14 @@ TrendWindow::TrendWindow(std::size_t window, double slack)
 
 void TrendWindow::add(double x) {
   if (count_ < window_) {
-    ring_[(head_ + count_) % window_] = x;
+    std::size_t idx = head_ + count_;
+    if (idx >= window_) idx -= window_;
+    ring_[idx] = x;
     ++count_;
   } else {
     ring_[head_] = x;
-    head_ = (head_ + 1) % window_;
+    ++head_;
+    if (head_ == window_) head_ = 0;
   }
 }
 

@@ -121,7 +121,13 @@ class TrendWindow {
   void reset();
 
   /// i-th retained value, oldest first (i < count()).
-  double value(std::size_t i) const { return ring_[(head_ + i) % window_]; }
+  double value(std::size_t i) const {
+    // head_ < window_ and i < window_, so one conditional subtract replaces
+    // the modulo (a hardware divide on the hot path), as in MovingAverage.
+    std::size_t idx = head_ + i;
+    if (idx >= window_) idx -= window_;
+    return ring_[idx];
+  }
 
  private:
   std::size_t window_;

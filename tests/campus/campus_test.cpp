@@ -256,8 +256,12 @@ TEST(CampusConfigValidation, RejectsBadMacExchange) {
 TEST(CampusPerGrid, ConstructionBuildsNoRowAndRunsBuildOnlyUsedRows) {
   // Construction warms the MCS table and rate ladders without a MAC step,
   // so a fresh campus has built no PER row; a run builds only the
-  // rate-ladder rows it reaches.
-  campus::CampusSim sim(small_config());
+  // rate-ladder rows it reaches. Rows outlive a campus in the shared grid,
+  // so this campus uses a payload no other test of this binary uses.
+  campus::CampusConfig cfg = small_config();
+  cfg.session.mpdu_payload_bytes = 1473;
+  campus::CampusSim sim(cfg);
+  EXPECT_EQ(&sim.per_grid(), &PerGrid::shared(1473, {}));
   EXPECT_EQ(sim.per_grid().rows_built(), 0);
   EXPECT_EQ(sim.per_grid().payload_bytes(),
             sim.config().session.mpdu_payload_bytes);
@@ -269,8 +273,8 @@ TEST(CampusPerGrid, ConstructionBuildsNoRowAndRunsBuildOnlyUsedRows) {
 
 TEST(CampusPerGrid, StandaloneMacStepUsesTheDefaultPayloadGrid) {
   // A session stepped outside a CampusSim draws exactly what it draws
-  // against its own grid; a payload the shared grid was not built for is
-  // refused rather than decided against the wrong PERs.
+  // against its own grid, and a session of another payload decides
+  // against that payload's shared grid.
   const campus::CampusConfig cfg = small_config();
   const campus::CampusMap map(cfg.cols, cfg.rows, cfg.pitch_m);
   const PerGrid own(cfg.session.mpdu_payload_bytes);
@@ -295,8 +299,20 @@ TEST(CampusPerGrid, StandaloneMacStepUsesTheDefaultPayloadGrid) {
   campus::SessionParams other = cfg.session;
   other.mpdu_payload_bytes = 1000;
   campus::Session c(7, cfg.master_seed, map, other, 1, 40);
+  campus::Session d(7, cfg.master_seed, map, other, 1, 40);
   c.prime(scratch, sample);
-  EXPECT_THROW(c.mac_step(2, sample), std::invalid_argument);
+  d.prime(scratch, sample);
+  for (std::uint64_t e = 2; e <= 40; ++e) {
+    const double t = static_cast<double>(e) * other.tick_s;
+    ChannelBatch::sample_link(*c.channel(), t, sample, scratch);
+    c.observe_step(e, sample);
+    c.mac_step(e, sample);
+    d.observe_step(e, sample);
+    d.mac_step(e, sample, PerGrid::shared(1000, {}));
+  }
+  EXPECT_EQ(c.stats().mac_steps, 39u);
+  EXPECT_EQ(c.stats().mpdus_failed, d.stats().mpdus_failed);
+  EXPECT_EQ(c.stats().digest, d.stats().digest);
 }
 
 }  // namespace

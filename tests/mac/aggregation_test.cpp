@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "phy/error_model.hpp"
@@ -141,27 +142,41 @@ TEST(AmpduErrorsTest, BitwiseEqualToPerMpduChain) {
 TEST(AmpduErrorsTest, RejectsMpduCountOutsideBlockAckWindow) {
   MpduErrors out;
   Rng rng(1);
+  const PerGrid& grid = PerGrid::shared(1500, {});
   for (int n : {0, kMaxAmpduMpdus + 1}) {
     EXPECT_THROW(ampdu_mpdu_errors(mcs(0), 20.0, 0.1, n, 1500, {}, out),
                  std::out_of_range);
-    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, 1500, {}, rng),
+    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, grid, rng),
                  std::out_of_range);
-    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, 1500, {}, rng, &out),
+    EXPECT_THROW(ampdu_mpdu_losses(mcs(0), 20.0, 0.1, n, grid, rng, &out),
                  std::out_of_range);
   }
 }
 
 /// The loss-kernel grid: BitwiseEqualToPerMpduChain's MCS and SNR sweep and
-/// decorrelations, plus a NaN decorrelation and more frame sizes.
+/// decorrelations, plus SNRs off the PER grid's [-20, 60] dB and NaN, a
+/// NaN decorrelation, small decorrelations whose aged SINR crosses a few
+/// grid cells over the frame, and more frame sizes.
 template <typename Visit>
 void for_each_loss_case(Visit visit) {
-  const double decorrs[] = {-1e-16, -0.0, 0.0, 1e-9, 0.01, 0.3,
-                            1.0 - 1e-10, 1.0, 1.5, std::nan("")};
+  const double decorrs[] = {-1e-16, -0.0,        0.0, 1e-9, 1e-4, 5e-4, 0.01,
+                            0.3,    1.0 - 1e-10, 1.0, 1.5,  std::nan("")};
+  std::vector<double> snrs;
+  for (int step = 0; step <= 280; ++step) snrs.push_back(-10.0 + 0.25 * step);
+  for (const double snr : {-60.0, -20.5, 60.5, 90.0, std::nan("")})
+    snrs.push_back(snr);
   for (const McsEntry& e : mcs_table())
-    for (int step = 0; step <= 280; ++step)
+    for (const double snr : snrs)
       for (double decorr_end : decorrs)
-        for (int n : {1, 2, 3, 17, 45, 63, 64})
-          visit(e, -10.0 + 0.25 * step, decorr_end, n);
+        for (int n : {1, 2, 3, 17, 45, 63, 64}) visit(e, snr, decorr_end, n);
+}
+
+/// The PER grid cell holding a finite aged SINR (clamped to the grid's
+/// ends).
+int grid_cell(double sinr_db) {
+  const double k =
+      std::floor((sinr_db - PerGrid::kLoDb) * PerGrid::kPointsPerDb);
+  return static_cast<int>(std::clamp(k, -1.0, double{PerGrid::kPoints}));
 }
 
 std::string loss_case(const McsEntry& e, double snr, double decorr_end,
@@ -175,38 +190,58 @@ std::string loss_case(const McsEntry& e, double snr, double decorr_end,
 TEST(AmpduLossesTest, DecisionsEqualPerMpduDraws) {
   // The loss mask must be bit for bit the outcomes of chance(per[i]) over
   // ampdu_mpdu_errors, and leave the generator where that loop does, on
-  // both the bracket path and the SoftPHY path that prices every MPDU.
-  const ErrorModelConfig config;
-  const int payload = 1500;
+  // both the bracket path and the SoftPHY path that prices every MPDU,
+  // under the default payload and error model, a short payload and a
+  // harsher error model, each decided against its own shared grid.
+  struct Model {
+    int payload;
+    ErrorModelConfig config;
+  };
+  const Model models[] = {{1500, {}}, {300, {}}, {1500, {4.0, 2.0}}};
   MpduErrors want_errors, priced;
   Rng seeds(20141104);
-  long mismatches = 0;
+  long mismatches = 0, multi_cell_frames = 0;
   std::string first;
-  for_each_loss_case([&](const McsEntry& e, double snr, double decorr_end,
-                         int n) {
-    ampdu_mpdu_errors(e, snr, decorr_end, n, payload, config, want_errors);
-    for (int s = 0; s < 4; ++s) {
-      Rng rng(seeds.next_u64());
-      Rng ref = rng;
-      std::uint64_t want = 0;
-      for (int i = 0; i < n; ++i)
-        if (ref.chance(want_errors.per[static_cast<std::size_t>(i)]))
-          want |= std::uint64_t{1} << i;
-      const bool softphy = s == 0;
-      const std::uint64_t got = ampdu_mpdu_losses(
-          e, snr, decorr_end, n, payload, config, rng,
-          softphy ? &priced : nullptr);
-      bool same = got == want && rng.next_u64() == ref.next_u64();
-      for (int i = 0; softphy && i < n; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        same = same && same_bits(priced.per[k], want_errors.per[k]) &&
-               same_bits(priced.ber[k], want_errors.ber[k]);
+  for (const Model& m : models) {
+    const PerGrid& grid = PerGrid::shared(m.payload, m.config);
+    for_each_loss_case([&](const McsEntry& e, double snr, double decorr_end,
+                           int n) {
+      ampdu_mpdu_errors(e, snr, decorr_end, n, m.payload, m.config,
+                        want_errors);
+      if (n > 1 && decorr_end > 0.0 && !std::isnan(snr)) {
+        const AmpduPlan plan{n, 0.0};
+        const auto cell = [&](int i) {
+          return grid_cell(
+              aged_snr_db(snr, decorr_end * plan.mpdu_age_fraction(i)));
+        };
+        const int cells = cell(0) - cell(n - 1);
+        if (cells >= 3 && cells <= 32) ++multi_cell_frames;
       }
-      if (!same && mismatches++ == 0)
-        first = loss_case(e, snr, decorr_end, n) + " draw " + std::to_string(s);
-    }
-  });
+      for (int s = 0; s < 4; ++s) {
+        Rng rng(seeds.next_u64());
+        Rng ref = rng;
+        std::uint64_t want = 0;
+        for (int i = 0; i < n; ++i)
+          if (ref.chance(want_errors.per[static_cast<std::size_t>(i)]))
+            want |= std::uint64_t{1} << i;
+        const bool softphy = s == 0;
+        const std::uint64_t got = ampdu_mpdu_losses(
+            e, snr, decorr_end, n, grid, rng, softphy ? &priced : nullptr);
+        bool same = got == want && rng.next_u64() == ref.next_u64();
+        for (int i = 0; softphy && i < n; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          same = same && same_bits(priced.per[k], want_errors.per[k]) &&
+                 same_bits(priced.ber[k], want_errors.ber[k]);
+        }
+        if (!same && mismatches++ == 0)
+          first = loss_case(e, snr, decorr_end, n) + " payload " +
+                  std::to_string(m.payload) + " draw " + std::to_string(s);
+      }
+    });
+  }
   EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
+  // Frames whose aged SINR crosses 3-32 grid cells from MPDU 0 to n-1.
+  EXPECT_GT(multi_cell_frames, 1000);
 }
 
 TEST(AmpduLossesTest, PerNonDecreasingWithinBracketMargin) {

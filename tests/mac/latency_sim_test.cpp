@@ -19,16 +19,17 @@ TEST(LatencyLossDrawTest, SteadyStateFramesDoNotAllocate) {
   std::vector<bool> delivered;
   delivered.reserve(kMaxAmpduMpdus);
   Rng rng(11);
-  const ErrorModelConfig config;
+  // Looking the grid up makes it; its rows are built inside the meter.
+  const PerGrid& grid = PerGrid::shared(1500, {});
   // Warm-up frame: the first mcs() call builds the MCS table.
-  draw_ampdu_deliveries(mcs(0), 12.0, 0.0, 1, 1500, config, rng, delivered);
+  draw_ampdu_deliveries(mcs(0), 12.0, 0.0, 1, grid, rng, delivered);
   const std::uint64_t before = alloc_count();
   int lost = 0;
   for (int frame = 0; frame < 2000; ++frame) {
     const int n = 1 + frame % kMaxAmpduMpdus;
     const double decorr_end = (frame % 3 == 0) ? 0.0 : 0.002 * (frame % 50);
     lost += draw_ampdu_deliveries(mcs(frame % 16), 12.0 + frame % 25,
-                                  decorr_end, n, 1500, config, rng, delivered);
+                                  decorr_end, n, grid, rng, delivered);
   }
   EXPECT_EQ(alloc_count() - before, 0u) << "loss path touched the heap";
   EXPECT_GT(lost, 0);
@@ -39,8 +40,9 @@ TEST(LatencyLossDrawTest, DrawsMatchPerMpduChainInOrder) {
   for (double decorr_end : {-0.0, 0.04}) {
     Rng rng(12);
     Rng ref_rng(12);
-    const int lost = draw_ampdu_deliveries(mcs(13), 24.0, decorr_end, 45,
-                                           1500, {}, rng, delivered);
+    const int lost =
+        draw_ampdu_deliveries(mcs(13), 24.0, decorr_end, 45,
+                              PerGrid::shared(1500, {}), rng, delivered);
     ASSERT_EQ(delivered.size(), 45u);
     AmpduPlan plan;
     plan.n_mpdus = 45;

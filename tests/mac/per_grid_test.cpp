@@ -1,7 +1,8 @@
 // Tests for PerGrid, the campus MAC step's loss draw: its decisions must be
 // bit for bit those of chance(per_from_snr) per MPDU, on and off the grid,
-// and concurrent first use of a row must be race-free (ci/check.sh runs
-// this binary's concurrency case under ThreadSanitizer).
+// PerGrid::shared must keep one grid per key, and concurrent first use of a
+// row or a key must be race-free (ci/check.sh runs this binary's
+// concurrency cases under ThreadSanitizer).
 #include "mac/aggregation.hpp"
 
 #include <gtest/gtest.h>
@@ -26,8 +27,9 @@ namespace {
 constexpr int kPayload = 1500;
 
 /// The draw PerGrid::losses replaces: one chance(per) per MPDU.
-int chance_losses(const McsEntry& e, double snr_db, int n, Rng& rng) {
-  const double per = per_from_snr(e, snr_db, kPayload);
+int chance_losses(const McsEntry& e, double snr_db, int n, Rng& rng,
+                  int payload = kPayload, const ErrorModelConfig& config = {}) {
+  const double per = per_from_snr(e, snr_db, payload, config);
   int lost = 0;
   for (int i = 0; i < n; ++i)
     if (rng.chance(per)) ++lost;
@@ -70,6 +72,15 @@ TEST(PerGridTest, GridPointsArePerFromSnr) {
   EXPECT_EQ(grid.rows_built(), static_cast<int>(mcs_count()));
   EXPECT_EQ(PerGrid::grid_db(0), PerGrid::kLoDb);
   EXPECT_EQ(PerGrid::grid_db(PerGrid::kPoints - 1), PerGrid::kHiDb);
+
+  // Another payload and error model tabulate their own PERs.
+  const ErrorModelConfig harsh{4.0, 2.0};
+  const PerGrid other(300, harsh);
+  for (const McsEntry& e : mcs_table())
+    for (int k = 0; k < PerGrid::kPoints; k += 37)
+      ASSERT_EQ(other.per_at(e, k),
+                per_from_snr(e, PerGrid::grid_db(k), 300, harsh))
+          << "MCS " << e.index << " point " << k;
 }
 
 TEST(PerGridTest, RejectsEmptyPayload) {
@@ -151,6 +162,76 @@ TEST(PerGridTest, PerWithinCellBracket) {
   }
   EXPECT_GT(points, 5'000'000);
   EXPECT_EQ(violations, 0) << "worst excess " << worst << " at " << where;
+}
+
+TEST(PerGridTest, SharedGridPerKey) {
+  // One grid per (payload, error model): an equal key returns the very same
+  // object, with its rows, and any other key a distinct grid of its own.
+  const ErrorModelConfig harsh{4.0, 2.0};
+  const PerGrid& a = PerGrid::shared(kPayload, {});
+  EXPECT_EQ(&PerGrid::shared(kPayload, {}), &a);
+  EXPECT_EQ(&PerGrid::shared(kPayload, ErrorModelConfig{3.0, 1.5}), &a);
+  EXPECT_EQ(a.payload_bytes(), kPayload);
+  (void)a.per_at(mcs(3), 0);
+  EXPECT_GE(PerGrid::shared(kPayload, {}).rows_built(), 1);
+
+  const PerGrid& short_payload = PerGrid::shared(300, {});
+  const PerGrid& other_model = PerGrid::shared(kPayload, harsh);
+  const PerGrid& other_loss = PerGrid::shared(kPayload, {3.0, 2.0});
+  EXPECT_NE(&short_payload, &a);
+  EXPECT_NE(&other_model, &a);
+  EXPECT_NE(&other_loss, &a);
+  EXPECT_NE(&other_loss, &other_model);
+  EXPECT_EQ(&PerGrid::shared(kPayload, harsh), &other_model);
+  EXPECT_EQ(short_payload.payload_bytes(), 300);
+  EXPECT_EQ(other_model.config().stream_penalty_db, 4.0);
+  EXPECT_EQ(other_model.config().implementation_loss_db, 2.0);
+  EXPECT_EQ(other_model.per_at(mcs(9), 700),
+            per_from_snr(mcs(9), PerGrid::grid_db(700), kPayload, harsh));
+  EXPECT_THROW(PerGrid::shared(0, {}), std::invalid_argument);
+}
+
+TEST(PerGridTest, SharedLookupConcurrentFirstUse) {
+  // Four threads make the first lookup of one common key and of one key
+  // each at once, then build rows of both; the common key must give every
+  // thread the same grid, and every decision must equal the exact path's.
+  // The payloads are used by no other test of this binary.
+  constexpr int kThreads = 4;
+  constexpr int kCommon = 1401;
+  std::atomic<int> ready{0};
+  std::vector<const PerGrid*> common(kThreads), own(kThreads);
+  std::vector<long> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(Rng(20141202).stream(static_cast<std::uint64_t>(t)));
+      const int own_payload = kCommon + 1 + t;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      common[t] = &PerGrid::shared(kCommon, {});
+      own[t] = &PerGrid::shared(own_payload, {});
+      for (int i = 0; i < 500; ++i) {
+        const McsEntry& e = mcs(8 + i % 8);
+        const double snr = 5.0 + 30.0 * rng.uniform();
+        for (const PerGrid* grid : {common[t], own[t]}) {
+          Rng draw(rng.next_u64());
+          Rng ref = draw;
+          if (grid->losses(e, snr, 16, draw) !=
+              chance_losses(e, snr, 16, ref, grid->payload_bytes()))
+            ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(common[t], common[0]) << "thread " << t;
+    EXPECT_EQ(own[t]->payload_bytes(), kCommon + 1 + t);
+    for (int u = 0; u < t; ++u) EXPECT_NE(own[t], own[u]);
+  }
+  EXPECT_EQ(common[0]->rows_built(), 8);
 }
 
 TEST(PerGridTest, ConcurrentFirstUseIsRaceFree) {

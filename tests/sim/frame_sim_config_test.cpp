@@ -193,6 +193,24 @@ TEST(FrameSimConfigTest, NegativePayloadRejected) {
       Code::kBadPayload);
 }
 
+TEST(FrameSimConfigTest, EmptyPayloadRejectedWhereLossesAreDrawn) {
+  // An empty MPDU is lost at no SNR and carries no bytes, and the loss
+  // draws decide against a PER grid, which needs a payload of >= 1 byte.
+  expect_code(
+      [] { run_link([](LinkSimConfig& c) { c.mpdu_payload_bytes = 0; }); },
+      Code::kBadPayload);
+  expect_code(
+      [] {
+        run_latency([](LatencySimConfig& c) { c.mpdu_payload_bytes = 0; });
+      },
+      Code::kBadPayload);
+  expect_code(
+      [] {
+        run_overall([](OverallSimConfig& c) { c.mpdu_payload_bytes = 0; });
+      },
+      Code::kBadPayload);
+}
+
 TEST(FrameSimConfigTest, BadCsiPeriodRejectedWhenClassifierRuns) {
   for (double p : {0.0, -0.5, kNaN, kInf}) {
     expect_code(

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 namespace mobiwlan {
 namespace {
 
@@ -185,6 +187,31 @@ TEST(TrendWindowTest, WindowOfOneBecomesTwo) {
   EXPECT_FALSE(w.increasing());
   w.add(2.0);
   EXPECT_TRUE(w.increasing());
+}
+
+TEST(TrendWindowTest, WrapsAroundLikeADeque) {
+  // Eleven adds into a window of 4 wrap the ring's head twice; after every
+  // add the retained values, oldest first, and both trend verdicts must
+  // match a plain deque holding the last four values.
+  TrendWindow w(4, 0.25);
+  std::deque<double> ref;
+  const double values[] = {1.0, 2.0, 3.0, 4.0, 3.9, 5.0,
+                           6.0, 2.0, 1.0, 0.5, 0.4};
+  for (const double v : values) {
+    w.add(v);
+    ref.push_back(v);
+    if (ref.size() > 4) ref.pop_front();
+    ASSERT_EQ(w.count(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(w.value(i), ref[i]);
+    bool up = ref.size() == 4, down = ref.size() == 4;
+    for (std::size_t i = 1; i < ref.size(); ++i) {
+      up = up && ref[i] >= ref[i - 1] - 0.25;
+      down = down && ref[i] <= ref[i - 1] + 0.25;
+    }
+    EXPECT_EQ(w.increasing(), up && ref.back() - ref.front() > 0.0) << v;
+    EXPECT_EQ(w.decreasing(), down && ref.front() - ref.back() > 0.0) << v;
+  }
+  EXPECT_TRUE(w.decreasing());  // the window ends at 2, 1, 0.5, 0.4
 }
 
 class TrendSlopeSweep : public ::testing::TestWithParam<double> {};
