@@ -67,38 +67,23 @@ void FrameChannel::measure(double wideband_snr_db) {
   const cplx* b = paired ? h_end.raw().data() : a;
   const std::size_t n_sc = h_start.n_subcarriers();
   const std::size_t n_pairs = h_start.n_tx() * h_start.n_rx();
-  // Data order (tx * n_rx + rx) * n_sc + sc: na adds |h_start|^2 as
-  // mean_power() does, and each subcarrier's sum gets its pairs in the
-  // (tx, rx) order effective_snr_db adds them in.
   pow_sc_.clear();
   pow_sc_.resize(n_sc, 0.0);
-  double* pow_sc = pow_sc_.data();
-  double na = 0.0;
-  double nb = 0.0;
-  cplx dot{};
-  for (std::size_t i = 0, p = 0; p < n_pairs; ++p) {
-    for (std::size_t sc = 0; sc < n_sc; ++sc, ++i) {
-      const cplx ai = a[i];
-      const cplx bi = b[i];
-      const double pa = std::norm(ai);
-      na += pa;
-      pow_sc[sc] += pa;
-      nb += std::norm(bi);
-      dot += std::conj(ai) * bi;
-    }
-  }
+  const CsiPassSums sums = csi_pass(a, b, n_pairs, n_sc, pow_sc_.data());
 
   const double mean_pow =
-      start.empty() ? 0.0 : na / static_cast<double>(start.size());
+      start.empty() ? 0.0 : sums.na / static_cast<double>(start.size());
   eff_snr_db = mean_pow <= 0.0
                    ? wideband_snr_db
-                   : effective_snr_db_from_powers(
-                         wideband_snr_db, mean_pow, n_pairs, n_sc,
-                         [pow_sc](std::size_t sc) { return pow_sc[sc]; });
+                   : effective_snr_db_from_powers(wideband_snr_db, mean_pow,
+                                                  n_pairs, pow_sc_.data(),
+                                                  n_sc);
   // A NaN norm is not <= 0 and carries into the correlation.
-  const bool uncorrelated = !paired || start.empty() || na <= 0.0 || nb <= 0.0;
-  decorr_end =
-      1.0 - (uncorrelated ? 0.0 : std::abs(dot) / std::sqrt(na * nb));
+  const bool uncorrelated =
+      !paired || start.empty() || sums.na <= 0.0 || sums.nb <= 0.0;
+  decorr_end = 1.0 - (uncorrelated ? 0.0
+                                   : std::abs(sums.dot) /
+                                         std::sqrt(sums.na * sums.nb));
 }
 
 }  // namespace mobiwlan

@@ -78,10 +78,11 @@ struct FrameChannel {
   /// Sets eff_snr_db to effective_snr_db(h_start, wideband_snr_db) and
   /// decorr_end to 1 - |<h_start, h_end>| / (||h_start|| ||h_end||) (1
   /// when the two differ in size, are empty or either has no power), both
-  /// from one pass over h_start and h_end in data order. Every sum adds
-  /// the same terms in the same order as a sweep of its own would, so the
-  /// results are bit for bit those of separate sweeps. Allocation-free
-  /// up to 52 subcarriers, and beyond once the scratch has grown.
+  /// from one csi_pass (phy/error_model.hpp) over h_start and h_end. Every
+  /// sum adds the same terms in the same order as a sweep of its own would,
+  /// so the results are bit for bit those of separate sweeps, on every
+  /// SIMD tier. Allocation-free up to 52 subcarriers, and beyond once the
+  /// scratch has grown.
   void measure(double wideband_snr_db);
 
  private:

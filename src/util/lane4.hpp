@@ -15,9 +15,10 @@
 // An op means the same rounding on both types — a fused op rounds once, a
 // plain op once per operation, reductions keep lane order — so one body
 // yields the same bits on both tiers. The types hold only what the two
-// tiers spell differently: memory, arithmetic and the few steps of the
-// transcendentals that are bit manipulation (round-to-nearest-even, the
-// sincos quadrant fix-up, the log exponent split and the exact 2^k scale).
+// tiers spell differently: memory and shuffles (load2/store2, transpose4),
+// arithmetic and the few steps of the transcendentals that are bit
+// manipulation (round-to-nearest-even, the sincos quadrant fix-up, the log
+// exponent split and the exact 2^k scale).
 #pragma once
 
 #include <bit>
@@ -111,6 +112,16 @@ inline void store2(double* p, Scalar re, Scalar im) {
     p[2 * l] = re.v[l];
     p[2 * l + 1] = im.v[l];
   }
+}
+
+/// The 4x4 transpose: lane l of o_j is lane j of r_l, so four planes of
+/// four entries become one vector per entry. Moves only.
+inline void transpose4(Scalar r0, Scalar r1, Scalar r2, Scalar r3, Scalar& o0,
+                       Scalar& o1, Scalar& o2, Scalar& o3) {
+  o0 = {{r0.v[0], r1.v[0], r2.v[0], r3.v[0]}};
+  o1 = {{r0.v[1], r1.v[1], r2.v[1], r3.v[1]}};
+  o2 = {{r0.v[2], r1.v[2], r2.v[2], r3.v[2]}};
+  o3 = {{r0.v[3], r1.v[3], r2.v[3], r3.v[3]}};
 }
 
 /// Round to nearest, ties to even (nearbyint in the default rounding mode).
@@ -220,6 +231,18 @@ MOBIWLAN_LANE4_AVX2 void store2(double* p, Avx2 re, Avx2 im) {
   const __m256d hi = _mm256_unpackhi_pd(re.v, im.v);
   _mm256_storeu_pd(p, _mm256_permute2f128_pd(lo, hi, 0x20));
   _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+}
+
+MOBIWLAN_LANE4_AVX2 void transpose4(Avx2 r0, Avx2 r1, Avx2 r2, Avx2 r3,
+                                    Avx2& o0, Avx2& o1, Avx2& o2, Avx2& o3) {
+  const __m256d t0 = _mm256_unpacklo_pd(r0.v, r1.v);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(r0.v, r1.v);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(r2.v, r3.v);
+  const __m256d t3 = _mm256_unpackhi_pd(r2.v, r3.v);
+  o0.v = _mm256_permute2f128_pd(t0, t2, 0x20);
+  o1.v = _mm256_permute2f128_pd(t1, t3, 0x20);
+  o2.v = _mm256_permute2f128_pd(t0, t2, 0x31);
+  o3.v = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
 MOBIWLAN_LANE4_AVX2 Avx2 round(Avx2 a) {
