@@ -369,9 +369,10 @@ int run_perf(const Options& opt) {
   // gate_<case>_ns; must not allocate more than gate_<case>_allocs (a gate
   // of 0 is exact, a nonzero one gets +0.5 slack for amortized one-off
   // growth); and a paired case must reach gate_<case>_min_speedup, except
-  // that a ratio of SIMD kernels skips its floor on the scalar tier, which
-  // the floor does not describe. Missing gate keys are reported, not
-  // fatal, so new cases can land before the baseline is refreshed.
+  // that a ratio of SIMD kernels must reach gate_<case>_scalar_min_speedup
+  // on the scalar tier, which the vector-tier floor does not describe, and
+  // skips its floor there when it has none. Missing gate keys are reported,
+  // not fatal, so new cases can land before the baseline is refreshed.
   const auto tol_it = baseline.find("tolerance");
   const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;
   const auto gate = [&](const PerfResult& r,
@@ -385,8 +386,12 @@ int run_perf(const Options& opt) {
   for (const PerfResult& r : results) {
     const auto gate_ns = gate(r, "_ns");
     const auto gate_allocs = gate(r, "_allocs");
-    const auto gate_speedup = gate(r, "_min_speedup");
-    if (!gate_ns && !gate_allocs && !gate_speedup) {
+    const bool scalar_ratio =
+        r.simd_ratio && tier == mobiwlan::simd::Tier::kScalar;
+    const auto vector_floor = gate(r, "_min_speedup");
+    const auto gate_speedup =
+        scalar_ratio ? gate(r, "_scalar_min_speedup") : vector_floor;
+    if (!gate_ns && !gate_allocs && !vector_floor && !gate_speedup) {
       std::printf("perf-check: %-22s no gate_%s_* in baseline, skipped\n",
                   r.name.c_str(), r.name.c_str());
       continue;
@@ -407,12 +412,12 @@ int run_perf(const Options& opt) {
         case_ok = case_ok && r.allocs_per_op <= limit;
       note(strf("%.6g allocs/op vs limit %g", r.allocs_per_op, limit));
     }
-    if (gate_speedup && r.simd_ratio &&
-        tier == mobiwlan::simd::Tier::kScalar) {
+    if (!gate_speedup && vector_floor) {
       std::fprintf(stderr,
                    "perf-check: %s speedup gate SKIPPED — the active SIMD "
-                   "tier is scalar; the %.2fx floor does not apply to it\n",
-                   r.name.c_str(), *gate_speedup);
+                   "tier is scalar; the %.2fx floor does not apply to it "
+                   "and the case has no scalar-tier floor\n",
+                   r.name.c_str(), *vector_floor);
       note("speedup floor skipped on the scalar tier");
     } else if (gate_speedup) {
       case_ok = case_ok && r.speedup >= *gate_speedup;

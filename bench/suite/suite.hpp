@@ -40,7 +40,8 @@ struct PerfResult {
   double ops_per_sec = 0.0;
   double allocs_per_op = 0.0;  ///< 0 unless the counting hook is linked
   double speedup = 0.0;  ///< paired cases: reference / measured time; else 0
-  /// The speedup compares SIMD kernels, so the scalar tier skips its floor.
+  /// The speedup compares SIMD kernels, so the scalar tier checks
+  /// gate_<case>_scalar_min_speedup instead of the floor, or skips it.
   bool simd_ratio = false;
 };
 
